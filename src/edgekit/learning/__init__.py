@@ -2,7 +2,7 @@ from .problems import LocalProblem, centralized_solution, total_objective
 from .topology import Topology, build_topology, rechain
 from .compression import QuantizerConfig, QuantizedMessage, CensorSchedule, quantize, dequantize, censor_decision
 from .energy import CommEnergyModel, message_energy
-from .runner import LearningRunConfig, TrainingTrace, WorkerState, run, primal_update, dual_update
+from .runner import TrainingTrace, run, primal_update, dual_update
 
 __all__ = [
     "LocalProblem",
@@ -19,9 +19,7 @@ __all__ = [
     "censor_decision",
     "CommEnergyModel",
     "message_energy",
-    "LearningRunConfig",
     "TrainingTrace",
-    "WorkerState",
     "run",
     "primal_update",
     "dual_update",

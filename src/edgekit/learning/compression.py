@@ -51,37 +51,66 @@ class CensorSchedule:
         return self.xi0 * self.alpha**k
 
 
-def quantize(delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator) -> QuantizedMessage:
-    """Unbiased stochastic quantization of `delta` onto 2^b levels over [-R, R].
+def quantize_rows(
+    delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased stochastic quantization of each row of a (k, d) `delta`.
 
-    R is the l-inf norm of delta.  Each coordinate is rounded to one of the
-    two bracketing levels with probabilities making the rounding unbiased.
+    Row i is rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf norm:
+    each coordinate goes to one of the two bracketing levels with the
+    probabilities that make the rounding unbiased.  Returns the integer
+    levels (k, d) and the radii R (k,).  An all-zero row has R = 0, all-zero
+    levels and draws nothing, so one call consumes `rng` exactly as k
+    sequential `quantize` calls on the rows do.
     """
     delta = np.asarray(delta, dtype=float)
-    R = float(np.max(np.abs(delta))) if delta.size else 0.0
+    radius = np.max(np.abs(delta), axis=1, initial=0.0)
+    levels = np.zeros(delta.shape, dtype=np.int64)
+    live = radius != 0.0
     n_levels = 2**config.bits
-    if R == 0.0:
-        return QuantizedMessage(levels=np.zeros(delta.shape, dtype=np.int64), radius=0.0, bits=config.bits)
+    R = radius[live, None]
     step = 2.0 * R / (n_levels - 1)
-    scaled = (delta + R) / step  # in [0, n_levels - 1]
+    scaled = (delta[live] + R) / step  # in [0, n_levels - 1]
     lo = np.floor(scaled)
-    frac = scaled - lo
-    up = rng.random(delta.shape) < frac
-    levels = (lo + up).astype(np.int64)
-    levels = np.clip(levels, 0, n_levels - 1)
-    return QuantizedMessage(levels=levels, radius=R, bits=config.bits)
+    up = rng.random(scaled.shape) < scaled - lo
+    levels[live] = np.clip((lo + up).astype(np.int64), 0, n_levels - 1)
+    return levels, radius
+
+
+def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.ndarray:
+    """Inverse of `quantize_rows`: the level values of each (k, d) row."""
+    step = 2.0 * radius / (2**bits - 1)
+    return levels * step[:, None] - radius[:, None]
+
+
+def quantize(delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator) -> QuantizedMessage:
+    """One message: `quantize_rows` on a single row."""
+    delta = np.asarray(delta, dtype=float)
+    levels, radius = quantize_rows(delta.reshape(1, -1), config, rng)
+    return QuantizedMessage(levels=levels.reshape(delta.shape), radius=float(radius[0]), bits=config.bits)
 
 
 def dequantize(msg: QuantizedMessage) -> np.ndarray:
-    if msg.radius == 0.0:
-        return np.zeros(len(msg.levels))
-    n_levels = 2**msg.bits
-    step = 2.0 * msg.radius / (n_levels - 1)
-    return msg.levels * step - msg.radius
+    return dequantize_rows(msg.levels.reshape(1, -1), np.array([msg.radius]), msg.bits)[0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, d) array.
+
+    One stacked matmul of each row with itself is a BLAS ddot per row, the
+    same call np.linalg.norm makes on a vector, so every norm is bit-identical
+    to the per-row one.  einsum and norm(axis=1) sum in another order.
+    """
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def censor_mask(current: np.ndarray, last_sent: np.ndarray, threshold: float) -> np.ndarray:
+    """Per row: transmit iff ||current - last_sent||_2 strictly exceeds threshold."""
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    return row_norms(np.asarray(current, dtype=float) - np.asarray(last_sent, dtype=float)) > threshold
 
 
 def censor_decision(current: np.ndarray, last_sent: np.ndarray, threshold: float) -> bool:
     """True (transmit) iff ||current - last_sent||_2 strictly exceeds threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return bool(np.linalg.norm(np.asarray(current) - np.asarray(last_sent)) > threshold)
+    return bool(censor_mask(np.reshape(current, (1, -1)), np.reshape(last_sent, (1, -1)), threshold)[0])

@@ -46,8 +46,7 @@ class LocalProblem:
         return cls(A=np.array([[1.0]]), b=np.array([float(a)]), reg=reg)
 
     def value(self, theta: np.ndarray) -> float:
-        r = self.A @ theta - self.b
-        return float(r @ r + self.reg * (theta @ theta))
+        return float(ProblemStack([self]).values(np.reshape(theta, (1, -1)))[0])
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -60,8 +59,60 @@ class LocalProblem:
         return self._gram
 
 
+class ProblemStack:
+    """N workers' problems as stacked arrays, for whole-group evaluation.
+
+    Workers are rows 0..N-1.  Workers with equal sample counts share one
+    (k, samples, d) design stack, so evaluating every objective costs a few
+    numpy calls per distinct sample count rather than per worker.
+    """
+
+    def __init__(self, problems: list[LocalProblem]):
+        self.problems = problems
+        self.n = len(problems)
+        self.dim = problems[0].dim
+        by_samples: dict[int, list[int]] = {}
+        for i, p in enumerate(problems):
+            by_samples.setdefault(p.A.shape[0], []).append(i)
+        self._groups = [
+            (
+                slice(None) if len(rows) == self.n else np.array(rows),
+                np.stack([problems[i].A for i in rows]),
+                np.stack([problems[i].b for i in rows]),
+                np.array([problems[i].reg for i in rows]),
+            )
+            for rows in by_samples.values()
+        ]
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked (H, g): (N, d, d) and (N, d)."""
+        grams = [p.gram() for p in self.problems]
+        return np.stack([H for H, _ in grams]), np.stack([g for _, g in grams])
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        """f_n(theta_n) for every row of an (N, d) theta.
+
+        ||A theta - b||^2 + reg ||theta||^2 with each product a stacked
+        matmul, which numpy runs as one gemv or ddot per row: the same BLAS
+        calls, so the same bits, as evaluating the workers one at a time.
+        """
+        out = np.empty(self.n)
+        for rows, A, b, reg in self._groups:
+            t = theta[rows]
+            r = (A @ t[:, :, None])[:, :, 0] - b
+            out[rows] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] + reg * (t[:, None, :] @ t[:, :, None])[:, 0, 0]
+        return out
+
+    def objective(self, theta: np.ndarray) -> float:
+        """sum_n f_n(theta_n), summed in worker order as Python floats."""
+        return sum(self.values(theta).tolist())
+
+
 def total_objective(problems: list[LocalProblem], thetas: list[np.ndarray]) -> float:
-    return sum(p.value(t) for p, t in zip(problems, thetas, strict=True))
+    if len(thetas) != len(problems):
+        raise ValueError("one model per worker")
+    return ProblemStack(problems).objective(np.reshape(np.asarray(thetas, dtype=float), (len(problems), -1)))
 
 
 def centralized_solution(problems: list[LocalProblem]) -> np.ndarray:

@@ -11,6 +11,10 @@ Supported variants:
   c-ggadmm   ggadmm with censored transmissions
   cq-ggadmm  ggadmm with censoring applied to the quantized model update
 
+The update equations are those of Elgabli et al., "GADMM: Fast and
+Communication Efficient Framework for Distributed Machine Learning" (JMLR
+2020) and its censored and quantized follow-ups.
+
 Workers exchange *transmitted* models: when a transmission is censored, the
 receivers keep using the last value that actually went over the air, and the
 dual updates are computed from transmitted values on both endpoints so the
@@ -19,6 +23,43 @@ two mirrored copies of each dual stay bit-identical.
 Bandwidth is split among the workers scheduled to transmit in the same phase
 (N for the parameter server, the head or tail group size otherwise), which is
 what makes the sparse schedules cheaper per message.
+
+Array layout.  Worker id n is row n-1 and constraint edge i (topology.edges
+order, left endpoint carrying +lambda) is row i:
+
+  theta       (N, d)     current models
+  theta_hat   (N+1, d)   last transmitted models; row N stays zero
+  duals       (E+1, d)   one dual per edge; row E stays zero.  On a chain,
+                         edge i joins chain positions i and i+1, so between
+                         re-chainings a chain's left endpoint and its edge
+                         index name the same dual
+  inverses    (N, d, d)  (2 H_n + rho deg_n I)^-1, cached by degree vector,
+                         so d-gadmm's re-chained orders reuse them
+  slots       (k, D)     per head/tail group of k workers: each member's
+                         incident edges and neighbors in edge order, padded
+                         to the group's largest degree D with edge E and
+                         neighbor N
+
+An iteration is then a fixed number of numpy calls whatever N is: per phase
+one gather of slot duals and neighbor models, D slot accumulations, one
+stacked solve and one vectorised step each for quantizing, censoring and
+transmitting; per iteration one step each for the duals, the objective and
+the residual.  d-gadmm re-initializes the duals on re-chaining as prefix sums
+of the local gradients along the new chain order.
+
+Bit-identity.  Every reported float equals that of a per-worker loop (one
+gemv per solve, one ddot per norm and objective term, Python float sums), so
+the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
+
+  1. Products are stacked np.matmul: the solve `inv @ rhs[..., None]`, the
+     objective `r[:, None, :] @ r[:, :, None]` and the norms, which numpy
+     runs as one gemv or ddot per row.  einsum and norm(axis=...) sum in
+     another order.
+  2. A worker's rhs accumulates over its slots in edge order, with a zero
+     dual and a zero model in padded slots.  A signed-incidence matmul
+     would reorder that sum.
+  3. joules, the residual and the objective are sequential Python float sums
+     over .tolist().
 """
 from __future__ import annotations
 
@@ -28,9 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import Seed, child_rng
-from .compression import CensorSchedule, QuantizerConfig, censor_decision, dequantize, quantize
+from .compression import CensorSchedule, QuantizerConfig, censor_mask, dequantize_rows, quantize_rows, row_norms
 from .energy import CommEnergyModel, message_energy
-from .problems import LocalProblem, centralized_solution, total_objective
+from .problems import LocalProblem, ProblemStack, centralized_solution
 from .topology import Topology, rechain
 
 VARIANTS = ("ps-admm", "gadmm", "d-gadmm", "ggadmm", "c-ggadmm", "cq-ggadmm")
@@ -40,26 +81,6 @@ FULL_PRECISION_BITS = 32  # bits per coordinate without quantization
 
 class ConfigMismatch(ValueError):
     pass
-
-
-@dataclass
-class WorkerState:
-    id: int
-    theta: np.ndarray
-    theta_hat: np.ndarray  # last transmitted model
-    role: str  # "head" | "tail"
-    neighbor_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LearningRunConfig:
-    variant: str
-    rho: float = 1.0
-    iters: int = 1000
-    quantizer: QuantizerConfig | None = None
-    censor: CensorSchedule | None = None
-    energy_model: CommEnergyModel = field(default_factory=CommEnergyModel)
-    seed: int = 0
 
 
 @dataclass
@@ -95,6 +116,33 @@ class TrainingTrace:
         return None if k is None else self.joules_cum[k - 1]
 
 
+def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
+    """(2 H_n + rho deg_n I)^-1 for a (k, d, d) stack of Gram matrices."""
+    return np.linalg.inv(2.0 * H + (rho * degree)[:, None, None] * np.eye(H.shape[-1]))
+
+
+def block_solve(
+    inv: np.ndarray, g: np.ndarray, signed_duals: np.ndarray, neighbor_models: np.ndarray, rho: float
+) -> np.ndarray:
+    """Closed-form block update of k workers at once.
+
+    Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
+    + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
+    s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
+    minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
+    inv_n from `inverses`.  Shapes: inv (k, d, d), g (k, d), and the signed
+    duals s_j lambda_j and neighbor models theta_j (k, D, d), zero in padded
+    slots.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    rhs = 2.0 * g
+    pulls = rho * neighbor_models
+    for j in range(signed_duals.shape[1]):
+        rhs = rhs - signed_duals[:, j] + pulls[:, j]
+    return (inv @ rhs[:, :, None])[:, :, 0]
+
+
 def primal_update(
     problem: LocalProblem | None,
     neighbor_models: list[np.ndarray],
@@ -103,30 +151,25 @@ def primal_update(
     rho: float,
     dim: int | None = None,
 ) -> np.ndarray:
-    """Closed-form block update.
+    """`block_solve` for one worker: neighbor j's model, edge dual and sign.
 
-    Minimizes f(theta) + sum_j s_j lambda_j . theta + (rho/2) sum_j
-    ||theta - theta_j||^2 by a direct linear solve (f is quadratic); sign s_j
-    is +1 when this worker is the left endpoint of constraint edge j.
+    Without a problem, f = 0 and only the proximity terms pull.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
+    if len(duals) != len(neighbor_models):
+        raise ValueError("need one dual per neighbor")
     if dim is None:
         dim = problem.dim if problem is not None else len(neighbor_models[0])
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    if problem is not None:
-        H, g = problem.gram()
-    lhs = 2.0 * H + rho * len(neighbor_models) * np.eye(dim)
-    rhs = 2.0 * g
-    for lam, s in zip(duals, signs, strict=True):
-        rhs -= s * lam
-    for m in neighbor_models:
-        rhs += rho * m
-    return np.linalg.solve(lhs, rhs)
+    H, g = problem.gram() if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
+    signed = np.array([s * np.asarray(lam, dtype=float) for lam, s in zip(duals, signs, strict=True)])
+    models = np.array(neighbor_models, dtype=float)
+    inv = inverses(H[None], np.array([len(neighbor_models)]), rho)
+    return block_solve(inv, g[None], signed[None], models[None], rho)[0]
 
 
 def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float) -> np.ndarray:
+    """lambda + rho (theta_left - theta_right), elementwise on any stack of edges."""
     if rho <= 0:
         raise ValueError("rho must be > 0")
     return lam + rho * (np.asarray(theta_left) - np.asarray(theta_right))
@@ -174,155 +217,150 @@ def run(
     _check_variant(variant, topology, quantizer, censor)
     if energy_model is None:
         energy_model = CommEnergyModel()
-    N = len(problems)
-    d = problems[0].dim
+    stack = ProblemStack(problems)
     if gains is None:
-        gains = np.ones(N)
+        gains = np.ones(stack.n)
     if optimum is None:
         optimum = centralized_solution(problems)
-    f_star = total_objective(problems, [optimum] * N)
+    f_star = stack.objective(np.tile(optimum, (stack.n, 1)))
 
     if variant == "ps-admm":
-        return _run_ps(problems, rho, energy_model, iters, gains, f_star, stop_error)
+        return _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error)
     return _run_decentralized(
-        variant, problems, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star, stop_error
+        variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star, stop_error
     )
 
 
-def _run_ps(problems, rho, energy_model, iters, gains, f_star, stop_error=None):
-    N = len(problems)
-    d = problems[0].dim
-    thetas = [np.zeros(d) for _ in range(N)]
-    lams = [np.zeros(d) for _ in range(N)]
+def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
+    N, d = stack.n, stack.dim
+    H, g = stack.gram
+    inv = inverses(H, np.ones(N, dtype=int), rho)
+    theta = np.zeros((N, d))
+    lam = np.zeros((N, d))
     z = np.zeros(d)
     trace = TrainingTrace()
     shared = energy_model.share(N)
     bits = joules = 0.0
     payload = FULL_PRECISION_BITS * d
-    grams = [p.gram() for p in problems]
-    invs = [np.linalg.inv(2.0 * H + rho * np.eye(d)) for H, _ in grams]
     energy_per_iter = sum(message_energy(payload, shared, gains[n]) for n in range(N))
     for _ in range(iters):
-        for n, (_, g) in enumerate(grams):
-            thetas[n] = invs[n] @ (2.0 * g - lams[n] + rho * z)
-        z = np.mean([t + l / rho for t, l in zip(thetas, lams)], axis=0)
-        for n in range(N):
-            lams[n] = dual_update(lams[n], thetas[n], z, rho)
+        theta = (inv @ (2.0 * g - lam + rho * z)[:, :, None])[:, :, 0]
+        z = np.mean(theta + lam / rho, axis=0)
+        lam = dual_update(lam, theta, z, rho)
         bits += N * payload
         joules += energy_per_iter
-        obj = total_objective(problems, thetas)
-        residual = sum(float(np.linalg.norm(t - z)) for t in thetas)
+        obj = stack.objective(theta)
+        residual = sum(row_norms(theta - z).tolist())
         trace.append(obj, abs(obj - f_star), bits, joules, 0, residual)
         if stop_error is not None and trace.objective_error[-1] < stop_error:
             break
     return trace
 
 
+@dataclass(frozen=True)
+class _Phase:
+    """One head or tail group's fixed arrays between re-chainings."""
+
+    members: np.ndarray  # (k,) worker rows, ascending
+    inv: np.ndarray  # (k, d, d)
+    g: np.ndarray  # (k, d)
+    slot_edge: np.ndarray  # (k, D) edge rows, padded with E
+    slot_sign: np.ndarray  # (k, D, 1) +1 on the edge's left endpoint, -1 on its right
+    slot_peer: np.ndarray  # (k, D) neighbor rows, padded with N
+    energy: np.ndarray  # (k,) Joules per message at this group's bandwidth share
+
+
+def _phases(topology, stack, rho, payload, energy_model, gains, inv_cache):
+    """The head and tail phases of `topology`, then its edges' endpoint rows."""
+    N = topology.n
+    edges = [(u - 1, v - 1) for u, v in topology.edges]
+    E = len(edges)
+    slots: list[list[tuple[int, float, int]]] = [[] for _ in range(N)]
+    for i, (u, v) in enumerate(edges):
+        slots[u].append((i, 1.0, v))
+        slots[v].append((i, -1.0, u))
+    degree = tuple(len(s) for s in slots)
+    if degree not in inv_cache:
+        inv_cache[degree] = inverses(stack.gram[0], np.array(degree), rho)
+    phases = []
+    for group in (topology.heads, topology.tails):
+        members = sorted(w - 1 for w in group)
+        D = max(degree[n] for n in members)
+        padded = [slots[n] + [(E, 1.0, N)] * (D - degree[n]) for n in members]
+        shared = energy_model.share(len(members))
+        phases.append(_Phase(
+            members=np.array(members),
+            inv=inv_cache[degree][members],
+            g=stack.gram[1][members],
+            slot_edge=np.array([[e for e, _, _ in row] for row in padded]),
+            slot_sign=np.array([[[s] for _, s, _ in row] for row in padded]),
+            slot_peer=np.array([[p for _, _, p in row] for row in padded]),
+            energy=np.array([message_energy(payload, shared, gains[n]) for n in members]),
+        ))
+    ends = np.array(edges)
+    return phases, ends[:, 0], ends[:, 1]
+
+
+def _chain_duals(order, stack, theta):
+    """Duals of a new chain as prefix sums of local gradients along it.
+
+    At the consensus optimum this reproduces the exact optimal duals of the
+    new ordering, so re-chaining introduces no transient once the run is
+    near convergence.
+    """
+    left = np.array(order[:-1]) - 1
+    H, g = stack.gram
+    grad = 2.0 * ((H[left] @ theta[left][:, :, None])[:, :, 0] - g[left])
+    return np.subtract.accumulate(np.vstack([np.zeros(stack.dim), grad]))[1:]
+
+
 def _run_decentralized(
-    variant, problems, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star,
+    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star,
     stop_error=None,
 ):
-    N = len(problems)
-    d = problems[0].dim
-    theta = {n: np.zeros(d) for n in range(1, N + 1)}
-    theta_hat = {n: np.zeros(d) for n in range(1, N + 1)}
-    # Duals: chains key them by the left-endpoint worker (each worker owns the
-    # dual of its right constraint and hands it to its new right neighbor on
-    # re-chaining); bipartite graphs key them by (head, tail) edge.
-    if topology.kind == "chain":
-        duals = {("left", w): np.zeros(d) for w in range(1, N + 1)}
-    else:
-        duals = {e: np.zeros(d) for e in topology.edges}
+    N, d = stack.n, stack.dim
+    E = len(topology.edges)
+    theta = np.zeros((N, d))
+    theta_hat = np.zeros((N + 1, d))
+    duals = np.zeros((E + 1, d))
     q_rng = child_rng(seed, 1)
+    payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
+    inv_cache: dict[tuple[int, ...], np.ndarray] = {}
+    phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
 
     trace = TrainingTrace()
     bits = joules = 0.0
     censored = 0
-    payload_full = FULL_PRECISION_BITS * d
-
-    grams = [p.gram() for p in problems]
-    solver_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def solver(n: int, n_neighbors: int) -> np.ndarray:
-        key = (n, n_neighbors)
-        if key not in solver_cache:
-            H, _ = grams[n - 1]
-            solver_cache[key] = np.linalg.inv(2.0 * H + rho * n_neighbors * np.eye(d))
-        return solver_cache[key]
-
-    def edge_key(idx, edge):
-        return ("left", edge[0]) if topology.kind == "chain" else edge
-
-    edges: list = []
-    incident: dict[int, list] = {}
-
-    def rebuild_incidence():
-        nonlocal edges, incident
-        edges = list(topology.edges)
-        incident = {n: [] for n in range(1, N + 1)}
-        for i, (u, v) in enumerate(edges):
-            incident[u].append((i, (u, v), +1, v))
-            incident[v].append((i, (u, v), -1, u))
-
-    rebuild_incidence()
-
     for k in range(iters):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
             topology = rechain(topology, k, seed)
-            rebuild_incidence()
-            # Re-initialize duals as prefix sums of current local gradients
-            # along the new chain.  At the consensus optimum this reproduces
-            # the exact optimal duals of the new ordering, so re-chaining
-            # introduces no transient once the run is near convergence.
-            acc = np.zeros(d)
-            for i in range(N - 1):
-                w = topology.order[i]
-                H, g = grams[w - 1]
-                acc = acc - 2.0 * (H @ theta[w] - g)
-                duals[("left", w)] = acc.copy()
+            phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
+            duals[:E] = _chain_duals(topology.order, stack, theta)
 
-        def update_group(group):
-            nonlocal bits, joules, censored
-            competitors = len(group)
-            shared = energy_model.share(competitors)
-            new_models = {}
-            for n in sorted(group):
-                inc = incident[n]
-                _, g = grams[n - 1]
-                rhs = 2.0 * g
-                for i, e, s, other in inc:
-                    rhs = rhs - s * duals[edge_key(i, e)] + rho * theta_hat[other]
-                new_models[n] = solver(n, len(inc)) @ rhs
-            # transmissions happen after the whole group updated (parallel phase)
-            for n in sorted(group):
-                theta[n] = new_models[n]
-                if variant == "cq-ggadmm":
-                    msg = quantize(theta[n] - theta_hat[n], quantizer, q_rng)
-                    candidate = theta_hat[n] + dequantize(msg)
-                    payload = msg.payload_bits
-                else:
-                    candidate = theta[n]
-                    payload = payload_full
-                if censor is not None:
-                    transmit = censor_decision(candidate, theta_hat[n], censor.threshold(k))
-                else:
-                    transmit = not np.array_equal(candidate, theta_hat[n]) or k == 0
-                if transmit:
-                    theta_hat[n] = candidate
-                    bits += payload
-                    joules += message_energy(payload, shared, gains[n - 1])
-                else:
-                    censored += 1
+        for ph in phases:
+            # the whole group solves first, then transmits (a parallel phase)
+            new = block_solve(ph.inv, ph.g, duals[ph.slot_edge] * ph.slot_sign, theta_hat[ph.slot_peer], rho)
+            theta[ph.members] = new
+            last = theta_hat[ph.members]
+            if quantizer is not None:
+                levels, radius = quantize_rows(new - last, quantizer, q_rng)
+                new = last + dequantize_rows(levels, radius, quantizer.bits)
+            if censor is not None:
+                send = censor_mask(new, last, censor.threshold(k))
+            elif k == 0:
+                send = np.ones(len(ph.members), dtype=bool)
+            else:
+                send = (new != last).any(axis=1)
+            theta_hat[ph.members[send]] = new[send]
+            sent = int(np.count_nonzero(send))
+            bits += payload * sent
+            for e in ph.energy[send].tolist():
+                joules += e
+            censored += len(ph.members) - sent
 
-        update_group(topology.heads)
-        update_group(topology.tails)
-
-        for i, (u, v) in enumerate(edges):
-            key = edge_key(i, (u, v))
-            duals[key] = dual_update(duals[key], theta_hat[u], theta_hat[v], rho)
-
-        obj = total_objective(problems, [theta[n] for n in range(1, N + 1)])
-        residual = sum(float(np.linalg.norm(theta[u] - theta[v])) for u, v in edges)
+        duals[:E] = dual_update(duals[:E], theta_hat[left], theta_hat[right], rho)
+        obj = stack.objective(theta)
+        residual = sum(row_norms(theta[left] - theta[right]).tolist())
         trace.append(obj, abs(obj - f_star), bits, joules, censored, residual)
         if stop_error is not None and trace.objective_error[-1] < stop_error:
             break

@@ -34,15 +34,6 @@ class Topology:
     def tails(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1)) - self.heads
 
-    def neighbors(self, worker: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == worker:
-                out.append(v)
-            elif v == worker:
-                out.append(u)
-        return out
-
     def validate(self) -> None:
         ids = set(range(1, self.n + 1))
         for u, v in self.edges:

@@ -126,22 +126,66 @@ def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
     return up_new + up_trans + down_get
 
 
+def _queue_latencies(radio: RadioConfig, dlt: DltConfig | None) -> tuple[float, float, float | None]:
+    """Uplink, downlink and (with a ledger) block-exchange latency.
+
+    Both halves of the breakdown price these: the latency half directly, the
+    energy half as idle time around the service time.
+    """
+    l_tx, l_rx = latency_tx(radio), latency_rx(radio)
+    return l_tx, l_rx, None if dlt is None else _block_exchange_latency(radio, dlt)
+
+
+def _latency_terms(radio, dlt, l_rr, l_tx, l_rx, l_block) -> dict[str, float]:
+    lat = {
+        "sync_up": radio.L_sync,
+        "rr_up": l_rr,
+        "tx_up": l_tx,
+        "sync_down": radio.L_sync,
+        "rr_down": l_rr,
+        "rx_down": l_rx,
+    }
+    if dlt is not None:
+        lat["pow"] = pow_latency(dlt)
+        lat["block_exchange"] = l_block
+    return lat
+
+
+def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, float]:
+    e_sync = power.P_l * radio.L_sync
+    e_rar = power.P_l * latency_rar(radio)
+    e_ra = (latency_ra(radio) - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
+    e_rr = sum(
+        (1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar)
+        for l in range(1, radio.N_rmax + 1)
+    )
+    service_up = radio.l1 / (radio.R_u * radio.w)
+    e_tx = (l_tx - service_up) * power.P_I + (power.P_c + power.P_e * power.P_t) * service_up
+    service_down = radio.m1 / (radio.R_d * radio.y)
+    e_rx = (l_rx - service_down) * power.P_I + power.P_l * service_down
+    en = {
+        "sync_up": e_sync,
+        "rr_up": e_rr,
+        "tx_up": e_tx,
+        "sleep_up": power.E_s_up,
+        "sync_down": e_sync,
+        "rr_down": e_rr,
+        "rx_down": e_rx,
+        "sleep_down": power.E_s_down,
+    }
+    if dlt is not None:
+        # the mining race is powered by the miner's compute draw, not the
+        # device profile
+        en["pow"] = dlt.P_c * pow_latency(dlt)
+        en["block_exchange"] = power.P_t * l_block
+    return en
+
+
 def e2e_latency(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
     """Latency half of the breakdown (energy values are all zero here)."""
     p_rr, _ = reservation_probability(radio)
     l_rr = latency_rr(radio, p_rr)
-    lat = {
-        "sync_up": radio.L_sync,
-        "rr_up": l_rr,
-        "tx_up": latency_tx(radio),
-        "sync_down": radio.L_sync,
-        "rr_down": l_rr,
-        "rx_down": latency_rx(radio),
-    }
-    if dlt is not None:
-        lat["pow"] = pow_latency(dlt)
-        lat["block_exchange"] = _block_exchange_latency(radio, dlt)
-    return LatencyEnergyBreakdown(latency=lat)
+    return LatencyEnergyBreakdown(latency=_latency_terms(radio, dlt, l_rr, *_queue_latencies(radio, dlt)))
 
 
 def energy_breakdown(
@@ -158,39 +202,18 @@ def energy_breakdown(
     """
     if P_rr is None:
         P_rr, _ = reservation_probability(radio)
-    e_sync = power.P_l * radio.L_sync
-    e_rar = power.P_l * latency_rar(radio)
-    e_ra = (latency_ra(radio) - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
-    e_rr = sum(
-        (1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar)
-        for l in range(1, radio.N_rmax + 1)
-    )
-    service_up = radio.l1 / (radio.R_u * radio.w)
-    e_tx = (latency_tx(radio) - service_up) * power.P_I + (power.P_c + power.P_e * power.P_t) * service_up
-    service_down = radio.m1 / (radio.R_d * radio.y)
-    e_rx = (latency_rx(radio) - service_down) * power.P_I + power.P_l * service_down
-    en = {
-        "sync_up": e_sync,
-        "rr_up": e_rr,
-        "tx_up": e_tx,
-        "sleep_up": power.E_s_up,
-        "sync_down": e_sync,
-        "rr_down": e_rr,
-        "rx_down": e_rx,
-        "sleep_down": power.E_s_down,
-    }
-    if dlt is not None:
-        # the mining race is powered by the miner's compute draw, not the
-        # device profile
-        en["pow"] = dlt.P_c * pow_latency(dlt)
-        en["block_exchange"] = power.P_t * _block_exchange_latency(radio, dlt)
-    return LatencyEnergyBreakdown(energy=en)
+    return LatencyEnergyBreakdown(energy=_energy_terms(radio, power, dlt, P_rr, *_queue_latencies(radio, dlt)))
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
-    """Latency and energy terms together."""
+    """Latency and energy terms together, each shared term computed once."""
     p_rr, _ = reservation_probability(radio)
-    return e2e_latency(radio, power, dlt).merged(energy_breakdown(radio, power, dlt, P_rr=p_rr))
+    l_rr = latency_rr(radio, p_rr)
+    queues = _queue_latencies(radio, dlt)
+    return LatencyEnergyBreakdown(
+        latency=_latency_terms(radio, dlt, l_rr, *queues),
+        energy=_energy_terms(radio, power, dlt, p_rr, *queues),
+    )
 
 
 def sweep_nprach_period(

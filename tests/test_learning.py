@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,9 @@ from edgekit.learning import (
     run,
     total_objective,
 )
-from edgekit.learning.runner import ConfigMismatch
+from edgekit.learning.compression import dequantize_rows, quantize_rows, row_norms
+from edgekit.learning.problems import ProblemStack
+from edgekit.learning.runner import ConfigMismatch, block_solve, inverses
 from edgekit.learning.topology import InvalidN
 
 from conftest import scalar_problems, synthetic_problems
@@ -93,6 +96,38 @@ class TestTopology:
         topo = build_topology(8, kind="chain", seed=1, tau_coh=10)
         orders = {rechain(topo, k, seed=1).order for k in range(10, 210, 10)}
         assert len(orders) > 10  # two k values differ with high probability
+
+
+class TestBatchedKernels:
+    """Stacked evaluation equals row-by-row evaluation to the last bit."""
+
+    def test_block_solve_rows_equal_single_rows(self, rng):
+        k, D, d = 5, 3, 4
+        problems = synthetic_problems(k, d, 8, seed=3)
+        H, g = ProblemStack(problems).gram
+        inv = inverses(H, np.array([1, 2, 3, 3, 2]), 0.7)
+        duals = rng.standard_normal((k, D, d))
+        models = rng.standard_normal((k, D, d))
+        stacked = block_solve(inv, g, duals, models, 0.7)
+        for n in range(k):
+            one = block_solve(inv[n:n + 1], g[n:n + 1], duals[n:n + 1], models[n:n + 1], 0.7)
+            assert np.array_equal(stacked[n], one[0])
+
+    def test_stacked_objective_with_mixed_sample_counts(self, rng):
+        problems = [
+            LocalProblem(A=rng.standard_normal((s, 3)), b=rng.standard_normal(s), reg=0.01 * s)
+            for s in (4, 7, 4, 9, 7)
+        ]
+        theta = rng.standard_normal((5, 3))
+        values = ProblemStack(problems).values(theta)
+        for p, t, v in zip(problems, theta, values):
+            r = p.A @ t - p.b
+            assert v == r @ r + p.reg * (t @ t)
+        assert total_objective(problems, list(theta)) == sum(values.tolist())
+
+    def test_row_norms_equal_vector_norms(self, rng):
+        x = rng.standard_normal((7, 5))
+        assert row_norms(x).tolist() == [float(np.linalg.norm(row)) for row in x]
 
 
 class TestPrimalDualUpdates:
@@ -175,6 +210,34 @@ class TestQuantizer:
         for bad in (0, 33):
             with pytest.raises(ValueError):
                 QuantizerConfig(bits=bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.just([0.0, 0.0, 0.0]),
+                st.lists(st.floats(-100, 100), min_size=3, max_size=3),
+            ),
+            min_size=1, max_size=6,
+        ),
+        bits=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_sequential_messages(self, rows, bits, seed):
+        delta = np.array(rows)
+        q = QuantizerConfig(bits=bits)
+        batch_rng, seq_rng = make_rng(seed), make_rng(seed)
+        levels, radius = quantize_rows(delta, q, batch_rng)
+        msgs = [quantize(row, q, seq_rng) for row in delta]
+        assert np.array_equal(levels, np.array([m.levels for m in msgs]))
+        assert radius.tolist() == [m.radius for m in msgs]
+        assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
+        # one uniform per coordinate of each non-zero row, none for zero rows
+        expect_rng = make_rng(seed)
+        expect_rng.random((int(np.count_nonzero(radius)), delta.shape[1]))
+        assert batch_rng.bit_generator.state == expect_rng.bit_generator.state
+        back = dequantize_rows(levels, radius, bits)
+        assert np.array_equal(back, np.array([dequantize(m) for m in msgs]))
 
 
 class TestCensoring:
@@ -296,3 +359,44 @@ class TestRun:
         assert trace.objective_error[-1] < 1e-6
         static = run("gadmm", problems, build_topology(8, kind="chain", seed=8), iters=1000, seed=8)
         assert trace.objective_error[-1] < static.objective_error[-1]
+
+
+def _trace_digest(trace):
+    fields = (
+        trace.objective, trace.objective_error, trace.bits_cum,
+        trace.joules_cum, trace.censored_cum, trace.residual,
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def _pinned_run(variant):
+    if variant == "ps-admm":
+        return run(variant, synthetic_problems(6, 3, 10, seed=11), None, iters=120, seed=11)
+    if variant in ("gadmm", "d-gadmm"):
+        tau = 7 if variant == "d-gadmm" else math.inf  # d-gadmm re-chains 21 times
+        topo = build_topology(8, kind="chain", seed=12, tau_coh=tau)
+        return run(variant, synthetic_problems(8, 3, 10, seed=12), topo, iters=150, seed=12)
+    topo = build_topology(8, kind="bipartite", seed=13, mean_degree=3.0)
+    return run(
+        variant, synthetic_problems(8, 3, 10, seed=13), topo, iters=150, seed=13,
+        quantizer=QuantizerConfig(bits=2) if variant == "cq-ggadmm" else None,
+        censor=CensorSchedule(xi0=0.1, alpha=0.97) if variant in ("c-ggadmm", "cq-ggadmm") else None,
+    )
+
+
+# sha256 of repr() of every TrainingTrace field.  Like the golden out/*.csv,
+# these pin each variant's floats to the last bit: a refactor that reorders
+# one sum or swaps one BLAS call for another changes them.
+TRACE_DIGESTS = {
+    "ps-admm": "f2a49f981e76f5d38a876128eb1e4a2549d3ae6b12551d5865ded5bec1d3eeba",
+    "gadmm": "457d401af8a2ad9bc76c46e17ef14101eccbcf88123fd45ae70aab0693e06dca",
+    "d-gadmm": "bd4bca5704a0f0d51e39d93972aa05e4d34d63deddfdb3ec710a0d19f2d1a418",
+    "ggadmm": "65a8a4de1073afe704c73399ac5556e1c7290524ba819743094ad38b95a64592",
+    "c-ggadmm": "d28888e894b46c626237ef1550af1c0f95e73ca0079ed67e4a2960fb518b338c",
+    "cq-ggadmm": "85fc8953ec751867b1aa7a47e191e0c4bae004bf70b1723da1af7094999cbdfc",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(TRACE_DIGESTS))
+def test_trace_digest_pinned(variant):
+    assert _trace_digest(_pinned_run(variant)) == TRACE_DIGESTS[variant]
