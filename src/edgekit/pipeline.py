@@ -33,6 +33,8 @@ from .scenario import Scenario, apply_sweep_value
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, bool):
         return str(int(x))
     if isinstance(x, (int, np.integer)):

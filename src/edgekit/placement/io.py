@@ -10,6 +10,7 @@ from pathlib import Path
 
 import yaml
 
+from ..core import load_yaml
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
 
@@ -65,4 +66,4 @@ def save_instance(path: str | Path, app: AppGraph, net: NetGraph) -> None:
 
 
 def load_instance(path: str | Path) -> tuple[AppGraph, NetGraph]:
-    return instance_from_dict(yaml.safe_load(Path(path).read_text()))
+    return instance_from_dict(load_yaml(Path(path).read_text()))

@@ -10,6 +10,7 @@ They are exposed as plain documented scalars.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 
@@ -146,6 +147,13 @@ class DltConfig:
             raise ValueError("M must be >= 1")
         if self.lambda_c <= 0:
             raise ValueError("lambda_c = lambda_0 * P_c must be > 0")
+        # the payloads are priced as packet lengths of the radio queues
+        for name in ("new_block_bits", "get_block_bits", "trans_block_bits"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def lambda_c(self) -> float:

@@ -11,7 +11,6 @@ fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from ..core import Probability, fixed_point
 from .config import DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, UnstableConfig
@@ -44,16 +43,17 @@ def reservation_probability(config: RadioConfig, tol: float = 1e-9, max_iter: in
         x = lambda_a * sum_{l=1}^{N_rmax} (1 - P_rr(x))^(l-1).
     """
     lam_a = config.lambda_a
+    p_d, K = config.p_d, config.K
     if lam_a == 0.0:
-        return config.p_d, 0.0
+        return p_d, 0.0
+    attempts = range(config.N_rmax)
 
     def total(x: float) -> float:
-        p = config.p_d * math.exp(-x / config.K)
-        q = 1.0 - p
-        return lam_a * sum(q**l for l in range(config.N_rmax))
+        q = 1.0 - p_d * math.exp(-x / K)
+        return lam_a * sum([q**l for l in attempts])
 
     lam_tot = fixed_point(total, lam_a, tol=tol, max_iter=max_iter)
-    p_rr = config.p_d * math.exp(-lam_tot / config.K)
+    p_rr = p_d * math.exp(-lam_tot / K)
     return p_rr, lam_tot
 
 
@@ -78,35 +78,57 @@ def latency_rr(config: RadioConfig, P_rr: float) -> float:
     )
 
 
-def latency_tx(config: RadioConfig) -> float:
-    """Uplink data-transmission latency (queueing plus service time)."""
-    s1, s2 = config.s1, config.s2
-    lam = config.uplink_rate
-    d1 = 1.0 - config.f * config.G * s1
-    d2 = 1.0 - config.f * lam * s1
+def _latency_tx(config: RadioConfig, l1: float, l2: float) -> float:
+    """Uplink latency of packets with length moments l1, l2 under `config`'s load.
+
+    s1, s2 and the stability test repeat RadioConfig's s1/s2 properties and
+    its uplink check operation for operation (1.0 - x <= 0 exactly when
+    x >= 1.0), so pricing other payloads needs no validated config copy.
+    """
+    f, R_u, w = config.f, config.R_u, config.w
+    s1 = config.f1 * l1 / (R_u * w)
+    s2 = config.f1 * l2 / (R_u**2 * w**2)
+    lam = config.lambda_s + config.lambda_b
+    d1 = 1.0 - f * config.G * s1
+    d2 = 1.0 - f * lam * s1
     if d1 <= 0 or d2 <= 0:
         raise UnstableConfig("uplink transmission queue is unstable")
     return (
-        config.f * lam * s1 * s2 / (2.0 * s1 * d1)
-        + config.f * lam * s1**2 / (2.0 * d2)
-        + config.l1 / (config.R_u * config.w)
+        f * lam * s1 * s2 / (2.0 * s1 * d1)
+        + f * lam * s1**2 / (2.0 * d2)
+        + l1 / (R_u * w)
     )
+
+
+def _latency_rx(config: RadioConfig, m1: float, m2: float) -> float:
+    """Downlink latency of packets with length moments m1, m2 under `config`'s load.
+
+    h1, F and the stability test repeat RadioConfig's properties and its
+    downlink check operation for operation, as in `_latency_tx`.
+    """
+    f, t, R_d, y = config.f, config.t, config.R_d, config.y
+    h1 = f * m1 / (R_d * y)
+    F = f * config.lambda_d * t
+    den = 1.0 - F * h1 / t
+    if den <= 0:
+        raise UnstableConfig("downlink reception queue is unstable")
+    if F == 0.0:
+        return m2 / (R_d * y)
+    return (
+        0.5 * F * h1 / (t * h1 * den)
+        + F * h1 / den
+        + m2 / (R_d * y)
+    )
+
+
+def latency_tx(config: RadioConfig) -> float:
+    """Uplink data-transmission latency (queueing plus service time)."""
+    return _latency_tx(config, config.l1, config.l2)
 
 
 def latency_rx(config: RadioConfig) -> float:
     """Downlink data-reception latency."""
-    h1 = config.h1
-    F = config.F
-    den = 1.0 - F * h1 / config.t
-    if den <= 0:
-        raise UnstableConfig("downlink reception queue is unstable")
-    if F == 0.0:
-        return config.m2 / (config.R_d * config.y)
-    return (
-        0.5 * F * h1 / (config.t * h1 * den)
-        + F * h1 / den
-        + config.m2 / (config.R_d * config.y)
-    )
+    return _latency_rx(config, config.m1, config.m2)
 
 
 def pow_latency(dlt: DltConfig) -> float:
@@ -119,10 +141,12 @@ def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
 
     The new-block hash and the block body are priced as uplink transmissions
     of the configured sizes; the block request as a downlink reception.
+    DltConfig has checked the sizes (>= 0), and the kernels keep
+    RadioConfig's stability checks, so no config copy is validated here.
     """
-    up_new = latency_tx(replace(config, l1=dlt.new_block_bits, l2=dlt.new_block_bits**2))
-    up_trans = latency_tx(replace(config, l1=dlt.trans_block_bits, l2=dlt.trans_block_bits**2))
-    down_get = latency_rx(replace(config, m1=dlt.get_block_bits, m2=dlt.get_block_bits**2))
+    up_new = _latency_tx(config, dlt.new_block_bits, dlt.new_block_bits**2)
+    up_trans = _latency_tx(config, dlt.trans_block_bits, dlt.trans_block_bits**2)
+    down_get = _latency_rx(config, dlt.get_block_bits, dlt.get_block_bits**2)
     return up_new + up_trans + down_get
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import yaml
 
+from .core import load_yaml
 from .radio import DltConfig, PowerProfile, RadioConfig
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
@@ -181,7 +182,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = load_yaml(path.read_text())
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -4,10 +4,13 @@ The CSVs are written with repr(), so this fails on any last-ulp change in a
 reported number, not only on a wrong one.
 """
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
+from edgekit.cli import main
 from edgekit.pipeline import run_scenario
 from edgekit.scenario import parse_scenario
 
@@ -24,3 +27,39 @@ def test_golden_scenario_reproduces_committed_csv(name, tmp_path):
     for path in written:
         expected = ROOT / golden.parent / path.name
         assert path.read_bytes() == expected.read_bytes(), f"{path.name} differs from {expected}"
+
+
+def _dense_sweep_scenario(tmp_path, radio_update: dict, dlt_update: dict) -> Path:
+    """The golden radio scenario swept over 300 NPRACH periods, 0.04 s to 2.56 s."""
+    doc = yaml.safe_load((ROOT / "scenarios" / "radio.yaml").read_text())
+    doc["radio"].update(radio_update)
+    doc["dlt"].update(dlt_update)
+    doc["output"] = str(tmp_path / "dense.csv")
+    doc["sweep"]["values"] = [round(0.04 * 64.0 ** (i / 299), 6) for i in range(300)]
+    path = tmp_path / "dense.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return path
+
+
+# sha256 of each 300-row CSV.  Like out/radio.csv, they pin every reported
+# float to the last bit, but at 300 periods instead of seven, and the second
+# prices non-default ledger payloads.
+DENSE_SWEEPS = {
+    "golden": ({}, {}, "2cd46ba1daf02147785905316c36e11b36659413cdf08e1d6967720534c805e6"),
+    "light-load-payloads": (
+        {"lambda_u": 0.7, "lambda_d": 1.2, "lambda_s": 2.5, "lambda_b": 3.5},
+        {"new_block_bits": 512.0, "get_block_bits": 2048.0, "trans_block_bits": 6000.0},
+        "2874efe99c624fffc395d7278bdcbfd3b37c1b1e6fb4d68b9535a9b7427cdc92",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SWEEPS))
+def test_dense_radio_sweep_digest_pinned(name, tmp_path, capsys):
+    radio_update, dlt_update, digest = DENSE_SWEEPS[name]
+    scenario = _dense_sweep_scenario(tmp_path, radio_update, dlt_update)
+    assert main(["radio", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out.split() == [str(tmp_path / "dense.csv")]
+    data = (tmp_path / "dense.csv").read_bytes()
+    assert len(data.splitlines()) == 301
+    assert hashlib.sha256(data).hexdigest() == digest

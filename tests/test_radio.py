@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edgekit.radio import (
     DltConfig,
@@ -27,6 +27,7 @@ from edgekit.radio import (
     reservation_probability,
     sweep_nprach_period,
 )
+from edgekit.radio.model import _block_exchange_latency, _latency_rx, _latency_tx
 
 
 class TestCollision:
@@ -233,3 +234,96 @@ class TestPeriodSweep:
         i = int(np.argmin(lats))
         assert 0 < i < len(lats) - 1
         assert lats[0] > lats[i] < lats[-1]
+
+
+def _block_exchange_terms_with_copies(config, dlt):
+    """Block-exchange terms as first written, the oracle for the kernels:
+    each payload is priced through a validated RadioConfig copy, with the
+    latency_tx / latency_rx formulas spelled out on its properties."""
+
+    def tx(c):
+        s1, s2, lam = c.s1, c.s2, c.uplink_rate
+        d1 = 1.0 - c.f * c.G * s1
+        d2 = 1.0 - c.f * lam * s1
+        if d1 <= 0 or d2 <= 0:
+            raise UnstableConfig("uplink transmission queue is unstable")
+        return c.f * lam * s1 * s2 / (2.0 * s1 * d1) + c.f * lam * s1**2 / (2.0 * d2) + c.l1 / (c.R_u * c.w)
+
+    def rx(c):
+        h1, F = c.h1, c.F
+        den = 1.0 - F * h1 / c.t
+        if den <= 0:
+            raise UnstableConfig("downlink reception queue is unstable")
+        if F == 0.0:
+            return c.m2 / (c.R_d * c.y)
+        return 0.5 * F * h1 / (c.t * h1 * den) + F * h1 / den + c.m2 / (c.R_d * c.y)
+
+    up_new = tx(replace(config, l1=dlt.new_block_bits, l2=dlt.new_block_bits**2))
+    up_trans = tx(replace(config, l1=dlt.trans_block_bits, l2=dlt.trans_block_bits**2))
+    down_get = rx(replace(config, m1=dlt.get_block_bits, m2=dlt.get_block_bits**2))
+    return up_new, up_trans, down_get
+
+
+_payload_bits = st.one_of(st.integers(1, 20_000), st.floats(1.0, 20_000.0))
+
+
+class TestBlockExchangeKernels:
+    @settings(max_examples=300)
+    @given(
+        t=st.floats(0.01, 3.0),
+        lambda_d=st.floats(0.0, 8.0),
+        lambda_s=st.floats(0.0, 5.0),
+        lambda_b=st.floats(0.0, 5.0),
+        f=st.floats(0.05, 1.0),
+        G=st.floats(0.1, 20.0),
+        w=st.floats(0.2, 1.0),
+        y=st.floats(0.2, 1.0),
+        R=st.floats(16_000.0, 256_000.0),
+        f1=st.floats(0.5, 2.0),
+        new=_payload_bits,
+        get=_payload_bits,
+        trans=_payload_bits,
+    )
+    def test_kernels_equal_copy_based_formula(self, t, lambda_d, lambda_s, lambda_b, f, G, w, y, R, f1, new, get, trans):
+        try:
+            radio = RadioConfig(
+                t=t, lambda_d=lambda_d, lambda_s=lambda_s, lambda_b=lambda_b,
+                f=f, G=G, w=w, y=y, R_u=R, R_d=R / 2, f1=f1,
+            )
+        except UnstableConfig:
+            assume(False)
+        dlt = DltConfig(new_block_bits=new, get_block_bits=get, trans_block_bits=trans)
+        try:
+            up_new, up_trans, down_get = _block_exchange_terms_with_copies(radio, dlt)
+        except UnstableConfig:
+            with pytest.raises(UnstableConfig):
+                _block_exchange_latency(radio, dlt)
+            return
+        # each term alone, since a last-ulp slip in one can vanish in the sum
+        assert _latency_tx(radio, new, new**2) == up_new
+        assert _latency_tx(radio, trans, trans**2) == up_trans
+        assert _latency_rx(radio, get, get**2) == down_get
+        assert _block_exchange_latency(radio, dlt) == up_new + up_trans + down_get
+
+    @pytest.mark.parametrize("dlt", [
+        DltConfig(trans_block_bits=60_000.0),  # f * (lambda_s + lambda_b) * s1 >= 1
+        DltConfig(get_block_bits=400_000.0),  # F * h1 / t >= 1
+    ], ids=["uplink", "downlink"])
+    def test_unstable_payload_raises_on_both_paths(self, dlt):
+        radio = RadioConfig(lambda_s=2.0, lambda_b=2.0)
+        with pytest.raises(UnstableConfig):
+            _block_exchange_terms_with_copies(radio, dlt)
+        with pytest.raises(UnstableConfig):
+            _block_exchange_latency(radio, dlt)
+        with pytest.raises(UnstableConfig):
+            full_breakdown(radio, PowerProfile(), dlt)
+
+    def test_batch_term_instability_raises_on_both_paths(self):
+        # f * G * s1 >= 1 with a stable f * (lambda_s + lambda_b) * s1: only
+        # latency_tx's own check catches it, not RadioConfig's
+        radio = RadioConfig(G=40.0, lambda_s=0.1, lambda_b=0.1)
+        dlt = DltConfig(trans_block_bits=2000.0)
+        with pytest.raises(UnstableConfig):
+            _block_exchange_terms_with_copies(radio, dlt)
+        with pytest.raises(UnstableConfig):
+            _block_exchange_latency(radio, dlt)

@@ -2,8 +2,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
+from edgekit import core
 from edgekit.cli import main
+from edgekit.placement import load_instance
 from edgekit.pipeline import run_integrated, run_scenario
 from edgekit.scenario import ParseError, ValidationError, apply_sweep_value, parse_scenario
 
@@ -90,6 +93,56 @@ class TestParsing:
         p = write(tmp_path, "kind: learning\nseed: 5\n")
         assert parse_scenario(p).seed == 5
         assert parse_scenario(p, seed_override=9).seed == 9
+
+    def test_negative_payload_size_names_field(self, tmp_path):
+        p = write(tmp_path, """
+            kind: radio-dlt
+            dlt:
+              get_block_bits: -1
+        """)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(p)
+        assert exc.value.errors == ["dlt.get_block_bits: get_block_bits must be >= 0"]
+
+    @pytest.mark.parametrize("value", ["'4096'", "[1, 2]", ".nan"])
+    def test_non_numeric_payload_size_names_field(self, tmp_path, value):
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            dlt:
+              trans_block_bits: {value}
+        """)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(p)
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith("dlt.trans_block_bits: trans_block_bits must be")
+
+
+class TestYamlLoader:
+    def test_libyaml_loader_used_when_available(self):
+        assert core.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.yaml")))
+    def test_golden_files_load_alike_under_both_loaders(self, name, monkeypatch):
+        path = GOLDEN / name
+        load = load_instance if name == "placement_instance.yaml" else parse_scenario
+        fast = load(path)
+        monkeypatch.setattr(core, "YAML_LOADER", yaml.SafeLoader)
+        assert load(path) == fast
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize("text", ["kind: [learning\n", "kind: learning\n  seed: 1\n", "a: b: c\n"])
+    def test_malformed_yaml_is_a_parse_error(self, tmp_path, capsys, monkeypatch, loader, text):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(core, "YAML_LOADER", getattr(yaml, loader))
+        p = tmp_path / "s.yaml"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="not valid YAML"):
+            parse_scenario(p)
+        assert main(["learn", "--scenario", str(p)]) == 1
+        assert "not valid YAML" in capsys.readouterr().err
+        with pytest.raises(yaml.YAMLError):
+            load_instance(p)
 
 
 class TestGoldenScenarios:
@@ -284,6 +337,20 @@ class TestCli:
         """)
         assert main(["place", "--scenario", str(p)]) == 2
         assert "Infeasible" in capsys.readouterr().err
+
+    def test_negative_payload_size_exits_one_before_writing(self, tmp_path, capsys):
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/radio.csv
+            dlt:
+              get_block_bits: -1
+            sweep:
+              param: radio.t
+              values: [0.08, 0.16]
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 1
+        assert "dlt.get_block_bits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_flag(self, tmp_path):
         p = write(tmp_path, f"""
