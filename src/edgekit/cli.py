@@ -47,10 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     expected_kind = _KIND_OF_COMMAND[args.command]
     try:
         scenario = parse_scenario(args.scenario, seed_override=args.seed)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParseError as exc:
+    except (FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValidationError as exc:

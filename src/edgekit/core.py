@@ -18,10 +18,8 @@ __all__ = [
     "Watts",
     "Probability",
     "Seed",
-    "as_vector",
     "make_rng",
     "child_rng",
-    "next_uniform",
     "fixed_point",
     "NonConvergence",
     "load_yaml",
@@ -76,16 +74,6 @@ class Seed(int):
         return super().__new__(cls, value)
 
 
-def as_vector(x) -> np.ndarray:
-    """Validate and return a 1-D float vector with finite entries."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return v
-
-
 def make_rng(seed: Seed | int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
@@ -98,11 +86,6 @@ def child_rng(seed: Seed | int, *keys: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in keys))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def next_uniform(rng: np.random.Generator) -> float:
-    """One draw in [0, 1); advancing the stream is the only side effect."""
-    return float(rng.random())
 
 
 class NonConvergence(RuntimeError):

@@ -1,5 +1,12 @@
-"""Scenario execution: runs the experiment a Scenario describes and writes
+"""Scenario execution: runs every point of a parsed Scenario and writes
 deterministic CSV reports.
+
+`scenario.parse_scenario` has already expanded any sweep into validated
+points.  `run_scenario` sends each point through its kind's block function
+and writes the CSVs only after every point has computed, so a runtime
+failure (such as an infeasible placement) leaves no file.  radio-dlt writes
+one row per point to `output`; the other kinds write their reports for each
+point, named by `_sweep_path` when the scenario sweeps.
 
 CSV schemas (fixed per kind):
 
@@ -29,7 +36,7 @@ from . import learning as L
 from . import placement as P
 from . import radio as R
 from .core import make_rng
-from .scenario import Scenario, apply_sweep_value
+from .scenario import Point, Scenario
 
 
 def _fmt(x) -> str:
@@ -74,30 +81,30 @@ def make_problems(cfg: dict, seed: int) -> list:
     return problems
 
 
-def run_learning_block(cfg: dict, seed: int) -> L.TrainingTrace:
-    problems = make_problems(cfg, seed)
+def _topology(cfg: dict, seed: int) -> L.Topology:
+    """The workers' topology: a chain for ps-admm, gadmm and d-gadmm (which
+    re-chains every tau_coh iterations), else the block's topology kind."""
     variant = cfg["variant"]
-    topology = None
-    if variant != "ps-admm":
-        kind = "chain" if variant in ("gadmm", "d-gadmm") else cfg["topology"]
-        tau = cfg["tau_coh"] if variant == "d-gadmm" else math.inf
-        topology = L.build_topology(
-            cfg["workers"], kind=kind, seed=seed, tau_coh=tau if tau else math.inf,
-            mean_degree=cfg["mean_degree"],
-        )
-    quantizer = None
-    if variant == "cq-ggadmm":
-        bits = cfg["quantizer_bits"] or 2
-        quantizer = L.QuantizerConfig(bits=bits)
+    kind = "chain" if variant in ("ps-admm", "gadmm", "d-gadmm") else cfg["topology"]
+    tau = cfg["tau_coh"] if variant == "d-gadmm" else math.inf
+    return L.build_topology(cfg["workers"], kind=kind, seed=seed, tau_coh=tau, mean_degree=cfg["mean_degree"])
+
+
+def run_learning_block(cfg: dict, seed: int, topology: L.Topology | None = None) -> L.TrainingTrace:
+    """Train on the block's synthetic problems over `topology` (by default
+    the block's own; ps-admm needs none)."""
+    variant = cfg["variant"]
+    if topology is None and variant != "ps-admm":
+        topology = _topology(cfg, seed)
+    quantizer = L.QuantizerConfig(bits=cfg["quantizer_bits"]) if variant == "cq-ggadmm" else None
     censor = None
     if variant in ("c-ggadmm", "cq-ggadmm"):
-        xi0 = cfg["censor_xi0"] if cfg["censor_xi0"] is not None else 0.1
-        censor = L.CensorSchedule(xi0=xi0, alpha=cfg["censor_alpha"])
+        censor = L.CensorSchedule(xi0=cfg["censor_xi0"], alpha=cfg["censor_alpha"])
     energy = L.CommEnergyModel(
         bandwidth_hz=cfg["bandwidth_hz"], slot_s=cfg["slot_s"], noise_density=cfg["noise_density"]
     )
     return L.run(
-        variant, problems, topology, rho=cfg["rho"], quantizer=quantizer,
+        variant, make_problems(cfg, seed), topology, rho=cfg["rho"], quantizer=quantizer,
         censor=censor, energy_model=energy, iters=cfg["iters"], seed=seed,
     )
 
@@ -116,6 +123,13 @@ INTEGRATED_HEADER = ["iter", "objective", "objective_error", "joules_cum", "dlt_
 SUMMARY_HEADER = ["placement_energy", "learning_energy", "ledger_energy", "ledger_records", "grand_total_energy"]
 
 
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in ms."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - t0) * 1e3
+
+
 def run_placement_block(cfg: dict, seed: int) -> list[list]:
     """One row per instance seed: optimal vs heuristic energy and wall time."""
     rows = []
@@ -123,16 +137,12 @@ def run_placement_block(cfg: dict, seed: int) -> list[list]:
         if cfg["instance"]:
             app, net = P.load_instance(cfg["instance"])
             row_seed = seed
+            heur, t_heur = _timed(P.solve_heuristic, app, net)
         else:
             row_seed = seed + i
             net = P.generate_network(cfg["nodes"], seed=row_seed)
-            app = _feasible_application(cfg, net, row_seed)
-        t0 = time.perf_counter()
-        opt = P.solve_optimal(app, net, time_budget=cfg["time_budget"])
-        t_opt = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        heur = P.solve_heuristic(app, net)
-        t_heur = (time.perf_counter() - t0) * 1e3
+            app, heur, t_heur = _feasible_application(cfg, net, row_seed)
+        opt, t_opt = _timed(P.solve_optimal, app, net, time_budget=cfg["time_budget"])
         if not cfg["measure_time"]:
             t_opt = t_heur = 0.0
         ratio = opt.total_energy / heur.total_energy if heur.total_energy > 0 else 1.0
@@ -142,53 +152,35 @@ def run_placement_block(cfg: dict, seed: int) -> list[list]:
     return rows
 
 
-def _feasible_application(cfg: dict, net: P.NetGraph, seed: int) -> P.AppGraph:
-    """Draw an application that admits at least one feasible assignment."""
+def _feasible_application(cfg: dict, net: P.NetGraph, seed: int) -> tuple[P.AppGraph, P.Assignment, float]:
+    """Draw an application that admits at least one feasible assignment.
+
+    Returns it with the heuristic assignment that proved it feasible and
+    that solve's wall time (ms).
+    """
     for attempt in range(100):
         app = P.generate_application(cfg["shape"], cfg["components"], seed=seed + 1000 * (attempt + 1))
         try:
-            P.solve_heuristic(app, net)
-            return app
+            heur, t_heur = _timed(P.solve_heuristic, app, net)
         except P.Infeasible:
             continue
+        return app, heur, t_heur
     raise P.Infeasible(f"no feasible application found for seed {seed}")
 
 
-def run_radio_block(scenario: Scenario) -> tuple[list[str], list[list]]:
-    """One row per sweep value (or a single row without a sweep).
+RADIO_TERMS = R.LatencyEnergyBreakdown.TERMS
+RADIO_COLUMNS = (
+    ["L_total", "E_total"] + [f"latency_{t}" for t in RADIO_TERMS] + [f"energy_{t}" for t in RADIO_TERMS]
+)
 
-    Sweeping "radio.t" re-derives the data resource shares from the control
-    overhead and keeps the arrival density per second fixed (per-period
-    arrivals scale with t), so the report reflects the real trade-off of the
-    access period rather than a bare parameter substitution.
-    """
-    terms = R.LatencyEnergyBreakdown.TERMS
-    header = ["param", "L_total", "E_total"]
-    header += [f"latency_{t}" for t in terms] + [f"energy_{t}" for t in terms]
-    base = R.RadioConfig(**scenario.radio)
-    power = R.PowerProfile(**scenario.power)
-    dlt = R.DltConfig(**scenario.dlt) if scenario.dlt else None
-    points: list[tuple[float | int, R.RadioConfig]] = [(0, base)]
-    if scenario.sweep is not None:
-        header[0] = scenario.sweep.param
-        if scenario.sweep.param == "radio.t":
-            aps = base.lambda_a / base.t
-            points = [
-                (v, base.with_nprach_period(float(v), arrivals_per_second=aps))
-                for v in scenario.sweep.values
-            ]
-        else:
-            points = [
-                (v, R.RadioConfig(**apply_sweep_value(scenario, v).radio))
-                for v in scenario.sweep.values
-            ]
-    rows = []
-    for value, radio in points:
-        b = R.full_breakdown(radio, power, dlt)
-        row = [value, b.total_latency, b.total_energy]
-        row += [b.latency.get(t, 0.0) for t in terms] + [b.energy.get(t, 0.0) for t in terms]
-        rows.append(row)
-    return header, rows
+
+def run_radio_block(point: Point) -> list:
+    """The point's radio-dlt row after its parameter column (RADIO_COLUMNS)."""
+    b = R.full_breakdown(point.radio, point.power, point.dlt)
+    return (
+        [b.total_latency, b.total_energy]
+        + [b.latency.get(t, 0.0) for t in RADIO_TERMS] + [b.energy.get(t, 0.0) for t in RADIO_TERMS]
+    )
 
 
 @dataclass
@@ -223,37 +215,27 @@ class IntegratedReport:
         return self.placement_energy + self.learning_energy + self.ledger_energy
 
 
-def run_integrated(scenario: Scenario) -> IntegratedReport:
+def run_integrated(point: Point) -> IntegratedReport:
     """Place the learning sub-tasks, train over the placed workers, and price
     one ledger record per model-publishing step.
 
-    The application graph mirrors the learning roles: one data-processing
-    source component, one training component per tail worker, and one
-    aggregation component per head worker, wired along the worker topology.
+    `point` is one point of an integrated scenario, or a Scenario for its
+    base point.  The application graph mirrors the learning roles: one
+    data-processing source component, one training component per tail
+    worker, and one aggregation component per head worker, wired along the
+    worker topology the training runs on.
     """
-    cfg = scenario.learning
-    seed = scenario.seed
-    variant = cfg["variant"]
-    kind = "chain" if variant in ("gadmm", "d-gadmm", "ps-admm") else cfg["topology"]
-    tau = cfg["tau_coh"] if variant == "d-gadmm" else math.inf
-    topology = L.build_topology(
-        cfg["workers"], kind=kind, seed=seed, tau_coh=tau if tau else math.inf,
-        mean_degree=cfg["mean_degree"],
-    )
-
-    app = _learning_app_graph(topology, seed)
-    net = P.generate_network(scenario.placement["nodes"], seed=seed)
+    topology = _topology(point.learning, point.seed)
+    app = _learning_app_graph(topology, point.seed)
+    net = P.generate_network(point.placement["nodes"], seed=point.seed)
     assignment = P.solve_heuristic(app, net)
 
-    trace = run_learning_block(cfg, seed)
+    trace = run_learning_block(point.learning, point.seed, topology)
 
     records: list[DltRecord] = []
-    icfg = scenario.integrated
-    if icfg["dlt_enabled"] and scenario.dlt:
-        radio = R.RadioConfig(**scenario.radio)
-        power = R.PowerProfile(**scenario.power)
-        dlt = R.DltConfig(**scenario.dlt)
-        b = R.full_breakdown(radio, power, dlt)
+    icfg = point.integrated
+    if icfg["dlt_enabled"] and point.dlt is not None:
+        b = R.full_breakdown(point.radio, point.power, point.dlt)
         period = icfg["ledger_period"]
         for k in range(len(trace)):
             if (k + 1) % period == 0:
@@ -287,59 +269,39 @@ def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
     return P.AppGraph(components=tuple(comps), edges=tuple(edges), shape="custom")
 
 
+def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]:
+    report = run_integrated(point)
+    trace = report.trace
+    ledger = {r.iteration: (r.latency_s, r.energy_j) for r in report.dlt_records}
+    rows = [
+        [k + 1, trace.objective[k], trace.objective_error[k], trace.joules_cum[k], *ledger.get(k + 1, (0.0, 0.0))]
+        for k in range(len(trace))
+    ]
+    summary = [report.placement_energy, report.learning_energy, report.ledger_energy, len(ledger), report.grand_total_energy]
+    return [("", INTEGRATED_HEADER, rows), ("_summary", SUMMARY_HEADER, [summary])]
+
+
+# Each kind's block function: radio-dlt's gives the point's row, the others
+# give (file-name suffix, header, rows) for each of the point's reports.
+_RUN_POINT = {
+    "learning": lambda p: [("", LEARNING_HEADER, _learning_rows(run_learning_block(p.learning, p.seed)))],
+    "placement": lambda p: [("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))],
+    "radio-dlt": run_radio_block,
+    "integrated": _integrated_reports,
+}
+
+
 def run_scenario(scenario: Scenario) -> list[Path]:
-    """Execute the scenario and return the written CSV paths."""
-    out = Path(scenario.output)
-    written: list[Path] = []
-
-    if scenario.kind == "learning":
-        points = [(None, scenario)]
-        if scenario.sweep is not None:
-            points = [(v, apply_sweep_value(scenario, v)) for v in scenario.sweep.values]
-        for value, s in points:
-            trace = run_learning_block(s.learning, s.seed)
-            path = out if value is None else _sweep_path(out, scenario.sweep.param, value)
-            written.append(_write_csv(path, LEARNING_HEADER, _learning_rows(trace)))
-        return written
-
-    if scenario.kind == "placement":
-        points = [(None, scenario)]
-        if scenario.sweep is not None:
-            points = [(v, apply_sweep_value(scenario, v)) for v in scenario.sweep.values]
-        for value, s in points:
-            rows = run_placement_block(s.placement, s.seed)
-            path = out if value is None else _sweep_path(out, scenario.sweep.param, value)
-            written.append(_write_csv(path, PLACEMENT_HEADER, rows))
-        return written
-
+    """Run every point, then write the CSVs; return the written paths."""
+    out, sweep = Path(scenario.output), scenario.sweep
+    results = [_RUN_POINT[scenario.kind](point) for point in scenario.points]
     if scenario.kind == "radio-dlt":
-        header, rows = run_radio_block(scenario)
-        written.append(_write_csv(out, header, rows))
-        return written
-
-    if scenario.kind == "integrated":
-        report = run_integrated(scenario)
-        by_iter = {r.iteration: r for r in report.dlt_records}
-        rows = []
-        for k in range(len(report.trace)):
-            rec = by_iter.get(k + 1)
-            rows.append([
-                k + 1,
-                report.trace.objective[k],
-                report.trace.objective_error[k],
-                report.trace.joules_cum[k],
-                rec.latency_s if rec else 0.0,
-                rec.energy_j if rec else 0.0,
-            ])
-        written.append(_write_csv(out, INTEGRATED_HEADER, rows))
-        summary = out.with_name(f"{out.stem}_summary{out.suffix}")
-        written.append(_write_csv(summary, SUMMARY_HEADER, [[
-            report.placement_energy,
-            report.learning_energy,
-            report.ledger_energy,
-            len(report.dlt_records),
-            report.grand_total_energy,
-        ]]))
-        return written
-
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+        header = [sweep.param if sweep else "param", *RADIO_COLUMNS]
+        rows = [[point.value if sweep else 0, *row] for point, row in zip(scenario.points, results)]
+        return [_write_csv(out, header, rows)]
+    written = []
+    for point, reports in zip(scenario.points, results):
+        path = out if sweep is None else _sweep_path(out, sweep.param, point.value)
+        for suffix, header, rows in reports:
+            written.append(_write_csv(path.with_name(f"{path.stem}{suffix}{path.suffix}"), header, rows))
+    return written

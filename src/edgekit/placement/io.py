@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import yaml
-
 from ..core import load_yaml
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
@@ -59,10 +57,6 @@ def instance_from_dict(data: dict) -> tuple[AppGraph, NetGraph]:
         links=tuple((l["a"], l["b"], l["T_l"]) for l in netd["links"]),
     )
     return app, net
-
-
-def save_instance(path: str | Path, app: AppGraph, net: NetGraph) -> None:
-    Path(path).write_text(yaml.safe_dump(instance_to_dict(app, net), sort_keys=False))
 
 
 def load_instance(path: str | Path) -> tuple[AppGraph, NetGraph]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class UnstableConfig(ValueError):
@@ -68,10 +68,6 @@ class RadioConfig:
         return self.f * self.m1 / (self.R_d * self.y)
 
     @property
-    def h2(self) -> float:
-        return self.f * self.m2 / (self.R_d**2 * self.y**2)
-
-    @property
     def F(self) -> float:
         return self.f * self.lambda_d * self.t
 
@@ -82,10 +78,11 @@ class RadioConfig:
             raise ValueError("N_rmax must be >= 1")
         if not 0.0 <= self.p_d <= 1.0:
             raise ValueError("p_d must be in [0, 1]")
-        for name in ("tau", "t", "d", "u", "lambda_u", "lambda_d", "lambda_s", "lambda_b", "Q", "l1", "l2", "m1", "m2", "f1", "L_sync"):
+        for name in ("tau", "u", "lambda_u", "lambda_d", "lambda_s", "lambda_b", "Q", "l2", "m2", "f1", "L_sync"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("f", "w", "y", "G", "R_u", "R_d"):
+        # the model divides by periods and by first packet moments
+        for name in ("t", "d", "l1", "m1", "f", "w", "y", "G", "R_u", "R_d"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         # queueing stability: both servers must keep up with their load
@@ -94,25 +91,23 @@ class RadioConfig:
         if self.F * self.h1 / self.t >= 1.0:
             raise UnstableConfig("downlink unstable: F * h1 / t >= 1")
 
-    def with_nprach_period(self, t: float, arrivals_per_second: float | None = None, derive_shares: bool = True) -> "RadioConfig":
-        """Copy with a new NPRACH period t.
 
-        With `derive_shares`, the data resource shares are re-derived from the
-        control overhead (w = 1 - tau/t uplink, y = 1 - u/d downlink), which
-        is what couples a short period to expensive data transmission.  With
-        `arrivals_per_second`, the per-period arrival rates scale with t.
-        """
-        kw: dict = {"t": t}
-        if derive_shares:
-            if t <= self.tau:
-                raise UnstableConfig("NPRACH period must exceed the NPRACH unit length")
-            kw["w"] = 1.0 - self.tau / t
-            kw["y"] = 1.0 - min(self.u / self.d, 0.99)
-        if arrivals_per_second is not None:
-            split = self.lambda_u / self.lambda_a if self.lambda_a > 0 else 0.5
-            kw["lambda_u"] = arrivals_per_second * t * split
-            kw["lambda_d"] = arrivals_per_second * t * (1.0 - split)
-        return replace(self, **kw)
+def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: float | None = None) -> dict:
+    """Field values of `radio` at NPRACH period t.
+
+    The data resource shares are re-derived from the control overhead
+    (w = 1 - tau/t uplink, y = 1 - u/d downlink), which is what couples a
+    short period to expensive data transmission.  With `arrivals_per_second`,
+    the per-period arrival rates scale with t.
+    """
+    if t <= radio.tau:
+        raise UnstableConfig("NPRACH period must exceed the NPRACH unit length")
+    fields: dict = {"t": t, "w": 1.0 - radio.tau / t, "y": 1.0 - min(radio.u / radio.d, 0.99)}
+    if arrivals_per_second is not None:
+        split = radio.lambda_u / radio.lambda_a if radio.lambda_a > 0 else 0.5
+        fields["lambda_u"] = arrivals_per_second * t * split
+        fields["lambda_d"] = arrivals_per_second * t * (1.0 - split)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,8 @@ class DltConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def lambda_c(self) -> float:
@@ -195,12 +190,3 @@ class LatencyEnergyBreakdown:
     @property
     def total_energy(self) -> float:
         return sum(self.energy.values())
-
-    def merged(self, other: "LatencyEnergyBreakdown") -> "LatencyEnergyBreakdown":
-        lat = dict(self.latency)
-        en = dict(self.energy)
-        for k, v in other.latency.items():
-            lat[k] = lat.get(k, 0.0) + v
-        for k, v in other.energy.items():
-            en[k] = en.get(k, 0.0) + v
-        return LatencyEnergyBreakdown(latency=lat, energy=en)

@@ -11,9 +11,10 @@ fixed point.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from ..core import Probability, fixed_point
-from .config import DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, UnstableConfig
+from .config import DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
 
 
 def collision_probability(lambda_tot: float, K: int) -> Probability:
@@ -141,7 +142,7 @@ def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
 
     The new-block hash and the block body are priced as uplink transmissions
     of the configured sizes; the block request as a downlink reception.
-    DltConfig has checked the sizes (>= 0), and the kernels keep
+    DltConfig has checked the sizes (> 0), and the kernels keep
     RadioConfig's stability checks, so no config copy is validated here.
     """
     up_new = _latency_tx(config, dlt.new_block_bits, dlt.new_block_bits**2)
@@ -246,7 +247,6 @@ def sweep_nprach_period(
     dlt: DltConfig | None,
     t_values,
     arrivals_per_second: float | None = None,
-    derive_shares: bool = True,
 ) -> list[tuple[float, LatencyEnergyBreakdown]]:
     """Evaluate the full breakdown across NPRACH periods.
 
@@ -256,6 +256,6 @@ def sweep_nprach_period(
     """
     out = []
     for t in t_values:
-        cfg = radio.with_nprach_period(float(t), arrivals_per_second=arrivals_per_second, derive_shares=derive_shares)
+        cfg = replace(radio, **nprach_period_fields(radio, float(t), arrivals_per_second))
         out.append((float(t), full_breakdown(cfg, power, dlt)))
     return out

@@ -6,25 +6,31 @@ that kind needs.  Top-level keys:
     seed      integer RNG seed (default 0)
     kind      learning | placement | radio-dlt | integrated
     output    path of the CSV report (directories are created)
-    sweep     optional {param: "<block>.<field>", values: [...]}
+    sweep     optional {param: "<block>.<field>", values: [...]} over what
+              the kind reads (KIND_READS)
     learning / placement / radio / power / dlt / integrated   config blocks
 
-Golden examples live in scenarios/.  Validation errors name the offending
-field by its dotted path (e.g. "radio.K").
+Parsing validates every block and expands a sweep into one validated Point
+per value (one point without a sweep).  Sweeping `radio.t` also sets the
+fields `radio.nprach_period_fields` derives from it.  Golden examples live
+in scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
+after the value's index for a sweep point ("sweep.values[1]: radio.t").
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .core import load_yaml
-from .radio import DltConfig, PowerProfile, RadioConfig
+from .radio import DltConfig, PowerProfile, RadioConfig, nprach_period_fields
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
+BLOCKS = ("learning", "placement", "radio", "power", "dlt", "integrated")
 
 LEARNING_DEFAULTS: dict = {
     "variant": "gadmm",
@@ -38,8 +44,8 @@ LEARNING_DEFAULTS: dict = {
     "tau_coh": None,  # iterations between re-chaining (d-gadmm only)
     "rho": 1.0,
     "iters": 500,
-    "quantizer_bits": None,
-    "censor_xi0": None,
+    "quantizer_bits": 2,
+    "censor_xi0": 0.1,
     "censor_alpha": 0.99,
     "bandwidth_hz": 1e6,
     "slot_s": 1e-3,
@@ -61,7 +67,25 @@ INTEGRATED_DEFAULTS: dict = {
     "dlt_enabled": True,
 }
 
-SWEEP_BLOCKS = ("learning", "placement", "radio", "power", "dlt", "integrated")
+# What each kind reads, and so may sweep: whole blocks, or single fields.
+KIND_READS = {
+    "learning": ("learning",),
+    "placement": ("placement",),
+    "radio-dlt": ("radio", "power", "dlt"),
+    "integrated": ("learning", "placement.nodes", "radio", "power", "dlt", "integrated"),
+}
+
+# Learning fields that only some variants read; a scenario setting one for
+# another variant is rejected rather than silently ignored.
+_GRAPH_VARIANTS = ("ggadmm", "c-ggadmm", "cq-ggadmm")
+VARIANT_FIELDS = {
+    "topology": _GRAPH_VARIANTS,
+    "mean_degree": _GRAPH_VARIANTS,
+    "tau_coh": ("d-gadmm",),
+    "quantizer_bits": ("cq-ggadmm",),
+    "censor_xi0": ("c-ggadmm", "cq-ggadmm"),
+    "censor_alpha": ("c-ggadmm", "cq-ggadmm"),
+}
 
 
 class ParseError(ValueError):
@@ -89,93 +113,193 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Point:
+    """One concrete run: every block as the run uses it (dlt None without a
+    ledger).  Unswept blocks are the base scenario's own objects."""
+
+    seed: int
+    learning: dict
+    placement: dict
+    radio: RadioConfig
+    power: PowerProfile
+    dlt: DltConfig | None
+    integrated: dict
+    value: object = None  # the swept field's value at this point
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario(Point):
+    """The base point, which the sweep varies, and the points to run."""
+
     kind: str
-    seed: int = 0
-    output: str = "out/report.csv"
-    learning: dict = field(default_factory=dict)
-    placement: dict = field(default_factory=dict)
-    radio: dict = field(default_factory=dict)
-    power: dict = field(default_factory=dict)
-    dlt: dict = field(default_factory=dict)
-    integrated: dict = field(default_factory=dict)
-    sweep: SweepSpec | None = None
+    output: str
+    sweep: SweepSpec | None
+    points: tuple[Point, ...]
 
 
-def _check_block(name: str, block: dict, defaults: dict, errors: list[str]) -> dict:
-    if not isinstance(block, dict):
-        errors.append(f"{name}: must be a mapping")
-        return dict(defaults)
-    merged = dict(defaults)
-    for key, value in block.items():
-        if key not in defaults:
-            errors.append(f"{name}.{key}: unknown field")
-            continue
-        merged[key] = value
-    return merged
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _check_dataclass_block(name: str, block: dict, cls, errors: list[str]) -> dict:
-    """Validate a block against a frozen config dataclass field by field."""
-    if not isinstance(block, dict):
-        errors.append(f"{name}: must be a mapping")
-        return {}
-    known = {f.name for f in dataclasses.fields(cls)}
-    clean = {}
-    ok = True
-    for key, value in block.items():
-        if key not in known:
-            errors.append(f"{name}.{key}: unknown field")
-            ok = False
-        else:
-            clean[key] = value
-    if ok:
-        try:
-            cls(**clean)
-        except (ValueError, TypeError) as exc:
-            # attribute the error to the field it names when possible
-            msg = str(exc)
-            culprit = next((k for k in clean if msg.startswith(k) or f"'{k}'" in msg), None)
-            where = f"{name}.{culprit}" if culprit else name
-            errors.append(f"{where}: {msg}")
-    return clean
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _validate_learning(block: dict, errors: list[str]) -> None:
+def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
     from .learning.runner import VARIANTS
 
-    if block["variant"] not in VARIANTS:
+    variant = block["variant"]
+    if variant not in VARIANTS:
         errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
-    if not isinstance(block["workers"], int) or block["workers"] < 2:
+    if not _is_int(block["workers"], 2):
         errors.append("learning.workers: must be an integer >= 2")
+    elif variant == "d-gadmm" and block["workers"] % 2:
+        errors.append("learning.workers: d-gadmm re-chains an even number of workers")
     if block["topology"] not in ("chain", "bipartite"):
         errors.append("learning.topology: must be chain or bipartite")
     for key in ("dim", "samples", "iters"):
-        if not isinstance(block[key], int) or block[key] < 1:
+        if not _is_int(block[key], 1):
             errors.append(f"learning.{key}: must be a positive integer")
-    for key in ("rho", "bandwidth_hz", "slot_s", "noise_density"):
-        if not block[key] > 0:
+    for key in ("rho", "mean_degree", "bandwidth_hz", "slot_s", "noise_density"):
+        if not (_is_number(block[key]) and block[key] > 0):
             errors.append(f"learning.{key}: must be > 0")
-    if block["quantizer_bits"] is not None and not (
-        isinstance(block["quantizer_bits"], int) and 1 <= block["quantizer_bits"] <= 32
-    ):
+    for key in ("noise", "reg", "censor_xi0"):
+        if not (_is_number(block[key]) and block[key] >= 0):
+            errors.append(f"learning.{key}: must be >= 0")
+    if not (_is_int(block["quantizer_bits"], 1) and block["quantizer_bits"] <= 32):
         errors.append("learning.quantizer_bits: must be an integer in 1..32")
-    if block["tau_coh"] is not None and not (isinstance(block["tau_coh"], int) and block["tau_coh"] >= 1):
+    if block["tau_coh"] is not None and not _is_int(block["tau_coh"], 1):
         errors.append("learning.tau_coh: must be a positive integer")
+    elif block["tau_coh"] is None and variant == "d-gadmm":
+        errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
+    if not (_is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
+        errors.append("learning.censor_alpha: must be in (0, 1]")
+    for key in given:
+        if key in VARIANT_FIELDS and variant not in VARIANT_FIELDS[key]:
+            errors.append(f"learning.{key}: not used by variant {variant}")
+    if "mean_degree" in given and variant in _GRAPH_VARIANTS and block["topology"] != "bipartite":
+        errors.append("learning.mean_degree: only a bipartite topology uses it")
 
 
-def _validate_placement(block: dict, errors: list[str]) -> None:
+def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
     if block["shape"] not in ("long", "wide"):
         errors.append("placement.shape: must be long or wide")
-    for key in ("nodes", "components", "runs"):
-        if not isinstance(block[key], int) or block[key] < 1:
-            errors.append(f"placement.{key}: must be a positive integer")
-    if block["time_budget"] is not None and not block["time_budget"] > 0:
+    elif not _is_int(block["components"], 2 if block["shape"] == "long" else 3):
+        errors.append(f"placement.components: too few for a {block['shape']} application")
+    if not _is_int(block["nodes"], 2):
+        errors.append("placement.nodes: must be an integer >= 2")
+    if not _is_int(block["runs"], 1):
+        errors.append("placement.runs: must be a positive integer")
+    if block["time_budget"] is not None and not (_is_number(block["time_budget"]) and block["time_budget"] > 0):
         errors.append("placement.time_budget: must be > 0")
+    if not isinstance(block["measure_time"], bool):
+        errors.append("placement.measure_time: must be true or false")
+    if block["instance"] is not None and not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
+        errors.append("placement.instance: must name an existing instance file")
+
+
+def _validate_integrated(block: dict, given: dict, errors: list[str]) -> None:
+    if not _is_int(block["ledger_period"], 1):
+        errors.append("integrated.ledger_period: must be a positive integer")
+    if not isinstance(block["dlt_enabled"], bool):
+        errors.append("integrated.dlt_enabled: must be true or false")
+
+
+# blocks kept as checked dicts: their defaults and validator
+_DICT_BLOCKS = {
+    "learning": (LEARNING_DEFAULTS, _validate_learning),
+    "placement": (PLACEMENT_DEFAULTS, _validate_placement),
+    "integrated": (INTEGRATED_DEFAULTS, _validate_integrated),
+}
+_CONFIG_CLASSES = {"radio": RadioConfig, "power": PowerProfile, "dlt": DltConfig}
+_FIELDS = {name: set(defaults) for name, (defaults, _) in _DICT_BLOCKS.items()} | {
+    name: {f.name for f in dataclasses.fields(cls)} for name, cls in _CONFIG_CLASSES.items()
+}
+
+
+def _given(name: str, block, errors: list[str]) -> dict:
+    """The known fields a scenario block sets; unknown names are errors."""
+    if not isinstance(block, dict):
+        errors.append(f"{name}: must be a mapping")
+        return {}
+    for key in block:
+        if key not in _FIELDS[name]:
+            errors.append(f"{name}.{key}: unknown field")
+    return {key: value for key, value in block.items() if key in _FIELDS[name]}
+
+
+def _build(name: str, given: dict, errors: list[str], culprit: str | None = None):
+    """Block `name` as a run uses it, from the fields the scenario sets.
+
+    A config class's error is put on `culprit` (a swept field) when given,
+    else on the field its message names.
+    """
+    if name in _DICT_BLOCKS:
+        defaults, validate = _DICT_BLOCKS[name]
+        block = {**defaults, **given}
+        validate(block, given, errors)
+        return block
+    if name == "dlt" and not given:
+        return None  # no ledger round
+    try:
+        return _CONFIG_CLASSES[name](**given)
+    except (ValueError, TypeError) as exc:
+        msg = str(exc)
+        culprit = culprit or next((k for k in given if msg.startswith(k) or f"'{k}'" in msg), None)
+        errors.append(f"{name}.{culprit}: {msg}" if culprit else f"{name}: {msg}")
+        return None
+
+
+def _parse_sweep(sw, kind: str, errors: list[str]) -> SweepSpec | None:
+    if not isinstance(sw, dict) or set(sw) != {"param", "values"}:
+        errors.append("sweep: must be a mapping with exactly 'param' and 'values'")
+        return None
+    param, values = sw["param"], sw["values"]
+    before = len(errors)
+    if not isinstance(param, str) or "." not in param:
+        errors.append("sweep.param: must be a dotted '<block>.<field>' path")
+    else:
+        block, fname = param.split(".", 1)
+        if block not in BLOCKS:
+            errors.append(f"sweep.param: unknown block {block!r}")
+        elif fname not in _FIELDS[block]:
+            errors.append(f"sweep.param: no field {fname!r} in block {block!r}")
+        elif block not in KIND_READS[kind] and param not in KIND_READS[kind]:
+            errors.append(f"sweep.param: kind {kind} does not read {param}")
+    if not isinstance(values, list) or not values:
+        errors.append("sweep.values: must be a non-empty list")
+    return SweepSpec(param=param, values=tuple(values)) if len(errors) == before else None
+
+
+def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
+    """The fields one sweep value sets: radio.t also moves the fields derived
+    from it, keeping the base's arrivals per second."""
+    if param == "radio.t":
+        return nprach_period_fields(radio, float(value), arrivals_per_second=radio.lambda_a / radio.t)
+    return {param.split(".", 1)[1]: value}
+
+
+def _expand(seed: int, given: dict, base: dict, sweep: SweepSpec | None, errors: list[str]) -> tuple[Point, ...]:
+    """One point per sweep value, each validated; the base alone without a sweep."""
+    if sweep is None:
+        return (Point(seed=seed, **base),)
+    name = sweep.block
+    points = []
+    for i, value in enumerate(sweep.values):
+        found: list[str] = []
+        try:
+            fields = _swept_fields(sweep.param, value, base["radio"])
+        except (ValueError, TypeError) as exc:
+            found.append(f"{sweep.param}: {exc}")
+        else:
+            swept = _build(name, {**given[name], **fields}, found, culprit=sweep.field)
+            points.append(Point(seed=seed, value=value, **{**base, name: swept}))
+        errors.extend(f"sweep.values[{i}]: {e}" for e in found)
+    return tuple(points)
 
 
 def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
-    """Load and validate a scenario file.
+    """Load and validate a scenario file and expand it into its points.
 
     Raises ParseError for malformed files or unknown keys, ValidationError
     (carrying the full list of dotted field paths) for bad values.
@@ -188,7 +312,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scenario must be a mapping")
 
-    allowed = {"seed", "kind", "output", "sweep", "learning", "placement", "radio", "power", "dlt", "integrated"}
+    allowed = {"seed", "kind", "output", "sweep", *BLOCKS}
     for key in raw:
         if key not in allowed:
             raise ParseError(f"{path}: unknown top-level key {key!r}")
@@ -199,7 +323,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         raise ParseError(f"{path}: kind must be one of {', '.join(KINDS)}, got {kind!r}")
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed, 0):
         errors.append("seed: must be a non-negative integer")
         seed = 0
     output = raw.get("output", "out/report.csv")
@@ -207,68 +331,12 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         errors.append("output: must be a non-empty path")
         output = "out/report.csv"
 
-    learning = _check_block("learning", raw.get("learning", {}), LEARNING_DEFAULTS, errors)
-    placement = _check_block("placement", raw.get("placement", {}), PLACEMENT_DEFAULTS, errors)
-    radio = _check_dataclass_block("radio", raw.get("radio", {}), RadioConfig, errors)
-    power = _check_dataclass_block("power", raw.get("power", {}), PowerProfile, errors)
-    dlt = _check_dataclass_block("dlt", raw.get("dlt", {}), DltConfig, errors)
-    integrated = _check_block("integrated", raw.get("integrated", {}), INTEGRATED_DEFAULTS, errors)
-
-    if not errors:
-        _validate_learning(learning, errors)
-        _validate_placement(placement, errors)
-
-    sweep = None
-    if "sweep" in raw:
-        sw = raw["sweep"]
-        if not isinstance(sw, dict) or set(sw) != {"param", "values"}:
-            errors.append("sweep: must be a mapping with exactly 'param' and 'values'")
-        else:
-            param, values = sw["param"], sw["values"]
-            if not isinstance(param, str) or "." not in param:
-                errors.append("sweep.param: must be a dotted '<block>.<field>' path")
-            else:
-                block, fname = param.split(".", 1)
-                if block not in SWEEP_BLOCKS:
-                    errors.append(f"sweep.param: unknown block {block!r}")
-                elif not _sweep_field_exists(block, fname):
-                    errors.append(f"sweep.param: no field {fname!r} in block {block!r}")
-            if not isinstance(values, list) or not values:
-                errors.append("sweep.values: must be a non-empty list")
-            if not errors:
-                sweep = SweepSpec(param=param, values=tuple(values))
-
+    given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
+    base = {name: _build(name, given[name], errors) for name in BLOCKS}
+    sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
     if errors:
         raise ValidationError(errors)
-    return Scenario(
-        kind=kind,
-        seed=seed,
-        output=output,
-        learning=learning,
-        placement=placement,
-        radio=radio,
-        power=power,
-        dlt=dlt,
-        integrated=integrated,
-        sweep=sweep,
-    )
-
-
-def _sweep_field_exists(block: str, fname: str) -> bool:
-    if block == "learning":
-        return fname in LEARNING_DEFAULTS
-    if block == "placement":
-        return fname in PLACEMENT_DEFAULTS
-    if block == "integrated":
-        return fname in INTEGRATED_DEFAULTS
-    cls = {"radio": RadioConfig, "power": PowerProfile, "dlt": DltConfig}[block]
-    return fname in {f.name for f in dataclasses.fields(cls)}
-
-
-def apply_sweep_value(scenario: Scenario, value) -> Scenario:
-    """Scenario copy with the swept field set to `value` (sweep cleared)."""
-    assert scenario.sweep is not None
-    block_name = scenario.sweep.block
-    block = dict(getattr(scenario, block_name))
-    block[scenario.sweep.field] = value
-    return dataclasses.replace(scenario, **{block_name: block, "sweep": None})
+    points = _expand(seed, given, base, sweep, errors)
+    if errors:
+        raise ValidationError(errors)
+    return Scenario(kind=kind, seed=seed, output=output, **base, sweep=sweep, points=points)

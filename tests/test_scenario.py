@@ -1,14 +1,21 @@
+import contextlib
+import io
+import shutil
+import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from edgekit import core
 from edgekit.cli import main
 from edgekit.placement import load_instance
+from edgekit.radio import nprach_period_fields
 from edgekit.pipeline import run_integrated, run_scenario
-from edgekit.scenario import ParseError, ValidationError, apply_sweep_value, parse_scenario
+from edgekit.scenario import ParseError, ValidationError, parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -86,8 +93,12 @@ class TestParsing:
         assert s.sweep.block == "radio"
         assert s.sweep.field == "t"
         assert s.sweep.values == (0.1, 0.2)
-        swept = apply_sweep_value(s, 0.2)
-        assert swept.radio["t"] == 0.2 and swept.sweep is None
+        assert [point.value for point in s.points] == [0.1, 0.2]
+        swept = s.points[1]
+        assert swept.radio.t == 0.2
+        # radio.t moves the fields derived from it, at fixed arrivals per second
+        assert swept.radio == replace(s.radio, **nprach_period_fields(s.radio, 0.2, s.radio.lambda_a / s.radio.t))
+        assert swept.power is s.power and swept.learning is s.learning
 
     def test_seed_override(self, tmp_path):
         p = write(tmp_path, "kind: learning\nseed: 5\n")
@@ -102,7 +113,7 @@ class TestParsing:
         """)
         with pytest.raises(ValidationError) as exc:
             parse_scenario(p)
-        assert exc.value.errors == ["dlt.get_block_bits: get_block_bits must be >= 0"]
+        assert exc.value.errors == ["dlt.get_block_bits: get_block_bits must be > 0"]
 
     @pytest.mark.parametrize("value", ["'4096'", "[1, 2]", ".nan"])
     def test_non_numeric_payload_size_names_field(self, tmp_path, value):
@@ -367,3 +378,195 @@ class TestCli:
         main(["learn", "--scenario", str(p), "--seed", "99"])
         b = (tmp_path / "a.csv").read_bytes()
         assert a != b
+
+
+# Scenarios that exited 0 with a field ignored, or exited 2 (some after
+# writing a CSV): each must exit 1 naming the dotted path before it writes.
+REJECTED = {
+    "sweep-value-type": ("learn", """
+        kind: learning
+        learning: {workers: 4, dim: 2, iters: 5}
+        sweep: {param: learning.workers, values: [4, "many"]}
+    """, "sweep.values[1]: learning.workers"),
+    "sweep-unstable-uplink": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.l1, values: [512.0, 1.0e+9]}
+    """, "sweep.values[1]: radio.l1"),
+    "sweep-period-below-unit": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.t, values: [0.32, 0.001]}
+    """, "sweep.values[1]: radio.t"),
+    "sweep-zero-nodes": ("place", """
+        kind: placement
+        placement: {runs: 1}
+        sweep: {param: placement.nodes, values: [6, 0]}
+    """, "sweep.values[1]: placement.nodes"),
+    "d-gadmm-without-tau": ("learn", """
+        kind: learning
+        learning: {variant: d-gadmm, workers: 4, dim: 2, iters: 5}
+    """, "learning.tau_coh"),
+    "d-gadmm-odd-workers": ("learn", """
+        kind: learning
+        learning: {variant: d-gadmm, workers: 5, tau_coh: 2, dim: 2, iters: 5}
+    """, "learning.workers"),
+    "gadmm-quantizer": ("learn", """
+        kind: learning
+        learning: {variant: gadmm, workers: 4, quantizer_bits: 3}
+    """, "learning.quantizer_bits"),
+    "gadmm-censor": ("learn", """
+        kind: learning
+        learning: {variant: gadmm, workers: 4, censor_xi0: 0.2}
+    """, "learning.censor_xi0"),
+    "gadmm-bipartite": ("learn", """
+        kind: learning
+        learning: {variant: gadmm, workers: 4, topology: bipartite}
+    """, "learning.topology"),
+    "sweep-unread-block": ("radio", """
+        kind: radio-dlt
+        sweep: {param: learning.rho, values: [1.0]}
+    """, "sweep.param"),
+    "integrated-sweep-unread-field": ("integrated", """
+        kind: integrated
+        sweep: {param: placement.runs, values: [1, 2]}
+    """, "sweep.param"),
+    "zero-hash-payload": ("radio", "kind: radio-dlt\ndlt: {new_block_bits: 0}\n", "dlt.new_block_bits"),
+    "zero-request-payload": ("radio", "kind: radio-dlt\ndlt: {get_block_bits: 0}\n", "dlt.get_block_bits"),
+    "zero-block-payload": ("radio", "kind: radio-dlt\ndlt: {trans_block_bits: 0}\n", "dlt.trans_block_bits"),
+    "zero-uplink-packet": ("radio", "kind: radio-dlt\nradio: {l1: 0}\n", "radio.l1"),
+    # ran before, since no downlink arrivals means no downlink queue term
+    "zero-downlink-packet": ("radio", "kind: radio-dlt\nradio: {m1: 0, lambda_d: 0}\n", "radio.m1"),
+    "zero-period": ("radio", "kind: radio-dlt\nradio: {t: 0}\n", "radio.t"),
+    "missing-instance": ("place", "kind: placement\nplacement: {instance: no/such/instance.yaml}\n", "placement.instance"),
+}
+
+
+class TestOnePath:
+    def scenario(self, tmp_path, text):
+        p = tmp_path / "s.yaml"
+        p.write_text(textwrap.dedent(text) + f"output: {tmp_path}/out/r.csv\n")
+        return p
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_static_mistake_exits_one_before_writing(self, tmp_path, capsys, name):
+        command, text, where = REJECTED[name]
+        assert main([command, "--scenario", str(self.scenario(tmp_path, text))]) == 1
+        assert f"error: {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integrated_sweep_writes_reports_per_point(self, tmp_path, capsys):
+        p = self.scenario(tmp_path, """
+            kind: integrated
+            learning: {workers: 4, dim: 2, iters: 10}
+            dlt: {M: 3}
+            sweep: {param: integrated.ledger_period, values: [1, 5]}
+        """)
+        assert main(["integrated", "--scenario", str(p)]) == 0
+        names = [Path(line).name for line in capsys.readouterr().out.split()]
+        assert names == [
+            "r_integrated_ledger_period_1.csv", "r_integrated_ledger_period_1_summary.csv",
+            "r_integrated_ledger_period_5.csv", "r_integrated_ledger_period_5_summary.csv",
+        ]
+        records = [(tmp_path / "out" / n).read_text().splitlines()[1].split(",")[3] for n in names[1::2]]
+        assert records == ["10", "2"]
+
+    def test_swept_power_field_reaches_the_breakdown(self, tmp_path):
+        p = self.scenario(tmp_path, """
+            kind: radio-dlt
+            sweep: {param: power.P_t, values: [0.1, 0.5]}
+        """)
+        rows = [line.split(",") for line in run_scenario(parse_scenario(p))[0].read_text().splitlines()[1:]]
+        assert rows[0][1] == rows[1][1]  # L_total
+        assert float(rows[0][2]) < float(rows[1][2])  # E_total
+
+    def test_runtime_failure_at_a_later_point_writes_nothing(self, tmp_path, capsys):
+        # two small nodes host two components, never twenty
+        text = """
+            kind: placement
+            placement: {nodes: 2, runs: 1}
+            sweep: {param: placement.components, values: %s}
+        """
+        assert main(["place", "--scenario", str(self.scenario(tmp_path, text % "[2]"))]) == 0
+        shutil.rmtree(tmp_path / "out")
+        assert main(["place", "--scenario", str(self.scenario(tmp_path, text % "[2, 20]"))]) == 2
+        assert "Infeasible" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_points_share_unswept_blocks(self, tmp_path):
+        s = parse_scenario(self.scenario(tmp_path, """
+            kind: integrated
+            dlt: {M: 3}
+            sweep: {param: learning.rho, values: [0.5, 1.0]}
+        """))
+        for point in s.points:
+            assert point.radio is s.radio and point.power is s.power and point.dlt is s.dlt
+            assert point.placement is s.placement and point.integrated is s.integrated
+        assert [point.learning["rho"] for point in s.points] == [0.5, 1.0]
+
+
+# A small valid scenario of each kind, and sweeps it may run.
+VALID = {
+    "learning": ("learn", {"learning": {"workers": 4, "dim": 2, "samples": 5, "iters": 5}}),
+    "placement": ("place", {"placement": {"nodes": 5, "components": 3, "runs": 1}}),
+    "radio-dlt": ("radio", {"radio": {"tau": 0.0256, "lambda_s": 5.0, "lambda_b": 5.0}, "dlt": {"M": 5}}),
+    "integrated": ("integrated", {
+        "learning": {"workers": 4, "dim": 2, "iters": 5}, "placement": {"nodes": 6},
+        "dlt": {"M": 3}, "integrated": {"ledger_period": 2},
+    }),
+}
+# param -> (good values, bad values)
+SWEEPS = {
+    "learning": {"learning.rho": ([0.5, 1.0], [0, "x"]), "learning.workers": ([2, 4], [1, 2.5])},
+    "placement": {"placement.nodes": ([5, 6], [0, "x"]), "placement.shape": (["long"], ["round"])},
+    "radio-dlt": {"radio.t": ([0.08, 0.16], [0.001, "x"]), "power.P_t": ([0.1, 0.3], [-1]),
+                  "dlt.M": ([1, 3], [0])},
+    "integrated": {"learning.rho": ([0.5], [0]), "integrated.ledger_period": ([1, 3], [0]),
+                   "placement.nodes": ([6, 7], [1])},
+}
+# (block, field, value) that no kind accepts
+MISTAKES = [
+    (None, "seed", -1), (None, "seed", "x"),
+    ("learning", "workers", 1), ("learning", "dim", 0), ("learning", "iters", "x"),
+    ("learning", "rho", 0), ("learning", "noise", -0.1), ("learning", "variant", "sgd"),
+    ("learning", "topology", "ring"), ("learning", "tau_coh", 0), ("learning", "quantizer_bits", 3),
+    ("learning", "censor_alpha", 1.5), ("learning", "wrokers", 4),
+    ("placement", "nodes", 1), ("placement", "components", 1), ("placement", "shape", "round"),
+    ("placement", "runs", 0), ("placement", "time_budget", 0), ("placement", "measure_time", "yes"),
+    ("radio", "K", 0), ("radio", "l1", 0), ("radio", "m1", 0), ("radio", "t", 0), ("radio", "p_d", 2),
+    ("radio", "l1", 1.0e9), ("radio", "R_u", "x"), ("radio", "tau", -1),
+    ("power", "P_e", 0), ("power", "P_t", -1),
+    ("dlt", "M", 0), ("dlt", "new_block_bits", 0), ("dlt", "lambda_0", 0),
+    ("integrated", "ledger_period", 0), ("integrated", "dlt_enabled", "yes"),
+]
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(sorted(VALID)))
+    command, blocks = VALID[kind]
+    doc = {"kind": kind, **{name: dict(block) for name, block in blocks.items()}}
+    mistakes = draw(st.lists(st.sampled_from(MISTAKES), max_size=2))
+    for block, name, value in mistakes:
+        (doc if block is None else doc.setdefault(block, {}))[name] = value
+    bad = bool(mistakes)
+    if draw(st.booleans()):
+        param, (good, wrong) = draw(st.sampled_from(sorted(SWEEPS[kind].items())))
+        values = draw(st.lists(st.sampled_from(good + wrong), min_size=1, max_size=3))
+        doc["sweep"] = {"param": param, "values": values}
+        bad = bad or any(v in wrong for v in values)
+    return command, doc, bad
+
+
+class TestStaticMistakes:
+    @settings(max_examples=80)
+    @given(case=scenarios())
+    def test_mistakes_exit_one_and_write_nothing(self, case):
+        command, doc, bad = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            doc = {**doc, "output": str(out / "r.csv")}
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--scenario", str(path)])
+            assert code == (1 if bad else 0)
+            assert out.exists() == (code == 0)
