@@ -9,8 +9,8 @@ Sub-packages:
 
 Top-level modules:
 
-    core        shared unit types, seeded RNG streams, fixed-point iterator,
-                YAML loader
+    core        checked probability and seed scalars, seeded RNG streams,
+                fixed-point iterator, YAML loader
     scenario    experiment description files (YAML) and their validation
     pipeline    scenario execution and deterministic CSV reports
     cli         the `edgekit` command

@@ -1,5 +1,5 @@
-"""Shared scalar unit types, seeded randomness, a fixed-point iterator, and
-the YAML loader for scenario and instance files.
+"""Checked probability and seed scalars, seeded randomness, a fixed-point
+iterator, and the YAML loader for scenario and instance files.
 
 The random generator is numpy's PCG64 (O'Neill's permuted congruential
 generator, 128-bit state).  PCG64 has a published state-transition function
@@ -12,10 +12,6 @@ import numpy as np
 import yaml
 
 __all__ = [
-    "Joules",
-    "Seconds",
-    "Bits",
-    "Watts",
     "Probability",
     "Seed",
     "make_rng",
@@ -28,32 +24,6 @@ __all__ = [
 # libyaml's parser when PyYAML was built with it (5x faster on the golden
 # scenarios), else the pure-Python one; both build the same safe objects.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class _NonNegative(float):
-    """Float subclass enforcing value >= 0 at construction."""
-
-    def __new__(cls, value):
-        value = float(value)
-        if not np.isfinite(value) or value < 0.0:
-            raise ValueError(f"{cls.__name__} must be finite and >= 0, got {value}")
-        return super().__new__(cls, value)
-
-
-class Joules(_NonNegative):
-    pass
-
-
-class Seconds(_NonNegative):
-    pass
-
-
-class Bits(_NonNegative):
-    pass
-
-
-class Watts(_NonNegative):
-    pass
 
 
 class Probability(float):

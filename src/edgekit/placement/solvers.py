@@ -1,17 +1,21 @@
 """Exact, heuristic, and brute-force placement solvers.
 
-The exact solver is a combinatorial branch-and-bound over the quadratic
-objective: components are assigned in decreasing resource-demand order and a
-branch is cut when (cost so far) + (sum of cheapest remaining device costs)
-reaches the incumbent; the network term of unassigned components is bounded
-below by zero.  Ties break toward the smallest node id through the visit
-order.
+Both `solve_optimal` and `solve_heuristic` run one depth-first
+branch-and-bound over positional cost tables built once per solve.
+Components are assigned in decreasing resource-demand order; nodes are
+tried in id order, so ties break toward the smallest node id.  Placing
+component i on node k costs a unit term unit[i][k] plus, for each edge to an
+earlier-placed component j emitting O, the pair term O * D[k_j][k] over the
+dense path-energy matrix.  A branch is cut when (cost so far) + (sum of the
+cheapest remaining unit costs) reaches the incumbent, which a greedy pass
+seeds; the pair terms of unassigned components are bounded below by zero.
 
-The heuristic replaces the pairwise network term with each node's mean
-incident link energy, which makes the objective separable per component; the
-resulting generalized assignment problem is solved exactly by the same
-branch-and-bound machinery, and the returned energies are re-computed with
-the true quadratic objective.
+The exact solver's unit cost is the device energy C*S/P and it keeps every
+pair term.  The heuristic replaces the pair terms with each node's mean
+incident link energy, O_t * mean_link_energy(n), folded into the unit cost:
+the same search with no pair terms solves the resulting separable
+generalized assignment problem exactly, and its energies are re-computed
+with the true quadratic objective.
 """
 from __future__ import annotations
 
@@ -36,10 +40,6 @@ def _feasibility_precheck(app: AppGraph, net: NetGraph) -> None:
         )
 
 
-def _device_cost(comp, node) -> float:
-    return node.compute_energy * (comp.compute / node.speed)
-
-
 def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
     """Exhaustive enumeration oracle; exact minimum E_t among feasible maps."""
     _feasibility_precheck(app, net)
@@ -59,68 +59,56 @@ def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
 
 
 class _BranchAndBound:
-    """Depth-first B&B over component-to-node maps with pluggable edge costs."""
+    """Depth-first B&B over a T x M unit-cost table, per-component
+    predecessor lists (j, O) and a dense M x M path-energy table D."""
 
-    def __init__(self, app: AppGraph, net: NetGraph, deadline: float | None):
-        self.app = app
-        self.net = net
+    def __init__(self, comps, nodes, unit, pred, D, deadline: float | None):
+        self.comps = comps
+        self.nodes = nodes
+        self.unit = unit
+        self.pred = pred
+        self.D = D
         self.deadline = deadline
-        # decreasing demand first; id tie-break keeps the search deterministic
-        self.comps = sorted(app.components, key=lambda c: (-c.resources, c.id))
-        self.nodes = sorted(net.nodes, key=lambda n: n.id)
         self.best_cost = math.inf
-        self.best_map: dict[int, int] | None = None
+        self.best_map: list[int] | None = None
         self.timed_out = False
-        # predecessors/successors among already-assigned components
-        idx = {c.id: i for i, c in enumerate(self.comps)}
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in self.comps]
-        for t1, t2 in app.edges:
-            o = app.component(t1).output
-            i1, i2 = idx[t1], idx[t2]
-            # store the edge on the later-assigned endpoint
-            if i1 < i2:
-                self.adj[i2].append((i1, o))
-            else:
-                self.adj[i1].append((i2, o))
-        self.min_device = [min(_device_cost(c, n) for n in self.nodes) for c in self.comps]
-        self.tail_bound = [0.0] * (len(self.comps) + 1)
-        for i in range(len(self.comps) - 1, -1, -1):
-            self.tail_bound[i] = self.tail_bound[i + 1] + self.min_device[i]
+        self.tail_bound = [0.0] * (len(comps) + 1)
+        for i in range(len(comps) - 1, -1, -1):
+            self.tail_bound[i] = self.tail_bound[i + 1] + min(unit[i])
 
-    def edge_cost(self, output: float, n1: int, n2: int) -> float:
-        return output * self.net.D(n1, n2)
-
-    def step_cost(self, i: int, comp, node, chosen: list[int]) -> float:
-        cost = _device_cost(comp, node)
-        for j, output in self.adj[i]:
-            cost += self.edge_cost(output, chosen[j], node.id)
+    def _step(self, i: int, k: int, chosen: list[int]) -> float:
+        cost = self.unit[i][k]
+        for j, output in self.pred[i]:
+            cost += output * self.D[chosen[j]][k]
         return cost
 
     def _greedy_incumbent(self) -> None:
         """Cheapest-feasible-node greedy, used only to seed the pruning bound."""
-        free = {n.id: n.resources for n in self.nodes}
+        free = [n.resources for n in self.nodes]
         chosen: list[int] = []
         cost = 0.0
         for i, comp in enumerate(self.comps):
-            options = [n for n in self.nodes if free[n.id] >= comp.resources]
+            options = [(self._step(i, k, chosen), k) for k in range(len(free)) if free[k] >= comp.resources]
             if not options:
                 return
-            node = min(options, key=lambda n: (self.step_cost(i, comp, n, chosen), n.id))
-            cost += self.step_cost(i, comp, node, chosen)
-            free[node.id] -= comp.resources
-            chosen.append(node.id)
+            step, k = min(options)
+            cost += step
+            free[k] -= comp.resources
+            chosen.append(k)
         self.best_cost = cost
-        self.best_map = {c.id: n for c, n in zip(self.comps, chosen)}
+        self.best_map = chosen
 
-    def solve(self) -> tuple[dict[int, int], bool]:
+    def solve(self) -> dict[int, int]:
+        """The best map found: optimal unless `timed_out`."""
         self._greedy_incumbent()
-        free = {n.id: n.resources for n in self.nodes}
-        self._dfs(0, 0.0, [], free)
-        if self.best_map is None and not self.timed_out:
+        self._dfs(0, 0.0, [], [n.resources for n in self.nodes])
+        if self.best_map is None and self.timed_out:
+            raise TimeBudgetExceeded("time budget exhausted before any feasible incumbent")
+        if self.best_map is None:
             raise Infeasible("no feasible assignment exists")
-        return self.best_map, self.timed_out
+        return {c.id: self.nodes[k].id for c, k in zip(self.comps, self.best_map)}
 
-    def _dfs(self, i: int, cost: float, chosen: list[int], free: dict[int, float]):
+    def _dfs(self, i: int, cost: float, chosen: list[int], free: list[float]):
         if self.timed_out:
             return
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -129,35 +117,32 @@ class _BranchAndBound:
         if i == len(self.comps):
             if cost < self.best_cost:
                 self.best_cost = cost
-                self.best_map = {c.id: n for c, n in zip(self.comps, chosen)}
+                self.best_map = list(chosen)
             return
-        comp = self.comps[i]
-        for node in self.nodes:
-            if free[node.id] < comp.resources:
+        need = self.comps[i].resources
+        bound = self.tail_bound[i + 1]
+        for k in range(len(free)):
+            if free[k] < need:
                 continue
-            c = cost + self.step_cost(i, comp, node, chosen)
-            if c + self.tail_bound[i + 1] >= self.best_cost:
+            c = cost + self._step(i, k, chosen)
+            if c + bound >= self.best_cost:
                 continue
-            free[node.id] -= comp.resources
-            chosen.append(node.id)
+            free[k] -= need
+            chosen.append(k)
             self._dfs(i + 1, c, chosen, free)
             chosen.pop()
-            free[node.id] += comp.resources
+            free[k] += need
 
 
-class _SeparableBnB(_BranchAndBound):
-    """Same search over the per-node separable (heuristic) objective."""
-
-    def __init__(self, app, net, deadline, unit_cost):
-        self.unit_cost = unit_cost  # (comp, node) -> cost
-        super().__init__(app, net, deadline)
-        self.min_device = [min(unit_cost(c, n) for n in self.nodes) for c in self.comps]
-        self.tail_bound = [0.0] * (len(self.comps) + 1)
-        for i in range(len(self.comps) - 1, -1, -1):
-            self.tail_bound[i] = self.tail_bound[i + 1] + self.min_device[i]
-
-    def step_cost(self, i, comp, node, chosen):
-        return self.unit_cost(comp, node)
+def _device_table(app: AppGraph, net: NetGraph):
+    """Components by decreasing demand (id tie-break, keeping the search
+    deterministic), nodes by id, each node's row in `net.nodes`, and the
+    device energy C*S/P of every component on every node."""
+    comps = sorted(app.components, key=lambda c: (-c.resources, c.id))
+    rows = sorted(range(len(net.nodes)), key=lambda r: net.nodes[r].id)
+    nodes = [net.nodes[r] for r in rows]
+    device = [[n.compute_energy * (c.compute / n.speed) for n in nodes] for c in comps]
+    return comps, nodes, rows, device
 
 
 def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None) -> Assignment:
@@ -170,23 +155,28 @@ def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None
     """
     _feasibility_precheck(app, net)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    bnb = _BranchAndBound(app, net, deadline)
-    mapping, timed_out = bnb.solve()
-    if timed_out and mapping is None:
-        raise TimeBudgetExceeded("time budget exhausted before any feasible incumbent")
-    status = "time_budget_exceeded" if timed_out else "optimal"
-    gap = max(0.0, bnb.best_cost - bnb.tail_bound[0]) if timed_out else 0.0
-    return evaluate_assignment(app, net, mapping, status=status, gap=gap)
+    comps, nodes, rows, device = _device_table(app, net)
+    # each edge is priced when its later-assigned endpoint is placed
+    position = {c.id: i for i, c in enumerate(comps)}
+    output = {c.id: c.output for c in comps}
+    pred: list[list[tuple[int, float]]] = [[] for _ in comps]
+    for t1, t2 in app.edges:
+        i1, i2 = position[t1], position[t2]
+        pred[max(i1, i2)].append((min(i1, i2), output[t1]))
+    D = net.path_energy[np.ix_(rows, rows)].tolist()
+    bnb = _BranchAndBound(comps, nodes, device, pred, D, deadline)
+    mapping = bnb.solve()
+    if not bnb.timed_out:
+        return evaluate_assignment(app, net, mapping, status="optimal")
+    gap = max(0.0, bnb.best_cost - bnb.tail_bound[0])
+    return evaluate_assignment(app, net, mapping, status="time_budget_exceeded", gap=gap)
 
 
 def solve_heuristic(app: AppGraph, net: NetGraph) -> Assignment:
     """Linear heuristic: per-node mean link energy replaces the pairwise term."""
     _feasibility_precheck(app, net)
-    t_hat = {n.id: net.mean_link_energy(n.id) for n in net.nodes}
-
-    def unit_cost(comp, node):
-        return _device_cost(comp, node) + comp.output * t_hat[node.id]
-
-    bnb = _SeparableBnB(app, net, None, unit_cost)
-    mapping, _ = bnb.solve()
-    return evaluate_assignment(app, net, mapping, status="heuristic")
+    comps, nodes, _, device = _device_table(app, net)
+    t_hat = [net.mean_link_energy(n.id) for n in nodes]
+    unit = [[d + c.output * t for d, t in zip(row, t_hat)] for c, row in zip(comps, device)]
+    bnb = _BranchAndBound(comps, nodes, unit, [[] for _ in comps], None, None)
+    return evaluate_assignment(app, net, bnb.solve(), status="heuristic")

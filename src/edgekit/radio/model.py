@@ -137,17 +137,26 @@ def pow_latency(dlt: DltConfig) -> float:
     return 1.0 / (dlt.lambda_c * dlt.M)
 
 
-def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
-    """Latency of the post-mining block messages.
+# The post-mining block messages: each DltConfig payload field and the queue
+# kernel that carries it.  The new-block hash and the block body are uplink
+# transmissions; the block request is a downlink reception.
+_BLOCK_MESSAGES = {"new_block_bits": _latency_tx, "trans_block_bits": _latency_tx, "get_block_bits": _latency_rx}
 
-    The new-block hash and the block body are priced as uplink transmissions
-    of the configured sizes; the block request as a downlink reception.
-    DltConfig has checked the sizes (> 0), and the kernels keep
-    RadioConfig's stability checks, so no config copy is validated here.
+
+def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> float:
+    """Latency of the block message whose payload is `dlt.<name>`.
+
+    DltConfig has checked the size (> 0), and the kernels keep RadioConfig's
+    stability checks (UnstableConfig for a payload the queue cannot carry),
+    so no config copy is validated here.
     """
-    up_new = _latency_tx(config, dlt.new_block_bits, dlt.new_block_bits**2)
-    up_trans = _latency_tx(config, dlt.trans_block_bits, dlt.trans_block_bits**2)
-    down_get = _latency_rx(config, dlt.get_block_bits, dlt.get_block_bits**2)
+    bits = getattr(dlt, name)
+    return _BLOCK_MESSAGES[name](config, bits, bits**2)
+
+
+def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
+    """Latency of the post-mining block messages."""
+    up_new, up_trans, down_get = (_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
     return up_new + up_trans + down_get
 
 

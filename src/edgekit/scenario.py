@@ -8,10 +8,12 @@ that kind needs.  Top-level keys:
     output    path of the CSV report (directories are created)
     sweep     optional {param: "<block>.<field>", values: [...]} over what
               the kind reads (KIND_READS)
-    learning / placement / radio / power / dlt / integrated   config blocks
+    learning / placement / radio / power / dlt / integrated   config blocks,
+              only those the kind reads (KIND_READS)
 
 Parsing validates every block and expands a sweep into one validated Point
-per value (one point without a sweep).  Sweeping `radio.t` also sets the
+per value (one point without a sweep).  A point that prices a ledger must
+carry its payloads through its radio queues.  Sweeping `radio.t` also sets the
 fields `radio.nprach_period_fields` derives from it.  Golden examples live
 in scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
 after the value's index for a sweep point ("sweep.values[1]: radio.t").
@@ -27,7 +29,8 @@ from pathlib import Path
 import yaml
 
 from .core import load_yaml
-from .radio import DltConfig, PowerProfile, RadioConfig, nprach_period_fields
+from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
+from .radio.model import _BLOCK_MESSAGES, _block_message_latency
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
 BLOCKS = ("learning", "placement", "radio", "power", "dlt", "integrated")
@@ -67,7 +70,8 @@ INTEGRATED_DEFAULTS: dict = {
     "dlt_enabled": True,
 }
 
-# What each kind reads, and so may sweep: whole blocks, or single fields.
+# What each kind reads, and so may set and sweep: whole blocks, or single
+# fields.  Any other block or field a scenario sets is rejected.
 KIND_READS = {
     "learning": ("learning",),
     "placement": ("placement",),
@@ -174,6 +178,12 @@ def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
         errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
     if not (_is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
+    # Gaussian designs: the stacked system has full column rank almost surely
+    # exactly when it has at least `dim` rows
+    workers, samples, dim = (block[k] for k in ("workers", "samples", "dim"))
+    if _is_number(block["reg"]) and block["reg"] == 0 and all(_is_int(v, 1) for v in (workers, samples, dim)) \
+            and workers * samples < dim:
+        errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
     for key in given:
         if key in VARIANT_FIELDS and variant not in VARIANT_FIELDS[key]:
             errors.append(f"learning.{key}: not used by variant {variant}")
@@ -194,8 +204,12 @@ def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
         errors.append("placement.time_budget: must be > 0")
     if not isinstance(block["measure_time"], bool):
         errors.append("placement.measure_time: must be true or false")
-    if block["instance"] is not None and not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
-        errors.append("placement.instance: must name an existing instance file")
+    if block["instance"] is not None:
+        if not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
+            errors.append("placement.instance: must name an existing instance file")
+        # the instance file fixes the application and the network
+        errors.extend(f"placement.{key}: not read next to placement.instance"
+                      for key in ("nodes", "components", "shape") if key in given)
 
 
 def _validate_integrated(block: dict, given: dict, errors: list[str]) -> None:
@@ -271,6 +285,32 @@ def _parse_sweep(sw, kind: str, errors: list[str]) -> SweepSpec | None:
     return SweepSpec(param=param, values=tuple(values)) if len(errors) == before else None
 
 
+def _check_reads(kind: str, raw: dict, given: dict, errors: list[str]) -> None:
+    """Blocks and fields the scenario sets that its kind does not read."""
+    reads = KIND_READS[kind]
+    for name in BLOCKS:
+        if name not in raw or name in reads:
+            continue
+        fields = [r.split(".", 1)[1] for r in reads if r.startswith(f"{name}.")]
+        if fields:
+            errors.extend(f"{name}.{key}: not read by kind {kind}" for key in given[name] if key not in fields)
+        else:
+            errors.append(f"{name}: not read by kind {kind}")
+
+
+def _check_ledger(point: Point, errors: list[str]) -> None:
+    """Ledger payloads the point's radio queues cannot carry, found by the
+    kernels its run prices them with.  (Only integrated scenarios set
+    `integrated`; elsewhere its defaults enable the ledger.)"""
+    if point.dlt is None or not point.integrated["dlt_enabled"]:
+        return
+    for name in _BLOCK_MESSAGES:
+        try:
+            _block_message_latency(point.radio, point.dlt, name)
+        except UnstableConfig as exc:
+            errors.append(f"dlt.{name}: {exc}")
+
+
 def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
     """The fields one sweep value sets: radio.t also moves the fields derived
     from it, keeping the base's arrivals per second."""
@@ -282,7 +322,9 @@ def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
 def _expand(seed: int, given: dict, base: dict, sweep: SweepSpec | None, errors: list[str]) -> tuple[Point, ...]:
     """One point per sweep value, each validated; the base alone without a sweep."""
     if sweep is None:
-        return (Point(seed=seed, **base),)
+        point = Point(seed=seed, **base)
+        _check_ledger(point, errors)
+        return (point,)
     name = sweep.block
     points = []
     for i, value in enumerate(sweep.values):
@@ -294,6 +336,8 @@ def _expand(seed: int, given: dict, base: dict, sweep: SweepSpec | None, errors:
         else:
             swept = _build(name, {**given[name], **fields}, found, culprit=sweep.field)
             points.append(Point(seed=seed, value=value, **{**base, name: swept}))
+            if not found:
+                _check_ledger(points[-1], found)
         errors.extend(f"sweep.values[{i}]: {e}" for e in found)
     return tuple(points)
 
@@ -332,6 +376,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         output = "out/report.csv"
 
     given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
+    _check_reads(kind, raw, given, errors)
     base = {name: _build(name, given[name], errors) for name in BLOCKS}
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
     if errors:

@@ -5,43 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgekit.core import (
-    Bits,
-    Joules,
     NonConvergence,
     Probability,
-    Seconds,
     Seed,
-    Watts,
     child_rng,
     fixed_point,
     make_rng,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-@pytest.mark.parametrize("cls", [Joules, Seconds, Bits, Watts])
-class TestNonNegativeUnits:
-    def test_accepts_zero_and_positive(self, cls):
-        assert cls(0.0) == 0.0
-        assert cls(3.5) == 3.5
-
-    def test_rejects_negative(self, cls):
-        with pytest.raises(ValueError):
-            cls(-1e-12)
-
-    def test_rejects_nan_inf(self, cls):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                cls(bad)
-
-    @given(x=finite)
-    def test_constructor_invariant(self, cls, x):
-        if x >= 0:
-            assert float(cls(x)) == x
-        else:
-            with pytest.raises(ValueError):
-                cls(x)
 
 
 @given(x=finite)

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from edgekit.placement import (
     InvalidShape,
     NetGraph,
     NetNode,
+    TimeBudgetExceeded,
     brute_force_optimal,
     evaluate_assignment,
     generate_application,
@@ -20,6 +25,7 @@ from edgekit.placement import (
     solve_heuristic,
     solve_optimal,
 )
+from edgekit.placement import solvers
 
 
 def two_node_net(link_energy=0.2):
@@ -251,6 +257,61 @@ class TestSolvers:
         else:
             assert a.status == "optimal"
         assert a.feasible
+
+
+def pin_instances():
+    """Random instances, both shapes, until 200 pass the capacity precheck
+    (the rest are pinned as infeasible), then the criterion-6 instance."""
+    rng = make_rng(2024)
+    out = []
+    feasible = 0
+    seed = 0
+    while feasible < 200:
+        seed += 1
+        m = int(rng.integers(3, 13))
+        shape = "long" if seed % 2 else "wide"
+        n = int(rng.integers(2 if shape == "long" else 3, 9))
+        net, app = generate_network(m, seed=seed), generate_application(shape, n, seed=seed + 30_000)
+        out.append((net, app))
+        feasible += sum(c.resources for c in app.components) <= sum(x.resources for x in net.nodes)
+    out.append((generate_network(15, seed=7), generate_application("long", 12, seed=104)))
+    return out
+
+
+def solve_record(solve, *args, **kwargs) -> bytes:
+    """Mapping, exact float bits of both energies and the gap, and status."""
+    try:
+        a = solve(*args, **kwargs)
+    except (Infeasible, TimeBudgetExceeded) as exc:
+        return f"{type(exc).__name__}\n".encode()
+    return (
+        f"{sorted(a.mapping.items())}|{a.device_energy.hex()}|{a.network_energy.hex()}"
+        f"|{a.status}|{a.gap.hex()}\n"
+    ).encode()
+
+
+class TestSolverPin:
+    """Both solvers' outputs, bit for bit: any change to the search order or
+    to the order in which costs are added shows here."""
+
+    def test_exact_and_heuristic_outputs_pinned(self):
+        digest = hashlib.sha256()
+        for net, app in pin_instances():
+            digest.update(solve_record(solve_optimal, app, net))
+            digest.update(solve_record(solve_heuristic, app, net))
+        assert digest.hexdigest() == "9ad89e8e302adfebbd9d8f7f19af3a052ebcbde9c8dd950b0ad4e11569cb4d97"
+
+    def test_time_budget_incumbent_and_gap_pinned(self, monkeypatch):
+        # a clock that ticks once per reading makes the budget a node count,
+        # so the search order, the incumbent and the gap are all pinned
+        instances = pin_instances()
+        digest = hashlib.sha256()
+        for net, app in instances[-1:] + instances[100:110]:
+            for budget in (3, 40, 400, 4000):
+                ticks = itertools.count()
+                monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+                digest.update(solve_record(solve_optimal, app, net, time_budget=budget))
+        assert digest.hexdigest() == "02169dee38fdcb2293ef87896492e24e8d75ba4c09637e14f109a21051181186"
 
 
 def quadratic_energy_via_linearization(app, net, mapping):

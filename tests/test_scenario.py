@@ -437,6 +437,35 @@ REJECTED = {
     "zero-downlink-packet": ("radio", "kind: radio-dlt\nradio: {m1: 0, lambda_d: 0}\n", "radio.m1"),
     "zero-period": ("radio", "kind: radio-dlt\nradio: {t: 0}\n", "radio.t"),
     "missing-instance": ("place", "kind: placement\nplacement: {instance: no/such/instance.yaml}\n", "placement.instance"),
+    "unstable-block-payload": ("radio", "kind: radio-dlt\ndlt: {trans_block_bits: 1.0e+9}\n", "dlt.trans_block_bits"),
+    "unstable-request-payload": ("radio", "kind: radio-dlt\ndlt: {get_block_bits: 1.0e+9}\n", "dlt.get_block_bits"),
+    "sweep-unstable-payload": ("radio", """
+        kind: radio-dlt
+        sweep: {param: dlt.new_block_bits, values: [256, 1.0e+9]}
+    """, "sweep.values[1]: dlt.new_block_bits"),
+    "integrated-unstable-payload": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        dlt: {M: 3, trans_block_bits: 1.0e+9}
+    """, "dlt.trans_block_bits"),
+    "rank-deficient-learning": ("learn", """
+        kind: learning
+        learning: {workers: 2, samples: 2, dim: 5, reg: 0, iters: 5}
+    """, "learning.reg"),
+    "unread-block": ("learn", """
+        kind: learning
+        learning: {workers: 4, dim: 2, iters: 5}
+        radio: {K: 12}
+    """, "radio"),
+    "integrated-unread-placement-field": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        placement: {nodes: 6, runs: 2}
+    """, "placement.runs"),
+    "instance-with-generator-field": ("place", """
+        kind: placement
+        placement: {instance: scenarios/placement_instance.yaml, shape: wide}
+    """, "placement.shape"),
 }
 
 
@@ -536,6 +565,8 @@ MISTAKES = [
     ("power", "P_e", 0), ("power", "P_t", -1),
     ("dlt", "M", 0), ("dlt", "new_block_bits", 0), ("dlt", "lambda_0", 0),
     ("integrated", "ledger_period", 0), ("integrated", "dlt_enabled", "yes"),
+    # a payload no radio queue carries; an instance next to generator fields
+    ("dlt", "trans_block_bits", 1.0e9), ("placement", "instance", "scenarios/placement_instance.yaml"),
 ]
 
 
