@@ -151,9 +151,8 @@ def rechain(topology: Topology, iteration: int, seed: Seed | int) -> Topology:
     tails = set(range(1, N + 1)) - heads
     pos = topology.positions
     assert pos is not None
-
-    def dist(a: int, b: int) -> float:
-        return float(np.hypot(*(pos[a - 1] - pos[b - 1])))
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1]).tolist()  # dist[a - 1][b - 1]
 
     order = [1]
     remaining_h = heads - {1}
@@ -164,8 +163,8 @@ def rechain(topology: Topology, iteration: int, seed: Seed | int) -> Topology:
         if not pool:  # only worker N left for the final tail slot
             order.append(N)
             break
-        cur = order[-1]
-        nxt = min(sorted(pool), key=lambda w: (dist(cur, w), w))
+        row = dist[order[-1] - 1]
+        nxt = min(sorted(pool), key=lambda w: (row[w - 1], w))
         order.append(nxt)
         (remaining_h if want_head else remaining_t).discard(nxt)
     if order[-1] != N:

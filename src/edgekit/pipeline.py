@@ -131,9 +131,10 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_placement_block(cfg: dict, seed: int) -> list[list]:
-    """One row per instance seed: optimal vs heuristic energy and wall time."""
+    """One row per instance seed (one row for an instance file): optimal vs
+    heuristic energy and wall time."""
     rows = []
-    for i in range(cfg["runs"]):
+    for i in range(1 if cfg["instance"] else cfg["runs"]):
         if cfg["instance"]:
             app, net = P.load_instance(cfg["instance"])
             row_seed = seed
@@ -147,8 +148,6 @@ def run_placement_block(cfg: dict, seed: int) -> list[list]:
             t_opt = t_heur = 0.0
         ratio = opt.total_energy / heur.total_energy if heur.total_energy > 0 else 1.0
         rows.append([row_seed, opt.total_energy, heur.total_energy, ratio, t_opt, t_heur])
-        if cfg["instance"]:
-            break
     return rows
 
 

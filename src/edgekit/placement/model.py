@@ -7,14 +7,19 @@ moved between components over shortest energy paths):
     E_d = sum_t C_X(t) * S_t / P_X(t)
     E_n = sum_(t1,t2) O_t1 * D(X(t1), X(t2))
     E_t = E_d + E_n
+
+D(n1, n2) is the least total transfer energy T_l over the undirected links
+joining n1 to n2 (inf when none does), found by a Dijkstra run from every
+node.  A link with T_l = 0 is a link: it joins its nodes at no cost.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 
 class Infeasible(RuntimeError):
@@ -37,6 +42,8 @@ class AppComponent:
     compute: float  # S_t, computation time multiple
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.resources, self.output, self.compute))):
+            raise ValueError("component parameters must be finite")
         if self.resources <= 0:
             raise ValueError("component resources must be > 0")
         if self.output < 0:
@@ -92,6 +99,8 @@ class NetNode:
     kind: str = "wired"  # wired | wireless
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.speed, self.resources, self.compute_energy))):
+            raise ValueError("node parameters must be finite")
         if min(self.speed, self.resources, self.compute_energy) <= 0:
             raise ValueError("node parameters must be > 0")
         if self.kind not in ("wired", "wireless"):
@@ -111,6 +120,8 @@ class NetGraph:
         for a, b, tl in self.links:
             if a not in known or b not in known:
                 raise ValueError(f"link ({a},{b}) references unknown node")
+            if not math.isfinite(tl):
+                raise ValueError(f"link ({a},{b}) transfer energy must be finite")
             if tl < 0:
                 raise ValueError("link transfer energy must be >= 0")
 
@@ -120,15 +131,36 @@ class NetGraph:
 
     @cached_property
     def path_energy(self) -> np.ndarray:
-        """All-pairs shortest-path transfer-energy matrix D; D(n,n) = 0."""
+        """All-pairs shortest-path transfer-energy matrix D; D(n,n) = 0.
+
+        Parallel links count at their cheapest, self-loops not at all.  Each
+        row is its own Dijkstra run, never copied from its transpose: D[i, j]
+        is the fixed point min over neighbours u of fl(D[i, u] + T_l(u, j)),
+        whatever order the heap breaks ties in, and D[j, i] may differ from
+        it in the last ulp.
+        """
         m = len(self.nodes)
-        w = np.full((m, m), np.inf)
-        np.fill_diagonal(w, 0.0)
+        adj: list[dict[int, float]] = [{} for _ in range(m)]
         for a, b, tl in self.links:
             i, j = self._index[a], self._index[b]
-            w[i, j] = min(w[i, j], tl)
-            w[j, i] = min(w[j, i], tl)
-        return shortest_path(w, method="D", directed=False)
+            if i != j and tl < adj[i].get(j, math.inf):
+                adj[i][j] = adj[j][i] = tl
+        rows = []
+        for src in range(m):
+            dist = [math.inf] * m
+            dist[src] = 0.0
+            heap = [(0.0, src)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                for v, tl in adj[u].items():
+                    nd = d + tl
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        heappush(heap, (nd, v))
+            rows.append(dist)
+        return np.array(rows, dtype=np.float64).reshape(m, m)
 
     def D(self, n1: int, n2: int) -> float:
         return float(self.path_energy[self._index[n1], self._index[n2]])

@@ -13,9 +13,11 @@ that kind needs.  Top-level keys:
 
 Parsing validates every block and expands a sweep into one validated Point
 per value (one point without a sweep).  A point that prices a ledger must
-carry its payloads through its radio queues.  Sweeping `radio.t` also sets the
-fields `radio.nprach_period_fields` derives from it.  Golden examples live
-in scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
+carry its payloads through its radio queues; an integrated scenario none of
+whose points prices one may not set radio, power or dlt.  A placement
+instance file is loaded, and so checked, at parse time.  Sweeping `radio.t`
+also sets the fields `radio.nprach_period_fields` derives from it.  Golden
+examples live in scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
 after the value's index for a sweep point ("sweep.values[1]: radio.t").
 """
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 import yaml
 
 from .core import load_yaml
+from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
 from .radio.model import _BLOCK_MESSAGES, _block_message_latency
 
@@ -207,9 +210,16 @@ def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
     if block["instance"] is not None:
         if not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
             errors.append("placement.instance: must name an existing instance file")
-        # the instance file fixes the application and the network
+        else:
+            try:  # the instance the run will load
+                load_instance(block["instance"])
+            except KeyError as exc:
+                errors.append(f"placement.instance: missing field {exc}")
+            except (OSError, yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:
+                errors.append(f"placement.instance: {exc}")
+        # the instance file fixes the application and the network, and is one run
         errors.extend(f"placement.{key}: not read next to placement.instance"
-                      for key in ("nodes", "components", "shape") if key in given)
+                      for key in ("nodes", "components", "shape", "runs") if key in given)
 
 
 def _validate_integrated(block: dict, given: dict, errors: list[str]) -> None:
@@ -298,6 +308,18 @@ def _check_reads(kind: str, raw: dict, given: dict, errors: list[str]) -> None:
             errors.append(f"{name}: not read by kind {kind}")
 
 
+def _check_ledger_off(raw: dict, sweep: SweepSpec | None, points: tuple[Point, ...], errors: list[str]) -> None:
+    """The ledger blocks an integrated scenario sets although none of its
+    points prices a ledger (each has `dlt_enabled: false` or no dlt block)."""
+    if any(point.integrated["dlt_enabled"] and point.dlt is not None for point in points):
+        return
+    ledger_blocks = ("radio", "power", "dlt")
+    why = "not read without a ledger (integrated.dlt_enabled false or no dlt block)"
+    errors.extend(f"{name}: {why}" for name in ledger_blocks if name in raw)
+    if sweep is not None and sweep.block in ledger_blocks:
+        errors.append(f"sweep.param: {sweep.param} {why}")
+
+
 def _check_ledger(point: Point, errors: list[str]) -> None:
     """Ledger payloads the point's radio queues cannot carry, found by the
     kernels its run prices them with.  (Only integrated scenarios set
@@ -382,6 +404,8 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     if errors:
         raise ValidationError(errors)
     points = _expand(seed, given, base, sweep, errors)
+    if kind == "integrated":
+        _check_ledger_off(raw, sweep, points, errors)
     if errors:
         raise ValidationError(errors)
     return Scenario(kind=kind, seed=seed, output=output, **base, sweep=sweep, points=points)

@@ -88,6 +88,19 @@ class TestTopology:
             assert new.order[0] == 1 and new.order[-1] == 4
             new.validate()
 
+    def test_rechain_walks_to_the_nearest_free_worker(self):
+        # reference: one scalar np.hypot per candidate pair, ties to the lower id
+        for n in (4, 10, 20):
+            topo = build_topology(n, kind="chain", seed=n, tau_coh=5)
+            pos = topo.positions
+            for k in range(5, 80, 5):
+                new = rechain(topo, k, seed=k)
+                free = set(range(2, n))  # worker 1 opens the chain, worker n closes it
+                for cur, nxt in zip(new.order, new.order[1:-1]):
+                    pool = [w for w in free if (w in new.heads) == (nxt in new.heads)]
+                    assert nxt == min(pool, key=lambda w: (float(np.hypot(*(pos[cur - 1] - pos[w - 1]))), w))
+                    free.discard(nxt)
+
     def test_rechain_static_noop(self):
         topo = build_topology(6, kind="chain", seed=0)
         assert rechain(topo, 10, seed=0) is topo

@@ -1,11 +1,17 @@
 import hashlib
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edgekit
 from edgekit.core import make_rng
 from edgekit.placement import (
     AppComponent,
@@ -26,6 +32,9 @@ from edgekit.placement import (
     solve_optimal,
 )
 from edgekit.placement import solvers
+from edgekit.cli import main
+
+GOLDEN_INSTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "placement_instance.yaml"
 
 
 def two_node_net(link_energy=0.2):
@@ -146,6 +155,97 @@ class TestEvaluate:
             for j in range(m):
                 for k in range(m):
                     assert D[i, j] <= D[i, k] + D[k, j] + 1e-12
+
+
+def scipy_path_energy(net):
+    """The dense csgraph call path_energy replaced, kept as a test oracle.
+
+    It reads a weight of 0 as no link, so only nets without zero-energy
+    links may be compared with it.
+    """
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    m = len(net.nodes)
+    index = {n.id: i for i, n in enumerate(net.nodes)}
+    w = np.full((m, m), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for a, b, tl in net.links:
+        i, j = index[a], index[b]
+        w[i, j] = min(w[i, j], tl)
+        w[j, i] = min(w[j, i], tl)
+    return csgraph.shortest_path(w, method="D", directed=False)
+
+
+def unit_nodes(m):
+    return tuple(NetNode(id=i, speed=1.0, resources=1.0, compute_energy=1.0) for i in range(m))
+
+
+@st.composite
+def linked_nets(draw):
+    """Random positive link energies, with parallel, reversed and self links."""
+    m = draw(st.integers(1, 12))
+    ends = st.integers(0, m - 1)
+    energy = st.one_of(st.floats(1e-6, 10.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.8]))
+    links = draw(st.lists(st.tuples(ends, ends, energy), max_size=3 * m))
+    return NetGraph(nodes=unit_nodes(m), links=tuple(links))
+
+
+class TestPathEnergy:
+    def test_zero_energy_link_joins_its_nodes_at_no_cost(self):
+        net = NetGraph(nodes=unit_nodes(3), links=((0, 1, 0.0), (1, 2, 0.5)))
+        assert net.D(0, 1) == net.D(1, 0) == 0.0
+        assert net.D(0, 2) == 0.5
+        assert net.connected
+
+    def test_zero_energy_link_lowers_the_placed_energy(self, tmp_path, capsys):
+        text = GOLDEN_INSTANCE.read_text()
+        assert text.count("    T_l: 0.2\n") > 1
+        (tmp_path / "instance.yaml").write_text(text.replace("    T_l: 0.2\n", "    T_l: 0\n", 1))
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(f"kind: placement\noutput: {tmp_path}/p.csv\nplacement: {{instance: {tmp_path}/instance.yaml}}\n")
+        assert main(["place", "--scenario", str(scenario)]) == 0
+        row = (tmp_path / "p.csv").read_text().splitlines()[1].split(",")
+        assert row[1] == "1.719331111646675"  # 1.7503345228583231 with the zero link read as no link
+
+    def test_parallel_links_count_at_their_cheapest_and_self_loops_not_at_all(self):
+        net = NetGraph(nodes=unit_nodes(4), links=((0, 1, 0.8), (1, 0, 0.3), (0, 1, 0.5), (2, 2, 0.1)))
+        assert net.D(0, 1) == 0.3
+        assert net.D(2, 2) == 0.0
+        assert math.isinf(net.D(0, 2)) and math.isinf(net.D(3, 2))
+        assert not net.connected
+        assert net.path_energy.dtype == np.float64 and net.path_energy.shape == (4, 4)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 21, 30])
+    def test_generated_networks_match_scipy_bytes(self, m):
+        for seed in range(12):
+            net = generate_network(m, seed=seed)
+            assert net.path_energy.tobytes() == scipy_path_energy(net).tobytes()
+
+    @settings(max_examples=300)
+    @given(net=linked_nets())
+    def test_random_positive_links_match_scipy_bytes(self, net):
+        assert net.path_energy.tobytes() == scipy_path_energy(net).tobytes()
+
+    def test_import_leaves_scipy_out(self):
+        src = Path(edgekit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = "import sys, edgekit; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+class TestValidation:
+    @pytest.mark.parametrize("make", [
+        lambda v: AppComponent(id=1, resources=v, output=1.0, compute=1.0),
+        lambda v: AppComponent(id=1, resources=1.0, output=v, compute=1.0),
+        lambda v: AppComponent(id=1, resources=1.0, output=1.0, compute=v),
+        lambda v: NetNode(id=1, speed=v, resources=1.0, compute_energy=1.0),
+        lambda v: NetNode(id=1, speed=1.0, resources=v, compute_energy=1.0),
+        lambda v: NetNode(id=1, speed=1.0, resources=1.0, compute_energy=v),
+        lambda v: NetGraph(nodes=unit_nodes(2), links=((0, 1, v),)),
+    ], ids=["R_t", "O_t", "S_t", "P_n", "R_n", "C_n", "T_l"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
 
 class TestSolvers:

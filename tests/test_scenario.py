@@ -466,18 +466,52 @@ REJECTED = {
         kind: placement
         placement: {instance: scenarios/placement_instance.yaml, shape: wide}
     """, "placement.shape"),
+    "instance-with-runs": ("place", """
+        kind: placement
+        placement: {instance: scenarios/placement_instance.yaml, runs: 5}
+    """, "placement.runs"),
+    "nan-instance": ("place", "kind: placement\nplacement: {instance: $TMP/nan-link.yaml}\n", "placement.instance"),
+    "instance-missing-key": ("place", "kind: placement\nplacement: {instance: $TMP/no-link-energy.yaml}\n",
+                             "placement.instance"),
+    "ledger-off-blocks": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        radio: {K: 12}
+        dlt: {trans_block_bits: 1.0e+9}
+        integrated: {dlt_enabled: false}
+    """, "radio"),
+    "ledger-less-blocks": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        power: {P_t: 5.0}
+    """, "power"),
+    "ledger-off-sweep": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        integrated: {dlt_enabled: false}
+        sweep: {param: power.P_t, values: [0.1, 0.3]}
+    """, "sweep.param"),
+}
+# Instance files the REJECTED scenarios name as $TMP/<name>: the golden
+# instance with one mistake each.
+_INSTANCE = (GOLDEN / "placement_instance.yaml").read_text()
+BAD_INSTANCES = {
+    "nan-link.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: .nan", 1),
+    "no-link-energy.yaml": _INSTANCE.replace("    T_l: 0.2\n", "", 1),
 }
 
 
 class TestOnePath:
     def scenario(self, tmp_path, text):
         p = tmp_path / "s.yaml"
-        p.write_text(textwrap.dedent(text) + f"output: {tmp_path}/out/r.csv\n")
+        p.write_text(textwrap.dedent(text).replace("$TMP", str(tmp_path)) + f"output: {tmp_path}/out/r.csv\n")
         return p
 
     @pytest.mark.parametrize("name", sorted(REJECTED))
     def test_static_mistake_exits_one_before_writing(self, tmp_path, capsys, name):
         command, text, where = REJECTED[name]
+        for file_name, instance in BAD_INSTANCES.items():
+            (tmp_path / file_name).write_text(instance)
         assert main([command, "--scenario", str(self.scenario(tmp_path, text))]) == 1
         assert f"error: {where}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -565,6 +599,8 @@ MISTAKES = [
     ("power", "P_e", 0), ("power", "P_t", -1),
     ("dlt", "M", 0), ("dlt", "new_block_bits", 0), ("dlt", "lambda_0", 0),
     ("integrated", "ledger_period", 0), ("integrated", "dlt_enabled", "yes"),
+    # integrated's valid file sets a dlt block, which its run does not read with the ledger off
+    ("integrated", "dlt_enabled", False),
     # a payload no radio queue carries; an instance next to generator fields
     ("dlt", "trans_block_bits", 1.0e9), ("placement", "instance", "scenarios/placement_instance.yaml"),
 ]
