@@ -1,8 +1,8 @@
 from .problems import LocalProblem, centralized_solution, total_objective
 from .topology import Topology, build_topology, rechain
-from .compression import QuantizerConfig, QuantizedMessage, CensorSchedule, quantize, dequantize, censor_decision
+from .compression import QuantizerConfig, CensorSchedule
 from .energy import CommEnergyModel, message_energy
-from .runner import TrainingTrace, run, primal_update, dual_update
+from .runner import TrainingTrace, run, dual_update
 
 __all__ = [
     "LocalProblem",
@@ -12,15 +12,10 @@ __all__ = [
     "build_topology",
     "rechain",
     "QuantizerConfig",
-    "QuantizedMessage",
     "CensorSchedule",
-    "quantize",
-    "dequantize",
-    "censor_decision",
     "CommEnergyModel",
     "message_energy",
     "TrainingTrace",
     "run",
-    "primal_update",
     "dual_update",
 ]

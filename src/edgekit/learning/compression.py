@@ -24,17 +24,6 @@ class QuantizerConfig:
 
 
 @dataclass(frozen=True)
-class QuantizedMessage:
-    levels: np.ndarray  # integer level indices, one per coordinate
-    radius: float  # R, the 32-bit side value; 0 for the all-zero sentinel
-    bits: int
-
-    @property
-    def payload_bits(self) -> int:
-        return self.bits * len(self.levels) + 32
-
-
-@dataclass(frozen=True)
 class CensorSchedule:
     """Threshold sequence xi_k = xi0 * alpha^k, non-increasing and non-negative."""
 
@@ -61,7 +50,7 @@ def quantize_rows(
     probabilities that make the rounding unbiased.  Returns the integer
     levels (k, d) and the radii R (k,).  An all-zero row has R = 0, all-zero
     levels and draws nothing, so one call consumes `rng` exactly as k
-    sequential `quantize` calls on the rows do.
+    sequential one-row calls do.
     """
     delta = np.asarray(delta, dtype=float)
     radius = np.max(np.abs(delta), axis=1, initial=0.0)
@@ -83,17 +72,6 @@ def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.nda
     return levels * step[:, None] - radius[:, None]
 
 
-def quantize(delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator) -> QuantizedMessage:
-    """One message: `quantize_rows` on a single row."""
-    delta = np.asarray(delta, dtype=float)
-    levels, radius = quantize_rows(delta.reshape(1, -1), config, rng)
-    return QuantizedMessage(levels=levels.reshape(delta.shape), radius=float(radius[0]), bits=config.bits)
-
-
-def dequantize(msg: QuantizedMessage) -> np.ndarray:
-    return dequantize_rows(msg.levels.reshape(1, -1), np.array([msg.radius]), msg.bits)[0]
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (k, d) array.
 
@@ -109,8 +87,3 @@ def censor_mask(current: np.ndarray, last_sent: np.ndarray, threshold: float) ->
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     return row_norms(np.asarray(current, dtype=float) - np.asarray(last_sent, dtype=float)) > threshold
-
-
-def censor_decision(current: np.ndarray, last_sent: np.ndarray, threshold: float) -> bool:
-    """True (transmit) iff ||current - last_sent||_2 strictly exceeds threshold."""
-    return bool(censor_mask(np.reshape(current, (1, -1)), np.reshape(last_sent, (1, -1)), threshold)[0])

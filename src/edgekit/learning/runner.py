@@ -39,13 +39,17 @@ order, left endpoint carrying +lambda) is row i:
                          incident edges and neighbors in edge order, padded
                          to the group's largest degree D with edge E and
                          neighbor N
+  terms       (k, 2D+1, d)
+                         per group, the addends of each member's rhs in
+                         order: 2 g_n, then -s_j lambda_j and rho theta_j for
+                         each slot j; refilled every phase but column 0
 
-An iteration is then a fixed number of numpy calls whatever N is: per phase
-one gather of slot duals and neighbor models, D slot accumulations, one
-stacked solve and one vectorised step each for quantizing, censoring and
-transmitting; per iteration one step each for the duals, the objective and
-the residual.  d-gadmm re-initializes the duals on re-chaining as prefix sums
-of the local gradients along the new chain order.
+An iteration is then a fixed number of numpy calls whatever N and D are: per
+phase one gather each of slot duals and neighbor models into the term stack,
+one scan of the stack, one stacked solve and one vectorised step each for
+quantizing, censoring and transmitting; per iteration one step each for the
+duals, the objective and the residual.  d-gadmm re-initializes the duals on
+re-chaining as prefix sums of the local gradients along the new chain order.
 
 Bit-identity.  Every reported float equals that of a per-worker loop (one
 gemv per solve, one ddot per norm and objective term, Python float sums), so
@@ -55,9 +59,11 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      objective `r[:, None, :] @ r[:, :, None]` and the norms, which numpy
      runs as one gemv or ddot per row.  einsum and norm(axis=...) sum in
      another order.
-  2. A worker's rhs accumulates over its slots in edge order, with a zero
-     dual and a zero model in padded slots.  A signed-incidence matmul
-     would reorder that sum.
+  2. A worker's rhs is one np.add.accumulate along its term stack, a strict
+     left-to-right scan, so it sums 2 g_n - s_1 lambda_1 + rho theta_1 - ...
+     in slot (edge) order; a - b is exactly a + (-b), signed zeros of the
+     padded slots (zero dual, zero model) included.  add.reduce may sum
+     pairwise and a signed-incidence matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
      over .tolist().
 """
@@ -118,54 +124,25 @@ class TrainingTrace:
 
 def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     """(2 H_n + rho deg_n I)^-1 for a (k, d, d) stack of Gram matrices."""
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
     return np.linalg.inv(2.0 * H + (rho * degree)[:, None, None] * np.eye(H.shape[-1]))
 
 
-def block_solve(
-    inv: np.ndarray, g: np.ndarray, signed_duals: np.ndarray, neighbor_models: np.ndarray, rho: float
-) -> np.ndarray:
+def block_solve(inv: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Closed-form block update of k workers at once.
 
     Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
     + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
     s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
-    inv_n from `inverses`.  Shapes: inv (k, d, d), g (k, d), and the signed
-    duals s_j lambda_j and neighbor models theta_j (k, D, d), zero in padded
-    slots.
+    inv_n (k, d, d) from `inverses`.  `terms` (k, 2D+1, d) holds that rhs's
+    addends in order: 2 g_n, then -s_j lambda_j and rho theta_j for each slot
+    j, zero in padded slots.  It is scanned in place, so every column but the
+    first must be refilled before the next call.
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    rhs = 2.0 * g
-    pulls = rho * neighbor_models
-    for j in range(signed_duals.shape[1]):
-        rhs = rhs - signed_duals[:, j] + pulls[:, j]
+    rhs = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return (inv @ rhs[:, :, None])[:, :, 0]
-
-
-def primal_update(
-    problem: LocalProblem | None,
-    neighbor_models: list[np.ndarray],
-    duals: list[np.ndarray],
-    signs: list[int],
-    rho: float,
-    dim: int | None = None,
-) -> np.ndarray:
-    """`block_solve` for one worker: neighbor j's model, edge dual and sign.
-
-    Without a problem, f = 0 and only the proximity terms pull.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    if len(duals) != len(neighbor_models):
-        raise ValueError("need one dual per neighbor")
-    if dim is None:
-        dim = problem.dim if problem is not None else len(neighbor_models[0])
-    H, g = problem.gram() if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
-    signed = np.array([s * np.asarray(lam, dtype=float) for lam, s in zip(duals, signs, strict=True)])
-    models = np.array(neighbor_models, dtype=float)
-    inv = inverses(H[None], np.array([len(neighbor_models)]), rho)
-    return block_solve(inv, g[None], signed[None], models[None], rho)[0]
 
 
 def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float) -> np.ndarray:
@@ -243,9 +220,10 @@ def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
     bits = joules = 0.0
     payload = FULL_PRECISION_BITS * d
     energy_per_iter = sum(message_energy(payload, shared, gains[n]) for n in range(N))
+    two_g = 2.0 * g
     for _ in range(iters):
-        theta = (inv @ (2.0 * g - lam + rho * z)[:, :, None])[:, :, 0]
-        z = np.mean(theta + lam / rho, axis=0)
+        theta = (inv @ (two_g - lam + rho * z)[:, :, None])[:, :, 0]
+        z = np.add.reduce(theta + lam / rho, axis=0) / N  # what np.mean computes
         lam = dual_update(lam, theta, z, rho)
         bits += N * payload
         joules += energy_per_iter
@@ -259,13 +237,14 @@ def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
 
 @dataclass(frozen=True)
 class _Phase:
-    """One head or tail group's fixed arrays between re-chainings."""
+    """One head or tail group's arrays between re-chainings (terms is
+    refilled each phase, the rest stay fixed)."""
 
     members: np.ndarray  # (k,) worker rows, ascending
     inv: np.ndarray  # (k, d, d)
-    g: np.ndarray  # (k, d)
+    terms: np.ndarray  # (k, 2D+1, d) block_solve's addends; column 0 holds 2 g
     slot_edge: np.ndarray  # (k, D) edge rows, padded with E
-    slot_sign: np.ndarray  # (k, D, 1) +1 on the edge's left endpoint, -1 on its right
+    slot_negsign: np.ndarray  # (k, D, 1) -1 on the edge's left endpoint, +1 on its right
     slot_peer: np.ndarray  # (k, D) neighbor rows, padded with N
     energy: np.ndarray  # (k,) Joules per message at this group's bandwidth share
 
@@ -277,8 +256,8 @@ def _phases(topology, stack, rho, payload, energy_model, gains, inv_cache):
     E = len(edges)
     slots: list[list[tuple[int, float, int]]] = [[] for _ in range(N)]
     for i, (u, v) in enumerate(edges):
-        slots[u].append((i, 1.0, v))
-        slots[v].append((i, -1.0, u))
+        slots[u].append((i, -1.0, v))
+        slots[v].append((i, 1.0, u))
     degree = tuple(len(s) for s in slots)
     if degree not in inv_cache:
         inv_cache[degree] = inverses(stack.gram[0], np.array(degree), rho)
@@ -286,14 +265,16 @@ def _phases(topology, stack, rho, payload, energy_model, gains, inv_cache):
     for group in (topology.heads, topology.tails):
         members = sorted(w - 1 for w in group)
         D = max(degree[n] for n in members)
-        padded = [slots[n] + [(E, 1.0, N)] * (D - degree[n]) for n in members]
+        padded = [slots[n] + [(E, -1.0, N)] * (D - degree[n]) for n in members]
+        terms = np.empty((len(members), 2 * D + 1, stack.dim))
+        terms[:, 0] = 2.0 * stack.gram[1][members]
         shared = energy_model.share(len(members))
         phases.append(_Phase(
             members=np.array(members),
             inv=inv_cache[degree][members],
-            g=stack.gram[1][members],
+            terms=terms,
             slot_edge=np.array([[e for e, _, _ in row] for row in padded]),
-            slot_sign=np.array([[[s] for _, s, _ in row] for row in padded]),
+            slot_negsign=np.array([[[s] for _, s, _ in row] for row in padded]),
             slot_peer=np.array([[p for _, _, p in row] for row in padded]),
             energy=np.array([message_energy(payload, shared, gains[n]) for n in members]),
         ))
@@ -339,7 +320,9 @@ def _run_decentralized(
 
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase)
-            new = block_solve(ph.inv, ph.g, duals[ph.slot_edge] * ph.slot_sign, theta_hat[ph.slot_peer], rho)
+            np.multiply(duals[ph.slot_edge], ph.slot_negsign, out=ph.terms[:, 1::2])
+            np.multiply(theta_hat[ph.slot_peer], rho, out=ph.terms[:, 2::2])
+            new = block_solve(ph.inv, ph.terms)
             theta[ph.members] = new
             last = theta_hat[ph.members]
             if quantizer is not None:

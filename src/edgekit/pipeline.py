@@ -136,7 +136,7 @@ def run_placement_block(cfg: dict, seed: int) -> list[list]:
     rows = []
     for i in range(1 if cfg["instance"] else cfg["runs"]):
         if cfg["instance"]:
-            app, net = P.load_instance(cfg["instance"])
+            app, net = cfg["instance"]
             row_seed = seed
             heur, t_heur = _timed(P.solve_heuristic, app, net)
         else:

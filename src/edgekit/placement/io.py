@@ -6,6 +6,7 @@ scenarios/placement_instance.yaml for a golden example.
 """
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
 
 from ..core import load_yaml
@@ -32,29 +33,32 @@ def instance_to_dict(app: AppGraph, net: NetGraph) -> dict:
     }
 
 
+def _number(value, name: str):
+    """`value`, which must be a real number: YAML's true and false are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(record: dict, *keys: str) -> list:
+    return [_number(record[key], key) for key in keys]
+
+
 def instance_from_dict(data: dict) -> tuple[AppGraph, NetGraph]:
     appd = data["application"]
     app = AppGraph(
         components=tuple(
-            AppComponent(id=c["id"], resources=c["R_t"], output=c["O_t"], compute=c["S_t"])
-            for c in appd["components"]
+            AppComponent(*_numbers(c, "id", "R_t", "O_t", "S_t")) for c in appd["components"]
         ),
-        edges=tuple((t1, t2) for t1, t2 in appd["edges"]),
+        edges=tuple((_number(t1, "edge end"), _number(t2, "edge end")) for t1, t2 in appd["edges"]),
         shape=appd.get("shape", "custom"),
     )
     netd = data["network"]
     net = NetGraph(
         nodes=tuple(
-            NetNode(
-                id=n["id"],
-                speed=n["P_n"],
-                resources=n["R_n"],
-                compute_energy=n["C_n"],
-                kind=n.get("kind", "wired"),
-            )
-            for n in netd["nodes"]
+            NetNode(*_numbers(n, "id", "P_n", "R_n", "C_n"), kind=n.get("kind", "wired")) for n in netd["nodes"]
         ),
-        links=tuple((l["a"], l["b"], l["T_l"]) for l in netd["links"]),
+        links=tuple(tuple(_numbers(l, "a", "b", "T_l")) for l in netd["links"]),
     )
     return app, net
 

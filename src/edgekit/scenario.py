@@ -15,9 +15,10 @@ Parsing validates every block and expands a sweep into one validated Point
 per value (one point without a sweep).  A point that prices a ledger must
 carry its payloads through its radio queues; an integrated scenario none of
 whose points prices one may not set radio, power or dlt.  A placement
-instance file is loaded, and so checked, at parse time.  Sweeping `radio.t`
-also sets the fields `radio.nprach_period_fields` derives from it.  Golden
-examples live in scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
+instance file is loaded, and so checked, at parse time, and its point runs
+the loaded instance.  Sweeping `radio.t` also sets the fields
+`radio.nprach_period_fields` derives from it.  Golden examples live in
+scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
 after the value's index for a sweep point ("sweep.values[1]: radio.t").
 """
 from __future__ import annotations
@@ -65,7 +66,7 @@ PLACEMENT_DEFAULTS: dict = {
     "runs": 10,
     "time_budget": None,
     "measure_time": False,  # wall-clock columns emit 0.0 unless enabled
-    "instance": None,  # optional path to a serialized instance
+    "instance": None,  # optional path to a serialized instance; a parsed block holds its (app, net)
 }
 
 INTEGRATED_DEFAULTS: dict = {
@@ -211,8 +212,8 @@ def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
         if not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
             errors.append("placement.instance: must name an existing instance file")
         else:
-            try:  # the instance the run will load
-                load_instance(block["instance"])
+            try:  # the run uses the instance loaded here
+                block["instance"] = load_instance(block["instance"])
             except KeyError as exc:
                 errors.append(f"placement.instance: missing field {exc}")
             except (OSError, yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:

@@ -12,18 +12,14 @@ from edgekit.learning import (
     LocalProblem,
     QuantizerConfig,
     build_topology,
-    censor_decision,
     centralized_solution,
-    dequantize,
     dual_update,
     message_energy,
-    primal_update,
-    quantize,
     rechain,
     run,
     total_objective,
 )
-from edgekit.learning.compression import dequantize_rows, quantize_rows, row_norms
+from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
 from edgekit.learning.problems import ProblemStack
 from edgekit.learning.runner import ConfigMismatch, block_solve, inverses
 from edgekit.learning.topology import InvalidN
@@ -111,6 +107,35 @@ class TestTopology:
         assert len(orders) > 10  # two k values differ with high probability
 
 
+def slot_terms(g, duals, signs, models, rho):
+    """block_solve's term stack, filled as the runner fills it: 2 g, then
+    lambda_j * -s_j and rho * theta_j for each slot j."""
+    k, D, d = duals.shape
+    terms = np.empty((k, 2 * D + 1, d))
+    terms[:, 0] = 2.0 * g
+    np.multiply(duals, -signs, out=terms[:, 1::2])
+    np.multiply(models, rho, out=terms[:, 2::2])
+    return terms
+
+
+def slot_loop_rhs(g, duals, signs, models, rho):
+    """The rhs summed one slot at a time, the order block_solve's scan keeps."""
+    rhs = 2.0 * g
+    signed, pulls = duals * signs, rho * models
+    for j in range(duals.shape[1]):
+        rhs = rhs - signed[:, j] + pulls[:, j]
+    return rhs
+
+
+def solve_one(problem, models, duals, signs, rho, dim):
+    """One worker's block update against its neighbors' models and its edge
+    duals and signs; without a problem f = 0 and only the proximity terms pull."""
+    H, g = problem.gram() if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
+    inv = inverses(H[None], np.array([len(models)]), rho)
+    signs = np.array(signs, dtype=float)[None, :, None]
+    return block_solve(inv, slot_terms(g[None], np.array([duals], float), signs, np.array([models], float), rho))[0]
+
+
 class TestBatchedKernels:
     """Stacked evaluation equals row-by-row evaluation to the last bit."""
 
@@ -119,12 +144,34 @@ class TestBatchedKernels:
         problems = synthetic_problems(k, d, 8, seed=3)
         H, g = ProblemStack(problems).gram
         inv = inverses(H, np.array([1, 2, 3, 3, 2]), 0.7)
-        duals = rng.standard_normal((k, D, d))
-        models = rng.standard_normal((k, D, d))
-        stacked = block_solve(inv, g, duals, models, 0.7)
+        terms = slot_terms(g, rng.standard_normal((k, D, d)), rng.choice([-1.0, 1.0], (k, D, 1)),
+                           rng.standard_normal((k, D, d)), 0.7)
+        stacked = block_solve(inv, terms.copy())
         for n in range(k):
-            one = block_solve(inv[n:n + 1], g[n:n + 1], duals[n:n + 1], models[n:n + 1], 0.7)
+            one = block_solve(inv[n:n + 1], terms[n:n + 1].copy())
             assert np.array_equal(stacked[n], one[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 4), D=st.integers(1, 9), d=st.integers(1, 5),
+        rho=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_sums_in_slot_order(self, k, D, d, rho, seed):
+        # padded slots carry a zero dual and a zero model; zeros of both signs
+        # appear elsewhere too, so signed-zero results are compared as bytes
+        rng = make_rng(seed)
+        g, duals, models = rng.standard_normal((k, d)), rng.standard_normal((k, D, d)), rng.standard_normal((k, D, d))
+        signs = rng.choice([-1.0, 1.0], (k, D, 1))
+        for x in (g, duals, models):
+            x[rng.random(x.shape) < 0.2] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+        pad = np.arange(D) >= rng.integers(1, D + 1, k)[:, None]
+        duals[pad], models[pad], signs[pad] = 0.0, 0.0, 1.0
+        inv = np.broadcast_to(np.eye(d), (k, d, d))
+        terms = slot_terms(g, duals, signs, models, rho)
+        rhs = slot_loop_rhs(g, duals, signs, models, rho)
+        assert block_solve(inv, terms).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
+        assert terms[:, -1].tobytes() == rhs.tobytes()
 
     def test_stacked_objective_with_mixed_sample_counts(self, rng):
         problems = [
@@ -146,24 +193,34 @@ class TestBatchedKernels:
 class TestPrimalDualUpdates:
     def test_proximity_only_pull(self):
         m = np.array([2.0, -1.0])
-        out = primal_update(None, [m], [np.zeros(2)], [1], rho=3.0, dim=2)
+        out = solve_one(None, [m], [np.zeros(2)], [1], rho=3.0, dim=2)
         assert out == pytest.approx(m)
 
     def test_scalar_hand_solution(self):
         a, m1, m2 = 3.0, 1.0, 5.0
         p = LocalProblem.scalar_quadratic(a)
-        out = primal_update(p, [np.array([m1]), np.array([m2])], [np.zeros(1)] * 2, [1, -1], rho=2.0)
+        out = solve_one(p, [np.array([m1]), np.array([m2])], [np.zeros(1)] * 2, [1, -1], rho=2.0, dim=1)
         assert out == pytest.approx([(2 * a + 2 * m1 + 2 * m2) / 6.0])
+
+    def test_duals_enter_with_their_edge_sign(self):
+        # f = 0, one neighbor at 0: theta = -s lambda / rho
+        lam = np.array([1.5, -0.5])
+        assert solve_one(None, [np.zeros(2)], [lam], [1], rho=2.0, dim=2) == pytest.approx(-lam / 2.0)
+        assert solve_one(None, [np.zeros(2)], [lam], [-1], rho=2.0, dim=2) == pytest.approx(lam / 2.0)
 
     def test_large_rho_limit_is_neighbor_average(self):
         p = LocalProblem.scalar_quadratic(10.0)
         ms = [np.array([1.0]), np.array([3.0])]
-        out = primal_update(p, ms, [np.zeros(1)] * 2, [1, -1], rho=1e6)
+        out = solve_one(p, ms, [np.zeros(1)] * 2, [1, -1], rho=1e6, dim=1)
         assert out == pytest.approx([2.0], abs=1e-3)
 
     def test_rho_must_be_positive(self):
         with pytest.raises(ValueError):
-            primal_update(None, [np.zeros(1)], [np.zeros(1)], [1], rho=0.0, dim=1)
+            inverses(np.zeros((1, 1, 1)), np.array([1]), 0.0)
+        problems = scalar_problems([1, 2])
+        for variant in ("ps-admm", "gadmm"):
+            with pytest.raises(ValueError):
+                run(variant, problems, build_topology(2, kind="chain"), rho=0.0, iters=1)
 
     def test_dual_fixed_when_constraint_met(self):
         lam = np.array([1.0, 2.0])
@@ -182,6 +239,12 @@ class TestPrimalDualUpdates:
         assert twice == pytest.approx(once)
 
 
+def roundtrip(x, q, rng):
+    """One row through quantize_rows and back."""
+    levels, radius = quantize_rows(np.reshape(x, (1, -1)), q, rng)
+    return dequantize_rows(levels, radius, q.bits)[0]
+
+
 class TestQuantizer:
     def test_payload_formula(self):
         q = QuantizerConfig(bits=4)
@@ -190,14 +253,14 @@ class TestQuantizer:
     def test_near_full_precision_roundtrip(self, rng):
         x = rng.standard_normal(20)
         q = QuantizerConfig(bits=32)
-        back = dequantize(quantize(x, q, rng))
+        back = roundtrip(x, q, rng)
         assert np.max(np.abs(back - x)) <= 1e-6 * np.max(np.abs(x))
 
     def test_one_bit_unbiased(self):
         rng = make_rng(3)
         x = np.array([0.3, 1.0])  # radius 1 fixed by the second coordinate
         q = QuantizerConfig(bits=1)
-        draws = np.array([dequantize(quantize(x, q, rng))[0] for _ in range(100_000)])
+        draws = np.array([roundtrip(x, q, rng)[0] for _ in range(100_000)])
         assert 0.29 <= draws.mean() <= 0.31
 
     @settings(max_examples=50, deadline=None)
@@ -209,15 +272,16 @@ class TestQuantizer:
     def test_roundtrip_error_bounded_by_step(self, vec, bits, seed):
         x = np.array(vec)
         q = QuantizerConfig(bits=bits)
-        back = dequantize(quantize(x, q, make_rng(seed)))
+        back = roundtrip(x, q, make_rng(seed))
         radius = np.max(np.abs(x))
         step = 2 * radius / (2**bits - 1) if bits > 1 else 2 * radius
         assert np.max(np.abs(back - x)) <= step + 1e-12
 
     def test_zero_delta_sentinel(self, rng):
-        msg = quantize(np.zeros(5), QuantizerConfig(bits=2), rng)
-        assert msg.radius == 0.0
-        assert dequantize(msg) == pytest.approx(np.zeros(5))
+        levels, radius = quantize_rows(np.zeros((1, 5)), QuantizerConfig(bits=2), rng)
+        assert radius.tolist() == [0.0]
+        assert not levels.any()
+        assert dequantize_rows(levels, radius, 2) == pytest.approx(np.zeros((1, 5)))
 
     def test_bits_range_enforced(self):
         for bad in (0, 33):
@@ -241,29 +305,37 @@ class TestQuantizer:
         q = QuantizerConfig(bits=bits)
         batch_rng, seq_rng = make_rng(seed), make_rng(seed)
         levels, radius = quantize_rows(delta, q, batch_rng)
-        msgs = [quantize(row, q, seq_rng) for row in delta]
-        assert np.array_equal(levels, np.array([m.levels for m in msgs]))
-        assert radius.tolist() == [m.radius for m in msgs]
+        msgs = [quantize_rows(row[None], q, seq_rng) for row in delta]
+        assert np.array_equal(levels, np.vstack([lv for lv, _ in msgs]))
+        assert radius.tolist() == [float(r[0]) for _, r in msgs]
         assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
         # one uniform per coordinate of each non-zero row, none for zero rows
         expect_rng = make_rng(seed)
         expect_rng.random((int(np.count_nonzero(radius)), delta.shape[1]))
         assert batch_rng.bit_generator.state == expect_rng.bit_generator.state
         back = dequantize_rows(levels, radius, bits)
-        assert np.array_equal(back, np.array([dequantize(m) for m in msgs]))
+        assert np.array_equal(back, np.vstack([dequantize_rows(lv, r, bits) for lv, r in msgs]))
 
 
 class TestCensoring:
     def test_zero_threshold_transmits_any_change(self):
-        assert censor_decision(np.array([1.0]), np.array([0.999]), 0.0)
+        assert censor_mask(np.array([[1.0]]), np.array([[0.999]]), 0.0).tolist() == [True]
 
     def test_no_change_never_transmits(self):
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0]])
         for thr in (0.0, 0.5, 10.0):
-            assert not censor_decision(x, x, thr)
+            assert censor_mask(x, x, thr).tolist() == [False]
 
     def test_strict_boundary(self):
-        assert not censor_decision(np.array([0.5]), np.array([0.0]), 0.5)
+        assert censor_mask(np.array([[0.5]]), np.array([[0.0]]), 0.5).tolist() == [False]
+
+    def test_rows_decide_independently(self):
+        cur = np.array([[0.0, 3.0], [1.0, 1.0], [0.2, 0.0]])
+        assert censor_mask(cur, np.zeros((3, 2)), 1.0).tolist() == [True, True, False]
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            censor_mask(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
 
     @given(
         xi0=st.floats(0, 10, allow_nan=False),
@@ -413,3 +485,35 @@ TRACE_DIGESTS = {
 @pytest.mark.parametrize("variant", sorted(TRACE_DIGESTS))
 def test_trace_digest_pinned(variant):
     assert _trace_digest(_pinned_run(variant)) == TRACE_DIGESTS[variant]
+
+
+def _benchmark_size_run(variant):
+    """The benchmark's seed-0 train ops: criterion 2's bipartite instance
+    (N=18, d=14, mean degree 5, phases up to 8 slots wide) and criterion 3's
+    16-worker scalar chain, each run to objective error 1e-3."""
+    if variant in ("gadmm", "d-gadmm"):
+        targets = np.sort(make_rng(0).standard_normal(16) * 3.0)
+        topo = build_topology(16, kind="chain", seed=0, tau_coh=20 if variant == "d-gadmm" else math.inf)
+        return run(variant, scalar_problems(targets), topo, iters=6000, seed=0, stop_error=1e-3)
+    topo = build_topology(18, kind="bipartite", seed=0, mean_degree=5.0)
+    return run(
+        variant, synthetic_problems(18, 14, 20, seed=0), topo, rho=1.0, iters=3000, seed=0, stop_error=1e-3,
+        quantizer=QuantizerConfig(bits=2) if variant == "cq-ggadmm" else None,
+        censor=CensorSchedule(xi0=0.1, alpha=0.99) if variant in ("c-ggadmm", "cq-ggadmm") else None,
+    )
+
+
+# Same digest at the benchmark's size, where a phase pads its slot tables to
+# a largest degree of 8 (TRACE_DIGESTS' N=8 instances reach 3).
+BENCHMARK_SIZE_DIGESTS = {
+    "ggadmm": "a556de913f05a04ae1fd575494ca39fd0b029f6ac51c76d731e64b8e723cab60",
+    "c-ggadmm": "f0fec1a38029b587bb591d4d9863b7109bf23446617975a453cf1045dd3fb1a1",
+    "cq-ggadmm": "a96db66c229317ce128d255db346844c895c2fd5a967774682e18205a649de89",
+    "gadmm": "4a1d0d8a1311f61b3cbc7b628c93bdac8545d4a79a92abab3998e889e4cdf411",
+    "d-gadmm": "d17917c5193a32f0289e985b7a1d9d25832977bbca9cc0b6eff83fd1f4ca4e4d",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(BENCHMARK_SIZE_DIGESTS))
+def test_benchmark_size_trace_digest_pinned(variant):
+    assert _trace_digest(_benchmark_size_run(variant)) == BENCHMARK_SIZE_DIGESTS[variant]

@@ -241,6 +241,21 @@ class TestRunScenario:
         lines = run_scenario(parse_scenario(p))[0].read_text().splitlines()
         assert len(lines) == 2
 
+    def test_instance_loaded_once_at_parse_time(self, tmp_path):
+        inst = tmp_path / "inst.yaml"
+        shutil.copy(GOLDEN / "placement_instance.yaml", inst)
+        p = write(tmp_path, f"""
+            kind: placement
+            output: {tmp_path}/inst.csv
+            placement:
+              instance: {inst}
+        """)
+        expected = run_scenario(parse_scenario(p))[0].read_bytes()
+        scenario = parse_scenario(p)
+        assert scenario.points[0].placement["instance"][1].links[0] == (1, 2, 0.2)
+        inst.unlink()  # the run reads no file
+        assert run_scenario(scenario)[0].read_bytes() == expected
+
 
 class TestIntegrated:
     def scenario(self, tmp_path, dlt=True, ledger_period=5):
@@ -473,6 +488,11 @@ REJECTED = {
     "nan-instance": ("place", "kind: placement\nplacement: {instance: $TMP/nan-link.yaml}\n", "placement.instance"),
     "instance-missing-key": ("place", "kind: placement\nplacement: {instance: $TMP/no-link-energy.yaml}\n",
                              "placement.instance"),
+    # ran before with true read as 1.0 and 1
+    "bool-link-instance": ("place", "kind: placement\nplacement: {instance: $TMP/bool-link.yaml}\n",
+                           "placement.instance"),
+    "bool-instance": ("place", "kind: placement\nplacement: {instance: $TMP/bool-fields.yaml}\n",
+                      "placement.instance"),
     "ledger-off-blocks": ("integrated", """
         kind: integrated
         learning: {workers: 4, dim: 2, iters: 5}
@@ -498,6 +518,8 @@ _INSTANCE = (GOLDEN / "placement_instance.yaml").read_text()
 BAD_INSTANCES = {
     "nan-link.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: .nan", 1),
     "no-link-energy.yaml": _INSTANCE.replace("    T_l: 0.2\n", "", 1),
+    "bool-link.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: true", 1),
+    "bool-fields.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: true", 1).replace("R_t: 4", "R_t: true", 1),
 }
 
 
