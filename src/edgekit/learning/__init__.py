@@ -1,4 +1,4 @@
-from .problems import LocalProblem, centralized_solution, total_objective
+from .problems import LocalProblem, centralized_solution
 from .topology import Topology, build_topology, rechain
 from .compression import QuantizerConfig, CensorSchedule
 from .energy import CommEnergyModel, message_energy
@@ -7,7 +7,6 @@ from .runner import TrainingTrace, run, dual_update
 __all__ = [
     "LocalProblem",
     "centralized_solution",
-    "total_objective",
     "Topology",
     "build_topology",
     "rechain",

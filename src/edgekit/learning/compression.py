@@ -53,16 +53,16 @@ def quantize_rows(
     sequential one-row calls do.
     """
     delta = np.asarray(delta, dtype=float)
-    radius = np.max(np.abs(delta), axis=1, initial=0.0)
+    radius = np.maximum.reduce(np.abs(delta), axis=1)  # d >= 1
     levels = np.zeros(delta.shape, dtype=np.int64)
     live = radius != 0.0
     n_levels = 2**config.bits
     R = radius[live, None]
     step = 2.0 * R / (n_levels - 1)
-    scaled = (delta[live] + R) / step  # in [0, n_levels - 1]
+    scaled = (delta[live] + R) / step  # in [0, n_levels - 1]: delta + R >= 0 exactly
     lo = np.floor(scaled)
     up = rng.random(scaled.shape) < scaled - lo
-    levels[live] = np.clip((lo + up).astype(np.int64), 0, n_levels - 1)
+    levels[live] = np.minimum(lo + up, n_levels - 1).astype(np.int64)
     return levels, radius
 
 

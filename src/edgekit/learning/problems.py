@@ -45,9 +45,6 @@ class LocalProblem:
         """f(theta) = (theta - a)^2."""
         return cls(A=np.array([[1.0]]), b=np.array([float(a)]), reg=reg)
 
-    def value(self, theta: np.ndarray) -> float:
-        return float(ProblemStack([self]).values(np.reshape(theta, (1, -1)))[0])
-
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         H = self.A.T @ self.A + self.reg * np.eye(self.dim)
@@ -91,28 +88,24 @@ class ProblemStack:
         return np.stack([H for H, _ in grams]), np.stack([g for _, g in grams])
 
     def values(self, theta: np.ndarray) -> np.ndarray:
-        """f_n(theta_n) for every row of an (N, d) theta.
+        """f_n(theta_n) for every worker row n of an (..., N, d) model stack.
 
         ||A theta - b||^2 + reg ||theta||^2 with each product a stacked
-        matmul, which numpy runs as one gemv or ddot per row: the same BLAS
-        calls, so the same bits, as evaluating the workers one at a time.
+        matmul that broadcasts A over the leading axes, which numpy runs as
+        one gemv or ddot per row: the same BLAS calls, so the same bits, as
+        evaluating the workers, and the stacked models, one at a time.
         """
-        out = np.empty(self.n)
+        out = np.empty(theta.shape[:-1])
         for rows, A, b, reg in self._groups:
-            t = theta[rows]
-            r = (A @ t[:, :, None])[:, :, 0] - b
-            out[rows] = (r[:, None, :] @ r[:, :, None])[:, 0, 0] + reg * (t[:, None, :] @ t[:, :, None])[:, 0, 0]
+            t = theta[..., rows, :]
+            r = (A @ t[..., None])[..., 0] - b
+            sq = (r[..., None, :] @ r[..., None])[..., 0, 0]
+            out[..., rows] = sq + reg * (t[..., None, :] @ t[..., None])[..., 0, 0]
         return out
 
     def objective(self, theta: np.ndarray) -> float:
         """sum_n f_n(theta_n), summed in worker order as Python floats."""
         return sum(self.values(theta).tolist())
-
-
-def total_objective(problems: list[LocalProblem], thetas: list[np.ndarray]) -> float:
-    if len(thetas) != len(problems):
-        raise ValueError("one model per worker")
-    return ProblemStack(problems).objective(np.reshape(np.asarray(thetas, dtype=float), (len(problems), -1)))
 
 
 def centralized_solution(problems: list[LocalProblem]) -> np.ndarray:

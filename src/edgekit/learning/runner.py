@@ -47,16 +47,26 @@ order, left endpoint carrying +lambda) is row i:
 An iteration is then a fixed number of numpy calls whatever N and D are: per
 phase one gather each of slot duals and neighbor models into the term stack,
 one scan of the stack, one stacked solve and one vectorised step each for
-quantizing, censoring and transmitting; per iteration one step each for the
-duals, the objective and the residual.  d-gadmm re-initializes the duals on
-re-chaining as prefix sums of the local gradients along the new chain order.
+quantizing, censoring and transmitting; per iteration one step for the duals
+and one copy of the models into a (16, N, d) history block.  Nothing in the
+loop reads the trace, so the objective, the residual and the stop test are
+evaluated once per block: when it fills, when the run ends, and before a
+d-gadmm re-chain changes the edges the residual is taken over.  d-gadmm
+re-initializes the duals on re-chaining as prefix sums of the local
+gradients along the new chain order.
+
+Stopping.  With `stop_error` the trace ends at the first iteration whose
+objective error is below it, exactly as when the test ran every iteration.
+The loop itself may have run up to 15 iterations further; they are not
+reported, and the quantizer's random stream is the run's own, so nothing
+outside the run sees them.
 
 Bit-identity.  Every reported float equals that of a per-worker loop (one
 gemv per solve, one ddot per norm and objective term, Python float sums), so
 the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
 
   1. Products are stacked np.matmul: the solve `inv @ rhs[..., None]`, the
-     objective `r[:, None, :] @ r[:, :, None]` and the norms, which numpy
+     objective `r[..., None, :] @ r[..., None]` and the norms, which numpy
      runs as one gemv or ddot per row.  einsum and norm(axis=...) sum in
      another order.
   2. A worker's rhs is one np.add.accumulate along its term stack, a strict
@@ -65,7 +75,9 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      padded slots (zero dual, zero model) included.  add.reduce may sum
      pairwise and a signed-incidence matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
-     over .tolist().
+     over .tolist(), one per iteration also when a block is evaluated: the
+     block's objective terms and gap norms are one stacked matmul each, which
+     broadcasts over the block axis without changing the per-row BLAS call.
 """
 from __future__ import annotations
 
@@ -83,6 +95,7 @@ from .topology import Topology, rechain
 VARIANTS = ("ps-admm", "gadmm", "d-gadmm", "ggadmm", "c-ggadmm", "cq-ggadmm")
 
 FULL_PRECISION_BITS = 32  # bits per coordinate without quantization
+_TRACE_BLOCK = 16  # iterations whose trace entries are evaluated together
 
 
 class ConfigMismatch(ValueError):
@@ -208,6 +221,26 @@ def run(
     )
 
 
+def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
+    """Append a block of iterations to `trace`; True once one stops the run.
+
+    Iteration i ran with the (N, d) models `models[i]`, left the (M, d)
+    consensus gaps `gaps[i]` and reached the cumulative (bits, joules,
+    censored) `steps[i]`.  The trace ends at the first iteration whose
+    objective error is below `stop_error`; `steps` is emptied otherwise.
+    """
+    values = stack.values(models).tolist()
+    norms = row_norms(gaps.reshape(-1, gaps.shape[-1])).reshape(gaps.shape[:2]).tolist()
+    for vals, gap, (bits, joules, censored) in zip(values, norms, steps):
+        obj = sum(vals)
+        error = abs(obj - f_star)
+        trace.append(obj, error, bits, joules, censored, sum(gap))
+        if stop_error is not None and error < stop_error:
+            return True
+    steps.clear()
+    return False
+
+
 def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
     N, d = stack.n, stack.dim
     H, g = stack.gram
@@ -216,6 +249,13 @@ def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
     lam = np.zeros((N, d))
     z = np.zeros(d)
     trace = TrainingTrace()
+    models, centers = np.empty((_TRACE_BLOCK, N, d)), np.empty((_TRACE_BLOCK, d))
+    steps: list[tuple[float, float, int]] = []
+
+    def flush() -> bool:
+        n = len(steps)
+        return _flush(trace, stack, f_star, stop_error, models[:n], models[:n] - centers[:n, None], steps)
+
     shared = energy_model.share(N)
     bits = joules = 0.0
     payload = FULL_PRECISION_BITS * d
@@ -227,11 +267,11 @@ def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
         lam = dual_update(lam, theta, z, rho)
         bits += N * payload
         joules += energy_per_iter
-        obj = stack.objective(theta)
-        residual = sum(row_norms(theta - z).tolist())
-        trace.append(obj, abs(obj - f_star), bits, joules, 0, residual)
-        if stop_error is not None and trace.objective_error[-1] < stop_error:
-            break
+        models[len(steps)], centers[len(steps)] = theta, z
+        steps.append((bits, joules, 0))
+        if len(steps) == _TRACE_BLOCK and flush():
+            return trace
+    flush()
     return trace
 
 
@@ -310,10 +350,19 @@ def _run_decentralized(
     phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
 
     trace = TrainingTrace()
+    models = np.empty((_TRACE_BLOCK, N, d))
+    steps: list[tuple[float, float, int]] = []
+
+    def flush() -> bool:
+        done = models[:len(steps)]
+        return _flush(trace, stack, f_star, stop_error, done, done[:, left] - done[:, right], steps)
+
     bits = joules = 0.0
     censored = 0
     for k in range(iters):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
+            if flush():  # the gaps so far are across the old chain's edges
+                return trace
             topology = rechain(topology, k, seed)
             phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
             duals[:E] = _chain_duals(topology.order, stack, theta)
@@ -342,9 +391,9 @@ def _run_decentralized(
             censored += len(ph.members) - sent
 
         duals[:E] = dual_update(duals[:E], theta_hat[left], theta_hat[right], rho)
-        obj = stack.objective(theta)
-        residual = sum(row_norms(theta[left] - theta[right]).tolist())
-        trace.append(obj, abs(obj - f_star), bits, joules, censored, residual)
-        if stop_error is not None and trace.objective_error[-1] < stop_error:
-            break
+        models[len(steps)] = theta
+        steps.append((bits, joules, censored))
+        if len(steps) == _TRACE_BLOCK and flush():
+            return trace
+    flush()
     return trace

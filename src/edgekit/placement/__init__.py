@@ -11,7 +11,7 @@ from .model import (
 )
 from .generators import InvalidShape, generate_application, generate_network
 from .solvers import brute_force_optimal, solve_heuristic, solve_optimal
-from .io import instance_from_dict, instance_to_dict, load_instance
+from .io import instance_from_dict, load_instance
 
 __all__ = [
     "AppComponent",
@@ -30,6 +30,5 @@ __all__ = [
     "solve_heuristic",
     "solve_optimal",
     "instance_from_dict",
-    "instance_to_dict",
     "load_instance",
 ]

@@ -13,26 +13,6 @@ from ..core import load_yaml
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
 
-def instance_to_dict(app: AppGraph, net: NetGraph) -> dict:
-    return {
-        "application": {
-            "shape": app.shape,
-            "components": [
-                {"id": c.id, "R_t": c.resources, "O_t": c.output, "S_t": c.compute}
-                for c in app.components
-            ],
-            "edges": [[t1, t2] for t1, t2 in app.edges],
-        },
-        "network": {
-            "nodes": [
-                {"id": n.id, "kind": n.kind, "P_n": n.speed, "R_n": n.resources, "C_n": n.compute_energy}
-                for n in net.nodes
-            ],
-            "links": [{"a": a, "b": b, "T_l": tl} for a, b, tl in net.links],
-        },
-    }
-
-
 def _number(value, name: str):
     """`value`, which must be a real number: YAML's true and false are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

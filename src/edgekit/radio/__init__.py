@@ -7,10 +7,6 @@ from .config import (
     nprach_period_fields,
 )
 from .model import (
-    collision_probability,
-    collision_probability_approx,
-    e2e_latency,
-    energy_breakdown,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -30,10 +26,6 @@ __all__ = [
     "RadioConfig",
     "UnstableConfig",
     "nprach_period_fields",
-    "collision_probability",
-    "collision_probability_approx",
-    "e2e_latency",
-    "energy_breakdown",
     "full_breakdown",
     "latency_ra",
     "latency_rar",

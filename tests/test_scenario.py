@@ -467,6 +467,16 @@ REJECTED = {
         kind: learning
         learning: {workers: 2, samples: 2, dim: 5, reg: 0, iters: 5}
     """, "learning.reg"),
+    # exited 2 with an OverflowError from pricing the first message
+    "narrow-learning-band": ("learn", """
+        kind: learning
+        learning: {workers: 4, dim: 2, bandwidth_hz: 1.5}
+    """, "learning.bandwidth_hz"),
+    "sweep-narrow-learning-band": ("learn", """
+        kind: learning
+        learning: {variant: cq-ggadmm, topology: bipartite, workers: 5, dim: 2, iters: 5}
+        sweep: {param: learning.bandwidth_hz, values: [1.0e+6, 0.5]}
+    """, "sweep.values[1]: learning.bandwidth_hz"),
     "unread-block": ("learn", """
         kind: learning
         learning: {workers: 4, dim: 2, iters: 5}
