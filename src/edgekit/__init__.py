@@ -9,7 +9,7 @@ Sub-packages:
 
 Top-level modules:
 
-    core        checked probability and seed scalars, seeded RNG streams,
+    core        integer and finite-number checks, seeded RNG streams,
                 fixed-point iterator, YAML loader
     scenario    experiment description files (YAML) and their validation
     pipeline    scenario execution and deterministic CSV reports

@@ -1,5 +1,5 @@
-"""Checked probability and seed scalars, seeded randomness, a fixed-point
-iterator, and the YAML loader for scenario and instance files.
+"""Checks for integer and finite-number fields, seeded randomness, a
+fixed-point iterator, and the YAML loader for scenario and instance files.
 
 The random generator is numpy's PCG64 (O'Neill's permuted congruential
 generator, 128-bit state).  PCG64 has a published state-transition function
@@ -8,12 +8,15 @@ bit-for-bit across platforms from the same 64-bit seed.
 """
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 import yaml
 
 __all__ = [
-    "Probability",
-    "Seed",
+    "is_int",
+    "is_number",
     "make_rng",
     "child_rng",
     "fixed_point",
@@ -26,29 +29,27 @@ __all__ = [
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class Probability(float):
-    def __new__(cls, value):
-        value = float(value)
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"Probability must be in [0, 1], got {value}")
-        return super().__new__(cls, value)
+# is_int and is_number let an int or a float skip the ABC checks, which cost
+# several times more (they run on every field of every radio config built).
+def is_int(value, least: int) -> bool:
+    """`value` is an integer >= `least` (YAML's true and false are not)."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        return False
+    return value >= least
 
 
-class Seed(int):
-    """64-bit unsigned seed; identical seeds give bit-identical streams."""
-
-    def __new__(cls, value):
-        value = int(value)
-        if not (0 <= value < 2**64):
-            raise ValueError(f"Seed must fit in an unsigned 64-bit int, got {value}")
-        return super().__new__(cls, value)
+def is_number(value) -> bool:
+    """`value` is a finite real number (YAML's true and false are not)."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    return math.isfinite(value)
 
 
-def make_rng(seed: Seed | int) -> np.random.Generator:
+def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def child_rng(seed: Seed | int, *keys: int) -> np.random.Generator:
+def child_rng(seed: int, *keys: int) -> np.random.Generator:
     """Derive an independent stream from (seed, keys).
 
     Used wherever a sub-step (e.g. a re-chaining event at iteration k) must be

@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Seed, child_rng
+from ..core import child_rng
 from .compression import CensorSchedule, QuantizerConfig, censor_mask, dequantize_rows, quantize_rows, row_norms
 from .energy import CommEnergyModel, message_energy
 from .problems import LocalProblem, ProblemStack, centralized_solution
@@ -193,31 +193,25 @@ def run(
     censor: CensorSchedule | None = None,
     energy_model: CommEnergyModel | None = None,
     iters: int = 1000,
-    seed: Seed | int = 0,
-    gains: np.ndarray | None = None,
-    optimum: np.ndarray | None = None,
+    seed: int = 0,
     stop_error: float | None = None,
 ) -> TrainingTrace:
     """Run one variant and return its per-iteration trace.
 
-    `optimum` overrides the centralized oracle used for the objective-error
-    column (it is recomputed via direct solve when omitted).  `stop_error`
-    ends the run early once the objective error drops below it.
+    The objective-error column is measured against the centralized solution
+    (a direct solve), and every channel gain is 1.  `stop_error` ends the run
+    early once the objective error drops below it.
     """
     _check_variant(variant, topology, quantizer, censor)
     if energy_model is None:
         energy_model = CommEnergyModel()
     stack = ProblemStack(problems)
-    if gains is None:
-        gains = np.ones(stack.n)
-    if optimum is None:
-        optimum = centralized_solution(problems)
-    f_star = stack.objective(np.tile(optimum, (stack.n, 1)))
+    f_star = stack.objective(np.tile(centralized_solution(problems), (stack.n, 1)))
 
     if variant == "ps-admm":
-        return _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error)
+        return _run_ps(stack, rho, energy_model, iters, f_star, stop_error)
     return _run_decentralized(
-        variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star, stop_error
+        variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, f_star, stop_error
     )
 
 
@@ -241,7 +235,7 @@ def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
     return False
 
 
-def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
+def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
     N, d = stack.n, stack.dim
     H, g = stack.gram
     inv = inverses(H, np.ones(N, dtype=int), rho)
@@ -259,7 +253,7 @@ def _run_ps(stack, rho, energy_model, iters, gains, f_star, stop_error=None):
     shared = energy_model.share(N)
     bits = joules = 0.0
     payload = FULL_PRECISION_BITS * d
-    energy_per_iter = sum(message_energy(payload, shared, gains[n]) for n in range(N))
+    energy_per_iter = sum([message_energy(payload, shared, 1.0)] * N)
     two_g = 2.0 * g
     for _ in range(iters):
         theta = (inv @ (two_g - lam + rho * z)[:, :, None])[:, :, 0]
@@ -289,7 +283,7 @@ class _Phase:
     energy: np.ndarray  # (k,) Joules per message at this group's bandwidth share
 
 
-def _phases(topology, stack, rho, payload, energy_model, gains, inv_cache):
+def _phases(topology, stack, rho, payload, energy_model, inv_cache):
     """The head and tail phases of `topology`, then its edges' endpoint rows."""
     N = topology.n
     edges = [(u - 1, v - 1) for u, v in topology.edges]
@@ -316,7 +310,7 @@ def _phases(topology, stack, rho, payload, energy_model, gains, inv_cache):
             slot_edge=np.array([[e for e, _, _ in row] for row in padded]),
             slot_negsign=np.array([[[s] for _, s, _ in row] for row in padded]),
             slot_peer=np.array([[p for _, _, p in row] for row in padded]),
-            energy=np.array([message_energy(payload, shared, gains[n]) for n in members]),
+            energy=np.full(len(members), message_energy(payload, shared, 1.0)),
         ))
     ends = np.array(edges)
     return phases, ends[:, 0], ends[:, 1]
@@ -336,8 +330,7 @@ def _chain_duals(order, stack, theta):
 
 
 def _run_decentralized(
-    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, gains, f_star,
-    stop_error=None,
+    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, f_star, stop_error=None,
 ):
     N, d = stack.n, stack.dim
     E = len(topology.edges)
@@ -347,7 +340,7 @@ def _run_decentralized(
     q_rng = child_rng(seed, 1)
     payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
+    phases, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
 
     trace = TrainingTrace()
     models = np.empty((_TRACE_BLOCK, N, d))
@@ -355,7 +348,9 @@ def _run_decentralized(
 
     def flush() -> bool:
         done = models[:len(steps)]
-        return _flush(trace, stack, f_star, stop_error, done, done[:, left] - done[:, right], steps)
+        gaps = done[:, left]
+        gaps -= done[:, right]
+        return _flush(trace, stack, f_star, stop_error, done, gaps, steps)
 
     bits = joules = 0.0
     censored = 0
@@ -364,7 +359,7 @@ def _run_decentralized(
             if flush():  # the gaps so far are across the old chain's edges
                 return trace
             topology = rechain(topology, k, seed)
-            phases, left, right = _phases(topology, stack, rho, payload, energy_model, gains, inv_cache)
+            phases, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
             duals[:E] = _chain_duals(topology.order, stack, theta)
 
         for ph in phases:

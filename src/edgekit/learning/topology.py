@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core import Seed, child_rng, make_rng
+from ..core import child_rng, make_rng
 
 
 class InvalidN(ValueError):
@@ -87,7 +87,7 @@ def _chain_from_order(order: list[int], n: int, tau_coh: float, positions) -> To
 def build_topology(
     N: int,
     kind: str = "chain",
-    seed: Seed | int = 0,
+    seed: int = 0,
     tau_coh: float = math.inf,
     mean_degree: float = 3.0,
 ) -> Topology:
@@ -128,7 +128,7 @@ def build_topology(
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
-def rechain(topology: Topology, iteration: int, seed: Seed | int) -> Topology:
+def rechain(topology: Topology, iteration: int, seed: int) -> Topology:
     """Re-draw the chain permutation and head/tail roles.
 
     Worker 1 stays a head and worker N stays a tail.  The remaining head slots

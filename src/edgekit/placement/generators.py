@@ -12,7 +12,7 @@ end.  Component resources are uniform integers 1..8, outputs uniform
 """
 from __future__ import annotations
 
-from ..core import Seed, make_rng
+from ..core import make_rng
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
 WIRED_LINK_ENERGY = 0.2
@@ -25,7 +25,7 @@ class InvalidShape(ValueError):
     pass
 
 
-def generate_network(M: int, seed: Seed | int = 0) -> NetGraph:
+def generate_network(M: int, seed: int = 0) -> NetGraph:
     if M < 2:
         raise ValueError(f"need at least 2 nodes, got {M}")
     rng = make_rng(seed)
@@ -68,7 +68,7 @@ def _draw_component(cid: int, rng) -> AppComponent:
     )
 
 
-def generate_application(kind: str, N: int, seed: Seed | int = 0) -> AppGraph:
+def generate_application(kind: str, N: int, seed: int = 0) -> AppGraph:
     rng = make_rng(seed)
     if kind == "long":
         if N < 2:

@@ -4,6 +4,8 @@ from .config import (
     PowerProfile,
     RadioConfig,
     UnstableConfig,
+    latency_rx,
+    latency_tx,
     nprach_period_fields,
 )
 from .model import (
@@ -11,8 +13,6 @@ from .model import (
     latency_ra,
     latency_rar,
     latency_rr,
-    latency_rx,
-    latency_tx,
     pow_latency,
     reservation_probability,
     sweep_nprach_period,

@@ -1,21 +1,41 @@
-"""Configuration records for the radio-access and distributed-ledger model.
+"""Configuration records for the radio-access and distributed-ledger model,
+and the two queue kernels that price a packet's uplink and downlink latency.
 
-The queueing scalars f, u, w, y, G, F_scale and the link-delivery probability
-p_d inherit their meaning from the underlying uplink/downlink server model:
+The queueing scalars f, u, w, y, G and the link-delivery probability p_d
+inherit their meaning from the underlying uplink/downlink server model:
 f is the fraction of radio resources granted to data, u the NPDCCH service
 unit, w / y the shares of uplink / downlink resources left for data after
 control scheduling, and Q the mean number of queued scheduling requests.
 They are exposed as plain documented scalars.
+
+Every field is a finite number (K, N_rmax and M integers >= 1).  Each
+queue formula and its stability test exist once, in `latency_tx` and
+`latency_rx`.  A RadioConfig prices its own packets (l1, l2) and (m1, m2)
+with them after its range checks, so the rule that rejects a config is the
+rule that prices its ledger payloads.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
+
+from ..core import is_int, is_number
 
 
 class UnstableConfig(ValueError):
     pass
+
+
+def _check_fields(config, counts: tuple[str, ...] = (), positive: tuple[str, ...] = ()) -> None:
+    """Each field of `config` an integer >= 1 when named in `counts`, else a
+    finite number, > 0 when named in `positive` and >= 0 otherwise."""
+    for name, value in vars(config).items():
+        if name in counts:
+            if not is_int(value, 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        elif not is_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        elif value <= 0 and (value < 0 or name in positive):
+            raise ValueError(f"{name} must be {'> 0' if name in positive else '>= 0'}")
 
 
 @dataclass(frozen=True)
@@ -50,46 +70,61 @@ class RadioConfig:
         """Access request arrivals per NPRACH period."""
         return self.lambda_u + self.lambda_d
 
-    @property
-    def uplink_rate(self) -> float:
-        """Uplink data packet rate: sensing plus ledger traffic."""
-        return self.lambda_s + self.lambda_b
-
-    @property
-    def s1(self) -> float:
-        return self.f1 * self.l1 / (self.R_u * self.w)
-
-    @property
-    def s2(self) -> float:
-        return self.f1 * self.l2 / (self.R_u**2 * self.w**2)
-
-    @property
-    def h1(self) -> float:
-        return self.f * self.m1 / (self.R_d * self.y)
-
-    @property
-    def F(self) -> float:
-        return self.f * self.lambda_d * self.t
-
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.N_rmax < 1:
-            raise ValueError("N_rmax must be >= 1")
-        if not 0.0 <= self.p_d <= 1.0:
+        # the model divides by periods, by first packet moments and by s1
+        _check_fields(self, counts=("K", "N_rmax"),
+                      positive=("t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d"))
+        if self.p_d > 1.0:
             raise ValueError("p_d must be in [0, 1]")
-        for name in ("tau", "u", "lambda_u", "lambda_d", "lambda_s", "lambda_b", "Q", "l2", "m2", "f1", "L_sync"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        # the model divides by periods and by first packet moments
-        for name in ("t", "d", "l1", "m1", "f", "w", "y", "G", "R_u", "R_d"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        # queueing stability: both servers must keep up with their load
-        if self.f * self.uplink_rate * self.s1 >= 1.0:
-            raise UnstableConfig("uplink unstable: f * (lambda_s + lambda_b) * s1 >= 1")
-        if self.F * self.h1 / self.t >= 1.0:
-            raise UnstableConfig("downlink unstable: F * h1 / t >= 1")
+        try:  # both queues must keep up with the config's own packets
+            latency_tx(self, self.l1, self.l2)
+            latency_rx(self, self.m1, self.m2)
+        except ArithmeticError as exc:  # e.g. R_u**2 beyond the float range
+            raise ValueError("queue latency out of float range") from exc
+
+
+def latency_tx(config: RadioConfig, l1: float, l2: float) -> float:
+    """Uplink latency (queueing plus service time) of packets with length
+    moments l1, l2 under `config`'s load.
+
+    Raises UnstableConfig unless f * G * s1 < 1 and
+    f * (lambda_s + lambda_b) * s1 < 1, where s1 = f1 * l1 / (R_u * w).
+    """
+    f, R_u, w = config.f, config.R_u, config.w
+    s1 = config.f1 * l1 / (R_u * w)
+    s2 = config.f1 * l2 / (R_u**2 * w**2)
+    lam = config.lambda_s + config.lambda_b
+    d1 = 1.0 - f * config.G * s1
+    d2 = 1.0 - f * lam * s1
+    if d1 <= 0 or d2 <= 0:
+        raise UnstableConfig("uplink transmission queue is unstable")
+    return (
+        f * lam * s1 * s2 / (2.0 * s1 * d1)
+        + f * lam * s1**2 / (2.0 * d2)
+        + l1 / (R_u * w)
+    )
+
+
+def latency_rx(config: RadioConfig, m1: float, m2: float) -> float:
+    """Downlink latency of packets with length moments m1, m2 under
+    `config`'s load.
+
+    Raises UnstableConfig unless F * h1 / t < 1, where F = f * lambda_d * t
+    and h1 = f * m1 / (R_d * y).
+    """
+    f, t, R_d, y = config.f, config.t, config.R_d, config.y
+    h1 = f * m1 / (R_d * y)
+    F = f * config.lambda_d * t
+    den = 1.0 - F * h1 / t
+    if den <= 0:
+        raise UnstableConfig("downlink reception queue is unstable")
+    if F == 0.0:
+        return m2 / (R_d * y)
+    return (
+        0.5 * F * h1 / (t * h1 * den)
+        + F * h1 / den
+        + m2 / (R_d * y)
+    )
 
 
 def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: float | None = None) -> dict:
@@ -121,11 +156,9 @@ class PowerProfile:
     E_s_down: float = 0.0  # downlink sleep-state energy per session (J)
 
     def __post_init__(self):
-        if not 0.0 < self.P_e <= 1.0:
+        _check_fields(self, positive=("P_e",))
+        if self.P_e > 1.0:
             raise ValueError("P_e must be in (0, 1]")
-        for name in ("P_I", "P_c", "P_l", "P_t", "E_s_up", "E_s_down"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,17 +171,10 @@ class DltConfig:
     trans_block_bits: float = 4096.0  # block body payload
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if self.lambda_c <= 0:
-            raise ValueError("lambda_c = lambda_0 * P_c must be > 0")
-        # the payloads are priced as packet lengths of the radio queues
-        for name in ("new_block_bits", "get_block_bits", "trans_block_bits"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0")
+        # lambda_c = lambda_0 * P_c is a hash rate; the payloads are priced
+        # as packet lengths of the radio queues
+        _check_fields(self, counts=("M",),
+                      positive=("lambda_0", "P_c", "new_block_bits", "get_block_bits", "trans_block_bits"))
 
     @property
     def lambda_c(self) -> float:

@@ -6,7 +6,9 @@ The end-to-end latency splits into the device-to-base-station half
 uplink and downlink) and the ledger half (the mining race plus the block
 message exchange).  The reservation success probability comes from a drift
 approximation: backlog means are treated as constants and iterated to a
-fixed point.
+fixed point.  The data-queue latencies are `config.latency_tx` and
+`config.latency_rx`, the kernels RadioConfig checks its own stability with;
+here they also price the ledger's block messages.
 """
 from __future__ import annotations
 
@@ -14,7 +16,15 @@ import math
 from dataclasses import replace
 
 from ..core import fixed_point
-from .config import DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
+from .config import (
+    DltConfig,
+    LatencyEnergyBreakdown,
+    PowerProfile,
+    RadioConfig,
+    latency_rx,
+    latency_tx,
+    nprach_period_fields,
+)
 
 
 def reservation_probability(config: RadioConfig, tol: float = 1e-9, max_iter: int = 100_000) -> tuple[float, float]:
@@ -62,59 +72,6 @@ def latency_rr(config: RadioConfig, P_rr: float) -> float:
     )
 
 
-def _latency_tx(config: RadioConfig, l1: float, l2: float) -> float:
-    """Uplink latency of packets with length moments l1, l2 under `config`'s load.
-
-    s1, s2 and the stability test repeat RadioConfig's s1/s2 properties and
-    its uplink check operation for operation (1.0 - x <= 0 exactly when
-    x >= 1.0), so pricing other payloads needs no validated config copy.
-    """
-    f, R_u, w = config.f, config.R_u, config.w
-    s1 = config.f1 * l1 / (R_u * w)
-    s2 = config.f1 * l2 / (R_u**2 * w**2)
-    lam = config.lambda_s + config.lambda_b
-    d1 = 1.0 - f * config.G * s1
-    d2 = 1.0 - f * lam * s1
-    if d1 <= 0 or d2 <= 0:
-        raise UnstableConfig("uplink transmission queue is unstable")
-    return (
-        f * lam * s1 * s2 / (2.0 * s1 * d1)
-        + f * lam * s1**2 / (2.0 * d2)
-        + l1 / (R_u * w)
-    )
-
-
-def _latency_rx(config: RadioConfig, m1: float, m2: float) -> float:
-    """Downlink latency of packets with length moments m1, m2 under `config`'s load.
-
-    h1, F and the stability test repeat RadioConfig's properties and its
-    downlink check operation for operation, as in `_latency_tx`.
-    """
-    f, t, R_d, y = config.f, config.t, config.R_d, config.y
-    h1 = f * m1 / (R_d * y)
-    F = f * config.lambda_d * t
-    den = 1.0 - F * h1 / t
-    if den <= 0:
-        raise UnstableConfig("downlink reception queue is unstable")
-    if F == 0.0:
-        return m2 / (R_d * y)
-    return (
-        0.5 * F * h1 / (t * h1 * den)
-        + F * h1 / den
-        + m2 / (R_d * y)
-    )
-
-
-def latency_tx(config: RadioConfig) -> float:
-    """Uplink data-transmission latency (queueing plus service time)."""
-    return _latency_tx(config, config.l1, config.l2)
-
-
-def latency_rx(config: RadioConfig) -> float:
-    """Downlink data-reception latency."""
-    return _latency_rx(config, config.m1, config.m2)
-
-
 def pow_latency(dlt: DltConfig) -> float:
     """Mean time for the fastest of M miners: 1 / (lambda_c * M)."""
     return 1.0 / (dlt.lambda_c * dlt.M)
@@ -123,15 +80,14 @@ def pow_latency(dlt: DltConfig) -> float:
 # The post-mining block messages: each DltConfig payload field and the queue
 # kernel that carries it.  The new-block hash and the block body are uplink
 # transmissions; the block request is a downlink reception.
-_BLOCK_MESSAGES = {"new_block_bits": _latency_tx, "trans_block_bits": _latency_tx, "get_block_bits": _latency_rx}
+_BLOCK_MESSAGES = {"new_block_bits": latency_tx, "trans_block_bits": latency_tx, "get_block_bits": latency_rx}
 
 
 def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> float:
     """Latency of the block message whose payload is `dlt.<name>`.
 
-    DltConfig has checked the size (> 0), and the kernels keep RadioConfig's
-    stability checks (UnstableConfig for a payload the queue cannot carry),
-    so no config copy is validated here.
+    DltConfig has checked the size (> 0); the kernel raises UnstableConfig
+    for a payload its queue cannot carry.
     """
     bits = getattr(dlt, name)
     return _BLOCK_MESSAGES[name](config, bits, bits**2)
@@ -141,16 +97,6 @@ def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
     """Latency of the post-mining block messages."""
     up_new, up_trans, down_get = (_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
     return up_new + up_trans + down_get
-
-
-def _queue_latencies(radio: RadioConfig, dlt: DltConfig | None) -> tuple[float, float, float | None]:
-    """Uplink, downlink and (with a ledger) block-exchange latency.
-
-    Both halves of the breakdown price these: the latency half directly, the
-    energy half as idle time around the service time.
-    """
-    l_tx, l_rx = latency_tx(radio), latency_rx(radio)
-    return l_tx, l_rx, None if dlt is None else _block_exchange_latency(radio, dlt)
 
 
 def _latency_terms(radio, dlt, l_rr, l_tx, l_rx, l_block) -> dict[str, float]:
@@ -202,10 +148,15 @@ def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, flo
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
-    """Latency and energy terms together, each shared term computed once."""
+    """Latency and energy terms together, each shared term computed once.
+
+    The queue latencies are priced by both halves: the latency half directly,
+    the energy half as idle time around the service time.
+    """
     p_rr, _ = reservation_probability(radio)
     l_rr = latency_rr(radio, p_rr)
-    queues = _queue_latencies(radio, dlt)
+    l_tx, l_rx = latency_tx(radio, radio.l1, radio.l2), latency_rx(radio, radio.m1, radio.m2)
+    queues = l_tx, l_rx, None if dlt is None else _block_exchange_latency(radio, dlt)
     return LatencyEnergyBreakdown(
         latency=_latency_terms(radio, dlt, l_rr, *queues),
         energy=_energy_terms(radio, power, dlt, p_rr, *queues),

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Seed, make_rng
+from ..core import make_rng
 from .config import RadioConfig
 
 BACKOFF_WINDOW = 10  # periods; steady-state success rate is insensitive to it
 
 
-def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: Seed | int = 0) -> float:
+def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: int = 0) -> float:
     """Empirical reservation success probability from a slotted simulation.
 
     Each period, Poisson(lambda_a) fresh devices plus due retransmitters each
@@ -58,7 +58,7 @@ def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: S
     return successes / attempts
 
 
-def pow_latency_oracle(M: int, lambda_c: float, trials: int = 100_000, seed: Seed | int = 0) -> float:
+def pow_latency_oracle(M: int, lambda_c: float, trials: int = 100_000, seed: int = 0) -> float:
     """Monte-Carlo mean of the fastest of M exponential(lambda_c) miners."""
     if trials < 1:
         raise ValueError("trials must be >= 1")

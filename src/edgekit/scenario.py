@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .core import load_yaml
+from .core import is_int, is_number, load_yaml
 from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
 from .radio.model import _BLOCK_MESSAGES, _block_message_latency
@@ -145,14 +144,6 @@ class Scenario(Point):
     points: tuple[Point, ...]
 
 
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
     from .learning.runner import VARIANTS
 
@@ -160,33 +151,33 @@ def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
     variant = block["variant"]
     if variant not in VARIANTS:
         errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
-    if not _is_int(block["workers"], 2):
+    if not is_int(block["workers"], 2):
         errors.append("learning.workers: must be an integer >= 2")
     elif variant == "d-gadmm" and block["workers"] % 2:
         errors.append("learning.workers: d-gadmm re-chains an even number of workers")
     if block["topology"] not in ("chain", "bipartite"):
         errors.append("learning.topology: must be chain or bipartite")
     for key in ("dim", "samples", "iters"):
-        if not _is_int(block[key], 1):
+        if not is_int(block[key], 1):
             errors.append(f"learning.{key}: must be a positive integer")
     for key in ("rho", "mean_degree", "bandwidth_hz", "slot_s", "noise_density"):
-        if not (_is_number(block[key]) and block[key] > 0):
+        if not (is_number(block[key]) and block[key] > 0):
             errors.append(f"learning.{key}: must be > 0")
     for key in ("noise", "reg", "censor_xi0"):
-        if not (_is_number(block[key]) and block[key] >= 0):
+        if not (is_number(block[key]) and block[key] >= 0):
             errors.append(f"learning.{key}: must be >= 0")
-    if not (_is_int(block["quantizer_bits"], 1) and block["quantizer_bits"] <= 32):
+    if not (is_int(block["quantizer_bits"], 1) and block["quantizer_bits"] <= 32):
         errors.append("learning.quantizer_bits: must be an integer in 1..32")
-    if block["tau_coh"] is not None and not _is_int(block["tau_coh"], 1):
+    if block["tau_coh"] is not None and not is_int(block["tau_coh"], 1):
         errors.append("learning.tau_coh: must be a positive integer")
     elif block["tau_coh"] is None and variant == "d-gadmm":
         errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
-    if not (_is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
+    if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
     # Gaussian designs: the stacked system has full column rank almost surely
     # exactly when it has at least `dim` rows
     workers, samples, dim = (block[k] for k in ("workers", "samples", "dim"))
-    if _is_number(block["reg"]) and block["reg"] == 0 and all(_is_int(v, 1) for v in (workers, samples, dim)) \
+    if is_number(block["reg"]) and block["reg"] == 0 and all(is_int(v, 1) for v in (workers, samples, dim)) \
             and workers * samples < dim:
         errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
     for key in given:
@@ -227,13 +218,13 @@ def _check_message_energy(block: dict, errors: list[str]) -> None:
 def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
     if block["shape"] not in ("long", "wide"):
         errors.append("placement.shape: must be long or wide")
-    elif not _is_int(block["components"], 2 if block["shape"] == "long" else 3):
+    elif not is_int(block["components"], 2 if block["shape"] == "long" else 3):
         errors.append(f"placement.components: too few for a {block['shape']} application")
-    if not _is_int(block["nodes"], 2):
+    if not is_int(block["nodes"], 2):
         errors.append("placement.nodes: must be an integer >= 2")
-    if not _is_int(block["runs"], 1):
+    if not is_int(block["runs"], 1):
         errors.append("placement.runs: must be a positive integer")
-    if block["time_budget"] is not None and not (_is_number(block["time_budget"]) and block["time_budget"] > 0):
+    if block["time_budget"] is not None and not (is_number(block["time_budget"]) and block["time_budget"] > 0):
         errors.append("placement.time_budget: must be > 0")
     if not isinstance(block["measure_time"], bool):
         errors.append("placement.measure_time: must be true or false")
@@ -253,7 +244,7 @@ def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
 
 
 def _validate_integrated(block: dict, given: dict, errors: list[str]) -> None:
-    if not _is_int(block["ledger_period"], 1):
+    if not is_int(block["ledger_period"], 1):
         errors.append("integrated.ledger_period: must be a positive integer")
     if not isinstance(block["dlt_enabled"], bool):
         errors.append("integrated.dlt_enabled: must be true or false")
@@ -286,7 +277,7 @@ def _build(name: str, given: dict, errors: list[str], culprit: str | None = None
     """Block `name` as a run uses it, from the fields the scenario sets.
 
     A config class's error is put on `culprit` (a swept field) when given,
-    else on the field its message names.
+    else on the field its message starts with.
     """
     if name in _DICT_BLOCKS:
         defaults, validate = _DICT_BLOCKS[name]
@@ -297,9 +288,9 @@ def _build(name: str, given: dict, errors: list[str], culprit: str | None = None
         return None  # no ledger round
     try:
         return _CONFIG_CLASSES[name](**given)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         msg = str(exc)
-        culprit = culprit or next((k for k in given if msg.startswith(k) or f"'{k}'" in msg), None)
+        culprit = culprit or next((k for k in given if msg.startswith(f"{k} ")), None)
         errors.append(f"{name}.{culprit}: {msg}" if culprit else f"{name}: {msg}")
         return None
 
@@ -361,6 +352,8 @@ def _check_ledger(point: Point, errors: list[str]) -> None:
             _block_message_latency(point.radio, point.dlt, name)
         except UnstableConfig as exc:
             errors.append(f"dlt.{name}: {exc}")
+        except ArithmeticError:  # e.g. bits**2 beyond the float range
+            errors.append(f"dlt.{name}: queue latency out of float range")
 
 
 def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
@@ -419,7 +412,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         raise ParseError(f"{path}: kind must be one of {', '.join(KINDS)}, got {kind!r}")
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not _is_int(seed, 0):
+    if not is_int(seed, 0):
         errors.append("seed: must be a non-negative integer")
         seed = 0
     output = raw.get("output", "out/report.csv")

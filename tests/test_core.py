@@ -2,36 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from edgekit.core import (
     NonConvergence,
-    Probability,
-    Seed,
     child_rng,
     fixed_point,
+    is_int,
+    is_number,
     make_rng,
 )
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
-
-@given(x=finite)
-def test_probability_invariant(x):
-    if 0.0 <= x <= 1.0:
-        assert float(Probability(x)) == x
-    else:
-        with pytest.raises(ValueError):
-            Probability(x)
-
-
-@given(v=st.integers())
-def test_seed_range(v):
-    if 0 <= v < 2**64:
-        assert int(Seed(v)) == v
-    else:
-        with pytest.raises(ValueError):
-            Seed(v)
+@pytest.mark.parametrize("value, integer, number", [
+    (3, True, True),
+    (np.int64(3), True, True),
+    (0, False, True),  # below the least integer asked for (1)
+    (2.5, False, True),
+    (True, False, False),
+    (math.nan, False, False),
+    (-math.inf, False, False),
+    ("3", False, False),
+])
+def test_field_checks(value, integer, number):
+    assert is_int(value, 1) == integer
+    assert is_number(value) == number
 
 
 class TestRng:

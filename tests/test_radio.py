@@ -23,7 +23,7 @@ from edgekit.radio import (
     reservation_probability,
     sweep_nprach_period,
 )
-from edgekit.radio.model import _block_exchange_latency, _latency_rx, _latency_tx
+from edgekit.radio.model import _block_exchange_latency
 
 
 class TestCollision:
@@ -113,17 +113,17 @@ class TestLatencyTerms:
 
     def test_tx_empty_queue_is_pure_transmission(self):
         cfg = RadioConfig(lambda_s=0.0, lambda_b=0.0)
-        assert latency_tx(cfg) == pytest.approx(cfg.l1 / (cfg.R_u * cfg.w))
+        assert latency_tx(cfg, cfg.l1, cfg.l2) == pytest.approx(cfg.l1 / (cfg.R_u * cfg.w))
 
     def test_rx_no_downlink_arrivals(self):
         cfg = RadioConfig(lambda_d=0.0)
-        assert latency_rx(cfg) == pytest.approx(cfg.m2 / (cfg.R_d * cfg.y))
+        assert latency_rx(cfg, cfg.m1, cfg.m2) == pytest.approx(cfg.m2 / (cfg.R_d * cfg.y))
 
     def test_tx_strictly_increasing_in_uplink_rate(self):
         vals = []
         for lam in (0.1, 0.5, 1.0, 2.0, 4.0):
             cfg = RadioConfig(lambda_s=lam / 2, lambda_b=lam / 2)
-            vals.append(latency_tx(cfg))
+            vals.append(latency_tx(cfg, cfg.l1, cfg.l2))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_unstable_config_rejected(self):
@@ -131,6 +131,8 @@ class TestLatencyTerms:
             RadioConfig(lambda_s=200.0, lambda_b=200.0)
         with pytest.raises(UnstableConfig):
             RadioConfig(lambda_d=500.0, f=1.0)
+        with pytest.raises(UnstableConfig):  # f * G * s1 >= 1
+            RadioConfig(G=200.0)
 
 
 class TestPow:
@@ -209,11 +211,15 @@ class TestPeriodSweep:
 
 def _block_exchange_terms_with_copies(config, dlt):
     """Block-exchange terms as first written, the oracle for the kernels:
-    each payload is priced through a validated RadioConfig copy, with the
-    latency_tx / latency_rx formulas spelled out on its properties."""
+    each payload is priced through a RadioConfig copy carrying it as its own
+    packet, with the latency_tx / latency_rx formulas spelled out on its
+    fields.  The copies are built with dataclasses.replace, so a payload the
+    copy's own stability check rejects raises here too."""
 
     def tx(c):
-        s1, s2, lam = c.s1, c.s2, c.uplink_rate
+        s1 = c.f1 * c.l1 / (c.R_u * c.w)
+        s2 = c.f1 * c.l2 / (c.R_u**2 * c.w**2)
+        lam = c.lambda_s + c.lambda_b
         d1 = 1.0 - c.f * c.G * s1
         d2 = 1.0 - c.f * lam * s1
         if d1 <= 0 or d2 <= 0:
@@ -221,7 +227,8 @@ def _block_exchange_terms_with_copies(config, dlt):
         return c.f * lam * s1 * s2 / (2.0 * s1 * d1) + c.f * lam * s1**2 / (2.0 * d2) + c.l1 / (c.R_u * c.w)
 
     def rx(c):
-        h1, F = c.h1, c.F
+        h1 = c.f * c.m1 / (c.R_d * c.y)
+        F = c.f * c.lambda_d * c.t
         den = 1.0 - F * h1 / c.t
         if den <= 0:
             raise UnstableConfig("downlink reception queue is unstable")
@@ -271,9 +278,9 @@ class TestBlockExchangeKernels:
                 _block_exchange_latency(radio, dlt)
             return
         # each term alone, since a last-ulp slip in one can vanish in the sum
-        assert _latency_tx(radio, new, new**2) == up_new
-        assert _latency_tx(radio, trans, trans**2) == up_trans
-        assert _latency_rx(radio, get, get**2) == down_get
+        assert latency_tx(radio, new, new**2) == up_new
+        assert latency_tx(radio, trans, trans**2) == up_trans
+        assert latency_rx(radio, get, get**2) == down_get
         assert _block_exchange_latency(radio, dlt) == up_new + up_trans + down_get
 
     @pytest.mark.parametrize("dlt", [
@@ -290,8 +297,8 @@ class TestBlockExchangeKernels:
             full_breakdown(radio, PowerProfile(), dlt)
 
     def test_batch_term_instability_raises_on_both_paths(self):
-        # f * G * s1 >= 1 with a stable f * (lambda_s + lambda_b) * s1: only
-        # latency_tx's own check catches it, not RadioConfig's
+        # f * G * s1 >= 1 for the block body only (RadioConfig's own packet
+        # passes the same check), with f * (lambda_s + lambda_b) * s1 < 1
         radio = RadioConfig(G=40.0, lambda_s=0.1, lambda_b=0.1)
         dlt = DltConfig(trans_block_bits=2000.0)
         with pytest.raises(UnstableConfig):

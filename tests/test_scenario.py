@@ -521,6 +521,33 @@ REJECTED = {
         integrated: {dlt_enabled: false}
         sweep: {param: power.P_t, values: [0.1, 0.3]}
     """, "sweep.param"),
+    # f * G * s1 >= 1: exited 2 with UnstableConfig, or with a ledger blamed
+    # dlt.trans_block_bits
+    "unstable-batch-uplink": ("radio", "kind: radio-dlt\nradio: {G: 200}\n", "radio"),
+    "unstable-batch-uplink-with-ledger": ("radio", "kind: radio-dlt\nradio: {G: 200}\ndlt: {M: 3}\n", "radio"),
+    "sweep-unstable-batch-uplink": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.G, values: [1.0, 200.0]}
+    """, "sweep.values[1]: radio.G"),
+    # exited 2 with a ZeroDivisionError
+    "zero-batch-moment": ("radio", "kind: radio-dlt\nradio: {f1: 0}\n", "radio.f1"),
+    "zero-batch-moment-next-to-f": ("radio", "kind: radio-dlt\nradio: {f: 0.5, f1: 0}\n", "radio.f1"),
+    # ran, writing nan or inf rows
+    "nan-uplink-rate": ("radio", "kind: radio-dlt\nradio: {lambda_s: .nan}\n", "radio.lambda_s"),
+    "inf-sync-latency": ("radio", "kind: radio-dlt\nradio: {L_sync: .inf}\n", "radio.L_sync"),
+    "nan-transmit-power": ("radio", "kind: radio-dlt\npower: {P_t: .nan}\n", "power.P_t"),
+    "inf-miner-power": ("radio", "kind: radio-dlt\ndlt: {M: 3, P_c: .inf}\n", "dlt.P_c"),
+    # ran with true as 1 and 2.5 preambles; N_rmax 2.5 exited 2 with a TypeError
+    "bool-preambles": ("radio", "kind: radio-dlt\nradio: {K: true}\n", "radio.K"),
+    "bool-miners": ("radio", "kind: radio-dlt\ndlt: {M: true}\n", "dlt.M"),
+    "fractional-preambles": ("radio", "kind: radio-dlt\nradio: {K: 2.5}\n", "radio.K"),
+    "fractional-attempts": ("radio", "kind: radio-dlt\nradio: {N_rmax: 2.5}\n", "radio.N_rmax"),
+    # a positive hash rate from two negative factors: exited 2 pricing the race
+    # R_u**2 and bits**2 overflow: exited 2, and with a traceback
+    "overflowing-uplink-rate": ("radio", "kind: radio-dlt\nradio: {R_u: 1.0e+200}\n", "radio"),
+    "overflowing-block-payload": ("radio", "kind: radio-dlt\ndlt: {trans_block_bits: 1.0e+200}\n",
+                                  "dlt.trans_block_bits"),
+    "negative-hash-factors": ("radio", "kind: radio-dlt\ndlt: {lambda_0: -10, P_c: -0.2}\n", "dlt.lambda_0"),
 }
 # Instance files the REJECTED scenarios name as $TMP/<name>: the golden
 # instance with one mistake each.
