@@ -21,7 +21,7 @@ from edgekit.learning import (
 from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
 from edgekit.learning.problems import ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses
-from edgekit.learning.topology import InvalidN
+from edgekit.learning.topology import InvalidN, Topology
 
 from conftest import scalar_problems, synthetic_problems
 
@@ -545,13 +545,14 @@ def test_trace_digest_pinned(variant):
 
 def _benchmark_size_run(variant):
     """The benchmark's seed-0 train ops: criterion 2's bipartite instance
-    (N=18, d=14, mean degree 5, phases up to 8 slots wide) and criterion 3's
-    16-worker scalar chain, each run to objective error 1e-3."""
+    (N=18, d=14, mean degree 5, phases up to 8 slots wide; ps-admm on its 18
+    problems) and criterion 3's 16-worker scalar chain, each run to
+    objective error 1e-3."""
     if variant in ("gadmm", "d-gadmm"):
         targets = np.sort(make_rng(0).standard_normal(16) * 3.0)
         topo = build_topology(16, kind="chain", seed=0, tau_coh=20 if variant == "d-gadmm" else math.inf)
         return run(variant, scalar_problems(targets), topo, iters=6000, seed=0, stop_error=1e-3)
-    topo = build_topology(18, kind="bipartite", seed=0, mean_degree=5.0)
+    topo = None if variant == "ps-admm" else build_topology(18, kind="bipartite", seed=0, mean_degree=5.0)
     return run(
         variant, synthetic_problems(18, 14, 20, seed=0), topo, rho=1.0, iters=3000, seed=0, stop_error=1e-3,
         quantizer=QuantizerConfig(bits=2) if variant == "cq-ggadmm" else None,
@@ -567,9 +568,44 @@ BENCHMARK_SIZE_DIGESTS = {
     "cq-ggadmm": "a96db66c229317ce128d255db346844c895c2fd5a967774682e18205a649de89",
     "gadmm": "4a1d0d8a1311f61b3cbc7b628c93bdac8545d4a79a92abab3998e889e4cdf411",
     "d-gadmm": "d17917c5193a32f0289e985b7a1d9d25832977bbca9cc0b6eff83fd1f4ca4e4d",
+    "ps-admm": "d13bc46e9d98fd3f781889fcf3ddacd1f5831fb0f00d7b57f410d3082bd3d982",
 }
 
 
 @pytest.mark.parametrize("variant", sorted(BENCHMARK_SIZE_DIGESTS))
 def test_benchmark_size_trace_digest_pinned(variant):
     assert _trace_digest(_benchmark_size_run(variant)) == BENCHMARK_SIZE_DIGESTS[variant]
+
+
+# A one-head star: the head phase is one scalar worker with five slots
+# (k = d = 1, D = 5), the tail phase five one-slot workers.
+STAR = Topology(kind="bipartite", n=6, edges=tuple((1, t) for t in range(2, 7)), heads=frozenset({1}))
+
+
+def _edge_run(case):
+    """Phases the benchmark never reaches: the star above and the shortest
+    scalar chains, on scalar problems with a zero target of each sign."""
+    shape, variant = case.split(":")
+    topo = STAR if shape == "star" else build_topology(int(shape[-1]), kind="chain", seed=4)
+    targets = [1.5, -0.0, 2.0, -3.0, 0.0, 4.25][:topo.n]
+    return run(
+        variant, scalar_problems(targets), topo, rho=0.8, iters=90, seed=4,
+        quantizer=QuantizerConfig(bits=2) if variant == "cq-ggadmm" else None,
+        censor=CensorSchedule(xi0=0.1, alpha=0.97) if variant in ("c-ggadmm", "cq-ggadmm") else None,
+    )
+
+
+# Same digest for the runs above; a scan that sums a k = d = 1 phase's slots
+# in another order changes the star's.
+EDGE_RUN_DIGESTS = {
+    "star:ggadmm": "43d261e355f3a80661477606f3421b267e5d3bf4c1ca4f884505583a30585094",
+    "star:c-ggadmm": "34ca93addc11160dee8daa956a003f088dfdcaf4bcbcdab8ceab5b2067531305",
+    "star:cq-ggadmm": "83b07ec67bbf5da476f3434f875ff290634edf0d083a13d9b80db01dacbd4499",
+    "chain2:gadmm": "53640b0a6d7f80ad5959ac0956565fbbca2a5d5898eeaf3a2a9628cf53e72ca4",
+    "chain3:gadmm": "afd34cbedf408878accdd759d848689faf28761bfe71041e42e6292b5fa04ccf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_RUN_DIGESTS))
+def test_edge_run_digest_pinned(case):
+    assert _trace_digest(_edge_run(case)) == EDGE_RUN_DIGESTS[case]
