@@ -76,6 +76,9 @@ class RadioConfig:
                       positive=("t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d"))
         if self.p_d > 1.0:
             raise ValueError("p_d must be in [0, 1]")
+        for name in ("f", "w", "y"):  # fractions of the radio resources
+            if getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
         try:  # both queues must keep up with the config's own packets
             latency_tx(self, self.l1, self.l2)
             latency_rx(self, self.m1, self.m2)

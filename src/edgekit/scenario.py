@@ -360,6 +360,8 @@ def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
     """The fields one sweep value sets: radio.t also moves the fields derived
     from it, keeping the base's arrivals per second."""
     if param == "radio.t":
+        if not is_number(value):
+            raise ValueError(f"t must be a finite number, got {value!r}")
         return nprach_period_fields(radio, float(value), arrivals_per_second=radio.lambda_a / radio.t)
     return {param.split(".", 1)[1]: value}
 

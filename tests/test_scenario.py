@@ -547,6 +547,23 @@ REJECTED = {
     "overflowing-uplink-rate": ("radio", "kind: radio-dlt\nradio: {R_u: 1.0e+200}\n", "radio"),
     "overflowing-block-payload": ("radio", "kind: radio-dlt\ndlt: {trans_block_bits: 1.0e+200}\n",
                                   "dlt.trans_block_bits"),
+    # ran a point at t = 1.0
+    "sweep-bool-period": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.t, values: [0.32, true]}
+    """, "sweep.values[1]: radio.t"),
+    # ran with more than the whole resource
+    "data-fraction-above-one": ("radio", "kind: radio-dlt\nradio: {f: 1.5}\n", "radio.f"),
+    "uplink-share-above-one": ("radio", "kind: radio-dlt\nradio: {w: 2}\n", "radio.w"),
+    "downlink-share-above-one": ("integrated", """
+        kind: integrated
+        learning: {workers: 4, dim: 2, iters: 5}
+        radio: {y: 1.01}
+    """, "radio.y"),
+    "sweep-uplink-share-above-one": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.w, values: [0.5, 1.5]}
+    """, "sweep.values[1]: radio.w"),
     "negative-hash-factors": ("radio", "kind: radio-dlt\ndlt: {lambda_0: -10, P_c: -0.2}\n", "dlt.lambda_0"),
 }
 # Instance files the REJECTED scenarios name as $TMP/<name>: the golden
