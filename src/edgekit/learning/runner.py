@@ -24,36 +24,46 @@ Bandwidth is split among the workers scheduled to transmit in the same phase
 (N for the parameter server, the head or tail group size otherwise), which is
 what makes the sparse schedules cheaper per message.
 
-Array layout.  Worker id n is row n-1 and constraint edge i (topology.edges
-order, left endpoint carrying +lambda) is row i:
+Array layout.  Worker id n is problem row n-1 and constraint edge i
+(topology.edges order, left endpoint carrying +lambda) is dual row i.  The
+models are stored phase-major: the heads' rows first, then the tails', each
+in ascending worker order, so a phase reads and writes one row slice.  A
+re-chain changes the roles and permutes the rows; `row` maps a worker to its
+current row:
 
-  theta       (N, d)     current models
-  theta_hat   (N+1, d)   last transmitted models; row N stays zero
-  duals       (E+1, d)   one dual per edge; row E stays zero.  On a chain,
-                         edge i joins chain positions i and i+1, so between
-                         re-chainings a chain's left endpoint and its edge
-                         index name the same dual
+  theta       (N, d)     current models, phase-major
+  theta_hat   (N, d)     last transmitted models, phase-major
+  src         (2N+2E+2, d)
+                         every addend a phase can need, in blocks: 2 g_n (N
+                         rows, by worker), -lambda_i and +lambda_i (E rows
+                         each, by edge), one -0.0 row, rho theta_hat (N rows,
+                         phase-major) and one +0.0 row.  Each transmit writes
+                         its rho theta_hat rows, each dual step both lambda
+                         blocks
   inverses    (N, d, d)  (2 H_n + rho deg_n I)^-1, cached by degree vector,
                          so d-gadmm's re-chained orders reuse them
-  slots       (k, D)     per head/tail group of k workers: each member's
-                         incident edges and neighbors in edge order, padded
-                         to the group's largest degree D with edge E and
-                         neighbor N
-  terms       (k, 2D+1, d)
-                         per group, the addends of each member's rhs in
-                         order: 2 g_n, then -s_j lambda_j and rho theta_j for
-                         each slot j; refilled every phase but column 0
+  idx         (2D+1, k)  per head/tail group of k workers with largest
+                         degree D: the src rows of each member's rhs addends
+                         in order, 2 g_n, then -s_j lambda_j (-lambda on the
+                         edge's left endpoint, +lambda on its right) and
+                         rho theta_hat_j of each incident edge j in edge
+                         order, padded to D slots with the -0.0 and +0.0 rows
+                         (the signed zeros a zero dual times -1 and a zero
+                         model times rho give)
+  terms       (2D+1, k, d)
+                         per group, the gathered addends
 
 An iteration is then a fixed number of numpy calls whatever N and D are: per
-phase one gather each of slot duals and neighbor models into the term stack,
-one scan of the stack, one stacked solve and one vectorised step each for
-quantizing, censoring and transmitting; per iteration one step for the duals
-and one copy of the models into a (16, N, d) history block.  Nothing in the
-loop reads the trace, so the objective, the residual and the stop test are
-evaluated once per block: when it fills, when the run ends, and before a
-d-gadmm re-chain changes the edges the residual is taken over.  d-gadmm
-re-initializes the duals on re-chaining as prefix sums of the local
-gradients along the new chain order.
+phase one gather of the term stack, one ordered sum of it, one stacked solve,
+a slice write of the models and one vectorised step each for quantizing,
+censoring and transmitting (masked writes into the group's theta_hat and
+rho theta_hat rows); per iteration one step for the duals and one copy of
+the models into a (16, N, d) history block, which the trace evaluation
+puts back in worker order.  Nothing in the loop reads the trace, so the
+objective, the residual and the stop test are evaluated once per block: when
+it fills, when the run ends, and before a d-gadmm re-chain changes the edges
+the residual is taken over.  d-gadmm re-initializes the duals on
+re-chaining as prefix sums of the local gradients along the new chain order.
 
 Stopping.  With `stop_error` the trace ends at the first iteration whose
 objective error is below it, exactly as when the test ran every iteration.
@@ -69,11 +79,15 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      objective `r[..., None, :] @ r[..., None]` and the norms, which numpy
      runs as one gemv or ddot per row.  einsum and norm(axis=...) sum in
      another order.
-  2. A worker's rhs is one np.add.accumulate along its term stack, a strict
-     left-to-right scan, so it sums 2 g_n - s_1 lambda_1 + rho theta_1 - ...
-     in slot (edge) order; a - b is exactly a + (-b), signed zeros of the
-     padded slots (zero dual, zero model) included.  add.reduce may sum
-     pairwise and a signed-incidence matmul reorders the sum.
+  2. A worker's rhs is one np.add.reduce over the slow axis of the term
+     stack, which numpy runs as one elementwise add per slot (pairwise
+     summation is only used along the fast axis), so it sums
+     2 g_n - s_1 lambda_1 + rho theta_1 - ... in slot (edge) order; a - b is
+     exactly a + (-b), signed zeros of the padded slots included.  The
+     start is initial=-0.0, the exact identity: the default start turns a
+     sum of -0.0 into +0.0.  With k*d = 1 numpy collapses the kept axes and
+     sums the lone column pairwise, so that case takes np.add.accumulate, a
+     strict left-to-right scan.  A signed-incidence matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
      over .tolist(), one per iteration also when a block is evaluated: the
      block's objective terms and gap norms are one stacked matmul each, which
@@ -142,6 +156,14 @@ def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     return np.linalg.inv(2.0 * H + (rho * degree)[:, None, None] * np.eye(H.shape[-1]))
 
 
+def slot_sum(terms: np.ndarray) -> np.ndarray:
+    """The (k, d) sums of a (2D+1, k, d) stack along its first axis, added
+    strictly one row after the other (bit-identity rule 2)."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    return np.add.accumulate(terms, axis=0)[-1]  # one kept element: reduce would go pairwise
+
+
 def block_solve(inv: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Closed-form block update of k workers at once.
 
@@ -149,13 +171,11 @@ def block_solve(inv: np.ndarray, terms: np.ndarray) -> np.ndarray:
     + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
     s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
-    inv_n (k, d, d) from `inverses`.  `terms` (k, 2D+1, d) holds that rhs's
-    addends in order: 2 g_n, then -s_j lambda_j and rho theta_j for each slot
-    j, zero in padded slots.  It is scanned in place, so every column but the
-    first must be refilled before the next call.
+    inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d) holds that rhs's
+    addends in order along its first axis: 2 g_n, then -s_j lambda_j and
+    rho theta_j for each slot j, signed zeros in padded slots.
     """
-    rhs = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    return (inv @ rhs[:, :, None])[:, :, 0]
+    return (inv @ slot_sum(terms)[:, :, None])[:, :, 0]
 
 
 def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float) -> np.ndarray:
@@ -274,58 +294,62 @@ class _Phase:
     """One head or tail group's arrays between re-chainings (terms is
     refilled each phase, the rest stay fixed)."""
 
-    members: np.ndarray  # (k,) worker rows, ascending
+    rows: slice  # the group's rows of theta, theta_hat and the src pulls
     inv: np.ndarray  # (k, d, d)
-    terms: np.ndarray  # (k, 2D+1, d) block_solve's addends; column 0 holds 2 g
-    slot_edge: np.ndarray  # (k, D) edge rows, padded with E
-    slot_negsign: np.ndarray  # (k, D, 1) -1 on the edge's left endpoint, +1 on its right
-    slot_peer: np.ndarray  # (k, D) neighbor rows, padded with N
-    energy: np.ndarray  # (k,) Joules per message at this group's bandwidth share
+    idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
+    terms: np.ndarray  # (2D+1, k, d) the gathered addends
+    energy: float  # Joules per message at this group's bandwidth share
+
+
+def _src_rows(N, E):
+    """First rows of src's blocks after 2 g (rows 0..N-1, by worker):
+    -lambda and +lambda (E rows each, by edge), the -0.0 row, rho theta_hat
+    (N rows, phase-major) and the +0.0 row."""
+    return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
 def _phases(topology, stack, rho, payload, energy_model, inv_cache):
-    """The head and tail phases of `topology`, then its edges' endpoint rows."""
+    """The head and tail phases of `topology`, its worker -> row table and
+    its edges' endpoint rows."""
     N = topology.n
     edges = [(u - 1, v - 1) for u, v in topology.edges]
-    E = len(edges)
-    slots: list[list[tuple[int, float, int]]] = [[] for _ in range(N)]
+    groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
+    row = np.empty(N, dtype=np.intp)
+    row[groups[0] + groups[1]] = np.arange(N)
+    neg, plus, minus_zero, pulls, plus_zero = _src_rows(N, len(edges))
+    slots: list[list[int]] = [[] for _ in range(N)]  # (dual, pull) src rows per incident edge
     for i, (u, v) in enumerate(edges):
-        slots[u].append((i, -1.0, v))
-        slots[v].append((i, 1.0, u))
-    degree = tuple(len(s) for s in slots)
+        slots[u] += (neg + i, pulls + int(row[v]))
+        slots[v] += (plus + i, pulls + int(row[u]))
+    degree = tuple(len(s) // 2 for s in slots)
     if degree not in inv_cache:
         inv_cache[degree] = inverses(stack.gram[0], np.array(degree), rho)
-    phases = []
-    for group in (topology.heads, topology.tails):
-        members = sorted(w - 1 for w in group)
-        D = max(degree[n] for n in members)
-        padded = [slots[n] + [(E, -1.0, N)] * (D - degree[n]) for n in members]
-        terms = np.empty((len(members), 2 * D + 1, stack.dim))
-        terms[:, 0] = 2.0 * stack.gram[1][members]
-        shared = energy_model.share(len(members))
+    phases, start = [], 0
+    for members in groups:
+        k, D = len(members), max(degree[n] for n in members)
+        padded = [[n, *slots[n]] + [minus_zero, plus_zero] * (D - degree[n]) for n in members]
         phases.append(_Phase(
-            members=np.array(members),
+            rows=slice(start, start + k),
             inv=inv_cache[degree][members],
-            terms=terms,
-            slot_edge=np.array([[e for e, _, _ in row] for row in padded]),
-            slot_negsign=np.array([[[s] for _, s, _ in row] for row in padded]),
-            slot_peer=np.array([[p for _, _, p in row] for row in padded]),
-            energy=np.full(len(members), message_energy(payload, shared, 1.0)),
+            idx=np.array(padded, dtype=np.intp).T.copy(),
+            terms=np.empty((2 * D + 1, k, stack.dim)),
+            energy=message_energy(payload, energy_model.share(k), 1.0),
         ))
-    ends = np.array(edges)
-    return phases, ends[:, 0], ends[:, 1]
+        start += k
+    ends = row[np.array(edges)]
+    return phases, row, ends[:, 0], ends[:, 1]
 
 
-def _chain_duals(order, stack, theta):
+def _chain_duals(order, stack, theta, row):
     """Duals of a new chain as prefix sums of local gradients along it.
 
     At the consensus optimum this reproduces the exact optimal duals of the
     new ordering, so re-chaining introduces no transient once the run is
-    near convergence.
+    near convergence.  Worker n's model is theta[row[n]].
     """
     left = np.array(order[:-1]) - 1
     H, g = stack.gram
-    grad = 2.0 * ((H[left] @ theta[left][:, :, None])[:, :, 0] - g[left])
+    grad = 2.0 * ((H[left] @ theta[row[left]][:, :, None])[:, :, 0] - g[left])
     return np.subtract.accumulate(np.vstack([np.zeros(stack.dim), grad]))[1:]
 
 
@@ -334,13 +358,18 @@ def _run_decentralized(
 ):
     N, d = stack.n, stack.dim
     E = len(topology.edges)
+    neg, plus, minus_zero, pulls, plus_zero = _src_rows(N, E)
+    src = np.zeros((plus_zero + 1, d))
+    src[:N] = 2.0 * stack.gram[1]
+    src[minus_zero] = -0.0
+    lam, neg_lam, pull = src[plus:plus + E], src[neg:plus], src[pulls:pulls + N]
+    np.negative(lam, out=neg_lam)
     theta = np.zeros((N, d))
-    theta_hat = np.zeros((N + 1, d))
-    duals = np.zeros((E + 1, d))
+    theta_hat = np.zeros((N, d))
     q_rng = child_rng(seed, 1)
     payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    phases, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
+    phases, row, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
 
     trace = TrainingTrace()
     models = np.empty((_TRACE_BLOCK, N, d))
@@ -350,7 +379,7 @@ def _run_decentralized(
         done = models[:len(steps)]
         gaps = done[:, left]
         gaps -= done[:, right]
-        return _flush(trace, stack, f_star, stop_error, done, gaps, steps)
+        return _flush(trace, stack, f_star, stop_error, done[:, row], gaps, steps)
 
     bits = joules = 0.0
     censored = 0
@@ -359,33 +388,40 @@ def _run_decentralized(
             if flush():  # the gaps so far are across the old chain's edges
                 return trace
             topology = rechain(topology, k, seed)
-            phases, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
-            duals[:E] = _chain_duals(topology.order, stack, theta)
+            old_row = row
+            phases, row, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
+            perm = np.empty(N, dtype=np.intp)
+            perm[row] = old_row  # new row r holds old row perm[r]
+            theta, theta_hat, pull[:] = theta[perm], theta_hat[perm], pull[perm]
+            lam[:] = _chain_duals(topology.order, stack, theta, row)
+            np.negative(lam, out=neg_lam)
 
         for ph in phases:
-            # the whole group solves first, then transmits (a parallel phase)
-            np.multiply(duals[ph.slot_edge], ph.slot_negsign, out=ph.terms[:, 1::2])
-            np.multiply(theta_hat[ph.slot_peer], rho, out=ph.terms[:, 2::2])
+            # the whole group solves first, then transmits (a parallel phase);
+            # every index is in range, and mode="clip" gathers without a buffer
+            np.take(src, ph.idx, axis=0, out=ph.terms, mode="clip")
             new = block_solve(ph.inv, ph.terms)
-            theta[ph.members] = new
-            last = theta_hat[ph.members]
+            theta[ph.rows] = new
+            last = theta_hat[ph.rows]
             if quantizer is not None:
                 levels, radius = quantize_rows(new - last, quantizer, q_rng)
                 new = last + dequantize_rows(levels, radius, quantizer.bits)
             if censor is not None:
                 send = censor_mask(new, last, censor.threshold(k))
             elif k == 0:
-                send = np.ones(len(ph.members), dtype=bool)
+                send = np.ones(len(new), dtype=bool)
             else:
                 send = (new != last).any(axis=1)
-            theta_hat[ph.members[send]] = new[send]
+            np.copyto(last, new, where=send[:, None])
+            np.multiply(new, rho, out=pull[ph.rows], where=send[:, None])
             sent = int(np.count_nonzero(send))
             bits += payload * sent
-            for e in ph.energy[send].tolist():
-                joules += e
-            censored += len(ph.members) - sent
+            for _ in range(sent):
+                joules += ph.energy
+            censored += len(new) - sent
 
-        duals[:E] = dual_update(duals[:E], theta_hat[left], theta_hat[right], rho)
+        lam[:] = dual_update(lam, theta_hat[left], theta_hat[right], rho)
+        np.negative(lam, out=neg_lam)
         models[len(steps)] = theta
         steps.append((bits, joules, censored))
         if len(steps) == _TRACE_BLOCK and flush():

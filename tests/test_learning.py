@@ -20,7 +20,7 @@ from edgekit.learning import (
 )
 from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
 from edgekit.learning.problems import ProblemStack
-from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses
+from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
 
 from conftest import scalar_problems, synthetic_problems
@@ -107,18 +107,19 @@ class TestTopology:
 
 
 def slot_terms(g, duals, signs, models, rho):
-    """block_solve's term stack, filled as the runner fills it: 2 g, then
-    lambda_j * -s_j and rho * theta_j for each slot j."""
+    """block_solve's (2D+1, k, d) term stack from (k, D, ...) slot arrays,
+    filled as the runner's gather fills it: 2 g, then lambda_j * -s_j and
+    rho * theta_j for each slot j."""
     k, D, d = duals.shape
-    terms = np.empty((k, 2 * D + 1, d))
-    terms[:, 0] = 2.0 * g
-    np.multiply(duals, -signs, out=terms[:, 1::2])
-    np.multiply(models, rho, out=terms[:, 2::2])
+    terms = np.empty((2 * D + 1, k, d))
+    terms[0] = 2.0 * g
+    np.multiply(duals, -signs, out=terms[1::2].transpose(1, 0, 2))
+    np.multiply(models, rho, out=terms[2::2].transpose(1, 0, 2))
     return terms
 
 
 def slot_loop_rhs(g, duals, signs, models, rho):
-    """The rhs summed one slot at a time, the order block_solve's scan keeps."""
+    """The rhs summed one slot at a time, the order block_solve's sum keeps."""
     rhs = 2.0 * g
     signed, pulls = duals * signs, rho * models
     for j in range(duals.shape[1]):
@@ -145,32 +146,41 @@ class TestBatchedKernels:
         inv = inverses(H, np.array([1, 2, 3, 3, 2]), 0.7)
         terms = slot_terms(g, rng.standard_normal((k, D, d)), rng.choice([-1.0, 1.0], (k, D, 1)),
                            rng.standard_normal((k, D, d)), 0.7)
-        stacked = block_solve(inv, terms.copy())
+        stacked = block_solve(inv, terms)
         for n in range(k):
-            one = block_solve(inv[n:n + 1], terms[n:n + 1].copy())
+            one = block_solve(inv[n:n + 1], terms[:, n:n + 1])
             assert np.array_equal(stacked[n], one[0])
 
     @settings(max_examples=80, deadline=None)
     @given(
-        k=st.integers(1, 4), D=st.integers(1, 9), d=st.integers(1, 5),
-        rho=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 12), D=st.integers(1, 40), d=st.integers(1, 12),
+        rho=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1), zero_column=st.booleans(),
     )
-    def test_scan_sums_in_slot_order(self, k, D, d, rho, seed):
+    # one scalar worker: with a single kept element numpy sums the stack pairwise
+    @example(k=1, D=4, d=1, rho=0.8, seed=1, zero_column=False)
+    @example(k=1, D=5, d=1, rho=1.0, seed=2, zero_column=False)
+    @example(k=1, D=40, d=1, rho=3.0, seed=3, zero_column=False)
+    @example(k=1, D=6, d=1, rho=0.5, seed=4, zero_column=True)
+    @example(k=3, D=4, d=2, rho=1.0, seed=5, zero_column=True)
+    def test_scan_sums_in_slot_order(self, k, D, d, rho, seed, zero_column):
         # padded slots carry a zero dual and a zero model; zeros of both signs
         # appear elsewhere too, so signed-zero results are compared as bytes
         rng = make_rng(seed)
         g, duals, models = rng.standard_normal((k, d)), rng.standard_normal((k, D, d)), rng.standard_normal((k, D, d))
         signs = rng.choice([-1.0, 1.0], (k, D, 1))
         for x in (g, duals, models):
+            x *= 10.0 ** rng.integers(-6, 7, x.shape)
             x[rng.random(x.shape) < 0.2] = 0.0
             x[rng.random(x.shape) < 0.2] = -0.0
         pad = np.arange(D) >= rng.integers(1, D + 1, k)[:, None]
         duals[pad], models[pad], signs[pad] = 0.0, 0.0, 1.0
+        if zero_column:  # every addend of worker 0's first coordinate is -0.0
+            g[0, 0], duals[0, :, 0], models[0, :, 0] = -0.0, 0.0 * signs[0, :, 0], -0.0
         inv = np.broadcast_to(np.eye(d), (k, d, d))
         terms = slot_terms(g, duals, signs, models, rho)
         rhs = slot_loop_rhs(g, duals, signs, models, rho)
+        assert slot_sum(terms).tobytes() == rhs.tobytes()
         assert block_solve(inv, terms).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
-        assert terms[:, -1].tobytes() == rhs.tobytes()
 
     def test_stacked_objective_with_mixed_sample_counts(self, rng):
         problems = [
