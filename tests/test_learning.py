@@ -19,6 +19,7 @@ from edgekit.learning import (
     run,
 )
 from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
+from edgekit.learning import runner
 from edgekit.learning.problems import ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
@@ -596,7 +597,7 @@ def _edge_run(case):
     """Phases the benchmark never reaches: the star above and the shortest
     scalar chains, on scalar problems with a zero target of each sign."""
     shape, variant = case.split(":")
-    topo = STAR if shape == "star" else build_topology(int(shape[-1]), kind="chain", seed=4)
+    topo = STAR if shape == "star" else build_topology(int(shape[-1]), kind="chain", seed=4)  # ps-admm ignores it
     targets = [1.5, -0.0, 2.0, -3.0, 0.0, 4.25][:topo.n]
     return run(
         variant, scalar_problems(targets), topo, rho=0.8, iters=90, seed=4,
@@ -606,8 +607,10 @@ def _edge_run(case):
 
 
 # Same digest for the runs above; a scan that sums a k = d = 1 phase's slots
-# in another order changes the star's.
+# in another order changes the star's, and a centre step that sums ps-admm's
+# single column in another order changes "star:ps-admm".
 EDGE_RUN_DIGESTS = {
+    "star:ps-admm": "738f70d9b1541e00377ca11360bef97db8ae73a5b1b7b630e4d43f2d408aae8d",
     "star:ggadmm": "43d261e355f3a80661477606f3421b267e5d3bf4c1ca4f884505583a30585094",
     "star:c-ggadmm": "34ca93addc11160dee8daa956a003f088dfdcaf4bcbcdab8ceab5b2067531305",
     "star:cq-ggadmm": "83b07ec67bbf5da476f3434f875ff290634edf0d083a13d9b80db01dacbd4499",
@@ -619,3 +622,59 @@ EDGE_RUN_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(EDGE_RUN_DIGESTS))
 def test_edge_run_digest_pinned(case):
     assert _trace_digest(_edge_run(case)) == EDGE_RUN_DIGESTS[case]
+
+
+def _send_run(case):
+    """Runs whose phases send only some of their rows, or none: uncensored
+    scalar chains that settle on an exact fixed point (an unchanged model is
+    not sent), a c-ggadmm run whose threshold censors every message for its
+    first 16 iterations, and a cq-ggadmm chain that quantizes some all-zero
+    updates.  Returns the trace and the bits of one message."""
+    shape, variant = case.split(":")
+    if shape == "bipartite6":
+        topo = build_topology(6, kind="bipartite", seed=21)
+        trace = run(variant, synthetic_problems(6, 3, 10, seed=21), topo, iters=120, seed=21,
+                    censor=CensorSchedule(xi0=3.0, alpha=0.95))
+        return trace, 32 * 3
+    problems, topo = scalar_problems([0.0, -0.0, 0.5, 0.0]), build_topology(4, kind="chain")
+    if variant == "gadmm":
+        return run(variant, problems, topo, iters=300), 32
+    q = QuantizerConfig(bits=2)
+    trace = run(variant, problems, topo, quantizer=q, censor=CensorSchedule(xi0=0.1, alpha=0.97), iters=200, seed=3)
+    return trace, q.payload_bits(1)
+
+
+def _sends(trace, payload):
+    """Messages sent in each iteration, from the cumulative bits."""
+    bits = [0.0, *trace.bits_cum]
+    return [round((b - a) / payload) for a, b in zip(bits, bits[1:])]
+
+
+# Same digest for the runs above.  Each run must also reach the case its
+# test names, so that the masked transmit path stays covered.
+SEND_RUN_DIGESTS = {
+    "chain4:gadmm": "67ea294f3f825696094d53cfcd799fc4e5336e7f50982a0b28e2377b6a731072",
+    "bipartite6:c-ggadmm": "a21ba6fcc99b0fbd4f8fd80ef28be400a9e7ae736676cbe010ba152f3db26406",
+    "chain4:cq-ggadmm": "87914e24dc004874628dc2ba06d9fced2ba301424e5846d2a87282efe032b3e4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEND_RUN_DIGESTS))
+def test_send_run_digest_pinned(case, monkeypatch):
+    zero_rows = []  # all-zero rows of each quantize_rows call
+    quantize = runner.quantize_rows
+
+    def counting(delta, q, rng):
+        zero_rows.append(int(np.count_nonzero(~np.asarray(delta).any(axis=1))))
+        return quantize(delta, q, rng)
+
+    monkeypatch.setattr(runner, "quantize_rows", counting)
+    trace, payload = _send_run(case)
+    sends = _sends(trace, payload)
+    if case.startswith("chain4"):  # both phases have two workers: an odd count is a partial send
+        assert any(n % 2 for n in sends[1:])
+    else:  # both phases sent nothing, and later phases send again
+        assert sends[1] == 0 and sends[-1] > 0
+    if case.endswith("cq-ggadmm"):  # one update of two is zero, and every row of others is live
+        assert 1 in zero_rows and 0 in zero_rows
+    assert _trace_digest(trace) == SEND_RUN_DIGESTS[case]
