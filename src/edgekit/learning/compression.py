@@ -54,15 +54,19 @@ def quantize_rows(
     """
     delta = np.asarray(delta, dtype=float)
     radius = np.maximum.reduce(np.abs(delta), axis=1)  # d >= 1
-    levels = np.zeros(delta.shape, dtype=np.int64)
-    live = radius != 0.0
+    every = np.count_nonzero(radius) == len(radius)  # no all-zero row: nothing to gather or scatter
+    live = slice(None) if every else radius != 0.0
     n_levels = 2**config.bits
     R = radius[live, None]
     step = 2.0 * R / (n_levels - 1)
     scaled = (delta[live] + R) / step  # in [0, n_levels - 1]: delta + R >= 0 exactly
     lo = np.floor(scaled)
     up = rng.random(scaled.shape) < scaled - lo
-    levels[live] = np.minimum(lo + up, n_levels - 1).astype(np.int64)
+    drawn = np.minimum(lo + up, n_levels - 1).astype(np.int64)
+    if every:
+        return drawn, radius
+    levels = np.zeros(delta.shape, dtype=np.int64)
+    levels[live] = drawn
     return levels, radius
 
 

@@ -29,9 +29,12 @@ Array layout.  Worker id n is problem row n-1 and constraint edge i
 models are stored phase-major: the heads' rows first, then the tails', each
 in ascending worker order, so a phase reads and writes one row slice.  A
 re-chain changes the roles and permutes the rows; `row` maps a worker to its
-current row:
+current row.  Every array is allocated once per run (the per-group ones once
+per re-chain) and the loop writes into it:
 
-  theta       (N, d)     current models, phase-major
+  models      (16, N, d) history block: row i holds iteration i's models,
+                         phase-major; the solve writes each phase's rows
+                         into it, so there is no separate current theta
   theta_hat   (N, d)     last transmitted models, phase-major
   src         (2N+2E+2, d)
                          every addend a phase can need, in blocks: 2 g_n (N
@@ -50,20 +53,32 @@ current row:
                          order, padded to D slots with the -0.0 and +0.0 rows
                          (the signed zeros a zero dual times -1 and a zero
                          model times rho give)
-  terms       (2D+1, k, d)
-                         per group, the gathered addends
+  terms       (2D+1, k, d, 1)
+                         per group, the gathered addends, and rhs (k, d, 1)
+                         their sums: column stacks, the operands np.matmul
+                         solves as one gemv per row
+  ends        (2, E)     the rows of each edge's left and right end; the
+                         dual step gathers theta_hat at both into one
+                         (2, E, d) buffer
 
-An iteration is then a fixed number of numpy calls whatever N and D are: per
-phase one gather of the term stack, one ordered sum of it, one stacked solve,
-a slice write of the models and one vectorised step each for quantizing,
-censoring and transmitting (masked writes into the group's theta_hat and
-rho theta_hat rows); per iteration one step for the duals and one copy of
-the models into a (16, N, d) history block, which the trace evaluation
-puts back in worker order.  Nothing in the loop reads the trace, so the
-objective, the residual and the stop test are evaluated once per block: when
-it fills, when the run ends, and before a d-gadmm re-chain changes the edges
-the residual is taken over.  d-gadmm re-initializes the duals on
-re-chaining as prefix sums of the local gradients along the new chain order.
+An iteration is then a fixed number of numpy calls whatever N and D are, and
+allocates nothing outside quantizing and censoring.  Per phase: one gather of
+the term stack, one ordered sum of it into rhs, one stacked solve written
+straight into the group's rows of the history block, and one vectorised
+step each for quantizing, censoring and transmitting.  A phase that sends
+every row copies them into theta_hat with a plain slice write; a partial
+send is a masked copy, and one that sends nothing writes nothing.  The
+group's rho theta_hat rows are then rewritten whole: a row that did not send
+already held rho times its theta_hat.  Per iteration: one gather of the edge
+ends, an in-place dual step and its negation.  Nothing in the loop reads the
+trace, so the objective, the residual and the stop test are evaluated once
+per block, which the trace evaluation puts back in worker order: when it
+fills, when the run ends, and before a d-gadmm re-chain changes the edges the
+residual is taken over.  d-gadmm re-initializes the duals on re-chaining as
+prefix sums of the local gradients along the new chain order.  ps-admm keeps
+the same history block, writes each iteration's centre z into a (16, d)
+block beside it and reuses one (N, d) work array for its rhs, its centre
+step and its dual step.
 
 Stopping.  With `stop_error` the trace ends at the first iteration whose
 objective error is below it, exactly as when the test ran every iteration.
@@ -75,10 +90,11 @@ Bit-identity.  Every reported float equals that of a per-worker loop (one
 gemv per solve, one ddot per norm and objective term, Python float sums), so
 the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
 
-  1. Products are stacked np.matmul: the solve `inv @ rhs[..., None]`, the
-     objective `r[..., None, :] @ r[..., None]` and the norms, which numpy
-     runs as one gemv or ddot per row.  einsum and norm(axis=...) sum in
-     another order.
+  1. Products are stacked np.matmul: the solve `inv @ rhs` on column
+     stacks, the objective `r[..., None, :] @ r[..., None]` and the norms,
+     which numpy runs as one gemv or ddot per row.  einsum and
+     norm(axis=...) sum in another order.  Writing a result into a buffer
+     with out= runs the same loop as allocating it.
   2. A worker's rhs is one np.add.reduce over the slow axis of the term
      stack, which numpy runs as one elementwise add per slot (pairwise
      summation is only used along the fast axis), so it sums
@@ -87,7 +103,7 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      start is initial=-0.0, the exact identity: the default start turns a
      sum of -0.0 into +0.0.  With k*d = 1 numpy collapses the kept axes and
      sums the lone column pairwise, so that case takes np.add.accumulate, a
-     strict left-to-right scan.  A signed-incidence matmul reorders the sum.
+     strict left-to-right scan of the stack in place.  A signed-incidence matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
      over .tolist(), one per iteration also when a block is evaluated: the
      block's objective terms and gap norms are one stacked matmul each, which
@@ -127,14 +143,6 @@ class TrainingTrace:
     censored_cum: list[int] = field(default_factory=list)
     residual: list[float] = field(default_factory=list)
 
-    def append(self, objective, error, bits, joules, censored, residual):
-        self.objective.append(float(objective))
-        self.objective_error.append(float(error))
-        self.bits_cum.append(float(bits))
-        self.joules_cum.append(float(joules))
-        self.censored_cum.append(int(censored))
-        self.residual.append(float(residual))
-
     def __len__(self) -> int:
         return len(self.objective)
 
@@ -156,42 +164,54 @@ def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     return np.linalg.inv(2.0 * H + (rho * degree)[:, None, None] * np.eye(H.shape[-1]))
 
 
-def slot_sum(terms: np.ndarray) -> np.ndarray:
-    """The (k, d) sums of a (2D+1, k, d) stack along its first axis, added
-    strictly one row after the other (bit-identity rule 2)."""
-    if terms[0].size > 1:
-        return np.add.reduce(terms, axis=0, initial=-0.0)
-    return np.add.accumulate(terms, axis=0)[-1]  # one kept element: reduce would go pairwise
+def slot_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of a (2D+1, ...) stack along its first axis, added strictly
+    one row after the other (bit-identity rule 2), in `out`.  When a row has
+    one element the stack itself is scanned in place and its last row
+    returned."""
+    if out.size > 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]  # one kept element: reduce would go pairwise
 
 
-def block_solve(inv: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Closed-form block update of k workers at once.
+def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Closed-form block update of k workers at once, written into `out`.
 
     Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
     + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
     s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
-    inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d) holds that rhs's
-    addends in order along its first axis: 2 g_n, then -s_j lambda_j and
-    rho theta_j for each slot j, signed zeros in padded slots.
+    inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d, 1) holds that
+    rhs's addends in order along its first axis: 2 g_n, then -s_j lambda_j
+    and rho theta_j for each slot j, signed zeros in padded slots.  `rhs`
+    receives their sums (see `slot_sum`); it and `out` are (k, d, 1) column
+    stacks, which np.matmul multiplies as one gemv per row.
     """
-    return (inv @ slot_sum(terms)[:, :, None])[:, :, 0]
+    return np.matmul(inv, slot_sum(terms, rhs), out=out)
 
 
-def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float) -> np.ndarray:
-    """lambda + rho (theta_left - theta_right), elementwise on any stack of edges."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    return lam + rho * (np.asarray(theta_left) - np.asarray(theta_right))
+def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float,
+                step: np.ndarray) -> np.ndarray:
+    """lambda += rho (theta_left - theta_right) in place, elementwise on any
+    stack of edges; the step is computed in `step`, which may be theta_left."""
+    np.subtract(theta_left, theta_right, out=step)
+    np.multiply(step, rho, out=step)
+    return np.add(lam, step, out=lam)
 
 
-def _check_variant(variant, topology, quantizer, censor):
+def _check_variant(variant, topology, quantizer, censor, n_problems):
     if variant not in VARIANTS:
         raise ConfigMismatch(f"unknown variant {variant!r}")
     if variant == "ps-admm":
         return
     if topology is None:
         raise ConfigMismatch(f"{variant} requires a topology")
+    try:
+        topology.validate()
+    except ValueError as err:
+        raise ConfigMismatch(f"invalid topology: {err}") from err
+    if topology.n != n_problems:
+        raise ConfigMismatch(f"a topology of {topology.n} workers for {n_problems} problems")
     if variant in ("gadmm", "d-gadmm") and topology.kind != "chain":
         raise ConfigMismatch(f"{variant} requires a chain topology")
     if variant == "d-gadmm" and math.isinf(topology.tau_coh):
@@ -222,7 +242,7 @@ def run(
     (a direct solve), and every channel gain is 1.  `stop_error` ends the run
     early once the objective error drops below it.
     """
-    _check_variant(variant, topology, quantizer, censor)
+    _check_variant(variant, topology, quantizer, censor, len(problems))
     if energy_model is None:
         energy_model = CommEnergyModel()
     stack = ProblemStack(problems)
@@ -241,25 +261,32 @@ def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
     Iteration i ran with the (N, d) models `models[i]`, left the (M, d)
     consensus gaps `gaps[i]` and reached the cumulative (bits, joules,
     censored) `steps[i]`.  The trace ends at the first iteration whose
-    objective error is below `stop_error`; `steps` is emptied otherwise.
+    objective error is below `stop_error`, and each of its lists is extended
+    once up to there; `steps` is emptied.
     """
-    values = stack.values(models).tolist()
+    if not steps:
+        return False
+    objective = [sum(vals) for vals in stack.values(models).tolist()]
+    error = [abs(obj - f_star) for obj in objective]
+    below = [] if stop_error is None else [i for i, e in enumerate(error) if e < stop_error]
+    n = below[0] + 1 if below else len(steps)
+    gaps = gaps[:n]
     norms = row_norms(gaps.reshape(-1, gaps.shape[-1])).reshape(gaps.shape[:2]).tolist()
-    for vals, gap, (bits, joules, censored) in zip(values, norms, steps):
-        obj = sum(vals)
-        error = abs(obj - f_star)
-        trace.append(obj, error, bits, joules, censored, sum(gap))
-        if stop_error is not None and error < stop_error:
-            return True
+    bits, joules, censored = zip(*steps[:n])
+    trace.objective += objective[:n]
+    trace.objective_error += error[:n]
+    trace.bits_cum += bits
+    trace.joules_cum += joules
+    trace.censored_cum += censored
+    trace.residual += [sum(gap) for gap in norms]
     steps.clear()
-    return False
+    return bool(below)
 
 
 def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
     N, d = stack.n, stack.dim
     H, g = stack.gram
     inv = inverses(H, np.ones(N, dtype=int), rho)
-    theta = np.zeros((N, d))
     lam = np.zeros((N, d))
     z = np.zeros(d)
     trace = TrainingTrace()
@@ -275,13 +302,17 @@ def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
     payload = FULL_PRECISION_BITS * d
     energy_per_iter = sum([message_energy(payload, shared, 1.0)] * N)
     two_g = 2.0 * g
+    work, rho_z = np.empty((N, d)), np.empty(d)  # work: the rhs, then the centre's addends, then the dual step
+    work_col, model_cols = work[:, :, None], models[..., None]  # column stacks for np.matmul
     for _ in range(iters):
-        theta = (inv @ (two_g - lam + rho * z)[:, :, None])[:, :, 0]
-        z = np.add.reduce(theta + lam / rho, axis=0) / N  # what np.mean computes
-        lam = dual_update(lam, theta, z, rho)
+        theta, centre = models[len(steps)], centers[len(steps)]
+        np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho, out=rho_z), out=work)
+        np.matmul(inv, work_col, out=model_cols[len(steps)])
+        np.add(theta, np.divide(lam, rho, out=work), out=work)
+        z = np.divide(np.add.reduce(work, axis=0, out=centre), N, out=centre)  # what np.mean computes
+        dual_update(lam, theta, z, rho, work)
         bits += N * payload
         joules += energy_per_iter
-        models[len(steps)], centers[len(steps)] = theta, z
         steps.append((bits, joules, 0))
         if len(steps) == _TRACE_BLOCK and flush():
             return trace
@@ -291,13 +322,19 @@ def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
 
 @dataclass(frozen=True)
 class _Phase:
-    """One head or tail group's arrays between re-chainings (terms is
-    refilled each phase, the rest stay fixed)."""
+    """One head or tail group's arrays between re-chainings (the buffers
+    are rewritten each phase, the rest stay fixed)."""
 
     rows: slice  # the group's rows of theta, theta_hat and the src pulls
     inv: np.ndarray  # (k, d, d)
     idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
-    terms: np.ndarray  # (2D+1, k, d) the gathered addends
+    terms: np.ndarray  # (2D+1, k, d, 1) the gathered addends
+    gather: np.ndarray  # (2D+1, k, d) view of terms that np.take fills
+    rhs: np.ndarray  # (k, d, 1) their sums
+    last: np.ndarray  # (k, d) view of the group's theta_hat rows
+    pull: np.ndarray  # (k, d) view of its rho theta_hat rows in src
+    changed: np.ndarray  # (k, d) bool, new != last
+    send: np.ndarray  # (k,) bool, rows that transmit
     energy: float  # Joules per message at this group's bandwidth share
 
 
@@ -308,10 +345,10 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, rho, payload, energy_model, inv_cache):
+def _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull):
     """The head and tail phases of `topology`, its worker -> row table and
-    its edges' endpoint rows."""
-    N = topology.n
+    the (2, E) rows of its edges' left and right ends."""
+    N, d = topology.n, stack.dim
     edges = [(u - 1, v - 1) for u, v in topology.edges]
     groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
     row = np.empty(N, dtype=np.intp)
@@ -328,16 +365,22 @@ def _phases(topology, stack, rho, payload, energy_model, inv_cache):
     for members in groups:
         k, D = len(members), max(degree[n] for n in members)
         padded = [[n, *slots[n]] + [minus_zero, plus_zero] * (D - degree[n]) for n in members]
+        rows, terms = slice(start, start + k), np.empty((2 * D + 1, k, d, 1))
         phases.append(_Phase(
-            rows=slice(start, start + k),
+            rows=rows,
             inv=inv_cache[degree][members],
             idx=np.array(padded, dtype=np.intp).T.copy(),
-            terms=np.empty((2 * D + 1, k, stack.dim)),
+            terms=terms,
+            gather=terms[..., 0],
+            rhs=np.empty((k, d, 1)),
+            last=theta_hat[rows],
+            pull=pull[rows],
+            changed=np.empty((k, d), dtype=bool),
+            send=np.empty(k, dtype=bool),
             energy=message_energy(payload, energy_model.share(k), 1.0),
         ))
         start += k
-    ends = row[np.array(edges)]
-    return phases, row, ends[:, 0], ends[:, 1]
+    return phases, row, row[np.array(edges)].T.copy()
 
 
 def _chain_duals(order, stack, theta, row):
@@ -364,21 +407,23 @@ def _run_decentralized(
     src[minus_zero] = -0.0
     lam, neg_lam, pull = src[plus:plus + E], src[neg:plus], src[pulls:pulls + N]
     np.negative(lam, out=neg_lam)
-    theta = np.zeros((N, d))
     theta_hat = np.zeros((N, d))
+    end_hat = np.empty((2, E, d))  # theta_hat at each edge's left and right end
+    left_hat, right_hat = end_hat
     q_rng = child_rng(seed, 1)
     payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    phases, row, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
+    phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull)
 
     trace = TrainingTrace()
     models = np.empty((_TRACE_BLOCK, N, d))
+    model_cols = models[..., None]  # column stacks for np.matmul
     steps: list[tuple[float, float, int]] = []
 
     def flush() -> bool:
         done = models[:len(steps)]
-        gaps = done[:, left]
-        gaps -= done[:, right]
+        gaps = done[:, ends[0]]
+        gaps -= done[:, ends[1]]
         return _flush(trace, stack, f_star, stop_error, done[:, row], gaps, steps)
 
     bits = joules = 0.0
@@ -389,20 +434,20 @@ def _run_decentralized(
                 return trace
             topology = rechain(topology, k, seed)
             old_row = row
-            phases, row, left, right = _phases(topology, stack, rho, payload, energy_model, inv_cache)
+            phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull)
             perm = np.empty(N, dtype=np.intp)
             perm[row] = old_row  # new row r holds old row perm[r]
-            theta, theta_hat, pull[:] = theta[perm], theta_hat[perm], pull[perm]
-            lam[:] = _chain_duals(topology.order, stack, theta, row)
+            theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
+            lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
             np.negative(lam, out=neg_lam)
 
+        theta, theta_cols = models[len(steps)], model_cols[len(steps)]  # this iteration's, phase-major
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
-            np.take(src, ph.idx, axis=0, out=ph.terms, mode="clip")
-            new = block_solve(ph.inv, ph.terms)
-            theta[ph.rows] = new
-            last = theta_hat[ph.rows]
+            np.take(src, ph.idx, axis=0, out=ph.gather, mode="clip")
+            block_solve(ph.inv, ph.terms, ph.rhs, theta_cols[ph.rows])
+            new, last = theta[ph.rows], ph.last
             if quantizer is not None:
                 levels, radius = quantize_rows(new - last, quantizer, q_rng)
                 new = last + dequantize_rows(levels, radius, quantizer.bits)
@@ -411,18 +456,23 @@ def _run_decentralized(
             elif k == 0:
                 send = np.ones(len(new), dtype=bool)
             else:
-                send = (new != last).any(axis=1)
-            np.copyto(last, new, where=send[:, None])
-            np.multiply(new, rho, out=pull[ph.rows], where=send[:, None])
+                send = np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=1, out=ph.send)
             sent = int(np.count_nonzero(send))
+            if sent:
+                if sent == len(new):
+                    last[...] = new
+                else:
+                    np.copyto(last, new, where=send[:, None])
+                # a row that did not send already holds rho times its theta_hat
+                np.multiply(last, rho, out=ph.pull)
             bits += payload * sent
             for _ in range(sent):
                 joules += ph.energy
             censored += len(new) - sent
 
-        lam[:] = dual_update(lam, theta_hat[left], theta_hat[right], rho)
+        theta_hat.take(ends, axis=0, out=end_hat, mode="clip")
+        dual_update(lam, left_hat, right_hat, rho, left_hat)
         np.negative(lam, out=neg_lam)
-        models[len(steps)] = theta
         steps.append((bits, joules, censored))
         if len(steps) == _TRACE_BLOCK and flush():
             return trace

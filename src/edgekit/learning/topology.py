@@ -45,7 +45,8 @@ class Topology:
         if not _connected(self.n, self.edges):
             raise ValueError("topology must be connected")
         if self.kind == "chain":
-            assert self.order is not None
+            if self.order is None:
+                raise ValueError("a chain needs its order")
             expect = tuple(
                 (self.order[i], self.order[i + 1]) for i in range(self.n - 1)
             )

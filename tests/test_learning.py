@@ -97,6 +97,10 @@ class TestTopology:
                     assert nxt == min(pool, key=lambda w: (float(np.hypot(*(pos[cur - 1] - pos[w - 1]))), w))
                     free.discard(nxt)
 
+    def test_chain_without_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            Topology(kind="chain", n=2, edges=((1, 2),), heads=frozenset({1})).validate()
+
     def test_rechain_static_noop(self):
         topo = build_topology(6, kind="chain", seed=0)
         assert rechain(topo, 10, seed=0) is topo
@@ -128,13 +132,19 @@ def slot_loop_rhs(g, duals, signs, models, rho):
     return rhs
 
 
+def solve(inv, terms):
+    """block_solve of a (2D+1, k, d) stack into fresh (k, d, 1) buffers."""
+    k, d = terms.shape[1:]
+    return block_solve(inv, terms[..., None], np.empty((k, d, 1)), np.empty((k, d, 1)))[..., 0]
+
+
 def solve_one(problem, models, duals, signs, rho, dim):
     """One worker's block update against its neighbors' models and its edge
     duals and signs; without a problem f = 0 and only the proximity terms pull."""
     H, g = problem.gram() if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
     inv = inverses(H[None], np.array([len(models)]), rho)
     signs = np.array(signs, dtype=float)[None, :, None]
-    return block_solve(inv, slot_terms(g[None], np.array([duals], float), signs, np.array([models], float), rho))[0]
+    return solve(inv, slot_terms(g[None], np.array([duals], float), signs, np.array([models], float), rho))[0]
 
 
 class TestBatchedKernels:
@@ -147,9 +157,9 @@ class TestBatchedKernels:
         inv = inverses(H, np.array([1, 2, 3, 3, 2]), 0.7)
         terms = slot_terms(g, rng.standard_normal((k, D, d)), rng.choice([-1.0, 1.0], (k, D, 1)),
                            rng.standard_normal((k, D, d)), 0.7)
-        stacked = block_solve(inv, terms)
+        stacked = solve(inv, terms)
         for n in range(k):
-            one = block_solve(inv[n:n + 1], terms[:, n:n + 1])
+            one = solve(inv[n:n + 1], terms[:, n:n + 1])
             assert np.array_equal(stacked[n], one[0])
 
     @settings(max_examples=80, deadline=None)
@@ -180,8 +190,9 @@ class TestBatchedKernels:
         inv = np.broadcast_to(np.eye(d), (k, d, d))
         terms = slot_terms(g, duals, signs, models, rho)
         rhs = slot_loop_rhs(g, duals, signs, models, rho)
-        assert slot_sum(terms).tobytes() == rhs.tobytes()
-        assert block_solve(inv, terms).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
+        # with k*d = 1 slot_sum scans the stack in place, so each call gets a copy
+        assert slot_sum(terms.copy(), np.empty((k, d))).tobytes() == rhs.tobytes()
+        assert solve(inv, terms.copy()).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
 
     def test_stacked_objective_with_mixed_sample_counts(self, rng):
         problems = [
@@ -244,18 +255,26 @@ class TestPrimalDualUpdates:
     def test_dual_fixed_when_constraint_met(self):
         lam = np.array([1.0, 2.0])
         t = np.array([3.0, 4.0])
-        assert dual_update(lam, t, t, rho=5.0) == pytest.approx(lam)
+        assert dual_update(lam.copy(), t, t, 5.0, np.empty(2)) == pytest.approx(lam)
 
     def test_dual_direct_formula(self):
-        out = dual_update(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), rho=1.0)
-        assert out == pytest.approx([1.0, -1.0])
+        lam = np.zeros(2)
+        dual_update(lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, np.empty(2))
+        assert lam == pytest.approx([1.0, -1.0])
 
     def test_two_updates_equal_one_with_double_rho(self, rng):
         lam = rng.standard_normal(3)
         tl, tr = rng.standard_normal(3), rng.standard_normal(3)
-        twice = dual_update(dual_update(lam, tl, tr, 0.7), tl, tr, 0.7)
-        once = dual_update(lam, tl, tr, 1.4)
+        twice, once, step = lam.copy(), lam.copy(), np.empty(3)
+        dual_update(dual_update(twice, tl, tr, 0.7, step), tl, tr, 0.7, step)
+        dual_update(once, tl, tr, 1.4, step)
         assert twice == pytest.approx(once)
+
+    def test_in_place_step_equals_the_expression(self, rng):
+        # the runner's step buffer is the gathered left ends themselves
+        lam, ends = rng.standard_normal((5, 3)), rng.standard_normal((2, 5, 3))
+        expect = lam + 0.7 * (ends[0] - ends[1])
+        assert dual_update(lam, ends[0], ends[1], 0.7, ends[0]).tobytes() == expect.tobytes()
 
 
 def roundtrip(x, q, rng):
@@ -319,6 +338,10 @@ class TestQuantizer:
         bits=st.integers(1, 32),
         seed=st.integers(0, 2**32 - 1),
     )
+    # every row live: no row is gathered or scattered
+    @example(rows=[[1.5, -0.25, 3.0], [-2.0, 0.0, 0.5], [0.125, 7.0, -7.0]], bits=2, seed=7)
+    # exactly one all-zero row: the live rows are gathered and scattered back
+    @example(rows=[[1.5, -0.25, 3.0], [0.0, -0.0, 0.0], [-2.0, 0.0, 0.5]], bits=3, seed=8)
     def test_rows_match_sequential_messages(self, rows, bits, seed):
         delta = np.array(rows)
         q = QuantizerConfig(bits=bits)
@@ -449,6 +472,16 @@ class TestRun:
         with pytest.raises(ConfigMismatch):
             run("d-gadmm", problems, topo)  # tau_coh is inf
 
+    def test_edge_inside_a_group_rejected(self):
+        # both ends of edge (1, 3) are heads and would solve in the same phase
+        topo = Topology(kind="bipartite", n=4, edges=((1, 3), (3, 2), (2, 4)), heads=frozenset({1, 3}))
+        with pytest.raises(ConfigMismatch, match="same role"):
+            run("ggadmm", scalar_problems([1, 2, 3, 4]), topo, iters=50)
+
+    def test_worker_count_must_match_problems(self):
+        with pytest.raises(ConfigMismatch, match="3 workers for 4 problems"):
+            run("gadmm", scalar_problems([1, 2, 3, 4]), build_topology(3, kind="chain"), iters=50)
+
     def test_ps_admm_converges_and_counts_energy(self):
         problems = synthetic_problems(4, 3, 12, seed=7)
         trace = run("ps-admm", problems, None, iters=2000, seed=7, stop_error=1e-6)
@@ -511,6 +544,17 @@ class TestStopping:
             assert k == at + 1
         for name in TRACE_FIELDS:
             assert getattr(stopped, name) == getattr(full, name)[:k]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_whole_blocks_end_with_an_empty_flush(variant):
+    # 16 and 32 iterations fill whole trace blocks, so the final flush (and
+    # d-gadmm's flush before its re-chain at 16) has nothing left to append
+    short, long = _small_run(variant, 16, tau=16), _small_run(variant, 32, tau=16)
+    for name in TRACE_FIELDS:
+        assert len(getattr(short, name)) == 16
+        assert len(getattr(long, name)) == 32
+        assert getattr(long, name)[:16] == getattr(short, name)
 
 
 def _trace_digest(trace):
