@@ -103,7 +103,8 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      start is initial=-0.0, the exact identity: the default start turns a
      sum of -0.0 into +0.0.  With k*d = 1 numpy collapses the kept axes and
      sums the lone column pairwise, so that case takes np.add.accumulate, a
-     strict left-to-right scan of the stack in place.  A signed-incidence matmul reorders the sum.
+     strict left-to-right scan of the stack in place.  A signed-incidence
+     matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
      over .tolist(), one per iteration also when a block is evaluated: the
      block's objective terms and gap norms are one stacked matmul each, which
@@ -325,7 +326,7 @@ class _Phase:
     """One head or tail group's arrays between re-chainings (the buffers
     are rewritten each phase, the rest stay fixed)."""
 
-    rows: slice  # the group's rows of theta, theta_hat and the src pulls
+    rows: slice  # the group's rows of the models, theta_hat and the src pulls
     inv: np.ndarray  # (k, d, d)
     idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
     terms: np.ndarray  # (2D+1, k, d, 1) the gathered addends
