@@ -17,9 +17,9 @@ from edgekit.learning import (
     message_energy,
     rechain,
     run,
+    runner,
 )
 from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
-from edgekit.learning import runner
 from edgekit.learning.problems import ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
