@@ -10,25 +10,8 @@ import argparse
 
 import numpy as np
 
-from edgekit.learning import (
-    CensorSchedule,
-    LocalProblem,
-    QuantizerConfig,
-    build_topology,
-    run,
-)
-from edgekit.core import make_rng
-
-
-def make_problems(n, dim, samples, noise, reg, seed):
-    rng = make_rng(seed)
-    out = []
-    for _ in range(n):
-        A = rng.standard_normal((samples, dim))
-        x = rng.standard_normal(dim)
-        b = A @ x + noise * rng.standard_normal(samples)
-        out.append(LocalProblem(A=A, b=b, reg=reg))
-    return out
+from edgekit.learning import CensorSchedule, QuantizerConfig, build_topology, run
+from edgekit.pipeline import make_problems
 
 
 def main():
@@ -45,7 +28,8 @@ def main():
     variants = ["ps-admm", "ggadmm", "c-ggadmm", "cq-ggadmm"]
     joules = {v: [] for v in variants}
     for seed in range(args.seeds):
-        problems = make_problems(args.workers, args.dim, args.samples, 0.1, 1e-3, seed)
+        cfg = {"workers": args.workers, "dim": args.dim, "samples": args.samples, "noise": 0.1, "reg": 1e-3}
+        problems = make_problems(cfg, seed)
         topo = build_topology(args.workers, kind="bipartite", seed=seed, mean_degree=5.0)
         for v in variants:
             censor = CensorSchedule(xi0=0.1, alpha=0.99) if v.startswith(("c-", "cq")) else None

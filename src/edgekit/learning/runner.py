@@ -217,6 +217,8 @@ def _check_variant(variant, topology, quantizer, censor, n_problems):
         raise ConfigMismatch(f"{variant} requires a chain topology")
     if variant == "d-gadmm" and math.isinf(topology.tau_coh):
         raise ConfigMismatch("d-gadmm requires a finite tau_coh")
+    if variant == "d-gadmm" and topology.positions is None:
+        raise ConfigMismatch("d-gadmm re-chains by worker positions, and the topology has none")
     if quantizer is not None and variant != "cq-ggadmm":
         raise ConfigMismatch("quantizer is only valid for cq-ggadmm")
     if censor is not None and variant not in ("c-ggadmm", "cq-ggadmm"):

@@ -145,13 +145,14 @@ def rechain(topology: Topology, iteration: int, seed: int) -> Topology:
     N = topology.n
     if N % 2 != 0:
         raise ValueError("dynamic re-chaining requires an even worker count")
+    pos = topology.positions
+    if pos is None:
+        raise ValueError("dynamic re-chaining requires worker positions")
     rng = child_rng(seed, iteration)
     middle = np.arange(2, N)
     picks = rng.choice(middle, size=N // 2 - 1, replace=False)
     heads = {1, *(int(x) for x in picks)}
     tails = set(range(1, N + 1)) - heads
-    pos = topology.positions
-    assert pos is not None
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1]).tolist()  # dist[a - 1][b - 1]
 

@@ -6,11 +6,10 @@ from .model import (
     NetGraph,
     NetNode,
     TimeBudgetExceeded,
-    TooLarge,
     evaluate_assignment,
 )
 from .generators import InvalidShape, generate_application, generate_network
-from .solvers import brute_force_optimal, solve_heuristic, solve_optimal
+from .solvers import solve_heuristic, solve_optimal
 from .io import instance_from_dict, load_instance
 
 __all__ = [
@@ -21,12 +20,10 @@ __all__ = [
     "NetGraph",
     "NetNode",
     "TimeBudgetExceeded",
-    "TooLarge",
     "evaluate_assignment",
     "InvalidShape",
     "generate_application",
     "generate_network",
-    "brute_force_optimal",
     "solve_heuristic",
     "solve_optimal",
     "instance_from_dict",

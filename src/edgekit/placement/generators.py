@@ -49,9 +49,7 @@ def generate_network(M: int, seed: int = 0) -> NetGraph:
                 a, b = nodes[i], nodes[j]
                 p = _LINK_PROB.get((a.kind, b.kind), _MIXED_LINK_PROB)
                 if rng.random() < p:
-                    tl = WIRED_LINK_ENERGY if (a.kind == b.kind == "wired") else (
-                        WIRELESS_LINK_ENERGY if "wireless" in (a.kind, b.kind) else WIRED_LINK_ENERGY
-                    )
+                    tl = WIRED_LINK_ENERGY if a.kind == b.kind == "wired" else WIRELESS_LINK_ENERGY
                     links.append((a.id, b.id, tl))
         net = NetGraph(nodes=tuple(nodes), links=tuple(links))
         if net.connected:

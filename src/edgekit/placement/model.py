@@ -26,10 +26,6 @@ class Infeasible(RuntimeError):
     pass
 
 
-class TooLarge(RuntimeError):
-    pass
-
-
 class TimeBudgetExceeded(RuntimeError):
     pass
 

@@ -1,4 +1,4 @@
-"""Exact, heuristic, and brute-force placement solvers.
+"""Exact and heuristic placement solvers.
 
 Both `solve_optimal` and `solve_heuristic` run one depth-first
 branch-and-bound over positional cost tables built once per solve.
@@ -19,16 +19,12 @@ with the true quadratic objective.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from .model import AppGraph, Assignment, Infeasible, NetGraph, TimeBudgetExceeded, TooLarge, evaluate_assignment
-
-BRUTE_FORCE_LIMIT = 10**7
+from .model import AppGraph, Assignment, Infeasible, NetGraph, TimeBudgetExceeded, evaluate_assignment
 
 
 def _feasibility_precheck(app: AppGraph, net: NetGraph) -> None:
@@ -38,24 +34,6 @@ def _feasibility_precheck(app: AppGraph, net: NetGraph) -> None:
         raise Infeasible(
             f"total component demand {total_demand} exceeds total node resources {total_supply}"
         )
-
-
-def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
-    """Exhaustive enumeration oracle; exact minimum E_t among feasible maps."""
-    _feasibility_precheck(app, net)
-    comp_ids = [c.id for c in app.components]
-    node_ids = [n.id for n in net.nodes]
-    if len(node_ids) ** len(comp_ids) > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{len(node_ids)}^{len(comp_ids)} assignments exceed the enumeration limit")
-    best = None
-    for combo in itertools.product(node_ids, repeat=len(comp_ids)):
-        mapping = dict(zip(comp_ids, combo))
-        a = evaluate_assignment(app, net, mapping)
-        if a.feasible and (best is None or a.total_energy < best.total_energy):
-            best = a
-    if best is None:
-        raise Infeasible("no feasible assignment exists")
-    return replace(best, status="optimal")
 
 
 class _BranchAndBound:

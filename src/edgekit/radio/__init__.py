@@ -15,9 +15,7 @@ from .model import (
     latency_rr,
     pow_latency,
     reservation_probability,
-    sweep_nprach_period,
 )
-from .oracles import monte_carlo_reservation, pow_latency_oracle
 
 __all__ = [
     "DltConfig",
@@ -34,7 +32,4 @@ __all__ = [
     "latency_tx",
     "pow_latency",
     "reservation_probability",
-    "sweep_nprach_period",
-    "monte_carlo_reservation",
-    "pow_latency_oracle",
 ]

@@ -130,22 +130,24 @@ def latency_rx(config: RadioConfig, m1: float, m2: float) -> float:
     )
 
 
-def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: float | None = None) -> dict:
+def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: float) -> dict:
     """Field values of `radio` at NPRACH period t.
 
     The data resource shares are re-derived from the control overhead
     (w = 1 - tau/t uplink, y = 1 - u/d downlink), which is what couples a
-    short period to expensive data transmission.  With `arrivals_per_second`,
-    the per-period arrival rates scale with t.
+    short period to expensive data transmission.  The per-period arrival
+    rates are `arrivals_per_second` * t, split as in `radio`.
     """
     if t <= radio.tau:
         raise UnstableConfig("NPRACH period must exceed the NPRACH unit length")
-    fields: dict = {"t": t, "w": 1.0 - radio.tau / t, "y": 1.0 - min(radio.u / radio.d, 0.99)}
-    if arrivals_per_second is not None:
-        split = radio.lambda_u / radio.lambda_a if radio.lambda_a > 0 else 0.5
-        fields["lambda_u"] = arrivals_per_second * t * split
-        fields["lambda_d"] = arrivals_per_second * t * (1.0 - split)
-    return fields
+    split = radio.lambda_u / radio.lambda_a if radio.lambda_a > 0 else 0.5
+    return {
+        "t": t,
+        "w": 1.0 - radio.tau / t,
+        "y": 1.0 - min(radio.u / radio.d, 0.99),
+        "lambda_u": arrivals_per_second * t * split,
+        "lambda_d": arrivals_per_second * t * (1.0 - split),
+    }
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ here they also price the ledger's block messages.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from ..core import fixed_point
 from .config import (
@@ -23,11 +22,10 @@ from .config import (
     RadioConfig,
     latency_rx,
     latency_tx,
-    nprach_period_fields,
 )
 
 
-def reservation_probability(config: RadioConfig, tol: float = 1e-9, max_iter: int = 100_000) -> tuple[float, float]:
+def reservation_probability(config: RadioConfig) -> tuple[float, float]:
     """Steady-state (P_rr, lambda_tot) of the drift approximation.
 
     P_rr(x) = p_d * exp(-x/K); the retransmission backlog adds
@@ -46,7 +44,7 @@ def reservation_probability(config: RadioConfig, tol: float = 1e-9, max_iter: in
         q = 1.0 - p_d * math.exp(-x / K)
         return lam_a * sum([q**l for l in attempts])
 
-    lam_tot = fixed_point(total, lam_a, tol=tol, max_iter=max_iter)
+    lam_tot = fixed_point(total, lam_a)
     p_rr = p_d * math.exp(-lam_tot / K)
     return p_rr, lam_tot
 
@@ -161,23 +159,3 @@ def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | Non
         latency=_latency_terms(radio, dlt, l_rr, *queues),
         energy=_energy_terms(radio, power, dlt, p_rr, *queues),
     )
-
-
-def sweep_nprach_period(
-    radio: RadioConfig,
-    power: PowerProfile,
-    dlt: DltConfig | None,
-    t_values,
-    arrivals_per_second: float | None = None,
-) -> list[tuple[float, LatencyEnergyBreakdown]]:
-    """Evaluate the full breakdown across NPRACH periods.
-
-    Short periods starve the data channels (large w overhead), long periods
-    inflate the reservation wait, so the end-to-end latency has an interior
-    minimum over t.
-    """
-    out = []
-    for t in t_values:
-        cfg = replace(radio, **nprach_period_fields(radio, float(t), arrivals_per_second))
-        out.append((float(t), full_breakdown(cfg, power, dlt)))
-    return out

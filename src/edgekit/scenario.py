@@ -12,7 +12,8 @@ that kind needs.  Top-level keys:
               only those the kind reads (KIND_READS)
 
 Parsing validates every block and expands a sweep into one validated Point
-per value (one point without a sweep).  A point that prices a ledger must
+per value (one point without a sweep); under a `learning.variant` sweep the
+variant rules are checked at the points only, each against its own variant.  A point that prices a ledger must
 carry its payloads through its radio queues; an integrated scenario none of
 whose points prices one may not set radio, power or dlt.  A placement
 instance file is loaded, and so checked, at parse time, and its point runs
@@ -144,17 +145,14 @@ class Scenario(Point):
     points: tuple[Point, ...]
 
 
-def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
+def _validate_learning(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
+    """The learning rules; with the variant swept, the rules that read it
+    are left to the points, each of which has its own variant."""
     from .learning.runner import VARIANTS
 
     before = len(errors)
-    variant = block["variant"]
-    if variant not in VARIANTS:
-        errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
     if not is_int(block["workers"], 2):
         errors.append("learning.workers: must be an integer >= 2")
-    elif variant == "d-gadmm" and block["workers"] % 2:
-        errors.append("learning.workers: d-gadmm re-chains an even number of workers")
     if block["topology"] not in ("chain", "bipartite"):
         errors.append("learning.topology: must be chain or bipartite")
     for key in ("dim", "samples", "iters"):
@@ -170,8 +168,6 @@ def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
         errors.append("learning.quantizer_bits: must be an integer in 1..32")
     if block["tau_coh"] is not None and not is_int(block["tau_coh"], 1):
         errors.append("learning.tau_coh: must be a positive integer")
-    elif block["tau_coh"] is None and variant == "d-gadmm":
-        errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
     if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
     # Gaussian designs: the stacked system has full column rank almost surely
@@ -180,6 +176,15 @@ def _validate_learning(block: dict, given: dict, errors: list[str]) -> None:
     if is_number(block["reg"]) and block["reg"] == 0 and all(is_int(v, 1) for v in (workers, samples, dim)) \
             and workers * samples < dim:
         errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
+    if swept == "variant":
+        return
+    variant = block["variant"]
+    if variant not in VARIANTS:
+        errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
+    if variant == "d-gadmm" and is_int(workers, 2) and workers % 2:
+        errors.append("learning.workers: d-gadmm re-chains an even number of workers")
+    if block["tau_coh"] is None and variant == "d-gadmm":
+        errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
     for key in given:
         if key in VARIANT_FIELDS and variant not in VARIANT_FIELDS[key]:
             errors.append(f"learning.{key}: not used by variant {variant}")
@@ -215,7 +220,7 @@ def _check_message_energy(block: dict, errors: list[str]) -> None:
                       "at once (the energy overflows)")
 
 
-def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
+def _validate_placement(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
     if block["shape"] not in ("long", "wide"):
         errors.append("placement.shape: must be long or wide")
     elif not is_int(block["components"], 2 if block["shape"] == "long" else 3):
@@ -243,7 +248,7 @@ def _validate_placement(block: dict, given: dict, errors: list[str]) -> None:
                       for key in ("nodes", "components", "shape", "runs") if key in given)
 
 
-def _validate_integrated(block: dict, given: dict, errors: list[str]) -> None:
+def _validate_integrated(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
     if not is_int(block["ledger_period"], 1):
         errors.append("integrated.ledger_period: must be a positive integer")
     if not isinstance(block["dlt_enabled"], bool):
@@ -273,16 +278,18 @@ def _given(name: str, block, errors: list[str]) -> dict:
     return {key: value for key, value in block.items() if key in _FIELDS[name]}
 
 
-def _build(name: str, given: dict, errors: list[str], culprit: str | None = None):
+def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: str | None = None):
     """Block `name` as a run uses it, from the fields the scenario sets.
 
     A config class's error is put on `culprit` (a swept field) when given,
-    else on the field its message starts with.
+    else on the field its message starts with.  `swept` names the field a
+    sweep sets in the base block, whose rules a validator may leave to the
+    points.
     """
     if name in _DICT_BLOCKS:
         defaults, validate = _DICT_BLOCKS[name]
         block = {**defaults, **given}
-        validate(block, given, errors)
+        validate(block, given, errors, swept)
         return block
     if name == "dlt" and not given:
         return None  # no ledger round
@@ -424,8 +431,9 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
 
     given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
     _check_reads(kind, raw, given, errors)
-    base = {name: _build(name, given[name], errors) for name in BLOCKS}
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
+    base = {name: _build(name, given[name], errors, swept=sweep.field if sweep and sweep.block == name else None)
+            for name in BLOCKS}
     if errors:
         raise ValidationError(errors)
     points = _expand(seed, given, base, sweep, errors)

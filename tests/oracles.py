@@ -1,0 +1,97 @@
+"""Test oracles: simulations and exhaustive searches that check the closed
+forms and the solvers of edgekit.
+
+They simulate the actual random processes (slotted preamble contention with
+backoff; the mining race) or enumerate every assignment, and are kept
+independent of the analytical code they check.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+
+from edgekit.core import make_rng
+from edgekit.placement import AppGraph, Assignment, Infeasible, NetGraph, evaluate_assignment
+from edgekit.radio import RadioConfig
+
+BACKOFF_WINDOW = 10  # periods; steady-state success rate is insensitive to it
+DRAW_BLOCK = 1 << 16  # random numbers drawn per numpy call
+
+
+def _draws(draw):
+    """One value at a time from `draw(DRAW_BLOCK)` lists, drawn as needed."""
+    return itertools.chain.from_iterable(map(draw, itertools.repeat(DRAW_BLOCK)))
+
+
+def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: int = 0) -> float:
+    """Empirical reservation success probability from a slotted simulation.
+
+    Each period, Poisson(lambda_a) fresh devices plus due retransmitters each
+    pick one of K preambles uniformly; a device succeeds iff its preamble is
+    unshared and an independent delivery coin (p_d) lands.  Failures retry
+    after a uniform backoff of 1..BACKOFF_WINDOW periods, up to N_rmax
+    attempts.  The first 10% of periods are discarded as warm-up.
+
+    Every period's arrivals come from one Poisson call; preambles, coins and
+    backoffs come in blocks of DRAW_BLOCK.  Retries wait in a ring of
+    BACKOFF_WINDOW + 1 slots, so a backoff never lands on the current slot.
+    """
+    if periods < 1_000:
+        raise ValueError("need at least 1000 periods")
+    rng = make_rng(seed)
+    K, p_d, n_rmax = config.K, config.p_d, config.N_rmax
+    warmup = periods // 10
+    preambles = _draws(lambda n: rng.integers(0, K, size=n).tolist())
+    coins = _draws(lambda n: rng.random(n).tolist())
+    backoffs = _draws(lambda n: rng.integers(1, BACKOFF_WINDOW + 1, size=n).tolist())
+    ring: list[list[int]] = [[] for _ in range(BACKOFF_WINDOW + 1)]  # attempt numbers due per slot
+    successes = attempts = 0
+    for period, fresh in enumerate(rng.poisson(config.lambda_a, size=periods).tolist()):
+        slot = period % len(ring)
+        due, ring[slot] = ring[slot], []
+        n = fresh + len(due)
+        if n == 0:
+            continue
+        picks = list(itertools.islice(preambles, n))
+        counts: dict[int, int] = {}
+        for pick in picks:
+            counts[pick] = counts.get(pick, 0) + 1
+        won = 0
+        for attempt, pick in zip(itertools.chain(itertools.repeat(1, fresh), due), picks):
+            if counts[pick] == 1 and next(coins) < p_d:
+                won += 1
+            elif attempt < n_rmax:
+                ring[(period + next(backoffs)) % len(ring)].append(attempt + 1)
+        if period >= warmup:
+            attempts += n
+            successes += won
+    if attempts == 0:
+        return float(p_d)
+    return successes / attempts
+
+
+def pow_latency_oracle(M: int, lambda_c: float, trials: int = 100_000, seed: int = 0) -> float:
+    """Monte-Carlo mean of the fastest of M exponential(lambda_c) miners."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if M < 1 or lambda_c <= 0:
+        raise ValueError("need M >= 1 and lambda_c > 0")
+    rng = make_rng(seed)
+    draws = rng.exponential(1.0 / lambda_c, size=(trials, M))
+    return float(draws.min(axis=1).mean())
+
+
+def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
+    """Exhaustive enumeration: the minimum-E_t feasible assignment."""
+    comp_ids = [c.id for c in app.components]
+    node_ids = [n.id for n in net.nodes]
+    if len(node_ids) ** len(comp_ids) > 10**7:
+        raise ValueError(f"{len(node_ids)}^{len(comp_ids)} assignments are too many to enumerate")
+    best = None
+    for combo in itertools.product(node_ids, repeat=len(comp_ids)):
+        a = evaluate_assignment(app, net, dict(zip(comp_ids, combo)))
+        if a.feasible and (best is None or a.total_energy < best.total_energy):
+            best = a
+    if best is None:
+        raise Infeasible("no feasible assignment exists")
+    return replace(best, status="optimal")

@@ -21,25 +21,17 @@ from edgekit.learning import (
 )
 from edgekit.placement import (
     Infeasible,
-    brute_force_optimal,
     generate_application,
     generate_network,
     solve_heuristic,
     solve_optimal,
 )
-from edgekit.radio import (
-    DltConfig,
-    PowerProfile,
-    RadioConfig,
-    monte_carlo_reservation,
-    pow_latency_oracle,
-    reservation_probability,
-    sweep_nprach_period,
-)
+from edgekit.radio import RadioConfig, full_breakdown, reservation_probability
 from edgekit.pipeline import run_scenario
 from edgekit.scenario import parse_scenario
 
 from conftest import synthetic_problems
+from oracles import brute_force_optimal, monte_carlo_reservation, pow_latency_oracle
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -206,10 +198,10 @@ def test_criterion_8_pow_race():
 
 
 def test_criterion_9_latency_shape():
-    radio = RadioConfig(tau=0.0256, lambda_s=5.0, lambda_b=5.0)
-    ts = [0.04 * 2**i for i in range(7)]  # 0.04 .. 2.56 s
-    res = sweep_nprach_period(radio, PowerProfile(), DltConfig(), ts, arrivals_per_second=10.0)
-    lats = [b.total_latency for _, b in res]
+    # the golden radio scenario: t from 0.04 to 2.56 s at 10 arrivals per second
+    points = parse_scenario(GOLDEN / "radio.yaml").points
+    ts = [point.value for point in points]
+    lats = [full_breakdown(point.radio, point.power, point.dlt).total_latency for point in points]
     i = int(np.argmin(lats))
     ok = 0 < i < len(lats) - 1 and lats[0] > lats[i] < lats[-1]
     report(9, ok,

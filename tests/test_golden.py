@@ -1,16 +1,18 @@
 """Golden snapshot: the four committed scenarios reproduce out/*.csv byte for byte.
 
 The CSVs are written with repr(), so this fails on any last-ulp change in a
-reported number, not only on a wrong one.
+reported number, not only on a wrong one.  The README's scenario commands
+name committed scenarios of their subcommand's kind.
 """
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from edgekit.cli import main
+from edgekit.cli import _KIND_OF_COMMAND, main
 from edgekit.pipeline import run_scenario
 from edgekit.scenario import parse_scenario
 
@@ -63,3 +65,19 @@ def test_dense_radio_sweep_digest_pinned(name, tmp_path, capsys):
     data = (tmp_path / "dense.csv").read_bytes()
     assert len(data.splitlines()) == 301
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# `edgekit <command> --scenario scenarios/<file>.yaml` lines of README.md
+README_COMMANDS = sorted(set(re.findall(r"^edgekit (\S+) +--scenario (scenarios/\S+\.yaml)",
+                                         (ROOT / "README.md").read_text(), re.M)))
+
+
+def test_readme_shows_every_golden_scenario():
+    assert {path for _, path in README_COMMANDS} >= {f"scenarios/{name}.yaml" for name in
+                                                     ("learning", "placement", "radio", "integrated")}
+
+
+@pytest.mark.parametrize("command, path", README_COMMANDS)
+def test_readme_command_names_a_scenario_of_its_kind(command, path):
+    # parsed, not run: nothing is written under out/
+    assert parse_scenario(ROOT / path).kind == _KIND_OF_COMMAND[command]

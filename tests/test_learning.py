@@ -482,6 +482,15 @@ class TestRun:
         with pytest.raises(ConfigMismatch, match="3 workers for 4 problems"):
             run("gadmm", scalar_problems([1, 2, 3, 4]), build_topology(3, kind="chain"), iters=50)
 
+    def test_d_gadmm_chain_without_positions_rejected(self):
+        # ran tau_coh iterations, then failed an assert inside rechain
+        topo = Topology(kind="chain", n=4, edges=((1, 2), (2, 3), (3, 4)), heads=frozenset({1, 3}),
+                        order=(1, 2, 3, 4), tau_coh=3)
+        with pytest.raises(ConfigMismatch, match="positions"):
+            run("d-gadmm", scalar_problems([1, 2, 3, 4]), topo, iters=10)
+        with pytest.raises(ValueError, match="positions"):
+            rechain(topo, 3, seed=0)
+
     def test_ps_admm_converges_and_counts_energy(self):
         problems = synthetic_problems(4, 3, 12, seed=7)
         trace = run("ps-admm", problems, None, iters=2000, seed=7, stop_error=1e-6)

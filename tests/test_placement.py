@@ -21,7 +21,6 @@ from edgekit.placement import (
     NetGraph,
     NetNode,
     TimeBudgetExceeded,
-    brute_force_optimal,
     evaluate_assignment,
     generate_application,
     generate_network,
@@ -32,6 +31,8 @@ from edgekit.placement import (
 )
 from edgekit.placement import solvers
 from edgekit.cli import main
+
+from oracles import brute_force_optimal
 
 GOLDEN_INSTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "placement_instance.yaml"
 

@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,13 +16,12 @@ from edgekit.radio import (
     latency_rr,
     latency_rx,
     latency_tx,
-    monte_carlo_reservation,
     pow_latency,
-    pow_latency_oracle,
     reservation_probability,
-    sweep_nprach_period,
 )
 from edgekit.radio.model import _block_exchange_latency
+
+from oracles import monte_carlo_reservation, pow_latency_oracle
 
 
 class TestCollision:
@@ -196,17 +194,6 @@ class TestBreakdowns:
             LatencyEnergyBreakdown(latency={"warp": 1.0})
         with pytest.raises(ValueError):
             LatencyEnergyBreakdown(energy={"pow": -1.0})
-
-
-class TestPeriodSweep:
-    def test_interior_latency_minimum(self):
-        radio = RadioConfig(tau=0.0256, lambda_s=5.0, lambda_b=5.0)
-        ts = [0.04 * 2**i for i in range(7)]
-        res = sweep_nprach_period(radio, PowerProfile(), DltConfig(), ts, arrivals_per_second=10.0)
-        lats = [b.total_latency for _, b in res]
-        i = int(np.argmin(lats))
-        assert 0 < i < len(lats) - 1
-        assert lats[0] > lats[i] < lats[-1]
 
 
 def _block_exchange_terms_with_copies(config, dlt):

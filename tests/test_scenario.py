@@ -630,6 +630,31 @@ class TestOnePath:
         assert "Infeasible" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    VARIANT_SWEEP = """
+        kind: learning
+        learning: {workers: 4, dim: 2, samples: 5, iters: 5, %s}
+        sweep: {param: learning.variant, values: %s}
+    """
+
+    def test_variant_sweep_checks_each_point_as_its_variant(self, tmp_path, capsys):
+        # exited 1 with "learning.topology: not used by variant gadmm", the
+        # default variant, which no point runs
+        p = self.scenario(tmp_path, self.VARIANT_SWEEP % ("topology: bipartite", "[ggadmm, c-ggadmm, cq-ggadmm]"))
+        assert main(["learn", "--scenario", str(p)]) == 0
+        assert [Path(line).name for line in capsys.readouterr().out.split()] == [
+            "r_learning_variant_ggadmm.csv", "r_learning_variant_c-ggadmm.csv", "r_learning_variant_cq-ggadmm.csv",
+        ]
+
+    @pytest.mark.parametrize("field, values, error", [
+        ("topology: bipartite", "[ps-admm, ggadmm]", "sweep.values[0]: learning.topology: not used by variant ps-admm"),
+        ("tau_coh: 20", "[gadmm, d-gadmm]", "sweep.values[0]: learning.tau_coh: not used by variant gadmm"),
+    ], ids=["ps-admm-topology", "gadmm-tau_coh"])
+    def test_variant_sweep_point_rejects_a_field_its_variant_ignores(self, tmp_path, capsys, field, values, error):
+        p = self.scenario(tmp_path, self.VARIANT_SWEEP % (field, values))
+        assert main(["learn", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_points_share_unswept_blocks(self, tmp_path):
         s = parse_scenario(self.scenario(tmp_path, """
             kind: integrated

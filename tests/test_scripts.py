@@ -20,11 +20,6 @@ SMALL_RUNS = {
         ["--workers", "4", "--dim", "2", "--samples", "5", "--seeds", "1", "--iters", "300", "--target", "1e-2"],
         "Joules to objective error",
     ),
-    "run_placement_benchmark.py": (
-        ["--sizes", "5x3,6x4", "--runs", "2", "--shape", "wide", "--time-budget", "5"],
-        "6 nodes x  4 components",
-    ),
-    "run_radio_sweep.py": (["--arrivals-per-second", "10", "--miners", "3"], "2.56"),
 }
 
 
