@@ -17,7 +17,7 @@ Top-level modules:
 """
 from . import core, learning, placement, radio
 from .scenario import ParseError, Scenario, SweepSpec, ValidationError, parse_scenario
-from .pipeline import IntegratedReport, run_integrated, run_scenario
+from .pipeline import run_scenario
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,6 @@ __all__ = [
     "SweepSpec",
     "ValidationError",
     "parse_scenario",
-    "IntegratedReport",
-    "run_integrated",
     "run_scenario",
     "__version__",
 ]

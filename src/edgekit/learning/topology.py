@@ -107,9 +107,7 @@ def build_topology(
         positions = rng.random((N, 2))
         return _chain_from_order(list(range(1, N + 1)), N, tau_coh, positions)
     if kind == "bipartite":
-        heads = frozenset(i for i in range(1, N + 1) if i % 2 == 1) - {N}
-        if N % 2 == 1:  # keep worker N a tail
-            heads = frozenset(i for i in range(1, N) if i % 2 == 1)
+        heads = frozenset(range(1, N, 2))  # odd ids but N: worker N is a tail
         tails = sorted(set(range(1, N + 1)) - heads)
         hs = sorted(heads)
         p = min(1.0, mean_degree * N / (2.0 * len(hs) * len(tails)))
@@ -157,19 +155,13 @@ def rechain(topology: Topology, iteration: int, seed: int) -> Topology:
     dist = np.hypot(diff[..., 0], diff[..., 1]).tolist()  # dist[a - 1][b - 1]
 
     order = [1]
-    remaining_h = heads - {1}
-    remaining_t = set(tails) - {N}
-    for slot in range(1, N):
-        want_head = slot % 2 == 0
-        pool = remaining_h if want_head else remaining_t
-        if not pool:  # only worker N left for the final tail slot
-            order.append(N)
-            break
+    pools = (heads - {1}, tails - {N})  # even slots take heads, odd ones tails
+    for slot in range(1, N - 1):
+        pool = pools[slot % 2]
         row = dist[order[-1] - 1]
-        nxt = min(sorted(pool), key=lambda w: (row[w - 1], w))
+        nxt = min(pool, key=lambda w: (row[w - 1], w))
         order.append(nxt)
-        (remaining_h if want_head else remaining_t).discard(nxt)
-    if order[-1] != N:
-        order.append(N)
+        pool.discard(nxt)
+    order.append(N)  # the last slot, a tail
     assert len(order) == N and set(order) == set(range(1, N + 1))
     return _chain_from_order(order, N, topology.tau_coh, pos)

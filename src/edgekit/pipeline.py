@@ -15,7 +15,9 @@ CSV schemas (fixed per kind):
     radio-dlt   <swept param>, L_total, E_total, then latency_<term> and
                 energy_<term> columns for every named breakdown term
     integrated  iter, objective, objective_error, joules_cum, dlt_latency_s,
-                dlt_energy_j   (plus a *_summary.csv with the grand totals)
+                dlt_energy_j   (the ledger record on every ledger_period-th
+                row, zeros elsewhere and without a dlt block; plus a
+                *_summary.csv with the grand totals)
 
 Numbers are written with repr(), the shortest decimal that round-trips, so
 reruns with the same seed produce byte-identical files.  Wall-clock columns
@@ -27,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -182,66 +183,6 @@ def run_radio_block(point: Point) -> list:
     )
 
 
-@dataclass
-class DltRecord:
-    iteration: int
-    latency_s: float
-    energy_j: float
-
-
-@dataclass
-class IntegratedReport:
-    """Joint accounting of one placed, ledger-backed training run."""
-
-    assignment: P.Assignment
-    trace: L.TrainingTrace
-    dlt_records: list[DltRecord] = field(default_factory=list)
-
-    @property
-    def placement_energy(self) -> float:
-        return self.assignment.total_energy
-
-    @property
-    def learning_energy(self) -> float:
-        return self.trace.joules_cum[-1] if len(self.trace) else 0.0
-
-    @property
-    def ledger_energy(self) -> float:
-        return sum(r.energy_j for r in self.dlt_records)
-
-    @property
-    def grand_total_energy(self) -> float:
-        return self.placement_energy + self.learning_energy + self.ledger_energy
-
-
-def run_integrated(point: Point) -> IntegratedReport:
-    """Place the learning sub-tasks, train over the placed workers, and price
-    one ledger record per model-publishing step.
-
-    `point` is one point of an integrated scenario, or a Scenario for its
-    base point.  The application graph mirrors the learning roles: one
-    data-processing source component, one training component per tail
-    worker, and one aggregation component per head worker, wired along the
-    worker topology the training runs on.
-    """
-    topology = _topology(point.learning, point.seed)
-    app = _learning_app_graph(topology, point.seed)
-    net = P.generate_network(point.placement["nodes"], seed=point.seed)
-    assignment = P.solve_heuristic(app, net)
-
-    trace = run_learning_block(point.learning, point.seed, topology)
-
-    records: list[DltRecord] = []
-    icfg = point.integrated
-    if icfg["dlt_enabled"] and point.dlt is not None:
-        b = R.full_breakdown(point.radio, point.power, point.dlt)
-        period = icfg["ledger_period"]
-        for k in range(len(trace)):
-            if (k + 1) % period == 0:
-                records.append(DltRecord(iteration=k + 1, latency_s=b.total_latency, energy_j=b.total_energy))
-    return IntegratedReport(assignment=assignment, trace=trace, dlt_records=records)
-
-
 def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
     """Application whose components are the learning sub-tasks."""
     rng = make_rng(seed)
@@ -269,14 +210,35 @@ def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
 
 
 def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]:
-    report = run_integrated(point)
-    trace = report.trace
-    ledger = {r.iteration: (r.latency_s, r.energy_j) for r in report.dlt_records}
+    """Place the learning sub-tasks, train over the placed workers, and price
+    one ledger record every `ledger_period` iterations (none without a dlt
+    block).
+
+    The application graph mirrors the learning roles: one data-processing
+    source component, one training component per tail worker, and one
+    aggregation component per head worker, wired along the worker topology
+    the training runs on.  Every record is the point's one `full_breakdown`.
+    """
+    topology = _topology(point.learning, point.seed)
+    app = _learning_app_graph(topology, point.seed)
+    net = P.generate_network(point.placement["nodes"], seed=point.seed)
+    placement_energy = P.solve_heuristic(app, net).total_energy
+    trace = run_learning_block(point.learning, point.seed, topology)
+
+    period = point.integrated["ledger_period"]
+    record, records = (0.0, 0.0), 0
+    if point.dlt is not None:
+        b = R.full_breakdown(point.radio, point.power, point.dlt)
+        record, records = (b.total_latency, b.total_energy), len(trace) // period
     rows = [
-        [k + 1, trace.objective[k], trace.objective_error[k], trace.joules_cum[k], *ledger.get(k + 1, (0.0, 0.0))]
+        [k + 1, trace.objective[k], trace.objective_error[k], trace.joules_cum[k],
+         *(record if (k + 1) % period == 0 else (0.0, 0.0))]
         for k in range(len(trace))
     ]
-    summary = [report.placement_energy, report.learning_energy, report.ledger_energy, len(ledger), report.grand_total_energy]
+    learning_energy = trace.joules_cum[-1]
+    ledger_energy = sum([record[1]] * records)  # record by record; an int 0 (written 0) without a ledger
+    summary = [placement_energy, learning_energy, ledger_energy, records,
+               placement_energy + learning_energy + ledger_energy]
     return [("", INTEGRATED_HEADER, rows), ("_summary", SUMMARY_HEADER, [summary])]
 
 

@@ -12,12 +12,14 @@ that kind needs.  Top-level keys:
               only those the kind reads (KIND_READS)
 
 Parsing validates every block and expands a sweep into one validated Point
-per value (one point without a sweep); under a `learning.variant` sweep the
-variant rules are checked at the points only, each against its own variant.  A point that prices a ledger must
-carry its payloads through its radio queues; an integrated scenario none of
-whose points prices one may not set radio, power or dlt.  A placement
-instance file is loaded, and so checked, at parse time, and its point runs
-the loaded instance.  Sweeping `radio.t` also sets the fields
+per value (one point without a sweep).  The base of the swept block runs
+nowhere, so it is checked by the one-field rules only; the rules that read
+several fields (the variant rules, say) run at each point, against its own
+value of the swept field.  A point prices a ledger exactly when it has a dlt
+block, and must carry its payloads through its radio queues; an integrated
+scenario none of whose points prices one may not set radio, power or dlt.
+A placement instance file is loaded, and so checked, at parse time, and its
+point runs the loaded instance.  Sweeping `radio.t` also sets the fields
 `radio.nprach_period_fields` derives from it.  Golden examples live in
 scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
 after the value's index for a sweep point ("sweep.values[1]: radio.t").
@@ -71,7 +73,6 @@ PLACEMENT_DEFAULTS: dict = {
 
 INTEGRATED_DEFAULTS: dict = {
     "ledger_period": 1,  # iterations between ledger records
-    "dlt_enabled": True,
 }
 
 # What each kind reads, and so may set and sweep: whole blocks, or single
@@ -145,12 +146,16 @@ class Scenario(Point):
     points: tuple[Point, ...]
 
 
-def _validate_learning(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
-    """The learning rules; with the variant swept, the rules that read it
-    are left to the points, each of which has its own variant."""
+def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
+    """The learning rules; the base of a swept block is checked by the
+    one-field rules only, and the rules that read several fields run at the
+    points, each of which has its own value of the swept field."""
     from .learning.runner import VARIANTS
 
     before = len(errors)
+    variant = block["variant"]
+    if variant not in VARIANTS:
+        errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
     if not is_int(block["workers"], 2):
         errors.append("learning.workers: must be an integer >= 2")
     if block["topology"] not in ("chain", "bipartite"):
@@ -170,17 +175,14 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: str |
         errors.append("learning.tau_coh: must be a positive integer")
     if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
+    if swept:
+        return
     # Gaussian designs: the stacked system has full column rank almost surely
     # exactly when it has at least `dim` rows
     workers, samples, dim = (block[k] for k in ("workers", "samples", "dim"))
     if is_number(block["reg"]) and block["reg"] == 0 and all(is_int(v, 1) for v in (workers, samples, dim)) \
             and workers * samples < dim:
         errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
-    if swept == "variant":
-        return
-    variant = block["variant"]
-    if variant not in VARIANTS:
-        errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
     if variant == "d-gadmm" and is_int(workers, 2) and workers % 2:
         errors.append("learning.workers: d-gadmm re-chains an even number of workers")
     if block["tau_coh"] is None and variant == "d-gadmm":
@@ -220,10 +222,12 @@ def _check_message_energy(block: dict, errors: list[str]) -> None:
                       "at once (the energy overflows)")
 
 
-def _validate_placement(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
+def _validate_placement(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
+    """The placement rules; the base of a swept block needs only 2
+    components, and the points check the minimum of their shape."""
     if block["shape"] not in ("long", "wide"):
         errors.append("placement.shape: must be long or wide")
-    elif not is_int(block["components"], 2 if block["shape"] == "long" else 3):
+    elif not is_int(block["components"], 2 if swept or block["shape"] == "long" else 3):
         errors.append(f"placement.components: too few for a {block['shape']} application")
     if not is_int(block["nodes"], 2):
         errors.append("placement.nodes: must be an integer >= 2")
@@ -248,11 +252,9 @@ def _validate_placement(block: dict, given: dict, errors: list[str], swept: str 
                       for key in ("nodes", "components", "shape", "runs") if key in given)
 
 
-def _validate_integrated(block: dict, given: dict, errors: list[str], swept: str | None = None) -> None:
+def _validate_integrated(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
     if not is_int(block["ledger_period"], 1):
         errors.append("integrated.ledger_period: must be a positive integer")
-    if not isinstance(block["dlt_enabled"], bool):
-        errors.append("integrated.dlt_enabled: must be true or false")
 
 
 # blocks kept as checked dicts: their defaults and validator
@@ -278,13 +280,13 @@ def _given(name: str, block, errors: list[str]) -> dict:
     return {key: value for key, value in block.items() if key in _FIELDS[name]}
 
 
-def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: str | None = None):
+def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: bool = False):
     """Block `name` as a run uses it, from the fields the scenario sets.
 
     A config class's error is put on `culprit` (a swept field) when given,
-    else on the field its message starts with.  `swept` names the field a
-    sweep sets in the base block, whose rules a validator may leave to the
-    points.
+    else on the field its message starts with.  `swept` marks the base of a
+    block a sweep sets a field of: no point runs it, so a validator leaves
+    the rules that read several fields to the points.
     """
     if name in _DICT_BLOCKS:
         defaults, validate = _DICT_BLOCKS[name]
@@ -338,11 +340,11 @@ def _check_reads(kind: str, raw: dict, given: dict, errors: list[str]) -> None:
 
 def _check_ledger_off(raw: dict, sweep: SweepSpec | None, points: tuple[Point, ...], errors: list[str]) -> None:
     """The ledger blocks an integrated scenario sets although none of its
-    points prices a ledger (each has `dlt_enabled: false` or no dlt block)."""
-    if any(point.integrated["dlt_enabled"] and point.dlt is not None for point in points):
+    points prices a ledger (none has a dlt block)."""
+    if any(point.dlt is not None for point in points):
         return
     ledger_blocks = ("radio", "power", "dlt")
-    why = "not read without a ledger (integrated.dlt_enabled false or no dlt block)"
+    why = "not read without a ledger (no dlt block)"
     errors.extend(f"{name}: {why}" for name in ledger_blocks if name in raw)
     if sweep is not None and sweep.block in ledger_blocks:
         errors.append(f"sweep.param: {sweep.param} {why}")
@@ -350,9 +352,8 @@ def _check_ledger_off(raw: dict, sweep: SweepSpec | None, points: tuple[Point, .
 
 def _check_ledger(point: Point, errors: list[str]) -> None:
     """Ledger payloads the point's radio queues cannot carry, found by the
-    kernels its run prices them with.  (Only integrated scenarios set
-    `integrated`; elsewhere its defaults enable the ledger.)"""
-    if point.dlt is None or not point.integrated["dlt_enabled"]:
+    kernels its run prices them with."""
+    if point.dlt is None:
         return
     for name in _BLOCK_MESSAGES:
         try:
@@ -432,7 +433,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
     _check_reads(kind, raw, given, errors)
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
-    base = {name: _build(name, given[name], errors, swept=sweep.field if sweep and sweep.block == name else None)
+    base = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
             for name in BLOCKS}
     if errors:
         raise ValidationError(errors)

@@ -2,7 +2,8 @@
 
 The CSVs are written with repr(), so this fails on any last-ulp change in a
 reported number, not only on a wrong one.  The README's scenario commands
-name committed scenarios of their subcommand's kind.
+name committed scenarios of their subcommand's kind, and its table of what
+each kind reads is `scenario.KIND_READS`.
 """
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ import yaml
 
 from edgekit.cli import _KIND_OF_COMMAND, main
 from edgekit.pipeline import run_scenario
-from edgekit.scenario import parse_scenario
+from edgekit.scenario import KIND_READS, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +82,12 @@ def test_readme_shows_every_golden_scenario():
 def test_readme_command_names_a_scenario_of_its_kind(command, path):
     # parsed, not run: nothing is written under out/
     assert parse_scenario(ROOT / path).kind == _KIND_OF_COMMAND[command]
+
+
+def test_readme_reads_table_is_kind_reads():
+    # the rows under "| kind | reads and may sweep |": a block reads as
+    # `<block>.*`, a single field as itself
+    table = (ROOT / "README.md").read_text().split("| kind | reads and may sweep |\n|---|---|\n", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", table.split("\n\n", 1)[0], re.M)
+    documented = {kind: tuple(re.findall(r"`([^`]+)`", cell)) for kind, cell in rows}
+    assert documented == {kind: tuple(r if "." in r else f"{r}.*" for r in reads) for kind, reads in KIND_READS.items()}

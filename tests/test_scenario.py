@@ -14,7 +14,7 @@ from edgekit import core
 from edgekit.cli import main
 from edgekit.placement import load_instance
 from edgekit.radio import nprach_period_fields
-from edgekit.pipeline import run_integrated, run_scenario
+from edgekit.pipeline import run_learning_block, run_scenario
 from edgekit.scenario import ParseError, ValidationError, parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
@@ -281,31 +281,37 @@ class TestIntegrated:
             {dlt_block}
         """)
 
+    def reports(self, tmp_path, **kwargs):
+        """The integrated CSV's rows and the summary row, as strings."""
+        paths = run_scenario(parse_scenario(self.scenario(tmp_path, **kwargs)))
+        rows, summary = ([line.split(",") for line in path.read_text().splitlines()[1:]] for path in paths)
+        return rows, summary[0]
+
     def test_grand_total_identity(self, tmp_path):
-        report = run_integrated(parse_scenario(self.scenario(tmp_path)))
-        expect = (
-            report.assignment.total_energy
-            + report.trace.joules_cum[-1]
-            + sum(r.energy_j for r in report.dlt_records)
-        )
-        assert report.grand_total_energy == pytest.approx(expect)
-        assert len(report.dlt_records) == 40 // 5
-        assert report.assignment.feasible
+        rows, summary = self.reports(tmp_path)
+        placement, learning, ledger, records, total = map(float, summary)
+        ledger_rows = [row for row in rows if row[4:] != ["0.0", "0.0"]]
+        assert [int(row[0]) for row in ledger_rows] == list(range(5, 41, 5))
+        assert records == len(ledger_rows) == 40 // 5
+        assert len({tuple(row[4:]) for row in ledger_rows}) == 1  # one priced record
+        assert ledger == pytest.approx(sum(float(row[5]) for row in ledger_rows))
+        assert learning == float(rows[-1][3])
+        assert 0 < placement < float("inf")  # a feasible assignment
+        assert total == pytest.approx(placement + learning + ledger)
 
     def test_dlt_disabled_totals_are_placement_plus_learning(self, tmp_path):
-        report = run_integrated(parse_scenario(self.scenario(tmp_path, dlt=False)))
-        assert report.dlt_records == []
-        assert report.grand_total_energy == pytest.approx(
-            report.assignment.total_energy + report.trace.joules_cum[-1]
-        )
+        rows, summary = self.reports(tmp_path, dlt=False)
+        assert all(row[4:] == ["0.0", "0.0"] for row in rows)
+        placement, learning, ledger, records, total = summary
+        assert (ledger, records) == ("0", "0")
+        assert float(total) == pytest.approx(float(placement) + float(learning))
 
     def test_placement_does_not_alter_learning_math(self, tmp_path):
-        from edgekit.pipeline import run_learning_block
-
+        rows, _ = self.reports(tmp_path)
         s = parse_scenario(self.scenario(tmp_path))
-        report = run_integrated(s)
         standalone = run_learning_block(s.learning, s.seed)
-        assert report.trace.objective == standalone.objective
+        assert [float(row[1]) for row in rows] == standalone.objective
+        assert [float(row[2]) for row in rows] == standalone.objective_error
 
     def test_csv_outputs(self, tmp_path):
         s = parse_scenario(self.scenario(tmp_path))
@@ -507,8 +513,6 @@ REJECTED = {
         kind: integrated
         learning: {workers: 4, dim: 2, iters: 5}
         radio: {K: 12}
-        dlt: {trans_block_bits: 1.0e+9}
-        integrated: {dlt_enabled: false}
     """, "radio"),
     "ledger-less-blocks": ("integrated", """
         kind: integrated
@@ -518,7 +522,6 @@ REJECTED = {
     "ledger-off-sweep": ("integrated", """
         kind: integrated
         learning: {workers: 4, dim: 2, iters: 5}
-        integrated: {dlt_enabled: false}
         sweep: {param: power.P_t, values: [0.1, 0.3]}
     """, "sweep.param"),
     # f * G * s1 >= 1: exited 2 with UnstableConfig, or with a ledger blamed
@@ -655,6 +658,39 @@ class TestOnePath:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    WORKERS_SWEEP = """
+        kind: learning
+        learning: {variant: d-gadmm, tau_coh: 2, workers: 5, dim: 2, samples: 5, iters: 5}
+        sweep: {param: learning.workers, values: %s}
+    """
+
+    def test_cross_field_rules_skip_the_swept_base(self, tmp_path, capsys):
+        # exited 1 with "learning.workers: d-gadmm re-chains an even number of
+        # workers" and "placement.components: too few for a wide application",
+        # both about a base value that no point runs
+        p = self.scenario(tmp_path, self.WORKERS_SWEEP % "[4, 6]")
+        assert main(["learn", "--scenario", str(p)]) == 0
+        assert [Path(line).name for line in capsys.readouterr().out.split()] == [
+            "r_learning_workers_4.csv", "r_learning_workers_6.csv",
+        ]
+        shutil.rmtree(tmp_path / "out")
+        p = self.scenario(tmp_path, """
+            kind: placement
+            placement: {shape: wide, components: 2, nodes: 6, runs: 1}
+            sweep: {param: placement.components, values: [3, 4]}
+        """)
+        assert main(["place", "--scenario", str(p)]) == 0
+        assert [Path(line).name for line in capsys.readouterr().out.split()] == [
+            "r_placement_components_3.csv", "r_placement_components_4.csv",
+        ]
+
+    def test_cross_field_rule_rejects_a_swept_point(self, tmp_path, capsys):
+        p = self.scenario(tmp_path, self.WORKERS_SWEEP % "[4, 5]")
+        assert main(["learn", "--scenario", str(p)]) == 1
+        error = "sweep.values[1]: learning.workers: d-gadmm re-chains an even number of workers"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_points_share_unswept_blocks(self, tmp_path):
         s = parse_scenario(self.scenario(tmp_path, """
             kind: integrated
@@ -699,9 +735,7 @@ MISTAKES = [
     ("radio", "l1", 1.0e9), ("radio", "R_u", "x"), ("radio", "tau", -1),
     ("power", "P_e", 0), ("power", "P_t", -1),
     ("dlt", "M", 0), ("dlt", "new_block_bits", 0), ("dlt", "lambda_0", 0),
-    ("integrated", "ledger_period", 0), ("integrated", "dlt_enabled", "yes"),
-    # integrated's valid file sets a dlt block, which its run does not read with the ledger off
-    ("integrated", "dlt_enabled", False),
+    ("integrated", "ledger_period", 0),
     # a payload no radio queue carries; an instance next to generator fields
     ("dlt", "trans_block_bits", 1.0e9), ("placement", "instance", "scenarios/placement_instance.yaml"),
 ]
