@@ -40,54 +40,82 @@ class CensorSchedule:
         return self.xi0 * self.alpha**k
 
 
-def quantize_rows(
-    delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased stochastic quantization of each row of a (k, d) `delta`.
+@dataclass(frozen=True)
+class QuantizeBuffers:
+    """Scratch arrays for `quantize_step` on (k, d) rows, made once per phase."""
 
-    Row i is rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf norm:
-    each coordinate goes to one of the two bracketing levels with the
-    probabilities that make the rounding unbiased.  Returns the integer
-    levels (k, d) and the radii R (k,).  An all-zero row has R = 0, all-zero
-    levels and draws nothing, so one call consumes `rng` exactly as k
-    sequential one-row calls do.
+    delta: np.ndarray  # (k, d) new - last, then scaled onto [0, 2^b - 1]
+    frac: np.ndarray  # (k, d) |delta|, then the fractional part of the scaled delta
+    level: np.ndarray  # (k, d) its integral part, then the levels, then their values
+    uniform: np.ndarray  # (k, d) the rounding draws
+    up: np.ndarray  # (k, d) bool, coordinates rounded up
+    radius: np.ndarray  # (k, 1) l-inf norm of each row of delta
+    step: np.ndarray  # (k, 1) level spacing of each row
+    sent: np.ndarray  # (k, d) the transmitted models
+
+    @classmethod
+    def empty(cls, k: int, d: int) -> "QuantizeBuffers":
+        return cls(*np.empty((4, k, d)), np.empty((k, d), dtype=bool), *np.empty((2, k, 1)), np.empty((k, d)))
+
+
+def quantize_step(
+    new: np.ndarray, last: np.ndarray, bits: int, rng: np.random.Generator, buf: QuantizeBuffers
+) -> np.ndarray:
+    """The transmitted models last + Q(new - last) of (k, d) rows, in `buf.sent`.
+
+    Q is unbiased stochastic quantization of each row: row i of the update is
+    rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf norm, each
+    coordinate to one of the two bracketing levels with the probabilities
+    that make the rounding unbiased.  The message carries the integer level
+    of each coordinate and R_i.  The levels are kept as floats: they are
+    small integers, so level * step is the product the receiver forms.  An
+    all-zero row has R = 0, gets level 0 and draws nothing, so one call
+    consumes `rng` exactly as k sequential one-row calls do.  Every step
+    writes into `buf`, which may not overlap `new` or `last`.
     """
-    delta = np.asarray(delta, dtype=float)
-    radius = np.maximum.reduce(np.abs(delta), axis=1)  # d >= 1
-    every = np.count_nonzero(radius) == len(radius)  # no all-zero row: nothing to gather or scatter
-    live = slice(None) if every else radius != 0.0
-    n_levels = 2**config.bits
-    R = radius[live, None]
-    step = 2.0 * R / (n_levels - 1)
-    scaled = (delta[live] + R) / step  # in [0, n_levels - 1]: delta + R >= 0 exactly
-    lo = np.floor(scaled)
-    up = rng.random(scaled.shape) < scaled - lo
-    drawn = np.minimum(lo + up, n_levels - 1).astype(np.int64)
-    if every:
-        return drawn, radius
-    levels = np.zeros(delta.shape, dtype=np.int64)
-    levels[live] = drawn
-    return levels, radius
+    top = float(2**bits - 1)
+    delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
+    np.subtract(new, last, out=delta)
+    np.maximum.reduce(np.abs(delta, out=frac), axis=1, keepdims=True, out=radius)  # d >= 1
+    zero = None if np.count_nonzero(radius) == len(radius) else radius[:, 0] == 0.0
+    np.divide(np.multiply(radius, 2.0, out=step), top, out=step)
+    if zero is not None:
+        step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
+    np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly
+    np.subtract(delta, np.floor(delta, out=level), out=frac)  # exact
+    if zero is None:
+        rng.random(out=uniform)
+    else:  # one row-major draw for the live rows, in order
+        live = ~zero
+        drawn = uniform[:np.count_nonzero(live)]
+        rng.random(out=drawn)
+        uniform[live] = drawn.copy()  # the live rows overlap the drawn ones
+    np.less(uniform, frac, out=buf.up)
+    np.minimum(np.add(level, buf.up, out=level), top, out=level)  # a scaled top may land an ulp above it
+    np.subtract(np.multiply(level, step, out=level), radius, out=level)
+    if zero is not None:
+        level[zero] = 0.0
+    return np.add(last, level, out=buf.sent)
 
 
-def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of `quantize_rows`: the level values of each (k, d) row."""
-    step = 2.0 * radius / (2**bits - 1)
-    return levels * step[:, None] - radius[:, None]
+def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row of an (..., d) array.
 
-
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (k, d) array.
-
-    One stacked matmul of each row with itself is a BLAS ddot per row, the
-    same call np.linalg.norm makes on a vector, so every norm is bit-identical
-    to the per-row one.  einsum and norm(axis=1) sum in another order.
+    np.vecdot of each row with itself is a BLAS ddot per row, the same call
+    np.linalg.norm makes on a vector, so every norm is bit-identical to the
+    per-row one.  einsum and norm(axis=-1) sum in another order.
     """
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    return np.sqrt(np.vecdot(x, x, out=out), out=out)
 
 
-def censor_mask(current: np.ndarray, last_sent: np.ndarray, threshold: float) -> np.ndarray:
-    """Per row: transmit iff ||current - last_sent||_2 strictly exceeds threshold."""
+def censor_mask(
+    current: np.ndarray, last_sent: np.ndarray, threshold: float, diff: np.ndarray, norm: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Per (k, d) row: transmit iff ||current - last_sent||_2 strictly
+    exceeds threshold, in the (k,) bool `out`; `diff` (k, d) and `norm` (k,)
+    take the steps."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return row_norms(np.asarray(current, dtype=float) - np.asarray(last_sent, dtype=float)) > threshold
+    np.subtract(current, last_sent, out=diff)
+    return np.greater(row_norms(diff, out=norm), threshold, out=out)

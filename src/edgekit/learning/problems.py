@@ -90,17 +90,17 @@ class ProblemStack:
     def values(self, theta: np.ndarray) -> np.ndarray:
         """f_n(theta_n) for every worker row n of an (..., N, d) model stack.
 
-        ||A theta - b||^2 + reg ||theta||^2 with each product a stacked
-        matmul that broadcasts A over the leading axes, which numpy runs as
-        one gemv or ddot per row: the same BLAS calls, so the same bits, as
-        evaluating the workers, and the stacked models, one at a time.
+        ||A theta - b||^2 + reg ||theta||^2 with A theta one np.matvec that
+        broadcasts A over the leading axes and each square one np.vecdot,
+        which numpy runs as one gemv or ddot per row: the same BLAS calls, so
+        the same bits, as evaluating the workers, and the stacked models, one
+        at a time.
         """
         out = np.empty(theta.shape[:-1])
         for rows, A, b, reg in self._groups:
             t = theta[..., rows, :]
-            r = (A @ t[..., None])[..., 0] - b
-            sq = (r[..., None, :] @ r[..., None])[..., 0, 0]
-            out[..., rows] = sq + reg * (t[..., None, :] @ t[..., None])[..., 0, 0]
+            r = np.matvec(A, t) - b
+            out[..., rows] = np.vecdot(r, r) + reg * np.vecdot(t, t)
         return out
 
     def objective(self, theta: np.ndarray) -> float:

@@ -62,10 +62,13 @@ per re-chain) and the loop writes into it:
                          (2, E, d) buffer
 
 An iteration is then a fixed number of numpy calls whatever N and D are, and
-allocates nothing outside quantizing and censoring.  Per phase: one gather of
-the term stack, one ordered sum of it into rhs, one stacked solve written
-straight into the group's rows of the history block, and one vectorised
-step each for quantizing, censoring and transmitting.  A phase that sends
+allocates no array after the first, except for a quantized update with an
+all-zero row.  Per phase: one gather of the term stack, one ordered sum
+of it into rhs, one stacked solve written straight into the group's rows of
+the history block (the phase keeps a view of its rows in each of the 16),
+and one buffered kernel each for quantizing, censoring and transmitting.
+Quantizing writes last + Q(new - last) into the phase's buffers; censoring
+is a subtract, a row ddot, a square root and a comparison.  A phase that sends
 every row copies them into theta_hat with a plain slice write; a partial
 send is a masked copy, and one that sends nothing writes nothing.  The
 group's rho theta_hat rows are then rewritten whole: a row that did not send
@@ -90,11 +93,11 @@ Bit-identity.  Every reported float equals that of a per-worker loop (one
 gemv per solve, one ddot per norm and objective term, Python float sums), so
 the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
 
-  1. Products are stacked np.matmul: the solve `inv @ rhs` on column
-     stacks, the objective `r[..., None, :] @ r[..., None]` and the norms,
-     which numpy runs as one gemv or ddot per row.  einsum and
-     norm(axis=...) sum in another order.  Writing a result into a buffer
-     with out= runs the same loop as allocating it.
+  1. Products are stacked: np.matmul for the solve `inv @ rhs` on column
+     stacks, np.matvec for the objective's A theta, and np.vecdot for its
+     squares and the norms, which numpy runs as one gemv or ddot per row.
+     einsum and norm(axis=...) sum in another order.  Writing a result into
+     a buffer with out= runs the same loop as allocating it.
   2. A worker's rhs is one np.add.reduce over the slow axis of the term
      stack, which numpy runs as one elementwise add per slot (pairwise
      summation is only used along the fast axis), so it sums
@@ -107,8 +110,8 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      matmul reorders the sum.
   3. joules, the residual and the objective are sequential Python float sums
      over .tolist(), one per iteration also when a block is evaluated: the
-     block's objective terms and gap norms are one stacked matmul each, which
-     broadcasts over the block axis without changing the per-row BLAS call.
+     block's objective terms and gap norms are stacked calls that broadcast
+     over the block axis without changing the per-row BLAS call.
 """
 from __future__ import annotations
 
@@ -118,7 +121,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import child_rng
-from .compression import CensorSchedule, QuantizerConfig, censor_mask, dequantize_rows, quantize_rows, row_norms
+from .compression import CensorSchedule, QuantizeBuffers, QuantizerConfig, censor_mask, quantize_step, row_norms
 from .energy import CommEnergyModel, message_energy
 from .problems import LocalProblem, ProblemStack, centralized_solution
 from .topology import Topology, rechain
@@ -273,8 +276,7 @@ def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
     error = [abs(obj - f_star) for obj in objective]
     below = [] if stop_error is None else [i for i, e in enumerate(error) if e < stop_error]
     n = below[0] + 1 if below else len(steps)
-    gaps = gaps[:n]
-    norms = row_norms(gaps.reshape(-1, gaps.shape[-1])).reshape(gaps.shape[:2]).tolist()
+    norms = row_norms(gaps[:n]).tolist()
     bits, joules, censored = zip(*steps[:n])
     trace.objective += objective[:n]
     trace.objective_error += error[:n]
@@ -328,14 +330,18 @@ class _Phase:
     """One head or tail group's arrays between re-chainings (the buffers
     are rewritten each phase, the rest stay fixed)."""
 
-    rows: slice  # the group's rows of the models, theta_hat and the src pulls
     inv: np.ndarray  # (k, d, d)
     idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
     terms: np.ndarray  # (2D+1, k, d, 1) the gathered addends
-    gather: np.ndarray  # (2D+1, k, d) view of terms that np.take fills
+    gather: np.ndarray  # (2D+1, k, d) view of terms that src.take fills
     rhs: np.ndarray  # (k, d, 1) their sums
+    new: tuple[np.ndarray, ...]  # per history row, (k, d) views of the group's models
+    cols: tuple[np.ndarray, ...]  # the same as (k, d, 1) column stacks, which the solve writes
     last: np.ndarray  # (k, d) view of the group's theta_hat rows
     pull: np.ndarray  # (k, d) view of its rho theta_hat rows in src
+    quantize: QuantizeBuffers  # the quantizer step's buffers
+    diff: np.ndarray  # (k, d) the update a censoring test measures
+    norm: np.ndarray  # (k,) its length
     changed: np.ndarray  # (k, d) bool, new != last
     send: np.ndarray  # (k,) bool, rows that transmit
     energy: float  # Joules per message at this group's bandwidth share
@@ -348,7 +354,7 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull):
+def _phases(topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull):
     """The head and tail phases of `topology`, its worker -> row table and
     the (2, E) rows of its edges' left and right ends."""
     N, d = topology.n, stack.dim
@@ -369,15 +375,20 @@ def _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, p
         k, D = len(members), max(degree[n] for n in members)
         padded = [[n, *slots[n]] + [minus_zero, plus_zero] * (D - degree[n]) for n in members]
         rows, terms = slice(start, start + k), np.empty((2 * D + 1, k, d, 1))
+        new = tuple(models[:, rows])
         phases.append(_Phase(
-            rows=rows,
             inv=inv_cache[degree][members],
             idx=np.array(padded, dtype=np.intp).T.copy(),
             terms=terms,
             gather=terms[..., 0],
             rhs=np.empty((k, d, 1)),
+            new=new,
+            cols=tuple(m[..., None] for m in new),
             last=theta_hat[rows],
             pull=pull[rows],
+            quantize=QuantizeBuffers.empty(k, d),
+            diff=np.empty((k, d)),
+            norm=np.empty(k),
             changed=np.empty((k, d), dtype=bool),
             send=np.empty(k, dtype=bool),
             energy=message_energy(payload, energy_model.share(k), 1.0),
@@ -416,11 +427,9 @@ def _run_decentralized(
     q_rng = child_rng(seed, 1)
     payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull)
-
     trace = TrainingTrace()
     models = np.empty((_TRACE_BLOCK, N, d))
-    model_cols = models[..., None]  # column stacks for np.matmul
+    phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull)
     steps: list[tuple[float, float, int]] = []
 
     def flush() -> bool:
@@ -433,29 +442,31 @@ def _run_decentralized(
     censored = 0
     for k in range(iters):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
+            theta = models[len(steps) - 1]  # the last iteration's models (row 15 when a flush just emptied steps)
             if flush():  # the gaps so far are across the old chain's edges
                 return trace
             topology = rechain(topology, k, seed)
             old_row = row
-            phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, theta_hat, pull)
+            phases, row, ends = _phases(
+                topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull
+            )
             perm = np.empty(N, dtype=np.intp)
             perm[row] = old_row  # new row r holds old row perm[r]
             theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
             lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
             np.negative(lam, out=neg_lam)
 
-        theta, theta_cols = models[len(steps)], model_cols[len(steps)]  # this iteration's, phase-major
+        slot = len(steps)  # this iteration's row of the history block
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
-            np.take(src, ph.idx, axis=0, out=ph.gather, mode="clip")
-            block_solve(ph.inv, ph.terms, ph.rhs, theta_cols[ph.rows])
-            new, last = theta[ph.rows], ph.last
+            src.take(ph.idx, axis=0, out=ph.gather, mode="clip")
+            block_solve(ph.inv, ph.terms, ph.rhs, ph.cols[slot])
+            new, last = ph.new[slot], ph.last
             if quantizer is not None:
-                levels, radius = quantize_rows(new - last, quantizer, q_rng)
-                new = last + dequantize_rows(levels, radius, quantizer.bits)
+                new = quantize_step(new, last, quantizer.bits, q_rng, ph.quantize)
             if censor is not None:
-                send = censor_mask(new, last, censor.threshold(k))
+                send = censor_mask(new, last, censor.threshold(k), ph.diff, ph.norm, ph.send)
             elif k == 0:
                 send = np.ones(len(new), dtype=bool)
             else:

@@ -16,8 +16,9 @@ per value (one point without a sweep).  The base of the swept block runs
 nowhere, so it is checked by the one-field rules only; the rules that read
 several fields (the variant rules, say) run at each point, against its own
 value of the swept field.  A point prices a ledger exactly when it has a dlt
-block, and must carry its payloads through its radio queues; an integrated
-scenario none of whose points prices one may not set radio, power or dlt.
+block, `dlt: {}` (the defaults) included, and must carry its payloads
+through its radio queues; an integrated scenario none of whose points
+prices one may not set radio, power or dlt.
 A placement instance file is loaded, and so checked, at parse time, and its
 point runs the loaded instance.  Sweeping `radio.t` also sets the fields
 `radio.nprach_period_fields` derives from it.  Golden examples live in
@@ -293,8 +294,6 @@ def _build(name: str, given: dict, errors: list[str], culprit: str | None = None
         block = {**defaults, **given}
         validate(block, given, errors, swept)
         return block
-    if name == "dlt" and not given:
-        return None  # no ledger round
     try:
         return _CONFIG_CLASSES[name](**given)
     except ValueError as exc:
@@ -435,6 +434,8 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
     base = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
             for name in BLOCKS}
+    if "dlt" not in raw:
+        base["dlt"] = None  # no ledger round; an empty block is one at DltConfig's defaults
     if errors:
         raise ValidationError(errors)
     points = _expand(seed, given, base, sweep, errors)

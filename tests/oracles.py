@@ -1,16 +1,19 @@
-"""Test oracles: simulations and exhaustive searches that check the closed
-forms and the solvers of edgekit.
+"""Test oracles: simulations, exhaustive searches and reference kernels that
+check the closed forms, the solvers and the buffered kernels of edgekit.
 
 They simulate the actual random processes (slotted preamble contention with
-backoff; the mining race) or enumerate every assignment, and are kept
-independent of the analytical code they check.
+backoff; the mining race), enumerate every assignment, or compute a kernel
+the plain allocating way, and are kept independent of the code they check.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
 
+import numpy as np
+
 from edgekit.core import make_rng
+from edgekit.learning import QuantizerConfig
 from edgekit.placement import AppGraph, Assignment, Infeasible, NetGraph, evaluate_assignment
 from edgekit.radio import RadioConfig
 
@@ -95,3 +98,36 @@ def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
     if best is None:
         raise Infeasible("no feasible assignment exists")
     return replace(best, status="optimal")
+
+
+def quantize_rows(
+    delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased stochastic quantization of each row of a (k, d) `delta`, the
+    reference for edgekit's buffered `quantize_step`.
+
+    Row i is rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf norm:
+    each coordinate goes to one of the two bracketing levels with the
+    probabilities that make the rounding unbiased.  Returns the integer
+    levels (k, d) and the radii R (k,).  An all-zero row has R = 0, all-zero
+    levels and draws nothing, so one call consumes `rng` exactly as k
+    sequential one-row calls do.
+    """
+    delta = np.asarray(delta, dtype=float)
+    radius = np.maximum.reduce(np.abs(delta), axis=1)  # d >= 1
+    live = radius != 0.0
+    n_levels = 2**config.bits
+    R = radius[live, None]
+    step = 2.0 * R / (n_levels - 1)
+    scaled = (delta[live] + R) / step  # in [0, n_levels - 1]: delta + R >= 0 exactly
+    lo = np.floor(scaled)
+    up = rng.random(scaled.shape) < scaled - lo
+    levels = np.zeros(delta.shape, dtype=np.int64)
+    levels[live] = np.minimum(lo + up, n_levels - 1)
+    return levels, radius
+
+
+def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.ndarray:
+    """Inverse of `quantize_rows`: the level values of each (k, d) row."""
+    step = 2.0 * radius / (2**bits - 1)
+    return levels * step[:, None] - radius[:, None]

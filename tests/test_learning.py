@@ -19,12 +19,13 @@ from edgekit.learning import (
     run,
     runner,
 )
-from edgekit.learning.compression import censor_mask, dequantize_rows, quantize_rows, row_norms
+from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
 from edgekit.learning.problems import ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
 
 from conftest import scalar_problems, synthetic_problems
+from oracles import dequantize_rows, quantize_rows
 
 
 class TestCentralizedSolution:
@@ -215,9 +216,15 @@ class TestBatchedKernels:
         for block in (models, models[:5]):
             assert stack.values(block).tobytes() == np.stack([stack.values(t) for t in block]).tobytes()
 
-    def test_row_norms_equal_vector_norms(self, rng):
-        x = rng.standard_normal((7, 5))
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 19), d=st.integers(1, 39), scale=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
+    @example(k=7, d=5, scale=0, seed=0)
+    def test_row_norms_equal_vector_norms(self, k, d, scale, seed):
+        x = make_rng(seed).standard_normal((k, d)) * 10.0**scale
         assert row_norms(x).tolist() == [float(np.linalg.norm(row)) for row in x]
+        # a stack of row blocks, as the trace evaluation passes the gaps
+        blocks = x.reshape(1, k, d).repeat(2, axis=0)
+        assert row_norms(blocks).tobytes() == np.stack([row_norms(x)] * 2).tobytes()
 
 
 class TestPrimalDualUpdates:
@@ -277,10 +284,16 @@ class TestPrimalDualUpdates:
         assert dual_update(lam, ends[0], ends[1], 0.7, ends[0]).tobytes() == expect.tobytes()
 
 
+def quantized(new, last, bits, rng):
+    """quantize_step on (k, d) rows with fresh buffers."""
+    k, d = new.shape
+    return quantize_step(new, last, bits, rng, QuantizeBuffers.empty(k, d))
+
+
 def roundtrip(x, q, rng):
-    """One row through quantize_rows and back."""
-    levels, radius = quantize_rows(np.reshape(x, (1, -1)), q, rng)
-    return dequantize_rows(levels, radius, q.bits)[0]
+    """One row's quantized value, sent from a last model of zeros."""
+    x = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    return quantized(x, np.zeros_like(x), q.bits, rng)[0]
 
 
 class TestQuantizer:
@@ -320,6 +333,10 @@ class TestQuantizer:
         assert radius.tolist() == [0.0]
         assert not levels.any()
         assert dequantize_rows(levels, radius, 2) == pytest.approx(np.zeros((1, 5)))
+        last = np.array([[1.5, -0.0, 0.0, -2.0, 3.0]])
+        state = rng.bit_generator.state
+        assert quantized(last.copy(), last, 2, rng).tolist() == (last + 0.0).tolist()  # draws nothing
+        assert rng.bit_generator.state == state
 
     def test_bits_range_enforced(self):
         for bad in (0, 33):
@@ -338,9 +355,9 @@ class TestQuantizer:
         bits=st.integers(1, 32),
         seed=st.integers(0, 2**32 - 1),
     )
-    # every row live: no row is gathered or scattered
+    # every row live
     @example(rows=[[1.5, -0.25, 3.0], [-2.0, 0.0, 0.5], [0.125, 7.0, -7.0]], bits=2, seed=7)
-    # exactly one all-zero row: the live rows are gathered and scattered back
+    # exactly one all-zero row, which draws nothing
     @example(rows=[[1.5, -0.25, 3.0], [0.0, -0.0, 0.0], [-2.0, 0.0, 0.5]], bits=3, seed=8)
     def test_rows_match_sequential_messages(self, rows, bits, seed):
         delta = np.array(rows)
@@ -359,25 +376,59 @@ class TestQuantizer:
         assert np.array_equal(back, np.vstack([dequantize_rows(lv, r, bits) for lv, r in msgs]))
 
 
+def censor_rows(current, last_sent, threshold):
+    """censor_mask on (k, d) rows with fresh buffers."""
+    k, d = current.shape
+    return censor_mask(current, last_sent, threshold, np.empty((k, d)), np.empty(k), np.empty(k, dtype=bool))
+
+
+class TestQuantizeStep:
+    """quantize_step against the allocating reference in tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 19),
+        d=st.integers(1, 39),
+        scale=st.integers(-8, 8),
+        zero=st.sets(st.integers(0, 18)),
+        bits=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=9, d=14, scale=0, zero=set(), bits=2, seed=0)  # the benchmark's shape, every row live
+    @example(k=4, d=3, scale=-8, zero={0, 1, 2, 3}, bits=2, seed=1)  # every row all zero
+    def test_equals_reference(self, k, d, scale, zero, bits, seed):
+        draw = make_rng(seed)
+        last = draw.standard_normal((k, d)) * 10.0**scale
+        last[draw.random((k, d)) < 0.1] = -0.0
+        new = last + draw.standard_normal((k, d)) * 10.0**scale
+        rows = [i for i in sorted(zero) if i < k]
+        new[rows] = last[rows]  # all-zero updates: no draws, level 0
+        kernel_rng, reference_rng = make_rng(seed + 1), make_rng(seed + 1)
+        out = quantized(new, last, bits, kernel_rng)
+        levels, radius = quantize_rows(new - last, QuantizerConfig(bits=bits), reference_rng)
+        assert out.tobytes() == (last + dequantize_rows(levels, radius, bits)).tobytes()
+        assert kernel_rng.random() == reference_rng.random()
+
+
 class TestCensoring:
     def test_zero_threshold_transmits_any_change(self):
-        assert censor_mask(np.array([[1.0]]), np.array([[0.999]]), 0.0).tolist() == [True]
+        assert censor_rows(np.array([[1.0]]), np.array([[0.999]]), 0.0).tolist() == [True]
 
     def test_no_change_never_transmits(self):
         x = np.array([[1.0, 2.0]])
         for thr in (0.0, 0.5, 10.0):
-            assert censor_mask(x, x, thr).tolist() == [False]
+            assert censor_rows(x, x, thr).tolist() == [False]
 
     def test_strict_boundary(self):
-        assert censor_mask(np.array([[0.5]]), np.array([[0.0]]), 0.5).tolist() == [False]
+        assert censor_rows(np.array([[0.5]]), np.array([[0.0]]), 0.5).tolist() == [False]
 
     def test_rows_decide_independently(self):
         cur = np.array([[0.0, 3.0], [1.0, 1.0], [0.2, 0.0]])
-        assert censor_mask(cur, np.zeros((3, 2)), 1.0).tolist() == [True, True, False]
+        assert censor_rows(cur, np.zeros((3, 2)), 1.0).tolist() == [True, True, False]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            censor_mask(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
+            censor_rows(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
 
     @given(
         xi0=st.floats(0, 10, allow_nan=False),
@@ -714,14 +765,14 @@ SEND_RUN_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(SEND_RUN_DIGESTS))
 def test_send_run_digest_pinned(case, monkeypatch):
-    zero_rows = []  # all-zero rows of each quantize_rows call
-    quantize = runner.quantize_rows
+    zero_rows = []  # all-zero updates new - last of each quantize_step call
+    quantize = runner.quantize_step
 
-    def counting(delta, q, rng):
-        zero_rows.append(int(np.count_nonzero(~np.asarray(delta).any(axis=1))))
-        return quantize(delta, q, rng)
+    def counting(new, last, *args):
+        zero_rows.append(int(np.count_nonzero(~(new - last).any(axis=1))))
+        return quantize(new, last, *args)
 
-    monkeypatch.setattr(runner, "quantize_rows", counting)
+    monkeypatch.setattr(runner, "quantize_step", counting)
     trace, payload = _send_run(case)
     sends = _sends(trace, payload)
     if case.startswith("chain4"):  # both phases have two workers: an odd count is a partial send

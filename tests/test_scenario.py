@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from edgekit import core
 from edgekit.cli import main
 from edgekit.placement import load_instance
-from edgekit.radio import nprach_period_fields
+from edgekit.radio import DltConfig, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
 from edgekit.scenario import ParseError, ValidationError, parse_scenario
 
@@ -216,6 +216,17 @@ class TestRunScenario:
         assert lines[0].startswith("dlt.M,L_total,E_total,latency_sync_up")
         assert len(lines) == 4
 
+    def test_empty_dlt_block_prices_the_default_ledger(self, tmp_path):
+        def rows(block):
+            p = write(tmp_path, f"kind: radio-dlt\noutput: {tmp_path}/radio.csv\n{block}")
+            return [line.split(",") for line in run_scenario(parse_scenario(p))[0].read_text().splitlines()]
+
+        empty = rows("dlt: {}\n")
+        assert empty == rows("dlt: {M: 5}\n")  # DltConfig's default miner count
+        assert empty != rows("")  # no block: no ledger round
+        header, values = empty
+        assert float(values[header.index("latency_block_exchange")]) > 0
+
     def test_learning_sweep_writes_one_csv_per_point(self, tmp_path):
         p = write(tmp_path, f"""
             kind: learning
@@ -305,6 +316,19 @@ class TestIntegrated:
         placement, learning, ledger, records, total = summary
         assert (ledger, records) == ("0", "0")
         assert float(total) == pytest.approx(float(placement) + float(learning))
+
+    def test_empty_dlt_block_prices_the_default_ledger(self, tmp_path):
+        p = write(tmp_path, f"""
+            kind: integrated
+            output: {tmp_path}/integrated.csv
+            learning: {{variant: gadmm, workers: 4, dim: 3, iters: 10}}
+            placement: {{nodes: 10}}
+            dlt: {{}}
+        """)
+        assert main(["integrated", "--scenario", str(p)]) == 0
+        summary = (tmp_path / "integrated_summary.csv").read_text().splitlines()[1].split(",")
+        assert float(summary[2]) > 0 and int(summary[3]) == 10  # ledger energy, one record per iteration
+        assert parse_scenario(p).points[0].dlt == DltConfig()
 
     def test_placement_does_not_alter_learning_math(self, tmp_path):
         rows, _ = self.reports(tmp_path)
