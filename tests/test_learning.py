@@ -617,6 +617,18 @@ def test_whole_blocks_end_with_an_empty_flush(variant):
         assert getattr(long, name)[:16] == getattr(short, name)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_run_is_the_prefix_of_a_longer_one(variant):
+    # runs that end inside a block, at a block's first row, and after
+    # d-gadmm's re-chains (every 5 iterations) evaluate only part of their
+    # last block; each iteration's entries must not depend on where it ends
+    full = _small_run(variant, 40)
+    for k in (1, 5, 17, 33):
+        short = _small_run(variant, k)
+        for name in TRACE_FIELDS:
+            assert getattr(short, name) == getattr(full, name)[:k], (k, name)
+
+
 def _trace_digest(trace):
     fields = (
         trace.objective, trace.objective_error, trace.bits_cum,
@@ -782,3 +794,51 @@ def test_send_run_digest_pinned(case, monkeypatch):
     if case.endswith("cq-ggadmm"):  # one update of two is zero, and every row of others is live
         assert 1 in zero_rows and 0 in zero_rows
     assert _trace_digest(trace) == SEND_RUN_DIGESTS[case]
+
+
+def _loop_digest(trace):
+    """sha256 of repr() of the fields the ADMM loop itself produces, without
+    the objective's two columns, which the trace evaluation derives."""
+    fields = (trace.bits_cum, trace.joules_cum, trace.censored_cum, trace.residual)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+PINNED_RUNS = {
+    "trace": _pinned_run,
+    "benchmark": _benchmark_size_run,
+    "edge": _edge_run,
+    "send": lambda case: _send_run(case)[0],
+}
+
+
+# The loop digest of every run in the four tables above.  A change to how the
+# objective is evaluated may re-record those tables, but never these.
+LOOP_DIGESTS = {
+    "trace:c-ggadmm": "1e1351755c6241925892d84932d1f4df431d1f0bb5588fc17df24ed4a86188f1",
+    "trace:cq-ggadmm": "a360f2f07d19a5d60f860035fbd14b3b07a6bf10de301247e4fa8b8e8d6cc7d6",
+    "trace:d-gadmm": "85bb823da1e447e9eba854466df5ef6945c90a7564e50db4a9063d41ae11e8c6",
+    "trace:gadmm": "f75d1585e8b7e2da3fcb77027571e88753ecf1775de32a3040230617059fe578",
+    "trace:ggadmm": "58721dddfd27e1900c66dc18ff501e536a012a4a5ecc0f37eb99c42daf74f5bc",
+    "trace:ps-admm": "534421b4d22484e20dbf263f998646cf7d945c032ae4e99917985e94bc4406cb",
+    "benchmark:c-ggadmm": "94361cf0bd14d71d616e254bacfd5186b2f341dd88f9fb85cce66588bc9f2e67",
+    "benchmark:cq-ggadmm": "34bc969486f624c1af83afaa693c82916ba7c180f594059342f78b2f00709cab",
+    "benchmark:d-gadmm": "984c6c26b8941f63df7b070545485fd07cdfd62eaf55fd63ae71f00739270aae",
+    "benchmark:gadmm": "0e05aff00af224d5712aa4deb9720b47f81c2a0dbc00e8f6368f56d559456ed1",
+    "benchmark:ggadmm": "adc73841982482064d1fe1327c943da99c6d9b7253469138790963bfed3387ec",
+    "benchmark:ps-admm": "a4866c36b7135a1560f57dc81d4df71f6215cd8086834a8f40d4bbf5ac464092",
+    "edge:chain2:gadmm": "fef8f85b45b13f29a3eaed28472946f68e41a6fcd622a0cf481d7c68b438f3aa",
+    "edge:chain3:gadmm": "ff8d4870aacdee3cf2afd5a93fd957906ec16264f414ea7c3cf96f3fc55eb2be",
+    "edge:star:c-ggadmm": "5aa2a2a443cd5354fd2796e105a895715e6e362e657efb390678fedb51c2b2e6",
+    "edge:star:cq-ggadmm": "d62bb22fc8af44c5ab21d3cb9f7a41726813efbb063d0fbc475a9dd008944a96",
+    "edge:star:ggadmm": "01864bfa66224ab13df3e0144ee557e6389347ed48fadd01fb6a3366e14d5ff2",
+    "edge:star:ps-admm": "37a1ba12ba33a8d0a07794f84f0b8add599ea9f4840079a26bd4accf9e9a021c",
+    "send:bipartite6:c-ggadmm": "6218c8bf59784f9773caf6b1e99c6ff86c34bc9b316b4dbad29420b3fbdb2567",
+    "send:chain4:cq-ggadmm": "2a51baeeed0e58de8b74ad37fed6abdca6a720ce4baa1ab0d6ceb12db644d6af",
+    "send:chain4:gadmm": "98ce3770c406947490c1b1bc9ac5bad8ca20e7875a7bf61046b82b02e3f480b7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_DIGESTS))
+def test_loop_digest_pinned(case):
+    table, name = case.split(":", 1)
+    assert _loop_digest(PINNED_RUNS[table](name)) == LOOP_DIGESTS[case]
