@@ -71,12 +71,11 @@ class RadioConfig:
         return self.lambda_u + self.lambda_d
 
     def __post_init__(self):
-        # the model divides by periods, by first packet moments and by s1
+        # the model divides by periods, by first packet moments and by s1, and a
+        # reservation must be able to succeed (p_d > 0)
         _check_fields(self, counts=("K", "N_rmax"),
-                      positive=("t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d"))
-        if self.p_d > 1.0:
-            raise ValueError("p_d must be in [0, 1]")
-        for name in ("f", "w", "y"):  # fractions of the radio resources
+                      positive=("t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d", "p_d"))
+        for name in ("p_d", "f", "w", "y"):  # a probability and fractions of the radio resources
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
         try:  # both queues must keep up with the config's own packets

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -42,6 +43,12 @@ class TestReservation:
         p, lam = reservation_probability(cfg)
         assert lam == pytest.approx(3.0)
         assert p == pytest.approx(cfg.p_d * math.exp(-3.0 / cfg.K))
+
+    def test_delivery_probability_in_zero_one(self):
+        for p_d, message in ((0.0, "p_d must be > 0"), (-0.5, "p_d must be > 0"), (1.5, "p_d must be in (0, 1]")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RadioConfig(p_d=p_d)
+        assert reservation_probability(RadioConfig(p_d=1e-300))[0] > 0.0
 
     def test_backlog_exceeds_arrivals(self):
         cfg = RadioConfig(lambda_u=5.0, lambda_d=5.0, N_rmax=10, p_d=0.9)

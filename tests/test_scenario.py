@@ -394,6 +394,17 @@ class TestCli:
         assert main(["place", "--scenario", str(p)]) == 2
         assert "Infeasible" in capsys.readouterr().err
 
+    def test_reservation_underflow_exits_two(self, tmp_path, capsys):
+        # a valid config whose arrival rate drives P_rr to 0.0: a runtime failure
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/radio.csv
+            radio:
+              lambda_u: 1.0e+300
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 2
+        assert "P_rr must be in (0, 1]" in capsys.readouterr().err
+
     def test_negative_payload_size_exits_one_before_writing(self, tmp_path, capsys):
         p = write(tmp_path, f"""
             kind: radio-dlt
@@ -579,6 +590,12 @@ REJECTED = {
         kind: radio-dlt
         sweep: {param: radio.t, values: [0.32, true]}
     """, "sweep.values[1]: radio.t"),
+    # exited 2 with "P_rr must be in (0, 1]": no reservation ever succeeds
+    "zero-delivery-probability": ("radio", "kind: radio-dlt\nradio: {p_d: 0}\n", "radio.p_d"),
+    "sweep-zero-delivery-probability": ("radio", """
+        kind: radio-dlt
+        sweep: {param: radio.p_d, values: [1.0, 0]}
+    """, "sweep.values[1]: radio.p_d"),
     # ran with more than the whole resource
     "data-fraction-above-one": ("radio", "kind: radio-dlt\nradio: {f: 1.5}\n", "radio.f"),
     "uplink-share-above-one": ("radio", "kind: radio-dlt\nradio: {w: 2}\n", "radio.w"),
