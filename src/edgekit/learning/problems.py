@@ -1,8 +1,11 @@
-"""Local quadratic objectives and the centralized consensus oracle.
+"""Local quadratic objectives, the centralized consensus oracle and the
+objective error of a run.
 
 Each worker n holds f_n(theta) = ||A_n theta - b_n||^2 + mu ||theta||^2.
 A scalar quadratic (theta - a)^2 is the special case A = [[1]], b = [a].
-Restricting to quadratics keeps every primal update an exact linear solve.
+Restricting to quadratics keeps every primal update an exact linear solve,
+and gives the objective error around the optimum theta* a closed form with
+no difference of objectives in it (`ProblemStack`).
 """
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+TRACE_BLOCK = 16  # model stacks whose errors are evaluated together: a run's history block
 
 
 class SingularSystem(RuntimeError):
@@ -57,29 +62,33 @@ class LocalProblem:
 
 
 class ProblemStack:
-    """N workers' problems as stacked arrays, for whole-group evaluation.
+    """N workers' problems around their consensus optimum, as stacked arrays.
 
-    Workers are rows 0..N-1.  Workers with equal sample counts share one
-    (k, samples, d) design stack, so evaluating every objective costs a few
-    numpy calls per distinct sample count rather than per worker.
+    Workers are rows 0..N-1.  With e_n = theta_n - theta* and the Gram pair
+    (H_n, g_n), each worker's objective error is, exactly,
+
+        f_n(theta_n) - f_n(theta*) = e_n^T H_n e_n + c_n . e_n,
+        c_n = 2 (H_n theta* - g_n),
+
+    so the error of a run is evaluated in this form rather than as a
+    difference of two objectives: it is exactly 0.0 at theta*, and a small
+    error is not the cancellation noise of F* - F*.  `errors` evaluates a
+    whole block of TRACE_BLOCK model stacks with one gemm per worker into
+    buffers allocated here, once per run.
     """
 
     def __init__(self, problems: list[LocalProblem]):
         self.problems = problems
         self.n = len(problems)
         self.dim = problems[0].dim
-        by_samples: dict[int, list[int]] = {}
-        for i, p in enumerate(problems):
-            by_samples.setdefault(p.A.shape[0], []).append(i)
-        self._groups = [
-            (
-                slice(None) if len(rows) == self.n else np.array(rows),
-                np.stack([problems[i].A for i in rows]),
-                np.stack([problems[i].b for i in rows]),
-                np.array([problems[i].reg for i in rows]),
-            )
-            for rows in by_samples.values()
-        ]
+        self.optimum = centralized_solution(problems)
+        self.f_star = self.objective(np.tile(self.optimum, (self.n, 1)))
+        H, g = self.gram
+        self.slope = 2.0 * (np.matvec(H, self.optimum) - g)  # (N, d): c_n
+        self._e = np.empty((TRACE_BLOCK, self.n, self.dim))
+        self._He = np.empty((self.n, TRACE_BLOCK, self.dim))
+        self._q = np.empty((self.n, TRACE_BLOCK))
+        self._err = np.empty(TRACE_BLOCK)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,25 +96,36 @@ class ProblemStack:
         grams = [p.gram() for p in self.problems]
         return np.stack([H for H, _ in grams]), np.stack([g for _, g in grams])
 
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        """f_n(theta_n) for every worker row n of an (..., N, d) model stack.
-
-        ||A theta - b||^2 + reg ||theta||^2 with A theta one np.matvec that
-        broadcasts A over the leading axes and each square one np.vecdot,
-        which numpy runs as one gemv or ddot per row: the same BLAS calls, so
-        the same bits, as evaluating the workers, and the stacked models, one
-        at a time.
-        """
-        out = np.empty(theta.shape[:-1])
-        for rows, A, b, reg in self._groups:
-            t = theta[..., rows, :]
-            r = np.matvec(A, t) - b
-            out[..., rows] = np.vecdot(r, r) + reg * np.vecdot(t, t)
-        return out
-
     def objective(self, theta: np.ndarray) -> float:
-        """sum_n f_n(theta_n), summed in worker order as Python floats."""
-        return sum(self.values(theta).tolist())
+        """sum_n f_n(theta_n) for an (N, d) model stack: one gemv and two
+        ddots per worker, summed in worker order as Python floats."""
+        values = []
+        for p, t in zip(self.problems, theta):
+            r = p.A @ t - p.b
+            values.append(float(r @ r + p.reg * (t @ t)))
+        return sum(values)
+
+    def errors(self, models: np.ndarray, rows: np.ndarray) -> list[float]:
+        """sum_n f_n(theta_n) - f_n(theta*) for each model stack of a
+        (TRACE_BLOCK, N, d) history block whose worker n is row rows[n].
+
+        One take gathers the block in worker order and one subtract makes it
+        e; e_n, worker n's (block, d) rows, is a strided view that np.matmul
+        multiplies by H_n as one gemm per worker.  (e_n H_n + c_n) . e_n is
+        one np.vecdot, a ddot per row, and the workers' terms are added in
+        worker order by one np.add.reduce over the slow axis, one elementwise
+        add per worker, as a Python float sum adds them.  Every row is evaluated,
+        so a row's bits do not depend on how many of the others the caller
+        keeps; rows it has not written must hold finite values.
+        """
+        e, He, q = self._e, self._He, self._q
+        models.take(rows, axis=1, out=e, mode="clip")
+        np.subtract(e, self.optimum, out=e)
+        e = e.transpose(1, 0, 2)
+        np.matmul(e, self.gram[0], out=He)
+        np.add(He, self.slope[:, None], out=He)
+        np.vecdot(e, He, out=q)
+        return np.add.reduce(q, axis=0, out=self._err).tolist()
 
 
 def centralized_solution(problems: list[LocalProblem]) -> np.ndarray:

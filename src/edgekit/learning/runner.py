@@ -34,7 +34,9 @@ per re-chain) and the loop writes into it:
 
   models      (16, N, d) history block: row i holds iteration i's models,
                          phase-major; the solve writes each phase's rows
-                         into it, so there is no separate current theta
+                         into it, so there is no separate current theta.
+                         It starts at zero, so rows a block has not
+                         reached are finite when the block is evaluated
   theta_hat   (N, d)     last transmitted models, phase-major
   src         (2N+2E+2, d)
                          every addend a phase can need, in blocks: 2 g_n (N
@@ -84,20 +86,26 @@ block beside it and reuses one (N, d) work array for its rhs, its centre
 step and its dual step.
 
 Stopping.  With `stop_error` the trace ends at the first iteration whose
-objective error is below it, exactly as when the test ran every iteration.
-The loop itself may have run up to 15 iterations further; they are not
-reported, and the quantizer's random stream is the run's own, so nothing
-outside the run sees them.
+objective error is below it, exactly as when the test ran every iteration:
+an iteration's error has the same bits whether the run stops, ends or
+re-chains there or later (rule 1).  The loop itself may have run up to 15
+iterations further; they are not reported, and the quantizer's random
+stream is the run's own, so nothing outside the run sees them.
 
-Bit-identity.  Every reported float equals that of a per-worker loop (one
-gemv per solve, one ddot per norm and objective term, Python float sums), so
-the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
+Bit-identity.  Every reported float equals that of a per-worker loop: one
+gemv per solve, one ddot per norm, Python float sums, and the objective
+error in the error form of `ProblemStack.errors`, one gemm per worker over a
+whole 16-row block and one ddot per row.  So a change to the loop keeps the
+repr()-written out/*.csv byte-identical.  Three rules keep it so:
 
   1. Products are stacked: np.matmul for the solve `inv @ rhs` on column
-     stacks, np.matvec for the objective's A theta, and np.vecdot for its
-     squares and the norms, which numpy runs as one gemv or ddot per row.
-     einsum and norm(axis=...) sum in another order.  Writing a result into
-     a buffer with out= runs the same loop as allocating it.
+     stacks, one gemv per row, and for the error form's e_n H_n, one gemm
+     per worker over all 16 rows of the block however many of them the
+     trace keeps (a one-row gemm can round differently from the same row
+     inside a block); np.vecdot for the error form's row products and the
+     norms, one ddot per row.  einsum and norm(axis=...) sum in another
+     order.  Writing a result into a buffer with out= runs the same loop as
+     allocating it.
   2. A worker's rhs is one np.add.reduce over the slow axis of the term
      stack, which numpy runs as one elementwise add per slot (pairwise
      summation is only used along the fast axis), so it sums
@@ -108,10 +116,12 @@ the repr()-written out/*.csv stay byte-identical.  Three rules keep it so:
      sums the lone column pairwise, so that case takes np.add.accumulate, a
      strict left-to-right scan of the stack in place.  A signed-incidence
      matmul reorders the sum.
-  3. joules, the residual and the objective are sequential Python float sums
-     over .tolist(), one per iteration also when a block is evaluated: the
-     block's objective terms and gap norms are stacked calls that broadcast
-     over the block axis without changing the per-row BLAS call.
+  3. joules and the residual are sequential Python float sums over
+     .tolist(), one per iteration also when a block is evaluated: the
+     block's gap norms are stacked calls that broadcast over the block axis
+     without changing the per-row BLAS call.  The objective error's worker
+     terms are added in worker order by one np.add.reduce over the slow
+     axis (rule 2; the block axis is 16 long, so it is never collapsed).
 """
 from __future__ import annotations
 
@@ -123,13 +133,12 @@ import numpy as np
 from ..core import child_rng
 from .compression import CensorSchedule, QuantizeBuffers, QuantizerConfig, censor_mask, quantize_step, row_norms
 from .energy import CommEnergyModel, message_energy
-from .problems import LocalProblem, ProblemStack, centralized_solution
+from .problems import TRACE_BLOCK, LocalProblem, ProblemStack
 from .topology import Topology, rechain
 
 VARIANTS = ("ps-admm", "gadmm", "d-gadmm", "ggadmm", "c-ggadmm", "cq-ggadmm")
 
 FULL_PRECISION_BITS = 32  # bits per coordinate without quantization
-_TRACE_BLOCK = 16  # iterations whose trace entries are evaluated together
 
 
 class ConfigMismatch(ValueError):
@@ -244,41 +253,40 @@ def run(
 ) -> TrainingTrace:
     """Run one variant and return its per-iteration trace.
 
-    The objective-error column is measured against the centralized solution
-    (a direct solve), and every channel gain is 1.  `stop_error` ends the run
+    The objective-error column is |sum_n f_n(theta_n) - f_n(theta*)|, taken
+    in error form against the centralized solution theta* (a direct solve),
+    and every channel gain is 1.  `stop_error` ends the run
     early once the objective error drops below it.
     """
     _check_variant(variant, topology, quantizer, censor, len(problems))
     if energy_model is None:
         energy_model = CommEnergyModel()
     stack = ProblemStack(problems)
-    f_star = stack.objective(np.tile(centralized_solution(problems), (stack.n, 1)))
-
     if variant == "ps-admm":
-        return _run_ps(stack, rho, energy_model, iters, f_star, stop_error)
-    return _run_decentralized(
-        variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, f_star, stop_error
-    )
+        return _run_ps(stack, rho, energy_model, iters, stop_error)
+    return _run_decentralized(variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, stop_error)
 
 
-def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
+def _flush(trace, stack, stop_error, models, rows, gaps, steps) -> bool:
     """Append a block of iterations to `trace`; True once one stops the run.
 
-    Iteration i ran with the (N, d) models `models[i]`, left the (M, d)
-    consensus gaps `gaps[i]` and reached the cumulative (bits, joules,
-    censored) `steps[i]`.  The trace ends at the first iteration whose
-    objective error is below `stop_error`, and each of its lists is extended
-    once up to there; `steps` is emptied.
+    Iteration i ran with the models `models[i]` of the (16, N, d) history
+    block, worker n in row rows[n], left the (M, d) consensus gaps `gaps[i]`
+    and reached the cumulative (bits, joules, censored) `steps[i]`.  The
+    error is evaluated over the whole block and kept for the first
+    len(steps) rows (bit-identity rule 1).  The trace ends at the first iteration whose objective
+    error is below `stop_error`, and each of its lists is extended once up
+    to there; `steps` is emptied.
     """
     if not steps:
         return False
-    objective = [sum(vals) for vals in stack.values(models).tolist()]
-    error = [abs(obj - f_star) for obj in objective]
+    signed = stack.errors(models, rows)[:len(steps)]
+    error = [abs(e) for e in signed]
     below = [] if stop_error is None else [i for i, e in enumerate(error) if e < stop_error]
     n = below[0] + 1 if below else len(steps)
     norms = row_norms(gaps[:n]).tolist()
     bits, joules, censored = zip(*steps[:n])
-    trace.objective += objective[:n]
+    trace.objective += [stack.f_star + e for e in signed[:n]]
     trace.objective_error += error[:n]
     trace.bits_cum += bits
     trace.joules_cum += joules
@@ -288,19 +296,20 @@ def _flush(trace, stack, f_star, stop_error, models, gaps, steps) -> bool:
     return bool(below)
 
 
-def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
+def _run_ps(stack, rho, energy_model, iters, stop_error=None):
     N, d = stack.n, stack.dim
     H, g = stack.gram
     inv = inverses(H, np.ones(N, dtype=int), rho)
     lam = np.zeros((N, d))
     z = np.zeros(d)
     trace = TrainingTrace()
-    models, centers = np.empty((_TRACE_BLOCK, N, d)), np.empty((_TRACE_BLOCK, d))
+    models, centers = np.zeros((TRACE_BLOCK, N, d)), np.empty((TRACE_BLOCK, d))
+    rows = np.arange(N)
     steps: list[tuple[float, float, int]] = []
 
     def flush() -> bool:
         n = len(steps)
-        return _flush(trace, stack, f_star, stop_error, models[:n], models[:n] - centers[:n, None], steps)
+        return _flush(trace, stack, stop_error, models, rows, models[:n] - centers[:n, None], steps)
 
     shared = energy_model.share(N)
     bits = joules = 0.0
@@ -319,7 +328,7 @@ def _run_ps(stack, rho, energy_model, iters, f_star, stop_error=None):
         bits += N * payload
         joules += energy_per_iter
         steps.append((bits, joules, 0))
-        if len(steps) == _TRACE_BLOCK and flush():
+        if len(steps) == TRACE_BLOCK and flush():
             return trace
     flush()
     return trace
@@ -411,7 +420,7 @@ def _chain_duals(order, stack, theta, row):
 
 
 def _run_decentralized(
-    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, f_star, stop_error=None,
+    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, stop_error=None,
 ):
     N, d = stack.n, stack.dim
     E = len(topology.edges)
@@ -428,7 +437,7 @@ def _run_decentralized(
     payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
     trace = TrainingTrace()
-    models = np.empty((_TRACE_BLOCK, N, d))
+    models = np.zeros((TRACE_BLOCK, N, d))
     phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull)
     steps: list[tuple[float, float, int]] = []
 
@@ -436,7 +445,7 @@ def _run_decentralized(
         done = models[:len(steps)]
         gaps = done[:, ends[0]]
         gaps -= done[:, ends[1]]
-        return _flush(trace, stack, f_star, stop_error, done[:, row], gaps, steps)
+        return _flush(trace, stack, stop_error, models, row, gaps, steps)
 
     bits = joules = 0.0
     censored = 0
@@ -488,7 +497,7 @@ def _run_decentralized(
         dual_update(lam, left_hat, right_hat, rho, left_hat)
         np.negative(lam, out=neg_lam)
         steps.append((bits, joules, censored))
-        if len(steps) == _TRACE_BLOCK and flush():
+        if len(steps) == TRACE_BLOCK and flush():
             return trace
     flush()
     return trace

@@ -3,7 +3,8 @@ check the closed forms, the solvers and the buffered kernels of edgekit.
 
 They simulate the actual random processes (slotted preamble contention with
 backoff; the mining race), enumerate every assignment, or compute a kernel
-the plain allocating way, and are kept independent of the code they check.
+the plain allocating way or in its direct form, and are kept independent of
+the code they check.
 """
 from __future__ import annotations
 
@@ -131,3 +132,14 @@ def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.nda
     """Inverse of `quantize_rows`: the level values of each (k, d) row."""
     step = 2.0 * radius / (2**bits - 1)
     return levels * step[:, None] - radius[:, None]
+
+
+def direct_objective_error(problems, theta: np.ndarray, optimum: np.ndarray) -> float:
+    """sum_n ||A_n theta_n - b_n||^2 + reg ||theta_n||^2 - F*, the objective
+    error of an (N, d) model stack taken directly, F* the same sum at the
+    optimum in every row: the reference for edgekit's error form."""
+
+    def objective(models):
+        return sum(float(np.sum((p.A @ t - p.b) ** 2) + p.reg * np.sum(t**2)) for p, t in zip(problems, models))
+
+    return objective(theta) - objective([optimum] * len(problems))

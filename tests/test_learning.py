@@ -20,12 +20,12 @@ from edgekit.learning import (
     runner,
 )
 from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
-from edgekit.learning.problems import ProblemStack
+from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
 
 from conftest import scalar_problems, synthetic_problems
-from oracles import dequantize_rows, quantize_rows
+from oracles import dequantize_rows, direct_objective_error, quantize_rows
 
 
 class TestCentralizedSolution:
@@ -195,26 +195,34 @@ class TestBatchedKernels:
         assert slot_sum(terms.copy(), np.empty((k, d))).tobytes() == rhs.tobytes()
         assert solve(inv, terms.copy()).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
 
-    def test_stacked_objective_with_mixed_sample_counts(self, rng):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(2, 12), d=st.integers(1, 20), samples=st.lists(st.integers(1, 30), min_size=12, max_size=12),
+        reg=st.floats(0.0, 1.0), scale=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(N=5, d=3, samples=[4, 7, 4, 9, 7] + [1] * 7, reg=0.05, scale=1.0, seed=0)
+    def test_error_form_equals_the_direct_error(self, N, d, samples, reg, scale, seed):
+        rng = make_rng(seed)
+        # d + 1 samples on worker 0 keep the aggregate system full rank at reg = 0
+        counts = [max(samples[0], d + 1)] + samples[1:N]
         problems = [
-            LocalProblem(A=rng.standard_normal((s, 3)), b=rng.standard_normal(s), reg=0.01 * s)
-            for s in (4, 7, 4, 9, 7)
-        ]
-        theta = rng.standard_normal((5, 3))
-        values = ProblemStack(problems).values(theta)
-        for p, t, v in zip(problems, theta, values):
-            r = p.A @ t - p.b
-            assert v == r @ r + p.reg * (t @ t)
-
-    def test_model_stack_equals_one_call_per_model(self, rng):
-        problems = [
-            LocalProblem(A=rng.standard_normal((s, 3)), b=rng.standard_normal(s), reg=0.01 * s)
-            for s in (4, 7, 4, 9, 7)
+            LocalProblem(A=rng.standard_normal((s, d)), b=rng.standard_normal(s), reg=reg) for s in counts
         ]
         stack = ProblemStack(problems)
-        models = rng.standard_normal((16, 5, 3))
-        for block in (models, models[:5]):
-            assert stack.values(block).tobytes() == np.stack([stack.values(t) for t in block]).tobytes()
+        optimum = centralized_solution(problems)
+        assert stack.optimum.tobytes() == optimum.tobytes()
+        models = optimum + scale * rng.standard_normal((TRACE_BLOCK, N, d))
+        models[3] = optimum  # every worker at the optimum
+        rows = rng.permutation(N)
+        block = models[:, rows.argsort()]
+        errors = stack.errors(block, rows)
+        assert errors[3] == 0.0
+        # a row's error does not depend on the other rows of its block
+        block[5:] = 0.0
+        assert stack.errors(block, rows)[:5] == errors[:5]
+        for err, theta in zip(errors, models):
+            direct = direct_objective_error(problems, theta, optimum)
+            assert abs(err - direct) <= 1e-12 * max(1.0, stack.f_star)
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 19), d=st.integers(1, 39), scale=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
@@ -656,12 +664,12 @@ def _pinned_run(variant):
 # these pin each variant's floats to the last bit: a refactor that reorders
 # one sum or swaps one BLAS call for another changes them.
 TRACE_DIGESTS = {
-    "ps-admm": "f2a49f981e76f5d38a876128eb1e4a2549d3ae6b12551d5865ded5bec1d3eeba",
-    "gadmm": "457d401af8a2ad9bc76c46e17ef14101eccbcf88123fd45ae70aab0693e06dca",
-    "d-gadmm": "bd4bca5704a0f0d51e39d93972aa05e4d34d63deddfdb3ec710a0d19f2d1a418",
-    "ggadmm": "65a8a4de1073afe704c73399ac5556e1c7290524ba819743094ad38b95a64592",
-    "c-ggadmm": "d28888e894b46c626237ef1550af1c0f95e73ca0079ed67e4a2960fb518b338c",
-    "cq-ggadmm": "85fc8953ec751867b1aa7a47e191e0c4bae004bf70b1723da1af7094999cbdfc",
+    "ps-admm": "f743c1c7e4a5b720183f7c718d0d31fa61120f2bad9b58afeb565f982de7988d",
+    "gadmm": "854fd992ec106cfc441485d1f2676ecb3875e96be5f32a8f5ba9cffd1ed19828",
+    "d-gadmm": "e6d450e49027246d91a79f20f21d9293d736c5bf773fea0fa54c109cde714af0",
+    "ggadmm": "dcac81401a1c14ee5a28131f7d5983c9bbe31d111ad812dea6e5265bc7d5737f",
+    "c-ggadmm": "eb8e5186d2415bc28fb778a8d12677a3b78c94f396214b2d9609353d0a1ec3f0",
+    "cq-ggadmm": "2f89248cbf368b71fa5fdb2769521825fe1c38975bd6731f734eda81d9970d3f",
 }
 
 
@@ -690,12 +698,12 @@ def _benchmark_size_run(variant):
 # Same digest at the benchmark's size, where a phase pads its slot tables to
 # a largest degree of 8 (TRACE_DIGESTS' N=8 instances reach 3).
 BENCHMARK_SIZE_DIGESTS = {
-    "ggadmm": "a556de913f05a04ae1fd575494ca39fd0b029f6ac51c76d731e64b8e723cab60",
-    "c-ggadmm": "f0fec1a38029b587bb591d4d9863b7109bf23446617975a453cf1045dd3fb1a1",
-    "cq-ggadmm": "a96db66c229317ce128d255db346844c895c2fd5a967774682e18205a649de89",
-    "gadmm": "4a1d0d8a1311f61b3cbc7b628c93bdac8545d4a79a92abab3998e889e4cdf411",
-    "d-gadmm": "d17917c5193a32f0289e985b7a1d9d25832977bbca9cc0b6eff83fd1f4ca4e4d",
-    "ps-admm": "d13bc46e9d98fd3f781889fcf3ddacd1f5831fb0f00d7b57f410d3082bd3d982",
+    "ggadmm": "50a3a6ce1da7a6f29a93984837fc102eb565c731d0607515a3fdde4dc7d30e22",
+    "c-ggadmm": "d8f86a4dc52e245bd988abaac6229ea925e2028a3bc9a3111bc6a54edb302001",
+    "cq-ggadmm": "8b36c19ef8b43861a38a0097d4273054f95756cc2bc70f8b8f05519759a1a9f2",
+    "gadmm": "a55742a445c03f9db0979c4f660971c1c2f17bd3f6cd1ad2c50650a2668fe9bf",
+    "d-gadmm": "7cb44496d47407d4b282263c5213c0d0e315d34149c8ded0d1f570ee75c7950c",
+    "ps-admm": "f9aedfacbec9802f7e974e56b9390d668e393dd6ae9fbe1ec1aceeeb03d57a3a",
 }
 
 
@@ -726,12 +734,12 @@ def _edge_run(case):
 # in another order changes the star's, and a centre step that sums ps-admm's
 # single column in another order changes "star:ps-admm".
 EDGE_RUN_DIGESTS = {
-    "star:ps-admm": "738f70d9b1541e00377ca11360bef97db8ae73a5b1b7b630e4d43f2d408aae8d",
-    "star:ggadmm": "43d261e355f3a80661477606f3421b267e5d3bf4c1ca4f884505583a30585094",
-    "star:c-ggadmm": "34ca93addc11160dee8daa956a003f088dfdcaf4bcbcdab8ceab5b2067531305",
-    "star:cq-ggadmm": "83b07ec67bbf5da476f3434f875ff290634edf0d083a13d9b80db01dacbd4499",
-    "chain2:gadmm": "53640b0a6d7f80ad5959ac0956565fbbca2a5d5898eeaf3a2a9628cf53e72ca4",
-    "chain3:gadmm": "afd34cbedf408878accdd759d848689faf28761bfe71041e42e6292b5fa04ccf",
+    "star:ps-admm": "dc3f031a416d2de82532d54554bb2fc752acceb998a7a8fed46a51050c0916fa",
+    "star:ggadmm": "7cff72ff62aa329ed85a6f1081b8e7e449b41203273b52b5dfbeed6234041059",
+    "star:c-ggadmm": "9b6e80433bfd31c682960a49131522c6fb2f93d9894dbb1ba094c59be1759a24",
+    "star:cq-ggadmm": "9c7cb0001ff373ebd8d0f0f3e41e09e11fa7f5adba7c7b40a64de29f0a222be6",
+    "chain2:gadmm": "eaf9b587daf5223d0204d3b97ca64fab138492377f69e471fae6f45a2fbf2911",
+    "chain3:gadmm": "d98cfde0386c90472d5f73b06f5d8c8b18134d304186e6ee434e28b4de47ef1d",
 }
 
 
@@ -769,9 +777,9 @@ def _sends(trace, payload):
 # Same digest for the runs above.  Each run must also reach the case its
 # test names, so that the masked transmit path stays covered.
 SEND_RUN_DIGESTS = {
-    "chain4:gadmm": "67ea294f3f825696094d53cfcd799fc4e5336e7f50982a0b28e2377b6a731072",
-    "bipartite6:c-ggadmm": "a21ba6fcc99b0fbd4f8fd80ef28be400a9e7ae736676cbe010ba152f3db26406",
-    "chain4:cq-ggadmm": "87914e24dc004874628dc2ba06d9fced2ba301424e5846d2a87282efe032b3e4",
+    "chain4:gadmm": "05e89d092cb1800fc7aad554a302276224c29245aefe9cd45138a8bd3f8b79c4",
+    "bipartite6:c-ggadmm": "ff2499e888dd40326052cf2b336c20883b26ba5707c47a763a0c07ccb817cfd7",
+    "chain4:cq-ggadmm": "75d150eb9440b1f66c4ab62777ac7471155f4e9e4a684513471aca7d551204ba",
 }
 
 
