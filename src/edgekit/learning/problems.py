@@ -110,13 +110,14 @@ class ProblemStack:
         (TRACE_BLOCK, N, d) history block whose worker n is row rows[n].
 
         One take gathers the block in worker order and one subtract makes it
-        e; e_n, worker n's (block, d) rows, is a strided view that np.matmul
-        multiplies by H_n as one gemm per worker.  (e_n H_n + c_n) . e_n is
-        one np.vecdot, a ddot per row, and the workers' terms are added in
-        worker order by one np.add.reduce over the slow axis, one elementwise
-        add per worker, as a Python float sum adds them.  Every row is evaluated,
-        so a row's bits do not depend on how many of the others the caller
-        keeps; rows it has not written must hold finite values.
+        e; e_n, worker n's (TRACE_BLOCK, d) rows, is a strided view that
+        np.matmul multiplies by H_n as one gemm per worker.
+        (e_n H_n + c_n) . e_n is one np.vecdot, a ddot per row, and the
+        workers' terms are added in worker order by one np.add.reduce over
+        the slow axis: one elementwise add per worker, the same additions as
+        a Python float sum.  Every row is evaluated, so a row's bits do not
+        depend on which of the others the caller keeps; rows it has not
+        written must hold finite values.
         """
         e, He, q = self._e, self._He, self._q
         models.take(rows, axis=1, out=e, mode="clip")
