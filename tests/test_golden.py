@@ -68,6 +68,56 @@ def test_dense_radio_sweep_digest_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# Learning sweeps of several points, one CSV per point: the benchmark's
+# ggadmm shape over rho, cq-ggadmm over its quantizer and its censoring,
+# d-gadmm across its re-chains, ps-admm, and points of unequal lengths.
+BIPARTITE = {"workers": 8, "dim": 4, "samples": 15, "topology": "bipartite", "mean_degree": 3.0, "iters": 150}
+LEARNING_SWEEPS = {
+    "ggadmm-rho": (
+        {"variant": "ggadmm", **BIPARTITE}, "learning.rho", [0.6, 1.1, 1.9],
+        "8acd52a3dcae3235744208f39006b4e6406e51b5573d72b30adddf9167657fa9",
+    ),
+    "cq-ggadmm-bits": (
+        {"variant": "cq-ggadmm", **BIPARTITE, "censor_xi0": 0.05}, "learning.quantizer_bits", [1, 2, 4, 8],
+        "c87843c752af8936134d0bd3ff3e59c3defffc5518ac21841af2acf3bb2f0c60",
+    ),
+    "cq-ggadmm-xi0": (
+        {"variant": "cq-ggadmm", **BIPARTITE, "quantizer_bits": 3}, "learning.censor_xi0", [0.0, 0.05, 0.3],
+        "bb224e99c16bd1c141403607cc7bad1f157c877df3dfccc34e2c5b2cfb76a333",
+    ),
+    "d-gadmm-rho": (
+        {"variant": "d-gadmm", "workers": 8, "dim": 3, "samples": 10, "tau_coh": 7, "iters": 100},
+        "learning.rho", [0.5, 1.0, 2.0],
+        "8138080b52508e645feb0d91c8e1a30635690cee4a7f18a1d05ad08297000f17",
+    ),
+    "ps-admm-rho": (
+        {"variant": "ps-admm", "workers": 6, "dim": 3, "samples": 10, "iters": 120}, "learning.rho", [0.7, 1.3],
+        "f7ce30bd5538525f588ad40e556a61663b530f5cde3e72cf7be614e919649b3a",
+    ),
+    "ggadmm-iters": (
+        {"variant": "ggadmm", **BIPARTITE}, "learning.iters", [5, 40, 17],
+        "bc526cbcb6b26271f6ed0194e1e2b80350e0ed49fc67f250a5423b6584332808",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNING_SWEEPS))
+def test_learning_sweep_digest_pinned(name, tmp_path, capsys):
+    learning, param, values, digest = LEARNING_SWEEPS[name]
+    doc = {"seed": 3, "kind": "learning", "output": str(tmp_path / "s.csv"), "learning": learning,
+           "sweep": {"param": param, "values": values}}
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["learn", "--scenario", str(scenario)]) == 0
+    paths = [Path(line) for line in capsys.readouterr().out.split()]
+    field = param.replace(".", "_")
+    assert [p.name for p in paths] == [f"s_{field}_{v}.csv" for v in values]
+    lengths = values if param == "learning.iters" else [learning["iters"]] * len(values)
+    assert [len(p.read_bytes().splitlines()) - 1 for p in paths] == lengths
+    data = b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in paths)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # `edgekit <command> --scenario scenarios/<file>.yaml` lines of README.md
 README_COMMANDS = sorted(set(re.findall(r"^edgekit (\S+) +--scenario (scenarios/\S+\.yaml)",
                                          (ROOT / "README.md").read_text(), re.M)))
