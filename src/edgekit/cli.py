@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 scenario validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .scenario import ParseError, ValidationError, parse_scenario
@@ -29,6 +30,7 @@ _KIND_OF_COMMAND = {
 }
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgekit",

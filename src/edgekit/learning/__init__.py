@@ -2,7 +2,7 @@ from .problems import LocalProblem, centralized_solution
 from .topology import Topology, build_topology, rechain
 from .compression import QuantizerConfig, CensorSchedule
 from .energy import CommEnergyModel, message_energy
-from .runner import TrainingTrace, run, dual_update
+from .runner import Setting, TrainingTrace, run, run_points, dual_update
 
 __all__ = [
     "LocalProblem",
@@ -16,5 +16,7 @@ __all__ = [
     "message_energy",
     "TrainingTrace",
     "run",
+    "run_points",
+    "Setting",
     "dual_update",
 ]

@@ -42,56 +42,67 @@ class CensorSchedule:
 
 @dataclass(frozen=True)
 class QuantizeBuffers:
-    """Scratch arrays for `quantize_step` on (k, d) rows, made once per phase."""
+    """Scratch arrays for `quantize_step` on (P, k, d) rows, made once per
+    phase, and each point's top level 2^b - 1 at the shapes they meet."""
 
-    delta: np.ndarray  # (k, d) new - last, then scaled onto [0, 2^b - 1]
-    frac: np.ndarray  # (k, d) |delta|, then the fractional part of the scaled delta
-    level: np.ndarray  # (k, d) its integral part, then the levels, then their values
-    uniform: np.ndarray  # (k, d) the rounding draws
-    up: np.ndarray  # (k, d) bool, coordinates rounded up
-    radius: np.ndarray  # (k, 1) l-inf norm of each row of delta
-    step: np.ndarray  # (k, 1) level spacing of each row
-    sent: np.ndarray  # (k, d) the transmitted models
+    delta: np.ndarray  # (P, k, d) new - last, then scaled onto [0, 2^b - 1]
+    frac: np.ndarray  # (P, k, d) |delta|, then the fractional part of the scaled delta
+    level: np.ndarray  # (P, k, d) its integral part, then the levels, then their values
+    uniform: np.ndarray  # (P, k, d) the rounding draws
+    up: np.ndarray  # (P, k, d) bool, coordinates rounded up
+    radius: np.ndarray  # (P, k, 1) l-inf norm of each row of delta
+    step: np.ndarray  # (P, k, 1) level spacing of each row
+    sent: np.ndarray  # (P, k, d) the transmitted models
+    top: np.ndarray  # (P, k, d) 2^b - 1 of each row's point
+    top_rows: np.ndarray  # (P, k, 1) the same per row
 
     @classmethod
-    def empty(cls, k: int, d: int) -> "QuantizeBuffers":
-        return cls(*np.empty((4, k, d)), np.empty((k, d), dtype=bool), *np.empty((2, k, 1)), np.empty((k, d)))
+    def empty(cls, bits: list[int], k: int, d: int) -> "QuantizeBuffers":
+        """Buffers for k rows of d coordinates at each point, point p
+        quantizing with bits[p] bits per coordinate."""
+        rows, scalars = (len(bits), k, d), (len(bits), k, 1)
+        top = np.empty(rows)
+        top[...] = np.array([2.0**b - 1 for b in bits])[:, None, None]
+        return cls(*np.empty((4, *rows)), np.empty(rows, dtype=bool), *np.empty((2, *scalars)), np.empty(rows),
+                   top, top[..., :1].copy())
 
 
 def quantize_step(
-    new: np.ndarray, last: np.ndarray, bits: int, rng: np.random.Generator, buf: QuantizeBuffers
+    new: np.ndarray, last: np.ndarray, rngs: list[np.random.Generator], buf: QuantizeBuffers
 ) -> np.ndarray:
-    """The transmitted models last + Q(new - last) of (k, d) rows, in `buf.sent`.
+    """The transmitted models last + Q(new - last) of (P, k, d) rows, in `buf.sent`.
 
-    Q is unbiased stochastic quantization of each row: row i of the update is
-    rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf norm, each
-    coordinate to one of the two bracketing levels with the probabilities
-    that make the rounding unbiased.  The message carries the integer level
-    of each coordinate and R_i.  The levels are kept as floats: they are
-    small integers, so level * step is the product the receiver forms.  An
-    all-zero row has R = 0, gets level 0 and draws nothing, so one call
-    consumes `rng` exactly as k sequential one-row calls do.  Every step
-    writes into `buf`, which may not overlap `new` or `last`.
+    Point p quantizes with the bits `buf` was made for and draws from
+    rngs[p].  Q is unbiased stochastic quantization of each row: row i of
+    the update is rounded onto 2^b levels over [-R_i, R_i], R_i its l-inf
+    norm, each coordinate to one of the two bracketing levels with the
+    probabilities that make the rounding unbiased.  The message carries the
+    integer level of each coordinate and R_i.  The levels are kept as
+    floats: they are small integers, so level * step is the product the
+    receiver forms.  An all-zero row has R = 0, gets level 0 and draws
+    nothing, so one call consumes each point's stream exactly as k
+    sequential one-row calls do.  Every step writes into `buf`, which may
+    not overlap `new` or `last`.
     """
-    top = float(2**bits - 1)
     delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
     np.subtract(new, last, out=delta)
-    np.maximum.reduce(np.abs(delta, out=frac), axis=1, keepdims=True, out=radius)  # d >= 1
-    zero = None if np.count_nonzero(radius) == len(radius) else radius[:, 0] == 0.0
-    np.divide(np.multiply(radius, 2.0, out=step), top, out=step)
+    np.maximum.reduce(np.abs(delta, out=frac), axis=2, keepdims=True, out=radius)  # d >= 1
+    zero = None if np.count_nonzero(radius) == radius.size else radius[..., 0] == 0.0
+    np.divide(np.multiply(radius, 2.0, out=step), buf.top_rows, out=step)
     if zero is not None:
         step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
     np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly
     np.subtract(delta, np.floor(delta, out=level), out=frac)  # exact
-    if zero is None:
-        rng.random(out=uniform)
-    else:  # one row-major draw for the live rows, in order
-        live = ~zero
-        drawn = uniform[:np.count_nonzero(live)]
-        rng.random(out=drawn)
-        uniform[live] = drawn.copy()  # the live rows overlap the drawn ones
+    for p, rng in enumerate(rngs):
+        if zero is None:
+            rng.random(out=uniform[p])
+        else:  # one row-major draw for the point's live rows, in order
+            live, drawn = ~zero[p], uniform[p]
+            rows = drawn[:np.count_nonzero(live)]
+            rng.random(out=rows)
+            drawn[live] = rows.copy()  # the live rows overlap the drawn ones
     np.less(uniform, frac, out=buf.up)
-    np.minimum(np.add(level, buf.up, out=level), top, out=level)  # a scaled top may land an ulp above it
+    np.minimum(np.add(level, buf.up, out=level), buf.top, out=level)  # a scaled top may land an ulp above it
     np.subtract(np.multiply(level, step, out=level), radius, out=level)
     if zero is not None:
         level[zero] = 0.0
@@ -109,13 +120,16 @@ def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def censor_mask(
-    current: np.ndarray, last_sent: np.ndarray, threshold: float, diff: np.ndarray, norm: np.ndarray,
+    current: np.ndarray, last_sent: np.ndarray, thresholds: list[float], diff: np.ndarray, norm: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Per (k, d) row: transmit iff ||current - last_sent||_2 strictly
-    exceeds threshold, in the (k,) bool `out`; `diff` (k, d) and `norm` (k,)
-    take the steps."""
-    if threshold < 0:
+    """Per (P, k, d) row: transmit iff ||current - last_sent||_2 strictly
+    exceeds thresholds[p], its point's threshold, in the (P, k) bool `out`;
+    `diff` (P, k, d) and `norm` (P, k) take the steps."""
+    if min(thresholds) < 0:
         raise ValueError("threshold must be >= 0")
     np.subtract(current, last_sent, out=diff)
-    return np.greater(row_norms(diff, out=norm), threshold, out=out)
+    row_norms(diff, out=norm)
+    for p, threshold in enumerate(thresholds):
+        np.greater(norm[p], threshold, out=out[p])
+    return out

@@ -73,11 +73,12 @@ class ProblemStack:
     so the error of a run is evaluated in this form rather than as a
     difference of two objectives: it is exactly 0.0 at theta*, and a small
     error is not the cancellation noise of F* - F*.  `errors` evaluates a
-    whole block of TRACE_BLOCK model stacks with one gemm per worker into
-    buffers allocated here, once per run.
+    whole block of TRACE_BLOCK model stacks of each of a run's `points`
+    with one gemm per worker and point, into buffers allocated here, once
+    per run.
     """
 
-    def __init__(self, problems: list[LocalProblem]):
+    def __init__(self, problems: list[LocalProblem], points: int = 1):
         self.problems = problems
         self.n = len(problems)
         self.dim = problems[0].dim
@@ -85,10 +86,10 @@ class ProblemStack:
         self.f_star = self.objective(np.tile(self.optimum, (self.n, 1)))
         H, g = self.gram
         self.slope = 2.0 * (np.matvec(H, self.optimum) - g)  # (N, d): c_n
-        self._e = np.empty((TRACE_BLOCK, self.n, self.dim))
-        self._He = np.empty((self.n, TRACE_BLOCK, self.dim))
-        self._q = np.empty((self.n, TRACE_BLOCK))
-        self._err = np.empty(TRACE_BLOCK)
+        self._e = np.empty((points, TRACE_BLOCK, self.n, self.dim))
+        self._He = np.empty((points, self.n, TRACE_BLOCK, self.dim))
+        self._q = np.empty((points, self.n, TRACE_BLOCK))
+        self._err = np.empty((points, TRACE_BLOCK))
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,28 +106,29 @@ class ProblemStack:
             values.append(float(r @ r + p.reg * (t @ t)))
         return sum(values)
 
-    def errors(self, models: np.ndarray, rows: np.ndarray) -> list[float]:
+    def errors(self, models: np.ndarray, rows: np.ndarray) -> list[list[float]]:
         """sum_n f_n(theta_n) - f_n(theta*) for each model stack of a
-        (TRACE_BLOCK, N, d) history block whose worker n is row rows[n].
+        (points, TRACE_BLOCK, N, d) history block whose worker n is row
+        rows[n]: one list of TRACE_BLOCK errors per point.
 
         One take gathers the block in worker order and one subtract makes it
-        e; e_n, worker n's (TRACE_BLOCK, d) rows, is a strided view that
-        np.matmul multiplies by H_n as one gemm per worker.
+        e; e_n, a point's worker n's (TRACE_BLOCK, d) rows, is a strided view
+        that np.matmul multiplies by H_n as one gemm per worker and point.
         (e_n H_n + c_n) . e_n is one np.vecdot, a ddot per row, and the
         workers' terms are added in worker order by one np.add.reduce over
-        the slow axis: one elementwise add per worker, the same additions as
-        a Python float sum.  Every row is evaluated, so a row's bits do not
+        their axis: one elementwise add per worker, the same additions as a
+        Python float sum.  Every row is evaluated, so a row's bits do not
         depend on which of the others the caller keeps; rows it has not
         written must hold finite values.
         """
         e, He, q = self._e, self._He, self._q
-        models.take(rows, axis=1, out=e, mode="clip")
+        models.take(rows, axis=2, out=e, mode="clip")
         np.subtract(e, self.optimum, out=e)
-        e = e.transpose(1, 0, 2)
+        e = e.transpose(0, 2, 1, 3)
         np.matmul(e, self.gram[0], out=He)
         np.add(He, self.slope[:, None], out=He)
         np.vecdot(e, He, out=q)
-        return np.add.reduce(q, axis=0, out=self._err).tolist()
+        return np.add.reduce(q, axis=1, out=self._err).tolist()
 
 
 def centralized_solution(problems: list[LocalProblem]) -> np.ndarray:

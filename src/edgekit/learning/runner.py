@@ -126,6 +126,7 @@ repr()-written out/*.csv byte-identical.  Three rules keep it so:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,17 @@ class TrainingTrace:
         return None if k is None else self.joules_cum[k - 1]
 
 
+@dataclass(frozen=True)
+class Setting:
+    """What one point of a stacked run sets on its own (`run_points`)."""
+
+    rho: float = 1.0
+    quantizer: QuantizerConfig | None = None
+    censor: CensorSchedule | None = None
+    energy_model: CommEnergyModel = CommEnergyModel()
+    iters: int = 1000
+
+
 def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     """(2 H_n + rho deg_n I)^-1 for a (k, d, d) stack of Gram matrices."""
     if rho <= 0:
@@ -178,43 +190,50 @@ def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
 
 
 def slot_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums of a (2D+1, ...) stack along its first axis, added strictly
-    one row after the other (bit-identity rule 2), in `out`.  When a row has
-    one element the stack itself is scanned in place and its last row
-    returned."""
-    if out.size > 1:
-        return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
-    return np.add.accumulate(terms, axis=0, out=terms)[-1]  # one kept element: reduce would go pairwise
+    """The sums of a (P, 2D+1, ...) stack along its slot axis, added strictly
+    one slot after the other (bit-identity rule 2), in `out`.  When a point's
+    slot holds one element the stack itself is scanned in place and its last
+    slot returned."""
+    if out.size > len(out):
+        return np.add.reduce(terms, axis=1, initial=-0.0, out=out)
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]  # one kept element: reduce would go pairwise
 
 
 def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Closed-form block update of k workers at once, written into `out`.
+    """Closed-form block update of k workers at each of P points, written
+    into `out`.
 
     Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
     + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
     s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
-    inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d, 1) holds that
-    rhs's addends in order along its first axis: 2 g_n, then -s_j lambda_j
-    and rho theta_j for each slot j, signed zeros in padded slots.  `rhs`
-    receives their sums (see `slot_sum`); it and `out` are (k, d, 1) column
-    stacks, which np.matmul multiplies as one gemv per row.
+    inv_n (P, k, d, d) from `inverses`.  `terms` (P, 2D+1, k, d, 1) holds
+    that rhs's addends in order along its slot axis: 2 g_n, then
+    -s_j lambda_j and rho theta_j for each slot j, signed zeros in padded
+    slots.  `rhs` receives their sums (see `slot_sum`); it and `out` are
+    (P, k, d, 1) column stacks, which np.matmul multiplies as one gemv per row.
     """
     return np.matmul(inv, slot_sum(terms, rhs), out=out)
 
 
-def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho: float,
+def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho,
                 step: np.ndarray) -> np.ndarray:
     """lambda += rho (theta_left - theta_right) in place, elementwise on any
-    stack of edges; the step is computed in `step`, which may be theta_left."""
+    stack of edges (rho a float, or an array of each element's rho); the
+    step is computed in `step`, which may be theta_left."""
     np.subtract(theta_left, theta_right, out=step)
     np.multiply(step, rho, out=step)
     return np.add(lam, step, out=lam)
 
 
-def _check_variant(variant, topology, quantizer, censor, n_problems):
+def _check_variant(variant, topology, points, n_problems):
     if variant not in VARIANTS:
         raise ConfigMismatch(f"unknown variant {variant!r}")
+    if not points:
+        raise ConfigMismatch("a run needs at least one point")
+    if len({(p.quantizer is None, p.censor is None) for p in points}) > 1:
+        raise ConfigMismatch("the points of one run must all quantize or none, and all censor or none")
+    quantizer, censor = points[0].quantizer, points[0].censor
     if variant == "ps-admm":
         return
     if topology is None:
@@ -256,82 +275,131 @@ def run(
     The objective-error column is |sum_n f_n(theta_n) - f_n(theta*)|, taken
     in error form against the centralized solution theta* (a direct solve),
     and every channel gain is 1.  `stop_error` ends the run
-    early once the objective error drops below it.
+    early once the objective error drops below it.  This is `run_points`
+    with one point.
     """
-    _check_variant(variant, topology, quantizer, censor, len(problems))
-    if energy_model is None:
-        energy_model = CommEnergyModel()
-    stack = ProblemStack(problems)
+    point = Setting(rho, quantizer, censor, CommEnergyModel() if energy_model is None else energy_model, iters)
+    return run_points(variant, problems, topology, [point], seed, stop_error)[0]
+
+
+def run_points(
+    variant: str,
+    problems: list[LocalProblem],
+    topology: Topology | None,
+    points: Sequence[Setting],
+    seed: int = 0,
+    stop_error: float | None = None,
+) -> list[TrainingTrace]:
+    """Run one variant at each point over the same problems, topology and
+    seed, and return each point's trace, bit-identical to its own `run`.
+
+    The points advance together through one loop with a leading point axis
+    on every array (see Array layout above); each ends at its own `iters`
+    or at its first objective error below `stop_error`.  Their quantizer and
+    censor settings may differ, but all must set one or all leave it None.
+    """
+    _check_variant(variant, topology, points, len(problems))
+    stack = ProblemStack(problems, len(points))
     if variant == "ps-admm":
-        return _run_ps(stack, rho, energy_model, iters, stop_error)
-    return _run_decentralized(variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, stop_error)
+        return _run_ps(stack, points, stop_error)
+    return _run_decentralized(variant, stack, topology, points, seed, stop_error)
 
 
-def _flush(trace, stack, stop_error, models, rows, gaps, steps) -> bool:
-    """Append a block of iterations to `trace`; True once one stops the run.
+class _Traces:
+    """The traces of a run's points, their running (bits, joules, censored)
+    totals and the iterations each has still to report."""
 
-    Iteration i ran with the models `models[i]` of the (16, N, d) history
-    block, worker n in row rows[n], left the (M, d) consensus gaps `gaps[i]`
-    and reached the cumulative (bits, joules, censored) `steps[i]`.  The
-    error is evaluated over the whole block and kept for the first
-    len(steps) rows (bit-identity rule 1).  The trace ends at the first iteration whose objective
-    error is below `stop_error`, and each of its lists is extended once up
-    to there; `steps` is emptied.
-    """
-    if not steps:
-        return False
-    signed = stack.errors(models, rows)[:len(steps)]
-    error = [abs(e) for e in signed]
-    below = [] if stop_error is None else [i for i, e in enumerate(error) if e < stop_error]
-    n = below[0] + 1 if below else len(steps)
-    norms = row_norms(gaps[:n]).tolist()
-    bits, joules, censored = zip(*steps[:n])
-    trace.objective += [stack.f_star + e for e in signed[:n]]
-    trace.objective_error += error[:n]
-    trace.bits_cum += bits
-    trace.joules_cum += joules
-    trace.censored_cum += censored
-    trace.residual += [sum(gap) for gap in norms]
-    steps.clear()
-    return bool(below)
+    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None):
+        self.stack, self.stop_error = stack, stop_error
+        self.traces = [TrainingTrace() for _ in points]
+        self.totals = [(0.0, 0.0, 0)] * len(points)
+        self.left = [point.iters for point in points]
+
+    def flush(self, n, models, rows, gaps, steps) -> bool:
+        """Append the first n iterations of the history block to each point's
+        trace; True once every point has ended.
+
+        Iteration i of point p ran with the models `models[p, i]` of the
+        (P, 16, N, d) history block, worker w in row rows[w], and left the
+        (M, d) consensus gaps `gaps[p, i]`; `steps(p, n, totals)` gives the
+        point's running totals after each of the first n iterations.  The error is evaluated over
+        the whole block and kept for the rows the point reports (bit-identity
+        rule 1).  A point ends at its first iteration whose objective error is
+        below `stop_error`, or at its last; each list of its trace is
+        extended once up to there.
+        """
+        if n and any(self.left):
+            errors = self.stack.errors(models, rows)
+            norms = row_norms(gaps).tolist()
+            for p, trace in enumerate(self.traces):
+                if self.left[p]:
+                    self._append(p, trace, errors[p][:min(n, self.left[p])], norms[p], steps)
+        return not any(self.left)
+
+    def _append(self, p, trace, signed, norms, steps):
+        error = [abs(e) for e in signed]
+        below = [] if self.stop_error is None else [i for i, e in enumerate(error) if e < self.stop_error]
+        n = below[0] + 1 if below else len(error)
+        self.left[p] = 0 if below else self.left[p] - n
+        totals = steps(p, n, self.totals[p])
+        self.totals[p] = totals[-1]
+        bits, joules, censored = zip(*totals)
+        trace.objective += [self.stack.f_star + e for e in signed[:n]]
+        trace.objective_error += error[:n]
+        trace.bits_cum += bits
+        trace.joules_cum += joules
+        trace.censored_cum += censored
+        trace.residual += [sum(gap) for gap in norms[:n]]
 
 
-def _run_ps(stack, rho, energy_model, iters, stop_error=None):
-    N, d = stack.n, stack.dim
+def _run_ps(stack, points, stop_error):
+    P, N, d = len(points), stack.n, stack.dim
     H, g = stack.gram
-    inv = inverses(H, np.ones(N, dtype=int), rho)
-    lam = np.zeros((N, d))
-    z = np.zeros(d)
-    trace = TrainingTrace()
-    models, centers = np.zeros((TRACE_BLOCK, N, d)), np.empty((TRACE_BLOCK, d))
+    inv = np.stack([inverses(H, np.ones(N, dtype=int), point.rho) for point in points])
+    rho = np.empty((P, N, d))  # each point's rho at every element it multiplies
+    rho[...] = np.array([point.rho for point in points])[:, None, None]
+    lam = np.zeros((P, N, d))
+    traces = _Traces(stack, points, stop_error)
+    models, centers = np.zeros((P, TRACE_BLOCK, N, d)), np.empty((P, TRACE_BLOCK, d))
     rows = np.arange(N)
-    steps: list[tuple[float, float, int]] = []
 
-    def flush() -> bool:
-        n = len(steps)
-        return _flush(trace, stack, stop_error, models, rows, models[:n] - centers[:n, None], steps)
-
-    shared = energy_model.share(N)
-    bits = joules = 0.0
     payload = FULL_PRECISION_BITS * d
-    energy_per_iter = sum([message_energy(payload, shared, 1.0)] * N)
+    energy_per_iter = [sum([message_energy(payload, point.energy_model.share(N), 1.0)] * N) for point in points]
+
+    def steps(p, n, totals):
+        bits, joules, _ = totals
+        out = []
+        for _ in range(n):
+            bits += N * payload
+            joules += energy_per_iter[p]
+            out.append((bits, joules, 0))
+        return out
+
+    def flush(n) -> bool:
+        return traces.flush(n, models, rows, models[:, :n] - centers[:, :n, None], steps)
+
     two_g = 2.0 * g
-    work, rho_z = np.empty((N, d)), np.empty(d)  # work: the rhs, then the centre's addends, then the dual step
-    work_col, model_cols = work[:, :, None], models[..., None]  # column stacks for np.matmul
-    for _ in range(iters):
-        theta, centre = models[len(steps)], centers[len(steps)]
-        np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho, out=rho_z), out=work)
-        np.matmul(inv, work_col, out=model_cols[len(steps)])
+    work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))  # work: the rhs, then the centre's addends, then the dual step
+    z = np.zeros((P, 1, d))  # the last centre, as a row against each point's workers
+    thetas = tuple(models[:, i] for i in range(TRACE_BLOCK))
+    cols = tuple(models[:, i, ..., None] for i in range(TRACE_BLOCK))  # column stacks for np.matmul
+    centres = tuple(centers[:, i, None] for i in range(TRACE_BLOCK))
+    work_col, rho_row = work[..., None], rho[:, :1]
+    slot = 0  # this iteration's row of the history block
+    for _ in range(max(point.iters for point in points)):
+        theta = thetas[slot]
+        np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho_row, out=rho_z), out=work)
+        np.matmul(inv, work_col, out=cols[slot])
         np.add(theta, np.divide(lam, rho, out=work), out=work)
-        z = np.divide(np.add.reduce(work, axis=0, out=centre), N, out=centre)  # what np.mean computes
+        z = np.divide(np.add.reduce(work, axis=1, keepdims=True, out=centres[slot]), N, out=centres[slot])  # np.mean
         dual_update(lam, theta, z, rho, work)
-        bits += N * payload
-        joules += energy_per_iter
-        steps.append((bits, joules, 0))
-        if len(steps) == TRACE_BLOCK and flush():
-            return trace
-    flush()
-    return trace
+        slot += 1
+        if slot == TRACE_BLOCK:
+            slot = 0
+            if flush(TRACE_BLOCK):
+                return traces.traces
+    flush(slot)
+    return traces.traces
 
 
 @dataclass(frozen=True)
@@ -339,21 +407,23 @@ class _Phase:
     """One head or tail group's arrays between re-chainings (the buffers
     are rewritten each phase, the rest stay fixed)."""
 
-    inv: np.ndarray  # (k, d, d)
+    inv: np.ndarray  # (P, k, d, d)
     idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
-    terms: np.ndarray  # (2D+1, k, d, 1) the gathered addends
-    gather: np.ndarray  # (2D+1, k, d) view of terms that src.take fills
-    rhs: np.ndarray  # (k, d, 1) their sums
-    new: tuple[np.ndarray, ...]  # per history row, (k, d) views of the group's models
-    cols: tuple[np.ndarray, ...]  # the same as (k, d, 1) column stacks, which the solve writes
-    last: np.ndarray  # (k, d) view of the group's theta_hat rows
-    pull: np.ndarray  # (k, d) view of its rho theta_hat rows in src
-    quantize: QuantizeBuffers  # the quantizer step's buffers
-    diff: np.ndarray  # (k, d) the update a censoring test measures
-    norm: np.ndarray  # (k,) its length
-    changed: np.ndarray  # (k, d) bool, new != last
-    send: np.ndarray  # (k,) bool, rows that transmit
-    energy: float  # Joules per message at this group's bandwidth share
+    terms: np.ndarray  # (P, 2D+1, k, d, 1) the gathered addends
+    gather: np.ndarray  # (P, 2D+1, k, d) view of terms that src.take fills
+    rhs: np.ndarray  # (P, k, d, 1) their sums
+    new: tuple[np.ndarray, ...]  # per history row, (P, k, d) views of the group's models
+    cols: tuple[np.ndarray, ...]  # the same as (P, k, d, 1) column stacks, which the solve writes
+    sends: np.ndarray  # (P, 16, k) view of the group's rows of the send history
+    send: tuple[np.ndarray, ...]  # per history row, (P, k) views of it: the rows that transmit
+    last: np.ndarray  # (P, k, d) view of the group's theta_hat rows
+    pull: np.ndarray  # (P, k, d) view of its rho theta_hat rows in src
+    rho: np.ndarray  # (P, k, d) each point's rho
+    quantize: QuantizeBuffers | None  # the quantizer step's buffers, when the points quantize
+    diff: np.ndarray  # (P, k, d) the update a censoring test measures
+    norm: np.ndarray  # (P, k) its length
+    changed: np.ndarray  # (P, k, d) bool, new != last
+    energy: list[float]  # per point, Joules per message at this group's bandwidth share
 
 
 def _src_rows(N, E):
@@ -363,10 +433,11 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull):
+def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho):
     """The head and tail phases of `topology`, its worker -> row table and
     the (2, E) rows of its edges' left and right ends."""
-    N, d = topology.n, stack.dim
+    N, d, P = topology.n, stack.dim, len(points)
+    quantized = points[0].quantizer is not None
     edges = [(u - 1, v - 1) for u, v in topology.edges]
     groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
     row = np.empty(N, dtype=np.intp)
@@ -378,126 +449,150 @@ def _phases(topology, stack, rho, payload, energy_model, inv_cache, models, thet
         slots[v] += (plus + i, pulls + int(row[u]))
     degree = tuple(len(s) // 2 for s in slots)
     if degree not in inv_cache:
-        inv_cache[degree] = inverses(stack.gram[0], np.array(degree), rho)
+        inv_cache[degree] = np.stack([inverses(stack.gram[0], np.array(degree), point.rho) for point in points])
     phases, start = [], 0
     for members in groups:
         k, D = len(members), max(degree[n] for n in members)
         padded = [[n, *slots[n]] + [minus_zero, plus_zero] * (D - degree[n]) for n in members]
-        rows, terms = slice(start, start + k), np.empty((2 * D + 1, k, d, 1))
-        new = tuple(models[:, rows])
+        rows, terms = slice(start, start + k), np.empty((P, 2 * D + 1, k, d, 1))
+        new = tuple(models[:, :, rows].swapaxes(0, 1))
+        group_sends = sends[:, :, rows]
         phases.append(_Phase(
-            inv=inv_cache[degree][members],
+            inv=inv_cache[degree][:, members],
             idx=np.array(padded, dtype=np.intp).T.copy(),
             terms=terms,
             gather=terms[..., 0],
-            rhs=np.empty((k, d, 1)),
+            rhs=np.empty((P, k, d, 1)),
             new=new,
             cols=tuple(m[..., None] for m in new),
-            last=theta_hat[rows],
-            pull=pull[rows],
-            quantize=QuantizeBuffers.empty(k, d),
-            diff=np.empty((k, d)),
-            norm=np.empty(k),
-            changed=np.empty((k, d), dtype=bool),
-            send=np.empty(k, dtype=bool),
-            energy=message_energy(payload, energy_model.share(k), 1.0),
+            sends=group_sends,
+            send=tuple(group_sends.swapaxes(0, 1)),
+            last=theta_hat[:, rows],
+            pull=pull[:, rows],
+            rho=rho[:, rows],
+            quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
+            diff=np.empty((P, k, d)),
+            norm=np.empty((P, k)),
+            changed=np.empty((P, k, d), dtype=bool),
+            energy=[message_energy(payload, point.energy_model.share(k), 1.0)
+                    for point, payload in zip(points, payloads)],
         ))
         start += k
     return phases, row, row[np.array(edges)].T.copy()
 
 
 def _chain_duals(order, stack, theta, row):
-    """Duals of a new chain as prefix sums of local gradients along it.
+    """Duals of a new chain as prefix sums of local gradients along it, for
+    each point of a (P, N, d) model stack whose worker n is theta[:, row[n]].
 
     At the consensus optimum this reproduces the exact optimal duals of the
     new ordering, so re-chaining introduces no transient once the run is
-    near convergence.  Worker n's model is theta[row[n]].
+    near convergence.
     """
     left = np.array(order[:-1]) - 1
     H, g = stack.gram
-    grad = 2.0 * ((H[left] @ theta[row[left]][:, :, None])[:, :, 0] - g[left])
-    return np.subtract.accumulate(np.vstack([np.zeros(stack.dim), grad]))[1:]
+    grad = 2.0 * ((H[left] @ theta[:, row[left]][..., None])[..., 0] - g[left])
+    start = np.zeros((len(theta), 1, stack.dim))
+    return np.subtract.accumulate(np.concatenate([start, grad], axis=1), axis=1)[:, 1:]
 
 
-def _run_decentralized(
-    variant, stack, topology, rho, quantizer, censor, energy_model, iters, seed, stop_error=None,
-):
-    N, d = stack.n, stack.dim
+def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
+    P, N, d = len(points), stack.n, stack.dim
     E = len(topology.edges)
     neg, plus, minus_zero, pulls, plus_zero = _src_rows(N, E)
-    src = np.zeros((plus_zero + 1, d))
-    src[:N] = 2.0 * stack.gram[1]
-    src[minus_zero] = -0.0
-    lam, neg_lam, pull = src[plus:plus + E], src[neg:plus], src[pulls:pulls + N]
+    src = np.zeros((P, plus_zero + 1, d))
+    src[:, :N] = 2.0 * stack.gram[1]
+    src[:, minus_zero] = -0.0
+    lam, neg_lam, pull = src[:, plus:plus + E], src[:, neg:plus], src[:, pulls:pulls + N]
     np.negative(lam, out=neg_lam)
-    theta_hat = np.zeros((N, d))
-    end_hat = np.empty((2, E, d))  # theta_hat at each edge's left and right end
-    left_hat, right_hat = end_hat
-    q_rng = child_rng(seed, 1)
-    payload = FULL_PRECISION_BITS * d if quantizer is None else quantizer.payload_bits(d)
+    theta_hat = np.zeros((P, N, d))
+    end_hat = np.empty((P, 2, E, d))  # theta_hat at each edge's left and right end
+    left_hat, right_hat = end_hat[:, 0], end_hat[:, 1]
+    rho = np.empty((P, max(N, E), d))  # each point's rho, at every element it multiplies
+    rho[...] = np.array([point.rho for point in points])[:, None, None]
+    quantized, censored = points[0].quantizer is not None, points[0].censor is not None
+    payloads = [FULL_PRECISION_BITS * d if point.quantizer is None else point.quantizer.payload_bits(d)
+                for point in points]
+    q_rngs = [child_rng(seed, 1) for _ in points]
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    trace = TrainingTrace()
-    models = np.zeros((TRACE_BLOCK, N, d))
-    phases, row, ends = _phases(topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull)
-    steps: list[tuple[float, float, int]] = []
+    traces = _Traces(stack, points, stop_error)
+    rho_edges = rho[:, :E]
+    models = np.zeros((P, TRACE_BLOCK, N, d))
+    sends = np.empty((P, TRACE_BLOCK, N), dtype=bool)  # the rows that transmitted in each iteration
+    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho)
 
-    def flush() -> bool:
-        done = models[:len(steps)]
-        gaps = done[:, ends[0]]
-        gaps -= done[:, ends[1]]
-        return _flush(trace, stack, stop_error, models, row, gaps, steps)
+    def flush(n) -> bool:
+        done = models[:, :n]
+        gaps = done[:, :, ends[0]]
+        gaps -= done[:, :, ends[1]]
+        sizes = [len(ph.last[0]) for ph in phases]
+        # messages each point's phases sent in each iteration: (P, n, phases)
+        sent = np.add.reduceat(sends[:, :n], [0, sizes[0]], axis=2, dtype=np.intp).tolist()
 
-    bits = joules = 0.0
-    censored = 0
-    for k in range(iters):
+        def steps(p, n, totals):
+            bits, joules, censored = totals
+            payload, energy, out = payloads[p], [ph.energy[p] for ph in phases], []
+            for counts in sent[p][:n]:
+                for n_sent, e, k in zip(counts, energy, sizes):
+                    bits += payload * n_sent
+                    for _ in range(n_sent):
+                        joules += e
+                    censored += k - n_sent
+                out.append((bits, joules, censored))
+            return out
+
+        return traces.flush(n, models, row, gaps, steps)
+
+    slot = 0  # this iteration's row of the history block
+    for k in range(max(point.iters for point in points)):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
-            theta = models[len(steps) - 1]  # the last iteration's models (row 15 when a flush just emptied steps)
-            if flush():  # the gaps so far are across the old chain's edges
-                return trace
+            theta = models[:, slot - 1]  # the last iteration's models (row 15 when a flush just emptied the block)
+            if flush(slot):  # the gaps so far are across the old chain's edges
+                return traces.traces
+            slot = 0
             topology = rechain(topology, k, seed)
             old_row = row
             phases, row, ends = _phases(
-                topology, stack, rho, payload, energy_model, inv_cache, models, theta_hat, pull
+                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho
             )
             perm = np.empty(N, dtype=np.intp)
             perm[row] = old_row  # new row r holds old row perm[r]
-            theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
-            lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
+            theta_hat[:], pull[:] = theta_hat[:, perm], pull[:, perm]
+            lam[:] = _chain_duals(topology.order, stack, theta[:, perm], row)
             np.negative(lam, out=neg_lam)
 
-        slot = len(steps)  # this iteration's row of the history block
+        if censored:
+            thresholds = [point.censor.threshold(k) for point in points]
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
-            src.take(ph.idx, axis=0, out=ph.gather, mode="clip")
+            src.take(ph.idx, axis=1, out=ph.gather, mode="clip")
             block_solve(ph.inv, ph.terms, ph.rhs, ph.cols[slot])
-            new, last = ph.new[slot], ph.last
-            if quantizer is not None:
-                new = quantize_step(new, last, quantizer.bits, q_rng, ph.quantize)
-            if censor is not None:
-                send = censor_mask(new, last, censor.threshold(k), ph.diff, ph.norm, ph.send)
+            new, last, send = ph.new[slot], ph.last, ph.send[slot]
+            if quantized:
+                new = quantize_step(new, last, q_rngs, ph.quantize)
+            if censored:
+                censor_mask(new, last, thresholds, ph.diff, ph.norm, send)
             elif k == 0:
-                send = np.ones(len(new), dtype=bool)
+                send[...] = True
             else:
-                send = np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=1, out=ph.send)
+                np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=2, out=send)
             sent = int(np.count_nonzero(send))
             if sent:
-                if sent == len(new):
+                if sent == send.size:
                     last[...] = new
                 else:
-                    np.copyto(last, new, where=send[:, None])
+                    np.copyto(last, new, where=send[..., None])
                 # a row that did not send already holds rho times its theta_hat
-                np.multiply(last, rho, out=ph.pull)
-            bits += payload * sent
-            for _ in range(sent):
-                joules += ph.energy
-            censored += len(new) - sent
+                np.multiply(last, ph.rho, out=ph.pull)
 
-        theta_hat.take(ends, axis=0, out=end_hat, mode="clip")
-        dual_update(lam, left_hat, right_hat, rho, left_hat)
+        theta_hat.take(ends, axis=1, out=end_hat, mode="clip")
+        dual_update(lam, left_hat, right_hat, rho_edges, left_hat)
         np.negative(lam, out=neg_lam)
-        steps.append((bits, joules, censored))
-        if len(steps) == TRACE_BLOCK and flush():
-            return trace
-    flush()
-    return trace
+        slot += 1
+        if slot == TRACE_BLOCK:
+            slot = 0
+            if flush(TRACE_BLOCK):
+                return traces.traces
+    flush(slot)
+    return traces.traces

@@ -6,7 +6,7 @@ points.  `run_scenario` sends each point through its kind's block function
 and writes the CSVs only after every point has computed, so a runtime
 failure (such as an infeasible placement) leaves no file.  radio-dlt writes
 one row per point to `output`; the other kinds write their reports for each
-point, named by `_sweep_path` when the scenario sweeps.
+point, named by `scenario.point_path`.
 
 CSV schemas (fixed per kind):
 
@@ -37,7 +37,7 @@ from . import learning as L
 from . import placement as P
 from . import radio as R
 from .core import make_rng
-from .scenario import Point, Scenario
+from .scenario import Point, Scenario, point_path
 
 
 def _fmt(x) -> str:
@@ -58,11 +58,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
         for row in rows:
             w.writerow([_fmt(x) for x in row])
     return path
-
-
-def _sweep_path(base: Path, param: str, value) -> Path:
-    tag = f"{param.replace('.', '_')}_{value}"
-    return base.with_name(f"{base.stem}_{tag}{base.suffix}")
 
 
 def make_problems(cfg: dict, seed: int) -> list:
@@ -91,22 +86,38 @@ def _topology(cfg: dict, seed: int) -> L.Topology:
     return L.build_topology(cfg["workers"], kind=kind, seed=seed, tau_coh=tau, mean_degree=cfg["mean_degree"])
 
 
-def run_learning_block(cfg: dict, seed: int, topology: L.Topology | None = None) -> L.TrainingTrace:
-    """Train on the block's synthetic problems over `topology` (by default
-    the block's own; ps-admm needs none)."""
+# Learning fields that neither the problems nor the topology read: the points
+# of a sweep over one of them run as one stacked run (`learning.run_points`).
+STACKED_FIELDS = frozenset({
+    "rho", "censor_xi0", "censor_alpha", "quantizer_bits", "bandwidth_hz", "slot_s", "noise_density", "iters",
+})
+
+
+def _setting(cfg: dict) -> L.Setting:
+    """What a learning block sets for its own point of a stacked run."""
     variant = cfg["variant"]
-    if topology is None and variant != "ps-admm":
-        topology = _topology(cfg, seed)
-    quantizer = L.QuantizerConfig(bits=cfg["quantizer_bits"]) if variant == "cq-ggadmm" else None
     censor = None
     if variant in ("c-ggadmm", "cq-ggadmm"):
         censor = L.CensorSchedule(xi0=cfg["censor_xi0"], alpha=cfg["censor_alpha"])
-    energy = L.CommEnergyModel(
-        bandwidth_hz=cfg["bandwidth_hz"], slot_s=cfg["slot_s"], noise_density=cfg["noise_density"]
+    return L.Setting(
+        rho=cfg["rho"],
+        quantizer=L.QuantizerConfig(bits=cfg["quantizer_bits"]) if variant == "cq-ggadmm" else None,
+        censor=censor,
+        energy_model=L.CommEnergyModel(cfg["bandwidth_hz"], cfg["slot_s"], cfg["noise_density"]),
+        iters=cfg["iters"],
     )
-    return L.run(
-        variant, make_problems(cfg, seed), topology, rho=cfg["rho"], quantizer=quantizer,
-        censor=censor, energy_model=energy, iters=cfg["iters"], seed=seed,
+
+
+def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None = None) -> list[L.TrainingTrace]:
+    """Train at each of the learning blocks `cfgs`, which differ only in
+    STACKED_FIELDS, as one stacked run on the first block's synthetic
+    problems over `topology` (by default the block's own; ps-admm needs
+    none); return each block's trace."""
+    cfg = cfgs[0]
+    if topology is None and cfg["variant"] != "ps-admm":
+        topology = _topology(cfg, seed)
+    return L.run_points(
+        cfg["variant"], make_problems(cfg, seed), topology, [_setting(c) for c in cfgs], seed=seed,
     )
 
 
@@ -223,7 +234,7 @@ def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]
     app = _learning_app_graph(topology, point.seed)
     net = P.generate_network(point.placement["nodes"], seed=point.seed)
     placement_energy = P.solve_heuristic(app, net).total_energy
-    trace = run_learning_block(point.learning, point.seed, topology)
+    trace, = run_learning_block([point.learning], point.seed, topology)
 
     period = point.integrated["ledger_period"]
     record, records = (0.0, 0.0), 0
@@ -242,27 +253,40 @@ def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]
     return [("", INTEGRATED_HEADER, rows), ("_summary", SUMMARY_HEADER, [summary])]
 
 
-# Each kind's block function: radio-dlt's gives the point's row, the others
-# give (file-name suffix, header, rows) for each of the point's reports.
-_RUN_POINT = {
-    "learning": lambda p: [("", LEARNING_HEADER, _learning_rows(run_learning_block(p.learning, p.seed)))],
-    "placement": lambda p: [("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))],
-    "radio-dlt": run_radio_block,
-    "integrated": _integrated_reports,
+def _learning_reports(scenario: Scenario) -> list[list[tuple[str, list[str], list[list]]]]:
+    """Each point's learning report.  A sweep over one of STACKED_FIELDS
+    runs all its points as one stacked run, any other sweep one run per
+    point."""
+    sweep, points = scenario.sweep, scenario.points
+    stacked = sweep is not None and sweep.block == "learning" and sweep.field in STACKED_FIELDS
+    groups = [points] if stacked else [[point] for point in points]
+    traces = [trace for group in groups
+              for trace in run_learning_block([point.learning for point in group], group[0].seed)]
+    return [[("", LEARNING_HEADER, _learning_rows(trace))] for trace in traces]
+
+
+# Each kind's block function, over all of a scenario's points: radio-dlt's
+# gives each point's row, the others give (file-name suffix, header, rows)
+# for each of each point's reports.
+_RUN_POINTS = {
+    "learning": _learning_reports,
+    "placement": lambda s: [[("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))] for p in s.points],
+    "radio-dlt": lambda s: [run_radio_block(p) for p in s.points],
+    "integrated": lambda s: [_integrated_reports(p) for p in s.points],
 }
 
 
 def run_scenario(scenario: Scenario) -> list[Path]:
     """Run every point, then write the CSVs; return the written paths."""
     out, sweep = Path(scenario.output), scenario.sweep
-    results = [_RUN_POINT[scenario.kind](point) for point in scenario.points]
+    results = _RUN_POINTS[scenario.kind](scenario)
     if scenario.kind == "radio-dlt":
         header = [sweep.param if sweep else "param", *RADIO_COLUMNS]
         rows = [[point.value if sweep else 0, *row] for point, row in zip(scenario.points, results)]
         return [_write_csv(out, header, rows)]
     written = []
     for point, reports in zip(scenario.points, results):
-        path = out if sweep is None else _sweep_path(out, sweep.param, point.value)
+        path = point_path(scenario.output, sweep, point.value)
         for suffix, header, rows in reports:
             written.append(_write_csv(path.with_name(f"{path.stem}{suffix}{path.suffix}"), header, rows))
     return written

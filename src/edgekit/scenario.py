@@ -21,7 +21,8 @@ through its radio queues; an integrated scenario none of whose points
 prices one may not set radio, power or dlt.
 A placement instance file is loaded, and so checked, at parse time, and its
 point runs the loaded instance.  Sweeping `radio.t` also sets the fields
-`radio.nprach_period_fields` derives from it.  Golden examples live in
+`radio.nprach_period_fields` derives from it.  Two sweep values may not
+name the same report file (`point_path`).  Golden examples live in
 scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
 after the value's index for a sweep point ("sweep.values[1]: radio.t").
 """
@@ -363,6 +364,31 @@ def _check_ledger(point: Point, errors: list[str]) -> None:
             errors.append(f"dlt.{name}: queue latency out of float range")
 
 
+def point_path(output: str, sweep: SweepSpec | None, value) -> Path:
+    """Where a point of a learning, placement or integrated scenario writes
+    its report: `output`, with the swept field and the point's value added
+    to its stem when the scenario sweeps."""
+    base = Path(output)
+    if sweep is None:
+        return base
+    return base.with_name(f"{base.stem}_{sweep.param.replace('.', '_')}_{value}{base.suffix}")
+
+
+def _check_paths(output: str, sweep: SweepSpec, errors: list[str]) -> None:
+    """Sweep values whose reports would overwrite an earlier value's, or
+    could not be named."""
+    first: dict[Path, int] = {}
+    for i, value in enumerate(sweep.values):
+        try:
+            path = point_path(output, sweep, value)
+        except ValueError:  # a path separator in the value
+            errors.append(f"sweep.values[{i}]: {value!r} cannot be part of a file name")
+            continue
+        j = first.setdefault(path, i)
+        if j != i:
+            errors.append(f"sweep.values[{i}]: writes the same file as sweep.values[{j}]")
+
+
 def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
     """The fields one sweep value sets: radio.t also moves the fields derived
     from it, keeping the base's arrivals per second."""
@@ -432,6 +458,8 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
     _check_reads(kind, raw, given, errors)
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
+    if sweep is not None and kind != "radio-dlt":  # radio-dlt writes one row per value
+        _check_paths(output, sweep, errors)
     base = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
             for name in BLOCKS}
     if "dlt" not in raw:

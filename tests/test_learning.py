@@ -17,7 +17,9 @@ from edgekit.learning import (
     message_energy,
     rechain,
     run,
+    run_points,
     runner,
+    Setting,
 )
 from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
 from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
@@ -134,9 +136,10 @@ def slot_loop_rhs(g, duals, signs, models, rho):
 
 
 def solve(inv, terms):
-    """block_solve of a (2D+1, k, d) stack into fresh (k, d, 1) buffers."""
+    """block_solve of a (2D+1, k, d) stack, as a run of one point, into
+    fresh (1, k, d, 1) buffers."""
     k, d = terms.shape[1:]
-    return block_solve(inv, terms[..., None], np.empty((k, d, 1)), np.empty((k, d, 1)))[..., 0]
+    return block_solve(inv[None], terms[None, ..., None], np.empty((1, k, d, 1)), np.empty((1, k, d, 1)))[0, ..., 0]
 
 
 def solve_one(problem, models, duals, signs, rho, dim):
@@ -192,7 +195,7 @@ class TestBatchedKernels:
         terms = slot_terms(g, duals, signs, models, rho)
         rhs = slot_loop_rhs(g, duals, signs, models, rho)
         # with k*d = 1 slot_sum scans the stack in place, so each call gets a copy
-        assert slot_sum(terms.copy(), np.empty((k, d))).tobytes() == rhs.tobytes()
+        assert slot_sum(terms.copy()[None], np.empty((1, k, d)))[0].tobytes() == rhs.tobytes()
         assert solve(inv, terms.copy()).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -215,11 +218,11 @@ class TestBatchedKernels:
         models[3] = optimum  # every worker at the optimum
         rows = rng.permutation(N)
         block = models[:, rows.argsort()]
-        errors = stack.errors(block, rows)
+        errors = stack.errors(block[None], rows)[0]
         assert errors[3] == 0.0
         # a row's error does not depend on the other rows of its block
         block[5:] = 0.0
-        assert stack.errors(block, rows)[:5] == errors[:5]
+        assert stack.errors(block[None], rows)[0][:5] == errors[:5]
         for err, theta in zip(errors, models):
             direct = direct_objective_error(problems, theta, optimum)
             assert abs(err - direct) <= 1e-12 * max(1.0, stack.f_star)
@@ -293,9 +296,9 @@ class TestPrimalDualUpdates:
 
 
 def quantized(new, last, bits, rng):
-    """quantize_step on (k, d) rows with fresh buffers."""
+    """quantize_step on (k, d) rows, as a run of one point, with fresh buffers."""
     k, d = new.shape
-    return quantize_step(new, last, bits, rng, QuantizeBuffers.empty(k, d))
+    return quantize_step(new[None], last[None], [rng], QuantizeBuffers.empty([bits], k, d))[0]
 
 
 def roundtrip(x, q, rng):
@@ -385,9 +388,10 @@ class TestQuantizer:
 
 
 def censor_rows(current, last_sent, threshold):
-    """censor_mask on (k, d) rows with fresh buffers."""
+    """censor_mask on (k, d) rows, as a run of one point, with fresh buffers."""
     k, d = current.shape
-    return censor_mask(current, last_sent, threshold, np.empty((k, d)), np.empty(k), np.empty(k, dtype=bool))
+    out = np.empty((1, k), dtype=bool)
+    return censor_mask(current[None], last_sent[None], [threshold], np.empty((1, k, d)), np.empty((1, k)), out)[0]
 
 
 class TestQuantizeStep:
@@ -637,6 +641,56 @@ def test_a_run_is_the_prefix_of_a_longer_one(variant):
             assert getattr(short, name) == getattr(full, name)[:k], (k, name)
 
 
+point_settings = st.tuples(
+    st.sampled_from([0.3, 1.0, 2.5]), st.integers(1, 8), st.sampled_from([0.0, 0.05, 0.5]),
+    st.sampled_from([0.9, 1.0]), st.integers(0, 40), st.sampled_from([1.0e5, 1.0e6]),
+)
+
+
+class TestStackedPoints:
+    """Points run together through one loop equal each point's own run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(4, 1), (6, 3), (8, 1), (10, 2)]),
+        settings_=st.lists(point_settings, min_size=1, max_size=4), stop=st.sampled_from([None, 0.5, 3.0]),
+        seed=st.integers(0, 50),
+    )
+    @example(variant="d-gadmm", shape=(8, 1), settings_=[(0.3, 2, 0.0, 1.0, 40, 1e6), (2.5, 2, 0.0, 1.0, 23, 1e5)],
+             stop=None, seed=3)  # re-chains every 5 iterations, one point ending between two of them
+    @example(variant="cq-ggadmm", shape=(6, 3), settings_=[(1.0, 1, 0.5, 0.9, 40, 1e6), (1.0, 8, 0.0, 1.0, 40, 1e6),
+                                                            (0.3, 3, 0.05, 1.0, 16, 1e5)], stop=3.0, seed=1)
+    def test_stack_equals_each_point_run_alone(self, variant, shape, settings_, stop, seed):
+        N, d = shape
+        problems = synthetic_problems(N, d, 8, seed=seed)
+        topo = None
+        if variant in ("gadmm", "d-gadmm"):
+            topo = build_topology(N, kind="chain", seed=seed, tau_coh=5 if variant == "d-gadmm" else math.inf)
+        elif variant != "ps-admm":
+            topo = build_topology(N, kind="bipartite", seed=seed)
+        points = [
+            Setting(rho, QuantizerConfig(bits) if variant == "cq-ggadmm" else None,
+                    CensorSchedule(xi0, alpha) if variant in ("c-ggadmm", "cq-ggadmm") else None,
+                    CommEnergyModel(bandwidth_hz=band), iters)
+            for rho, bits, xi0, alpha, iters, band in settings_
+        ]
+        stacked = run_points(variant, problems, topo, points, seed=seed, stop_error=stop)
+        assert len(stacked) == len(points)
+        for point, trace in zip(points, stacked):
+            alone = run(variant, problems, topo, point.rho, point.quantizer, point.censor, point.energy_model,
+                        point.iters, seed=seed, stop_error=stop)
+            for name in TRACE_FIELDS:
+                assert getattr(trace, name) == getattr(alone, name), name
+
+    def test_points_must_agree_on_compression(self):
+        problems = synthetic_problems(4, 2, 5)
+        topo = build_topology(4, kind="bipartite")
+        with pytest.raises(ConfigMismatch):
+            run_points("c-ggadmm", problems, topo, [Setting(censor=CensorSchedule()), Setting()])
+        with pytest.raises(ConfigMismatch):
+            run_points("ggadmm", problems, topo, [])
+
+
 def _trace_digest(trace):
     fields = (
         trace.objective, trace.objective_error, trace.bits_cum,
@@ -789,7 +843,7 @@ def test_send_run_digest_pinned(case, monkeypatch):
     quantize = runner.quantize_step
 
     def counting(new, last, *args):
-        zero_rows.append(int(np.count_nonzero(~(new - last).any(axis=1))))
+        zero_rows.append(int(np.count_nonzero(~(new - last).any(axis=-1))))
         return quantize(new, last, *args)
 
     monkeypatch.setattr(runner, "quantize_step", counting)

@@ -10,8 +10,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from edgekit import core
-from edgekit.cli import main
+from edgekit import core, pipeline
+from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
 from edgekit.radio import DltConfig, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
@@ -333,7 +333,7 @@ class TestIntegrated:
     def test_placement_does_not_alter_learning_math(self, tmp_path):
         rows, _ = self.reports(tmp_path)
         s = parse_scenario(self.scenario(tmp_path))
-        standalone = run_learning_block(s.learning, s.seed)
+        standalone, = run_learning_block([s.learning], s.seed)
         assert [float(row[1]) for row in rows] == standalone.objective
         assert [float(row[2]) for row in rows] == standalone.objective_error
 
@@ -418,6 +418,9 @@ class TestCli:
         assert main(["radio", "--scenario", str(p)]) == 1
         assert "dlt.get_block_bits" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_seed_override_flag(self, tmp_path):
         p = write(tmp_path, f"""
@@ -732,6 +735,48 @@ class TestOnePath:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("learn", "kind: learning\nlearning: {iters: 5}\nsweep: {param: learning.rho, values: [0.5, 1.0, 0.5]}\n"),
+        ("place", "kind: placement\nplacement: {runs: 1}\nsweep: {param: placement.nodes, values: [5, 6, 5]}\n"),
+        ("integrated", "kind: integrated\nlearning: {iters: 5}\n"
+                       "sweep: {param: integrated.ledger_period, values: [1, 2, 1]}\n"),
+    ], ids=["learning", "placement", "integrated"])
+    def test_repeated_sweep_value_exits_one_before_writing(self, tmp_path, capsys, command, text):
+        # exited 0 and kept only the last run of each repeated file
+        assert main([command, "--scenario", str(self.scenario(tmp_path, text))]) == 1
+        assert capsys.readouterr().err == "error: sweep.values[2]: writes the same file as sweep.values[0]\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_value_that_names_no_file_exits_one(self, tmp_path, capsys):
+        # exited 2 from the report path, after the run
+        text = "kind: placement\nsweep: {param: placement.instance, values: [scenarios/placement_instance.yaml]}\n"
+        assert main(["place", "--scenario", str(self.scenario(tmp_path, text))]) == 1
+        error = "sweep.values[0]: 'scenarios/placement_instance.yaml' cannot be part of a file name"
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_radio_sweep_may_repeat_a_value(self, tmp_path):
+        text = "kind: radio-dlt\nsweep: {param: power.P_t, values: [0.1, 0.1]}\n"
+        rows = run_scenario(parse_scenario(self.scenario(tmp_path, text)))[0].read_text().splitlines()
+        assert len(rows) == 3 and rows[1] == rows[2]
+
+    @pytest.mark.parametrize("param, values, runs", [
+        ("learning.rho", [0.5, 1.0, 2.0], [3]),
+        ("learning.iters", [5, 9], [2]),
+        ("learning.workers", [4, 6], [1, 1]),
+    ], ids=["rho", "iters", "workers"])
+    def test_learning_sweep_stacks_the_fields_problems_do_not_read(self, tmp_path, monkeypatch, param, values, runs):
+        calls = []
+        run_points = pipeline.L.run_points
+
+        def counting(variant, problems, topology, points, **kwargs):
+            calls.append(len(points))
+            return run_points(variant, problems, topology, points, **kwargs)
+
+        monkeypatch.setattr(pipeline.L, "run_points", counting)
+        text = f"kind: learning\nlearning: {{workers: 4, dim: 2, iters: 5}}\nsweep: {{param: {param}, values: {values}}}\n"
+        assert len(run_scenario(parse_scenario(self.scenario(tmp_path, text)))) == len(values)
+        assert calls == runs
+
     def test_points_share_unswept_blocks(self, tmp_path):
         s = parse_scenario(self.scenario(tmp_path, """
             kind: integrated
@@ -795,7 +840,9 @@ def scenarios(draw):
         param, (good, wrong) = draw(st.sampled_from(sorted(SWEEPS[kind].items())))
         values = draw(st.lists(st.sampled_from(good + wrong), min_size=1, max_size=3))
         doc["sweep"] = {"param": param, "values": values}
-        bad = bad or any(v in wrong for v in values)
+        # a value may not name the report file of an earlier one (radio-dlt writes rows)
+        repeated = kind != "radio-dlt" and len({str(v) for v in values}) < len(values)
+        bad = bad or repeated or any(v in wrong for v in values)
     return command, doc, bad
 
 
