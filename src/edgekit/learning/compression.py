@@ -42,35 +42,36 @@ class CensorSchedule:
 
 @dataclass(frozen=True)
 class QuantizeBuffers:
-    """Scratch arrays for `quantize_step` on (P, k, d) rows, made once per
-    phase, and each point's top level 2^b - 1 at the shapes they meet."""
+    """Scratch arrays for `quantize_step` on P points' k rows each, P*k rows
+    point by point, made once per phase, and each row's top level 2^b - 1
+    at the shapes it meets."""
 
-    delta: np.ndarray  # (P, k, d) new - last, then scaled onto [0, 2^b - 1]
-    frac: np.ndarray  # (P, k, d) |delta|, then the fractional part of the scaled delta
-    level: np.ndarray  # (P, k, d) its integral part, then the levels, then their values
-    uniform: np.ndarray  # (P, k, d) the rounding draws
-    up: np.ndarray  # (P, k, d) bool, coordinates rounded up
-    radius: np.ndarray  # (P, k, 1) l-inf norm of each row of delta
-    step: np.ndarray  # (P, k, 1) level spacing of each row
-    sent: np.ndarray  # (P, k, d) the transmitted models
-    top: np.ndarray  # (P, k, d) 2^b - 1 of each row's point
-    top_rows: np.ndarray  # (P, k, 1) the same per row
+    delta: np.ndarray  # (P*k, d) new - last, then scaled onto [0, 2^b - 1]
+    frac: np.ndarray  # (P*k, d) |delta|, then the fractional part of the scaled delta
+    level: np.ndarray  # (P*k, d) its integral part, then the levels, then their values
+    uniform: np.ndarray  # (P*k, d) the rounding draws
+    up: np.ndarray  # (P*k, d) bool, coordinates rounded up
+    radius: np.ndarray  # (P*k, 1) l-inf norm of each row of delta
+    step: np.ndarray  # (P*k, 1) level spacing of each row
+    sent: np.ndarray  # (P*k, d) the transmitted models
+    top: np.ndarray  # (P*k, d) 2^b - 1 of each row's point
+    top_rows: np.ndarray  # (P*k, 1) the same per row
 
     @classmethod
     def empty(cls, bits: list[int], k: int, d: int) -> "QuantizeBuffers":
         """Buffers for k rows of d coordinates at each point, point p
         quantizing with bits[p] bits per coordinate."""
-        rows, scalars = (len(bits), k, d), (len(bits), k, 1)
-        top = np.empty(rows)
-        top[...] = np.array([2.0**b - 1 for b in bits])[:, None, None]
-        return cls(*np.empty((4, *rows)), np.empty(rows, dtype=bool), *np.empty((2, *scalars)), np.empty(rows),
-                   top, top[..., :1].copy())
+        rows = len(bits) * k
+        top = np.repeat([2.0**b - 1 for b in bits], k * d).reshape(rows, d)
+        return cls(*np.empty((4, rows, d)), np.empty((rows, d), dtype=bool), *np.empty((2, rows, 1)),
+                   np.empty((rows, d)), top, top[:, :1].copy())
 
 
 def quantize_step(
     new: np.ndarray, last: np.ndarray, rngs: list[np.random.Generator], buf: QuantizeBuffers
 ) -> np.ndarray:
-    """The transmitted models last + Q(new - last) of (P, k, d) rows, in `buf.sent`.
+    """The transmitted models last + Q(new - last) of P*k rows, k per point,
+    in `buf.sent`.
 
     Point p quantizes with the bits `buf` was made for and draws from
     rngs[p].  Q is unbiased stochastic quantization of each row: row i of
@@ -86,21 +87,23 @@ def quantize_step(
     """
     delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
     np.subtract(new, last, out=delta)
-    np.maximum.reduce(np.abs(delta, out=frac), axis=2, keepdims=True, out=radius)  # d >= 1
-    zero = None if np.count_nonzero(radius) == radius.size else radius[..., 0] == 0.0
+    np.maximum.reduce(np.abs(delta, out=frac), axis=1, keepdims=True, out=radius)  # d >= 1
+    zero = None if np.count_nonzero(radius) == len(radius) else radius[:, 0] == 0.0
     np.divide(np.multiply(radius, 2.0, out=step), buf.top_rows, out=step)
     if zero is not None:
         step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
     np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly
     np.subtract(delta, np.floor(delta, out=level), out=frac)  # exact
+    k = len(new) // len(rngs)
     for p, rng in enumerate(rngs):
+        rows = slice(p * k, (p + 1) * k)
         if zero is None:
-            rng.random(out=uniform[p])
+            rng.random(out=uniform[rows])
         else:  # one row-major draw for the point's live rows, in order
-            live, drawn = ~zero[p], uniform[p]
-            rows = drawn[:np.count_nonzero(live)]
-            rng.random(out=rows)
-            drawn[live] = rows.copy()  # the live rows overlap the drawn ones
+            live, block = ~zero[rows], uniform[rows]
+            drawn = block[:np.count_nonzero(live)]
+            rng.random(out=drawn)
+            block[live] = drawn.copy()  # the live rows overlap the drawn ones
     np.less(uniform, frac, out=buf.up)
     np.minimum(np.add(level, buf.up, out=level), buf.top, out=level)  # a scaled top may land an ulp above it
     np.subtract(np.multiply(level, step, out=level), radius, out=level)
@@ -123,13 +126,17 @@ def censor_mask(
     current: np.ndarray, last_sent: np.ndarray, thresholds: list[float], diff: np.ndarray, norm: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Per (P, k, d) row: transmit iff ||current - last_sent||_2 strictly
-    exceeds thresholds[p], its point's threshold, in the (P, k) bool `out`;
-    `diff` (P, k, d) and `norm` (P, k) take the steps."""
+    """Per row of P*k (P*k, d) rows, k per point: transmit iff
+    ||current - last_sent||_2 strictly exceeds thresholds[p], its point's
+    threshold, in the (P*k,) bool `out`; `diff` (P*k, d) and `norm` (P*k,)
+    take the steps.  Every row is compared with the first point's
+    threshold, then each other point's rows again with its own."""
     if min(thresholds) < 0:
         raise ValueError("threshold must be >= 0")
     np.subtract(current, last_sent, out=diff)
-    row_norms(diff, out=norm)
-    for p, threshold in enumerate(thresholds):
-        np.greater(norm[p], threshold, out=out[p])
+    np.greater(row_norms(diff, out=norm), thresholds[0], out=out)
+    k = len(norm) // len(thresholds)
+    for p in range(1, len(thresholds)):
+        rows = slice(p * k, (p + 1) * k)
+        np.greater(norm[rows], thresholds[p], out=out[rows])
     return out

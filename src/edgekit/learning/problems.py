@@ -86,6 +86,7 @@ class ProblemStack:
         self.f_star = self.objective(np.tile(self.optimum, (self.n, 1)))
         H, g = self.gram
         self.slope = 2.0 * (np.matvec(H, self.optimum) - g)  # (N, d): c_n
+        self._taken = np.empty((TRACE_BLOCK, points * self.n, self.dim))
         self._e = np.empty((points, TRACE_BLOCK, self.n, self.dim))
         self._He = np.empty((points, self.n, TRACE_BLOCK, self.dim))
         self._q = np.empty((points, self.n, TRACE_BLOCK))
@@ -108,12 +109,14 @@ class ProblemStack:
 
     def errors(self, models: np.ndarray, rows: np.ndarray) -> list[list[float]]:
         """sum_n f_n(theta_n) - f_n(theta*) for each model stack of a
-        (points, TRACE_BLOCK, N, d) history block whose worker n is row
-        rows[n]: one list of TRACE_BLOCK errors per point.
+        (TRACE_BLOCK, points*N, d) history block whose worker n of point p is
+        row rows[p*N + n]: one list of TRACE_BLOCK errors per point.
 
-        One take gathers the block in worker order and one subtract makes it
-        e; e_n, a point's worker n's (TRACE_BLOCK, d) rows, is a strided view
-        that np.matmul multiplies by H_n as one gemm per worker and point.
+        One take gathers the block point by point in worker order and one
+        subtract makes it e, a (points, TRACE_BLOCK, N, d) stack: a point's
+        block has the layout of a one-point run's.  e_n, a point's worker
+        n's (TRACE_BLOCK, d) rows, is a strided view that np.matmul
+        multiplies by H_n as one gemm per worker and point.
         (e_n H_n + c_n) . e_n is one np.vecdot, a ddot per row, and the
         workers' terms are added in worker order by one np.add.reduce over
         their axis: one elementwise add per worker, the same additions as a
@@ -121,9 +124,10 @@ class ProblemStack:
         depend on which of the others the caller keeps; rows it has not
         written must hold finite values.
         """
-        e, He, q = self._e, self._He, self._q
-        models.take(rows, axis=2, out=e, mode="clip")
-        np.subtract(e, self.optimum, out=e)
+        taken, e, He, q = self._taken, self._e, self._He, self._q
+        models.take(rows, axis=1, out=taken, mode="clip")
+        by_point = taken.reshape(TRACE_BLOCK, len(e), self.n, self.dim).swapaxes(0, 1)
+        np.subtract(by_point, self.optimum, out=e)
         e = e.transpose(0, 2, 1, 3)
         np.matmul(e, self.gram[0], out=He)
         np.add(He, self.slope[:, None], out=He)

@@ -24,30 +24,44 @@ Bandwidth is split among the workers scheduled to transmit in the same phase
 (N for the parameter server, the head or tail group size otherwise), which is
 what makes the sparse schedules cheaper per message.
 
-Array layout.  Worker id n is problem row n-1 and constraint edge i
-(topology.edges order, left endpoint carrying +lambda) is dual row i.  The
-models are stored phase-major: the heads' rows first, then the tails', each
-in ascending worker order, so a phase reads and writes one row slice.  A
-re-chain changes the roles and permutes the rows; `row` maps a worker to its
-current row.  Every array is allocated once per run (the per-group ones once
-per re-chain) and the loop writes into it:
+Array layout.  A run advances P points at once (`run_points`; `run` is
+P = 1): one variant on one set of problems and one topology, each point
+with its own rho, quantizer, censor schedule, channel and length.  A point
+adds its own copy of every worker and edge as more rows of the same arrays,
+so the loop makes the same numpy calls whatever P is.  Worker id n of point
+p is problem row p*N + n-1 and its constraint edge i (topology.edges order,
+left endpoint carrying +lambda) is dual row p*E + i.  The models are stored
+phase-major: the heads' rows first, then the tails', each group point by
+point and in ascending worker order within a point, so a phase reads and
+writes one row slice of P*k rows.  A re-chain changes the roles and
+permutes the rows; `row` maps a point's worker to its current row.  Every
+array is allocated once per run (the per-group ones once per re-chain) and
+the loop writes into it (with M = P*N rows and F = P*E edges):
 
-  models      (16, N, d) history block: row i holds iteration i's models,
+  models      (16, M, d) history block: row i holds iteration i's models,
                          phase-major; the solve writes each phase's rows
                          into it, so there is no separate current theta.
                          It starts at zero, so rows a block has not
                          reached are finite when the block is evaluated
-  theta_hat   (N, d)     last transmitted models, phase-major
-  src         (2N+2E+2, d)
-                         every addend a phase can need, in blocks: 2 g_n (N
-                         rows, by worker), -lambda_i and +lambda_i (E rows
-                         each, by edge), one -0.0 row, rho theta_hat (N rows,
-                         phase-major) and one +0.0 row.  Each transmit writes
-                         its rho theta_hat rows, each dual step both lambda
-                         blocks
-  inverses    (N, d, d)  (2 H_n + rho deg_n I)^-1, cached by degree vector,
-                         so d-gadmm's re-chained orders reuse them
-  idx         (2D+1, k)  per head/tail group of k workers with largest
+  sends       (16, M)    which rows transmitted in each iteration; the
+                         trace evaluation counts each point's messages
+                         from it
+  theta_hat   (M, d)     last transmitted models, phase-major
+  src         (2M+2F+2, d)
+                         every addend a phase can need, in blocks: 2 g_n (M
+                         rows, by point and worker), -lambda_i and
+                         +lambda_i (F rows each, by point and edge), one
+                         -0.0 row, rho theta_hat (M rows, phase-major) and
+                         one +0.0 row.  Each transmit writes its rho
+                         theta_hat rows, each dual step both lambda blocks
+  rho         (P*k, d)   per group, each row's rho, and (F, d) per dual
+                         row: a product with rho has operands of one shape
+  inverses    (P, N, d, d)
+                         (2 H_n + rho deg_n I)^-1 at each point's rho,
+                         cached by degree vector, so d-gadmm's re-chained
+                         orders reuse them
+  idx         (2D+1, P*k)
+                         per head/tail group of k workers with largest
                          degree D: the src rows of each member's rhs addends
                          in order, 2 g_n, then -s_j lambda_j (-lambda on the
                          edge's left endpoint, +lambda on its right) and
@@ -55,20 +69,24 @@ per re-chain) and the loop writes into it:
                          order, padded to D slots with the -0.0 and +0.0 rows
                          (the signed zeros a zero dual times -1 and a zero
                          model times rho give)
-  terms       (2D+1, k, d, 1)
-                         per group, the gathered addends, and rhs (k, d, 1)
-                         their sums: column stacks, the operands np.matmul
-                         solves as one gemv per row
-  ends        (2, E)     the rows of each edge's left and right end; the
+  terms       (2D+1, P*k, d, 1)
+                         per group, the gathered addends, and rhs
+                         (P*k, d, 1) their sums: column stacks, the
+                         operands np.matmul solves as one gemv per row
+  ends        (2, F)     the rows of each edge's left and right end; the
                          dual step gathers theta_hat at both into one
-                         (2, E, d) buffer
+                         (2, F, d) buffer
 
-An iteration is then a fixed number of numpy calls whatever N and D are, and
-allocates no array after the first, except for a quantized update with an
-all-zero row.  Per phase: one gather of the term stack, one ordered sum
-of it into rhs, one stacked solve written straight into the group's rows of
-the history block (the phase keeps a view of its rows in each of the 16),
-and one buffered kernel each for quantizing, censoring and transmitting.
+An iteration is then a fixed number of numpy calls whatever N and D are,
+and allocates no array after the first, except for a quantized update with
+an all-zero row.  Only two steps loop over the points: the quantizer draws
+with one rng.random per point, from the point's own child_rng(seed, 1)
+stream, and the censoring test compares the rows of each point after the
+first with its own threshold.  Per phase: one gather of the term stack, one
+ordered sum of it into rhs, one stacked solve written straight into the
+group's rows of the history block (the phase keeps a view of its rows in
+each of the 16), and one buffered kernel each for quantizing, censoring and
+transmitting.
 Quantizing writes last + Q(new - last) into the phase's buffers; censoring
 is a subtract, a row ddot, a square root and a comparison.  A phase that sends
 every row copies them into theta_hat with a plain slice write; a partial
@@ -81,22 +99,30 @@ per block, which the trace evaluation puts back in worker order: when it
 fills, when the run ends, and before a d-gadmm re-chain changes the edges the
 residual is taken over.  d-gadmm re-initializes the duals on re-chaining as
 prefix sums of the local gradients along the new chain order.  ps-admm keeps
-the same history block, writes each iteration's centre z into a (16, d)
-block beside it and reuses one (N, d) work array for its rhs, its centre
-step and its dual step.
+the same history block, writes each iteration's centre z into a
+(16, P, 1, d) block beside it and reuses one (P, N, d) work array for its
+rhs, its centre step and its dual step; a point's centre is a reduce over
+its own N rows.
 
-Stopping.  With `stop_error` the trace ends at the first iteration whose
-objective error is below it, exactly as when the test ran every iteration:
-an iteration's error has the same bits whether the run stops, ends or
-re-chains there or later (rule 1).  The loop itself may have run up to 15
-iterations further; they are not reported, and the quantizer's random
-stream is the run's own, so nothing outside the run sees them.
+Stopping.  With `stop_error` a point's trace ends at the first iteration
+whose objective error is below it, exactly as when the test ran every
+iteration: an iteration's error has the same bits whether the run stops,
+ends or re-chains there or later (rule 1).  The loop itself may have run
+further, up to 15 iterations past the last point's end, and an earlier
+point on with the others; those iterations are not reported, and each
+point's quantizer stream is its own, so nothing outside the point sees
+them.  An iteration's bits, Joules and censored messages are summed when its
+block is evaluated, from the send history, in the order the loop sent them.
 
 Bit-identity.  Every reported float equals that of a per-worker loop: one
 gemv per solve, one ddot per norm, Python float sums, and the objective
 error in the error form of `ProblemStack.errors`, one gemm per worker over a
 whole 16-row block and one ddot per row.  So a change to the loop keeps the
-repr()-written out/*.csv byte-identical.  Three rules keep it so:
+repr()-written out/*.csv byte-identical, and a point of a stacked run
+reports the bits of its own one-point run: each row's arithmetic is
+elementwise or its own BLAS call, a row's rho is the point's rho, and the
+trace evaluation gathers each point's block into the layout of a one-point
+run before its gemms.  Three rules keep it so:
 
   1. Products are stacked: np.matmul for the solve `inv @ rhs` on column
      stacks, one gemv per row, and for the error form's e_n H_n, one gemm
@@ -112,16 +138,19 @@ repr()-written out/*.csv byte-identical.  Three rules keep it so:
      2 g_n - s_1 lambda_1 + rho theta_1 - ... in slot (edge) order; a - b is
      exactly a + (-b), signed zeros of the padded slots included.  The
      start is initial=-0.0, the exact identity: the default start turns a
-     sum of -0.0 into +0.0.  With k*d = 1 numpy collapses the kept axes and
-     sums the lone column pairwise, so that case takes np.add.accumulate, a
-     strict left-to-right scan of the stack in place.  A signed-incidence
-     matmul reorders the sum.
+     sum of -0.0 into +0.0.  With P*k*d = 1 numpy collapses the kept axes
+     and sums the lone column pairwise, so that case takes
+     np.add.accumulate, a strict left-to-right scan of the stack in place:
+     the same additions in the same order as the reduce makes for P > 1
+     (-0.0 + x is x).  A signed-incidence matmul reorders the sum.
   3. joules and the residual are sequential Python float sums over
-     .tolist(), one per iteration also when a block is evaluated: the
-     block's gap norms are stacked calls that broadcast over the block axis
-     without changing the per-row BLAS call.  The objective error's worker
-     terms are added in worker order by one np.add.reduce over the slow
-     axis (rule 2; the block axis is 16 long, so it is never collapsed).
+     .tolist(), one per iteration and point also when a block is evaluated:
+     the block's gap norms are stacked calls that broadcast over the block
+     axis without changing the per-row BLAS call.  The objective error's
+     worker terms are added in worker order by one np.add.reduce over the
+     slow axis (rule 2; the block axis is 16 long, so it is never
+     collapsed).  ps-admm's centre is one np.add.reduce over each point's
+     workers, pairwise along a lone column exactly as in a one-point run.
 """
 from __future__ import annotations
 
@@ -173,7 +202,8 @@ class TrainingTrace:
 
 @dataclass(frozen=True)
 class Setting:
-    """What one point of a stacked run sets on its own (`run_points`)."""
+    """What one point of a stacked run sets on its own (`run_points`): the
+    fields a learning sweep can vary without new problems or topology."""
 
     rho: float = 1.0
     quantizer: QuantizerConfig | None = None
@@ -190,28 +220,27 @@ def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
 
 
 def slot_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums of a (P, 2D+1, ...) stack along its slot axis, added strictly
-    one slot after the other (bit-identity rule 2), in `out`.  When a point's
-    slot holds one element the stack itself is scanned in place and its last
-    slot returned."""
-    if out.size > len(out):
-        return np.add.reduce(terms, axis=1, initial=-0.0, out=out)
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]  # one kept element: reduce would go pairwise
+    """The sums of a (2D+1, ...) stack along its first axis, added strictly
+    one row after the other (bit-identity rule 2), in `out`.  When a row has
+    one element the stack itself is scanned in place and its last row
+    returned."""
+    if out.size > 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]  # one kept element: reduce would go pairwise
 
 
 def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Closed-form block update of k workers at each of P points, written
-    into `out`.
+    """Closed-form block update of k workers at once, written into `out`.
 
     Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
     + (rho/2) sum_j ||theta - theta_j||^2 over its incident-edge slots j, with
     s_j = +1 when n is the left endpoint of edge j.  f_n is quadratic, so the
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
-    inv_n (P, k, d, d) from `inverses`.  `terms` (P, 2D+1, k, d, 1) holds
-    that rhs's addends in order along its slot axis: 2 g_n, then
-    -s_j lambda_j and rho theta_j for each slot j, signed zeros in padded
-    slots.  `rhs` receives their sums (see `slot_sum`); it and `out` are
-    (P, k, d, 1) column stacks, which np.matmul multiplies as one gemv per row.
+    inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d, 1) holds that
+    rhs's addends in order along its first axis: 2 g_n, then -s_j lambda_j
+    and rho theta_j for each slot j, signed zeros in padded slots.  `rhs`
+    receives their sums (see `slot_sum`); it and `out` are (k, d, 1) column
+    stacks, which np.matmul multiplies as one gemv per row.
     """
     return np.matmul(inv, slot_sum(terms, rhs), out=out)
 
@@ -293,10 +322,11 @@ def run_points(
     """Run one variant at each point over the same problems, topology and
     seed, and return each point's trace, bit-identical to its own `run`.
 
-    The points advance together through one loop with a leading point axis
-    on every array (see Array layout above); each ends at its own `iters`
-    or at its first objective error below `stop_error`.  Their quantizer and
-    censor settings may differ, but all must set one or all leave it None.
+    The points advance together through one loop, each point's workers as
+    more rows of every array (see Array layout above); each ends at its own
+    `iters` or at its first objective error below `stop_error`.  Their
+    quantizer and censor settings may differ, but all must set one or all
+    leave it None.
     """
     _check_variant(variant, topology, points, len(problems))
     stack = ProblemStack(problems, len(points))
@@ -319,21 +349,21 @@ class _Traces:
         """Append the first n iterations of the history block to each point's
         trace; True once every point has ended.
 
-        Iteration i of point p ran with the models `models[p, i]` of the
-        (P, 16, N, d) history block, worker w in row rows[w], and left the
-        (M, d) consensus gaps `gaps[p, i]`; `steps(p, n, totals)` gives the
-        point's running totals after each of the first n iterations.  The error is evaluated over
-        the whole block and kept for the rows the point reports (bit-identity
-        rule 1).  A point ends at its first iteration whose objective error is
-        below `stop_error`, or at its last; each list of its trace is
-        extended once up to there.
+        Iteration i ran with the models `models[i]` of the (16, P*N, d)
+        history block, worker w of point p in row rows[p*N + w], and left
+        point p the (M, d) consensus gaps `gaps[i, p]`; `steps(p, n, totals)`
+        gives point p's running totals after each of the first n iterations.
+        The error is evaluated over the whole block and kept for the rows the
+        point reports (bit-identity rule 1).  A point ends at its first
+        iteration whose objective error is below `stop_error`, or at its
+        last; each list of its trace is extended once up to there.
         """
         if n and any(self.left):
             errors = self.stack.errors(models, rows)
             norms = row_norms(gaps).tolist()
             for p, trace in enumerate(self.traces):
                 if self.left[p]:
-                    self._append(p, trace, errors[p][:min(n, self.left[p])], norms[p], steps)
+                    self._append(p, trace, errors[p][:min(n, self.left[p])], norms, steps)
         return not any(self.left)
 
     def _append(self, p, trace, signed, norms, steps):
@@ -349,19 +379,24 @@ class _Traces:
         trace.bits_cum += bits
         trace.joules_cum += joules
         trace.censored_cum += censored
-        trace.residual += [sum(gap) for gap in norms[:n]]
+        trace.residual += [sum(gap[p]) for gap in norms[:n]]
+
+
+def _rho_rows(points, rows, d):
+    """(P*rows, d): each point's rho on every coordinate of its `rows` rows,
+    point by point, so that a product with rho has operands of one shape."""
+    return np.repeat([point.rho for point in points], rows * d).reshape(-1, d)
 
 
 def _run_ps(stack, points, stop_error):
     P, N, d = len(points), stack.n, stack.dim
     H, g = stack.gram
-    inv = np.stack([inverses(H, np.ones(N, dtype=int), point.rho) for point in points])
-    rho = np.empty((P, N, d))  # each point's rho at every element it multiplies
-    rho[...] = np.array([point.rho for point in points])[:, None, None]
+    inv = np.concatenate([inverses(H, np.ones(N, dtype=int), point.rho) for point in points])
+    rho = _rho_rows(points, N, d).reshape(P, N, d)  # each point's rho at every element it multiplies
     lam = np.zeros((P, N, d))
     traces = _Traces(stack, points, stop_error)
-    models, centers = np.zeros((P, TRACE_BLOCK, N, d)), np.empty((P, TRACE_BLOCK, d))
-    rows = np.arange(N)
+    models, centers = np.zeros((TRACE_BLOCK, P * N, d)), np.empty((TRACE_BLOCK, P, 1, d))
+    rows = np.arange(P * N)
 
     payload = FULL_PRECISION_BITS * d
     energy_per_iter = [sum([message_energy(payload, point.energy_model.share(N), 1.0)] * N) for point in points]
@@ -376,22 +411,21 @@ def _run_ps(stack, points, stop_error):
         return out
 
     def flush(n) -> bool:
-        return traces.flush(n, models, rows, models[:, :n] - centers[:, :n, None], steps)
+        return traces.flush(n, models, rows, models[:n].reshape(n, P, N, d) - centers[:n], steps)
 
-    two_g = 2.0 * g
+    two_g = np.tile(2.0 * g, (P, 1, 1))
     work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))  # work: the rhs, then the centre's addends, then the dual step
-    z = np.zeros((P, 1, d))  # the last centre, as a row against each point's workers
-    thetas = tuple(models[:, i] for i in range(TRACE_BLOCK))
-    cols = tuple(models[:, i, ..., None] for i in range(TRACE_BLOCK))  # column stacks for np.matmul
-    centres = tuple(centers[:, i, None] for i in range(TRACE_BLOCK))
-    work_col, rho_row = work[..., None], rho[:, :1]
+    z = np.zeros((P, 1, d))  # the last centre of each point, a row against its workers
+    thetas = tuple(models.reshape(TRACE_BLOCK, P, N, d))
+    cols = tuple(models[..., None])  # column stacks for np.matmul
+    work_col, rho_row = work.reshape(P * N, d, 1), rho[:, :1]
     slot = 0  # this iteration's row of the history block
     for _ in range(max(point.iters for point in points)):
-        theta = thetas[slot]
+        theta, centre = thetas[slot], centers[slot]
         np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho_row, out=rho_z), out=work)
         np.matmul(inv, work_col, out=cols[slot])
         np.add(theta, np.divide(lam, rho, out=work), out=work)
-        z = np.divide(np.add.reduce(work, axis=1, keepdims=True, out=centres[slot]), N, out=centres[slot])  # np.mean
+        z = np.divide(np.add.reduce(work, axis=1, keepdims=True, out=centre), N, out=centre)  # what np.mean computes
         dual_update(lam, theta, z, rho, work)
         slot += 1
         if slot == TRACE_BLOCK:
@@ -404,26 +438,27 @@ def _run_ps(stack, points, stop_error):
 
 @dataclass(frozen=True)
 class _Phase:
-    """One head or tail group's arrays between re-chainings (the buffers
-    are rewritten each phase, the rest stay fixed)."""
+    """One head or tail group's arrays between re-chainings, for the group's
+    k workers at each of the P points: P*k rows, point by point (the
+    buffers are rewritten each phase, the rest stay fixed)."""
 
-    inv: np.ndarray  # (P, k, d, d)
-    idx: np.ndarray  # (2D+1, k) src rows of block_solve's addends
-    terms: np.ndarray  # (P, 2D+1, k, d, 1) the gathered addends
-    gather: np.ndarray  # (P, 2D+1, k, d) view of terms that src.take fills
-    rhs: np.ndarray  # (P, k, d, 1) their sums
-    new: tuple[np.ndarray, ...]  # per history row, (P, k, d) views of the group's models
-    cols: tuple[np.ndarray, ...]  # the same as (P, k, d, 1) column stacks, which the solve writes
-    sends: np.ndarray  # (P, 16, k) view of the group's rows of the send history
-    send: tuple[np.ndarray, ...]  # per history row, (P, k) views of it: the rows that transmit
-    last: np.ndarray  # (P, k, d) view of the group's theta_hat rows
-    pull: np.ndarray  # (P, k, d) view of its rho theta_hat rows in src
-    rho: np.ndarray  # (P, k, d) each point's rho
+    inv: np.ndarray  # (P*k, d, d)
+    idx: np.ndarray  # (2D+1, P*k) src rows of block_solve's addends
+    terms: np.ndarray  # (2D+1, P*k, d, 1) the gathered addends
+    gather: np.ndarray  # (2D+1, P*k, d) view of terms that src.take fills
+    rhs: np.ndarray  # (P*k, d, 1) their sums
+    new: tuple[np.ndarray, ...]  # per history row, (P*k, d) views of the group's models
+    cols: tuple[np.ndarray, ...]  # the same as (P*k, d, 1) column stacks, which the solve writes
+    send: tuple[np.ndarray, ...]  # per history row, (P*k,) views of the rows that transmit
+    last: np.ndarray  # (P*k, d) view of the group's theta_hat rows
+    pull: np.ndarray  # (P*k, d) view of its rho theta_hat rows in src
+    rho: np.ndarray  # (P*k, d) each row's rho
     quantize: QuantizeBuffers | None  # the quantizer step's buffers, when the points quantize
-    diff: np.ndarray  # (P, k, d) the update a censoring test measures
-    norm: np.ndarray  # (P, k) its length
-    changed: np.ndarray  # (P, k, d) bool, new != last
+    diff: np.ndarray  # (P*k, d) the update a censoring test measures
+    norm: np.ndarray  # (P*k,) its length
+    changed: np.ndarray  # (P*k, d) bool, new != last
     energy: list[float]  # per point, Joules per message at this group's bandwidth share
+    firsts: list[int]  # per point, the first of its k rows
 
 
 def _src_rows(N, E):
@@ -433,57 +468,67 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho):
-    """The head and tail phases of `topology`, its worker -> row table and
-    the (2, E) rows of its edges' left and right ends."""
-    N, d, P = topology.n, stack.dim, len(points)
-    quantized = points[0].quantizer is not None
+def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull):
+    """The head and tail phases of `topology` at every point, its (P, N)
+    table of each point's worker rows, and the (2, P*E) rows of each
+    point's edges' left and right ends."""
+    P, N, d, E = len(points), topology.n, stack.dim, len(topology.edges)
     edges = [(u - 1, v - 1) for u, v in topology.edges]
     groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
-    row = np.empty(N, dtype=np.intp)
-    row[groups[0] + groups[1]] = np.arange(N)
-    neg, plus, minus_zero, pulls, plus_zero = _src_rows(N, len(edges))
-    slots: list[list[int]] = [[] for _ in range(N)]  # (dual, pull) src rows per incident edge
+    row, start = [[0] * N for _ in range(P)], 0
+    for members in groups:  # a group's rows: its workers at point 0, then at point 1, ...
+        for p in range(P):
+            for j, n in enumerate(members):
+                row[p][n] = P * start + p * len(members) + j
+        start += len(members)
+    neg, plus, minus_zero, pulls, plus_zero = _src_rows(P * N, P * E)
+    slots: list[list[tuple[int, int]]] = [[] for _ in range(N)]  # (dual row, neighbour) per incident edge
     for i, (u, v) in enumerate(edges):
-        slots[u] += (neg + i, pulls + int(row[v]))
-        slots[v] += (plus + i, pulls + int(row[u]))
-    degree = tuple(len(s) // 2 for s in slots)
+        slots[u].append((neg + i, v))
+        slots[v].append((plus + i, u))
+    degree = tuple(len(s) for s in slots)
     if degree not in inv_cache:
         inv_cache[degree] = np.stack([inverses(stack.gram[0], np.array(degree), point.rho) for point in points])
+    quantized = points[0].quantizer is not None
     phases, start = [], 0
     for members in groups:
         k, D = len(members), max(degree[n] for n in members)
-        padded = [[n, *slots[n]] + [minus_zero, plus_zero] * (D - degree[n]) for n in members]
-        rows, terms = slice(start, start + k), np.empty((P, 2 * D + 1, k, d, 1))
-        new = tuple(models[:, :, rows].swapaxes(0, 1))
-        group_sends = sends[:, :, rows]
+        padded = [
+            [p * N + n, *(r for dual, nbr in slots[n] for r in (dual + p * E, pulls + row[p][nbr]))]
+            + [minus_zero, plus_zero] * (D - degree[n])
+            for p in range(P) for n in members
+        ]
+        rows, terms = slice(P * start, P * (start + k)), np.empty((2 * D + 1, P * k, d, 1))
+        new = tuple(models[:, rows])
         phases.append(_Phase(
-            inv=inv_cache[degree][:, members],
+            inv=inv_cache[degree][:, members].reshape(P * k, d, d),
             idx=np.array(padded, dtype=np.intp).T.copy(),
             terms=terms,
             gather=terms[..., 0],
-            rhs=np.empty((P, k, d, 1)),
+            rhs=np.empty((P * k, d, 1)),
             new=new,
             cols=tuple(m[..., None] for m in new),
-            sends=group_sends,
-            send=tuple(group_sends.swapaxes(0, 1)),
-            last=theta_hat[:, rows],
-            pull=pull[:, rows],
-            rho=rho[:, rows],
+            send=tuple(sends[:, rows]),
+            last=theta_hat[rows],
+            pull=pull[rows],
+            rho=_rho_rows(points, k, d),
             quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
-            diff=np.empty((P, k, d)),
-            norm=np.empty((P, k)),
-            changed=np.empty((P, k, d), dtype=bool),
+            diff=np.empty((P * k, d)),
+            norm=np.empty(P * k),
+            changed=np.empty((P * k, d), dtype=bool),
             energy=[message_energy(payload, point.energy_model.share(k), 1.0)
                     for point, payload in zip(points, payloads)],
+            firsts=[P * start + p * k for p in range(P)],
         ))
         start += k
-    return phases, row, row[np.array(edges)].T.copy()
+    ends = [[row[p][end[side]] for p in range(P) for end in edges] for side in (0, 1)]
+    return phases, np.array(row, dtype=np.intp), np.array(ends, dtype=np.intp)
 
 
 def _chain_duals(order, stack, theta, row):
     """Duals of a new chain as prefix sums of local gradients along it, for
-    each point of a (P, N, d) model stack whose worker n is theta[:, row[n]].
+    each point: worker n of point p has the model theta[row[p, n]].  Returns
+    them as (P*E, d) rows, point by point.
 
     At the consensus optimum this reproduces the exact optimal duals of the
     new ordering, so re-chaining introduces no transient once the run is
@@ -491,49 +536,48 @@ def _chain_duals(order, stack, theta, row):
     """
     left = np.array(order[:-1]) - 1
     H, g = stack.gram
-    grad = 2.0 * ((H[left] @ theta[:, row[left]][..., None])[..., 0] - g[left])
-    start = np.zeros((len(theta), 1, stack.dim))
-    return np.subtract.accumulate(np.concatenate([start, grad], axis=1), axis=1)[:, 1:]
+    grad = 2.0 * ((H[left] @ theta[row[:, left]][..., None])[..., 0] - g[left])  # (P, E, d)
+    start = np.zeros((len(row), 1, stack.dim))
+    return np.subtract.accumulate(np.concatenate([start, grad], axis=1), axis=1)[:, 1:].reshape(-1, stack.dim)
 
 
 def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
     P, N, d = len(points), stack.n, stack.dim
     E = len(topology.edges)
-    neg, plus, minus_zero, pulls, plus_zero = _src_rows(N, E)
-    src = np.zeros((P, plus_zero + 1, d))
-    src[:, :N] = 2.0 * stack.gram[1]
-    src[:, minus_zero] = -0.0
-    lam, neg_lam, pull = src[:, plus:plus + E], src[:, neg:plus], src[:, pulls:pulls + N]
+    neg, plus, minus_zero, pulls, plus_zero = _src_rows(P * N, P * E)
+    src = np.zeros((plus_zero + 1, d))
+    src[:P * N] = np.tile(2.0 * stack.gram[1], (P, 1))
+    src[minus_zero] = -0.0
+    lam, neg_lam, pull = src[plus:plus + P * E], src[neg:plus], src[pulls:pulls + P * N]
     np.negative(lam, out=neg_lam)
-    theta_hat = np.zeros((P, N, d))
-    end_hat = np.empty((P, 2, E, d))  # theta_hat at each edge's left and right end
-    left_hat, right_hat = end_hat[:, 0], end_hat[:, 1]
-    rho = np.empty((P, max(N, E), d))  # each point's rho, at every element it multiplies
-    rho[...] = np.array([point.rho for point in points])[:, None, None]
+    theta_hat = np.zeros((P * N, d))
+    end_hat = np.empty((2, P * E, d))  # theta_hat at each edge's left and right end
+    left_hat, right_hat = end_hat
+    rho_edges = _rho_rows(points, E, d)  # each dual row's rho
     quantized, censored = points[0].quantizer is not None, points[0].censor is not None
     payloads = [FULL_PRECISION_BITS * d if point.quantizer is None else point.quantizer.payload_bits(d)
                 for point in points]
     q_rngs = [child_rng(seed, 1) for _ in points]
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
     traces = _Traces(stack, points, stop_error)
-    rho_edges = rho[:, :E]
-    models = np.zeros((P, TRACE_BLOCK, N, d))
-    sends = np.empty((P, TRACE_BLOCK, N), dtype=bool)  # the rows that transmitted in each iteration
-    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho)
+    models = np.zeros((TRACE_BLOCK, P * N, d))
+    sends = np.empty((TRACE_BLOCK, P * N), dtype=bool)  # the rows that transmitted in each iteration
+    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull)
 
     def flush(n) -> bool:
-        done = models[:, :n]
-        gaps = done[:, :, ends[0]]
-        gaps -= done[:, :, ends[1]]
-        sizes = [len(ph.last[0]) for ph in phases]
-        # messages each point's phases sent in each iteration: (P, n, phases)
-        sent = np.add.reduceat(sends[:, :n], [0, sizes[0]], axis=2, dtype=np.intp).tolist()
+        done = models[:n]
+        gaps = done[:, ends[0]]
+        gaps -= done[:, ends[1]]
+        # messages sent by each phase at each point in each iteration, phase by phase
+        sent = np.add.reduceat(sends[:n], [f for ph in phases for f in ph.firsts], axis=1, dtype=np.intp).tolist()
 
         def steps(p, n, totals):
             bits, joules, censored = totals
-            payload, energy, out = payloads[p], [ph.energy[p] for ph in phases], []
-            for counts in sent[p][:n]:
-                for n_sent, e, k in zip(counts, energy, sizes):
+            payload, out = payloads[p], []
+            energy = [(g * P + p, ph.energy[p], len(ph.norm) // P) for g, ph in enumerate(phases)]
+            for counts in sent[:n]:
+                for at, e, k in energy:
+                    n_sent = counts[at]
                     bits += payload * n_sent
                     for _ in range(n_sent):
                         joules += e
@@ -541,24 +585,24 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
                 out.append((bits, joules, censored))
             return out
 
-        return traces.flush(n, models, row, gaps, steps)
+        return traces.flush(n, models, row.ravel(), gaps.reshape(n, P, E, d), steps)
 
     slot = 0  # this iteration's row of the history block
     for k in range(max(point.iters for point in points)):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
-            theta = models[:, slot - 1]  # the last iteration's models (row 15 when a flush just emptied the block)
+            theta = models[slot - 1]  # the last iteration's models (row 15 when a flush just emptied the block)
             if flush(slot):  # the gaps so far are across the old chain's edges
                 return traces.traces
             slot = 0
             topology = rechain(topology, k, seed)
             old_row = row
             phases, row, ends = _phases(
-                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho
+                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull
             )
-            perm = np.empty(N, dtype=np.intp)
-            perm[row] = old_row  # new row r holds old row perm[r]
-            theta_hat[:], pull[:] = theta_hat[:, perm], pull[:, perm]
-            lam[:] = _chain_duals(topology.order, stack, theta[:, perm], row)
+            perm = np.empty(P * N, dtype=np.intp)
+            perm[row.ravel()] = old_row.ravel()  # new row r holds old row perm[r]
+            theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
+            lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
             np.negative(lam, out=neg_lam)
 
         if censored:
@@ -566,7 +610,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
-            src.take(ph.idx, axis=1, out=ph.gather, mode="clip")
+            src.take(ph.idx, axis=0, out=ph.gather, mode="clip")
             block_solve(ph.inv, ph.terms, ph.rhs, ph.cols[slot])
             new, last, send = ph.new[slot], ph.last, ph.send[slot]
             if quantized:
@@ -576,17 +620,17 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
             elif k == 0:
                 send[...] = True
             else:
-                np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=2, out=send)
+                np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=1, out=send)
             sent = int(np.count_nonzero(send))
             if sent:
-                if sent == send.size:
+                if sent == len(send):
                     last[...] = new
                 else:
-                    np.copyto(last, new, where=send[..., None])
+                    np.copyto(last, new, where=send[:, None])
                 # a row that did not send already holds rho times its theta_hat
                 np.multiply(last, ph.rho, out=ph.pull)
 
-        theta_hat.take(ends, axis=1, out=end_hat, mode="clip")
+        theta_hat.take(ends, axis=0, out=end_hat, mode="clip")
         dual_update(lam, left_hat, right_hat, rho_edges, left_hat)
         np.negative(lam, out=neg_lam)
         slot += 1

@@ -136,10 +136,9 @@ def slot_loop_rhs(g, duals, signs, models, rho):
 
 
 def solve(inv, terms):
-    """block_solve of a (2D+1, k, d) stack, as a run of one point, into
-    fresh (1, k, d, 1) buffers."""
+    """block_solve of a (2D+1, k, d) stack into fresh (k, d, 1) buffers."""
     k, d = terms.shape[1:]
-    return block_solve(inv[None], terms[None, ..., None], np.empty((1, k, d, 1)), np.empty((1, k, d, 1)))[0, ..., 0]
+    return block_solve(inv, terms[..., None], np.empty((k, d, 1)), np.empty((k, d, 1)))[..., 0]
 
 
 def solve_one(problem, models, duals, signs, rho, dim):
@@ -195,7 +194,7 @@ class TestBatchedKernels:
         terms = slot_terms(g, duals, signs, models, rho)
         rhs = slot_loop_rhs(g, duals, signs, models, rho)
         # with k*d = 1 slot_sum scans the stack in place, so each call gets a copy
-        assert slot_sum(terms.copy()[None], np.empty((1, k, d)))[0].tobytes() == rhs.tobytes()
+        assert slot_sum(terms.copy(), np.empty((k, d))).tobytes() == rhs.tobytes()
         assert solve(inv, terms.copy()).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -218,11 +217,11 @@ class TestBatchedKernels:
         models[3] = optimum  # every worker at the optimum
         rows = rng.permutation(N)
         block = models[:, rows.argsort()]
-        errors = stack.errors(block[None], rows)[0]
+        errors = stack.errors(block, rows)[0]
         assert errors[3] == 0.0
         # a row's error does not depend on the other rows of its block
         block[5:] = 0.0
-        assert stack.errors(block[None], rows)[0][:5] == errors[:5]
+        assert stack.errors(block, rows)[0][:5] == errors[:5]
         for err, theta in zip(errors, models):
             direct = direct_objective_error(problems, theta, optimum)
             assert abs(err - direct) <= 1e-12 * max(1.0, stack.f_star)
@@ -296,9 +295,9 @@ class TestPrimalDualUpdates:
 
 
 def quantized(new, last, bits, rng):
-    """quantize_step on (k, d) rows, as a run of one point, with fresh buffers."""
+    """quantize_step on the (k, d) rows of one point with fresh buffers."""
     k, d = new.shape
-    return quantize_step(new[None], last[None], [rng], QuantizeBuffers.empty([bits], k, d))[0]
+    return quantize_step(new, last, [rng], QuantizeBuffers.empty([bits], k, d))
 
 
 def roundtrip(x, q, rng):
@@ -388,10 +387,9 @@ class TestQuantizer:
 
 
 def censor_rows(current, last_sent, threshold):
-    """censor_mask on (k, d) rows, as a run of one point, with fresh buffers."""
+    """censor_mask on the (k, d) rows of one point with fresh buffers."""
     k, d = current.shape
-    out = np.empty((1, k), dtype=bool)
-    return censor_mask(current[None], last_sent[None], [threshold], np.empty((1, k, d)), np.empty((1, k)), out)[0]
+    return censor_mask(current, last_sent, [threshold], np.empty((k, d)), np.empty(k), np.empty(k, dtype=bool))
 
 
 class TestQuantizeStep:
@@ -679,6 +677,22 @@ class TestStackedPoints:
         for point, trace in zip(points, stacked):
             alone = run(variant, problems, topo, point.rho, point.quantizer, point.censor, point.energy_model,
                         point.iters, seed=seed, stop_error=stop)
+            for name in TRACE_FIELDS:
+                assert getattr(trace, name) == getattr(alone, name), name
+
+    @pytest.mark.parametrize("variant", ["ps-admm", "ggadmm", "c-ggadmm", "cq-ggadmm"])
+    def test_one_scalar_head_stacks_as_its_own_runs(self, variant):
+        # STAR's head phase has k = d = 1: one point sums its slots with a
+        # scan, several with a reduce over their lone columns
+        problems = scalar_problems([1.5, -0.0, 2.0, -3.0, 0.0, 4.25])
+        points = [
+            Setting(rho, QuantizerConfig(2) if variant == "cq-ggadmm" else None,
+                    CensorSchedule(0.1, 0.97) if variant in ("c-ggadmm", "cq-ggadmm") else None, iters=iters)
+            for rho, iters in ((0.8, 90), (1.7, 60), (0.3, 75))
+        ]
+        stacked = run_points(variant, problems, STAR, points, seed=4)
+        for point, trace in zip(points, stacked):
+            alone = run(variant, problems, STAR, point.rho, point.quantizer, point.censor, iters=point.iters, seed=4)
             for name in TRACE_FIELDS:
                 assert getattr(trace, name) == getattr(alone, name), name
 
