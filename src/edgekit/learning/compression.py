@@ -56,6 +56,7 @@ class QuantizeBuffers:
     sent: np.ndarray  # (P*k, d) the transmitted models
     top: np.ndarray  # (P*k, d) 2^b - 1 of each row's point
     top_rows: np.ndarray  # (P*k, 1) the same per row
+    blocks: tuple[np.ndarray, ...]  # per point, (k, d) view of its rows of uniform
 
     @classmethod
     def empty(cls, bits: list[int], k: int, d: int) -> "QuantizeBuffers":
@@ -63,8 +64,9 @@ class QuantizeBuffers:
         quantizing with bits[p] bits per coordinate."""
         rows = len(bits) * k
         top = np.repeat([2.0**b - 1 for b in bits], k * d).reshape(rows, d)
-        return cls(*np.empty((4, rows, d)), np.empty((rows, d), dtype=bool), *np.empty((2, rows, 1)),
-                   np.empty((rows, d)), top, top[:, :1].copy())
+        delta, frac, level, uniform = np.empty((4, rows, d))
+        return cls(delta, frac, level, uniform, np.empty((rows, d), dtype=bool), *np.empty((2, rows, 1)),
+                   np.empty((rows, d)), top, top[:, :1].copy(), tuple(uniform.reshape(len(bits), k, d)))
 
 
 def quantize_step(
@@ -94,13 +96,11 @@ def quantize_step(
         step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
     np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly
     np.subtract(delta, np.floor(delta, out=level), out=frac)  # exact
-    k = len(new) // len(rngs)
-    for p, rng in enumerate(rngs):
-        rows = slice(p * k, (p + 1) * k)
+    for p, (rng, block) in enumerate(zip(rngs, buf.blocks)):
         if zero is None:
-            rng.random(out=uniform[rows])
+            rng.random(out=block)
         else:  # one row-major draw for the point's live rows, in order
-            live, block = ~zero[rows], uniform[rows]
+            live = ~zero[p * len(block):(p + 1) * len(block)]
             drawn = block[:np.count_nonzero(live)]
             rng.random(out=drawn)
             block[live] = drawn.copy()  # the live rows overlap the drawn ones
@@ -135,8 +135,7 @@ def censor_mask(
         raise ValueError("threshold must be >= 0")
     np.subtract(current, last_sent, out=diff)
     np.greater(row_norms(diff, out=norm), thresholds[0], out=out)
-    k = len(norm) // len(thresholds)
     for p in range(1, len(thresholds)):
-        rows = slice(p * k, (p + 1) * k)
+        rows = slice(p * len(norm) // len(thresholds), (p + 1) * len(norm) // len(thresholds))
         np.greater(norm[rows], thresholds[p], out=out[rows])
     return out

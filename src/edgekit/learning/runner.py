@@ -345,28 +345,30 @@ class _Traces:
         self.totals = [(0.0, 0.0, 0)] * len(points)
         self.left = [point.iters for point in points]
 
-    def flush(self, n, models, rows, gaps, steps) -> bool:
+    def flush(self, n, models, rows, block) -> bool:
         """Append the first n iterations of the history block to each point's
         trace; True once every point has ended.
 
         Iteration i ran with the models `models[i]` of the (16, P*N, d)
-        history block, worker w of point p in row rows[p*N + w], and left
-        point p the (M, d) consensus gaps `gaps[i, p]`; `steps(p, n, totals)`
-        gives point p's running totals after each of the first n iterations.
+        history block, worker w of point p in row rows[p*N + w].  `block(n)`
+        gives the (n, P, M, d) consensus gaps the n iterations left, and
+        `steps(p, n, totals)`, point p's running totals after each of them.
         The error is evaluated over the whole block and kept for the rows the
         point reports (bit-identity rule 1).  A point ends at its first
         iteration whose objective error is below `stop_error`, or at its
         last; each list of its trace is extended once up to there.
         """
         if n and any(self.left):
+            gaps, steps = block(n)
             errors = self.stack.errors(models, rows)
-            norms = row_norms(gaps).tolist()
+            # each iteration's residual: its gap norms added one after the other
+            residuals = np.add.accumulate(row_norms(gaps), axis=2)[..., -1].T.tolist()
             for p, trace in enumerate(self.traces):
                 if self.left[p]:
-                    self._append(p, trace, errors[p][:min(n, self.left[p])], norms, steps)
+                    self._append(p, trace, errors[p][:min(n, self.left[p])], residuals[p], steps)
         return not any(self.left)
 
-    def _append(self, p, trace, signed, norms, steps):
+    def _append(self, p, trace, signed, residuals, steps):
         error = [abs(e) for e in signed]
         below = [] if self.stop_error is None else [i for i, e in enumerate(error) if e < self.stop_error]
         n = below[0] + 1 if below else len(error)
@@ -379,20 +381,22 @@ class _Traces:
         trace.bits_cum += bits
         trace.joules_cum += joules
         trace.censored_cum += censored
-        trace.residual += [sum(gap[p]) for gap in norms[:n]]
+        trace.residual += residuals[:n]
 
 
 def _rho_rows(points, rows, d):
-    """(P*rows, d): each point's rho on every coordinate of its `rows` rows,
-    point by point, so that a product with rho has operands of one shape."""
-    return np.repeat([point.rho for point in points], rows * d).reshape(-1, d)
+    """(P, rows, d): each point's rho on every coordinate of `rows` rows, so
+    that a product with rho has operands of one shape."""
+    rho = np.empty((len(points), rows, d))
+    rho[...] = np.array([point.rho for point in points])[:, None, None]
+    return rho
 
 
 def _run_ps(stack, points, stop_error):
     P, N, d = len(points), stack.n, stack.dim
     H, g = stack.gram
     inv = np.concatenate([inverses(H, np.ones(N, dtype=int), point.rho) for point in points])
-    rho = _rho_rows(points, N, d).reshape(P, N, d)  # each point's rho at every element it multiplies
+    rho = _rho_rows(points, N, d)  # each point's rho at every element it multiplies
     lam = np.zeros((P, N, d))
     traces = _Traces(stack, points, stop_error)
     models, centers = np.zeros((TRACE_BLOCK, P * N, d)), np.empty((TRACE_BLOCK, P, 1, d))
@@ -411,7 +415,7 @@ def _run_ps(stack, points, stop_error):
         return out
 
     def flush(n) -> bool:
-        return traces.flush(n, models, rows, models[:n].reshape(n, P, N, d) - centers[:n], steps)
+        return traces.flush(n, models, rows, lambda n: (models[:n].reshape(n, P, N, d) - centers[:n], steps))
 
     two_g = np.tile(2.0 * g, (P, 1, 1))
     work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))  # work: the rhs, then the centre's addends, then the dual step
@@ -468,7 +472,7 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull):
+def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho):
     """The head and tail phases of `topology` at every point, its (P, N)
     table of each point's worker rows, and the (2, P*E) rows of each
     point's edges' left and right ends."""
@@ -482,22 +486,20 @@ def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_h
                 row[p][n] = P * start + p * len(members) + j
         start += len(members)
     neg, plus, minus_zero, pulls, plus_zero = _src_rows(P * N, P * E)
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(N)]  # (dual row, neighbour) per incident edge
-    for i, (u, v) in enumerate(edges):
-        slots[u].append((neg + i, v))
-        slots[v].append((plus + i, u))
-    degree = tuple(len(s) for s in slots)
+    slots = [[[] for _ in range(N)] for _ in range(P)]  # per point and worker: (dual, pull) src rows per edge
+    for p, (point_slots, point_row) in enumerate(zip(slots, row)):
+        for i, (u, v) in enumerate(edges, start=p * E):
+            point_slots[u] += (neg + i, pulls + point_row[v])
+            point_slots[v] += (plus + i, pulls + point_row[u])
+    degree = tuple(len(s) // 2 for s in slots[0])
     if degree not in inv_cache:
         inv_cache[degree] = np.stack([inverses(stack.gram[0], np.array(degree), point.rho) for point in points])
     quantized = points[0].quantizer is not None
     phases, start = [], 0
     for members in groups:
         k, D = len(members), max(degree[n] for n in members)
-        padded = [
-            [p * N + n, *(r for dual, nbr in slots[n] for r in (dual + p * E, pulls + row[p][nbr]))]
-            + [minus_zero, plus_zero] * (D - degree[n])
-            for p in range(P) for n in members
-        ]
+        padded = [[p * N + n, *slots[p][n]] + [minus_zero, plus_zero] * (D - degree[n])
+                  for p in range(P) for n in members]
         rows, terms = slice(P * start, P * (start + k)), np.empty((2 * D + 1, P * k, d, 1))
         new = tuple(models[:, rows])
         phases.append(_Phase(
@@ -511,7 +513,7 @@ def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_h
             send=tuple(sends[:, rows]),
             last=theta_hat[rows],
             pull=pull[rows],
-            rho=_rho_rows(points, k, d),
+            rho=rho[:, :k].reshape(P * k, d),
             quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
             diff=np.empty((P * k, d)),
             norm=np.empty(P * k),
@@ -553,8 +555,10 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
     theta_hat = np.zeros((P * N, d))
     end_hat = np.empty((2, P * E, d))  # theta_hat at each edge's left and right end
     left_hat, right_hat = end_hat
-    rho_edges = _rho_rows(points, E, d)  # each dual row's rho
+    rho = _rho_rows(points, max(N, E), d)  # each point's rho, for each row of a phase or a dual
+    rho_edges = rho[:, :E].reshape(P * E, d)
     quantized, censored = points[0].quantizer is not None, points[0].censor is not None
+    censors = [point.censor for point in points]
     payloads = [FULL_PRECISION_BITS * d if point.quantizer is None else point.quantizer.payload_bits(d)
                 for point in points]
     q_rngs = [child_rng(seed, 1) for _ in points]
@@ -562,9 +566,9 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
     traces = _Traces(stack, points, stop_error)
     models = np.zeros((TRACE_BLOCK, P * N, d))
     sends = np.empty((TRACE_BLOCK, P * N), dtype=bool)  # the rows that transmitted in each iteration
-    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull)
+    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho)
 
-    def flush(n) -> bool:
+    def block(n):
         done = models[:n]
         gaps = done[:, ends[0]]
         gaps -= done[:, ends[1]]
@@ -585,7 +589,10 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
                 out.append((bits, joules, censored))
             return out
 
-        return traces.flush(n, models, row.ravel(), gaps.reshape(n, P, E, d), steps)
+        return gaps.reshape(n, P, E, d), steps
+
+    def flush(n) -> bool:
+        return traces.flush(n, models, row.ravel(), block)
 
     slot = 0  # this iteration's row of the history block
     for k in range(max(point.iters for point in points)):
@@ -597,7 +604,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
             topology = rechain(topology, k, seed)
             old_row = row
             phases, row, ends = _phases(
-                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull
+                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho
             )
             perm = np.empty(P * N, dtype=np.intp)
             perm[row.ravel()] = old_row.ravel()  # new row r holds old row perm[r]
@@ -606,7 +613,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
             np.negative(lam, out=neg_lam)
 
         if censored:
-            thresholds = [point.censor.threshold(k) for point in points]
+            thresholds = [censor.threshold(k) for censor in censors]
         for ph in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
