@@ -54,8 +54,10 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          -0.0 row, rho theta_hat (M rows, phase-major) and
                          one +0.0 row.  Each transmit writes its rho
                          theta_hat rows, each dual step both lambda blocks
-  rho         (P*k, d)   per group, each row's rho, and (F, d) per dual
-                         row: a product with rho has operands of one shape
+  rho         (P, max(N, E), d)
+                         each point's rho, made once per run; a group's
+                         (P*k, d) rows and the (F, d) dual rows are cut from
+                         it, so a product with rho has operands of one shape
   inverses    (P, N, d, d)
                          (2 H_n + rho deg_n I)^-1 at each point's rho,
                          cached by degree vector, so d-gadmm's re-chained
@@ -115,7 +117,7 @@ them.  An iteration's bits, Joules and censored messages are summed when its
 block is evaluated, from the send history, in the order the loop sent them.
 
 Bit-identity.  Every reported float equals that of a per-worker loop: one
-gemv per solve, one ddot per norm, Python float sums, and the objective
+gemv per solve, one ddot per norm, sequential float sums, and the objective
 error in the error form of `ProblemStack.errors`, one gemm per worker over a
 whole 16-row block and one ddot per row.  So a change to the loop keeps the
 repr()-written out/*.csv byte-identical, and a point of a stacked run
@@ -143,14 +145,16 @@ run before its gemms.  Three rules keep it so:
      np.add.accumulate, a strict left-to-right scan of the stack in place:
      the same additions in the same order as the reduce makes for P > 1
      (-0.0 + x is x).  A signed-incidence matmul reorders the sum.
-  3. joules and the residual are sequential Python float sums over
-     .tolist(), one per iteration and point also when a block is evaluated:
-     the block's gap norms are stacked calls that broadcast over the block
-     axis without changing the per-row BLAS call.  The objective error's
-     worker terms are added in worker order by one np.add.reduce over the
-     slow axis (rule 2; the block axis is 16 long, so it is never
-     collapsed).  ps-admm's centre is one np.add.reduce over each point's
-     workers, pairwise along a lone column exactly as in a one-point run.
+  3. joules is a sequential Python float sum, one add per message, and an
+     iteration's residual a strict left-to-right np.add.accumulate over
+     its gap norms (the sum a Python loop over them makes), once per
+     block: the block's gap norms are stacked calls that broadcast over
+     the block and point axes without changing the per-row BLAS call.  The
+     objective error's worker terms are added in worker order by one
+     np.add.reduce over the slow axis (rule 2; the block axis is 16 long,
+     so it is never collapsed).  ps-admm's centre is one np.add.reduce
+     over each point's workers, pairwise along a lone column exactly as in
+     a one-point run.
 """
 from __future__ import annotations
 
@@ -418,7 +422,8 @@ def _run_ps(stack, points, stop_error):
         return traces.flush(n, models, rows, lambda n: (models[:n].reshape(n, P, N, d) - centers[:n], steps))
 
     two_g = np.tile(2.0 * g, (P, 1, 1))
-    work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))  # work: the rhs, then the centre's addends, then the dual step
+    # work: the rhs, then the centre's addends, then the dual step
+    work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))
     z = np.zeros((P, 1, d))  # the last centre of each point, a row against its workers
     thetas = tuple(models.reshape(TRACE_BLOCK, P, N, d))
     cols = tuple(models[..., None])  # column stacks for np.matmul

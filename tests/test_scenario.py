@@ -773,7 +773,8 @@ class TestOnePath:
             return run_points(variant, problems, topology, points, **kwargs)
 
         monkeypatch.setattr(pipeline.L, "run_points", counting)
-        text = f"kind: learning\nlearning: {{workers: 4, dim: 2, iters: 5}}\nsweep: {{param: {param}, values: {values}}}\n"
+        text = (f"kind: learning\nlearning: {{workers: 4, dim: 2, iters: 5}}\n"
+                f"sweep: {{param: {param}, values: {values}}}\n")
         assert len(run_scenario(parse_scenario(self.scenario(tmp_path, text)))) == len(values)
         assert calls == runs
 
