@@ -135,7 +135,7 @@ def censor_mask(
         raise ValueError("threshold must be >= 0")
     np.subtract(current, last_sent, out=diff)
     np.greater(row_norms(diff, out=norm), thresholds[0], out=out)
+    k = len(norm) // len(thresholds)  # rows per point
     for p in range(1, len(thresholds)):
-        rows = slice(p * len(norm) // len(thresholds), (p + 1) * len(norm) // len(thresholds))
-        np.greater(norm[rows], thresholds[p], out=out[rows])
+        np.greater(norm[p * k:(p + 1) * k], thresholds[p], out=out[p * k:(p + 1) * k])
     return out
