@@ -101,9 +101,10 @@ LEARNING_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LEARNING_SWEEPS))
-def test_learning_sweep_digest_pinned(name, tmp_path, capsys):
-    learning, param, values, digest = LEARNING_SWEEPS[name]
+def _sweep_files(name, tmp_path, capsys):
+    """Run the sweep LEARNING_SWEEPS[name] through `edgekit learn`; returns
+    each point's CSV path, after checking their names and lengths."""
+    learning, param, values, _ = LEARNING_SWEEPS[name]
     doc = {"seed": 3, "kind": "learning", "output": str(tmp_path / "s.csv"), "learning": learning,
            "sweep": {"param": param, "values": values}}
     scenario = tmp_path / "s.yaml"
@@ -114,8 +115,27 @@ def test_learning_sweep_digest_pinned(name, tmp_path, capsys):
     assert [p.name for p in paths] == [f"s_{field}_{v}.csv" for v in values]
     lengths = values if param == "learning.iters" else [learning["iters"]] * len(values)
     assert [len(p.read_bytes().splitlines()) - 1 for p in paths] == lengths
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(LEARNING_SWEEPS))
+def test_learning_sweep_digest_pinned(name, tmp_path, capsys):
+    paths = _sweep_files(name, tmp_path, capsys)
     data = b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in paths)
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert hashlib.sha256(data).hexdigest() == LEARNING_SWEEPS[name][3]
+
+
+# The ps-admm-rho sweep's CSVs without their joules_cum column, recorded
+# while ps-admm still priced an iteration as one sum of its N messages.
+PS_ADMM_SWEEP_NO_JOULES_DIGEST = "be5ecad4f76b6c04a101daf21abe9ee8277c1b9a6b8c5615018282910feedc10"
+
+
+def test_ps_admm_sweep_columns_but_joules_pinned(tmp_path, capsys):
+    paths = _sweep_files("ps-admm-rho", tmp_path, capsys)
+    lines = [line.split(b",") for p in paths for line in p.read_bytes().splitlines()]
+    assert lines[0][4] == b"joules_cum"
+    data = b"\n".join(b",".join(cells[:4] + cells[5:]) for cells in lines)
+    assert hashlib.sha256(data).hexdigest() == PS_ADMM_SWEEP_NO_JOULES_DIGEST
 
 
 # `edgekit <command> --scenario scenarios/<file>.yaml` lines of README.md

@@ -918,3 +918,26 @@ LOOP_DIGESTS = {
 def test_loop_digest_pinned(case):
     table, name = case.split(":", 1)
     assert _loop_digest(PINNED_RUNS[table](name)) == LOOP_DIGESTS[case]
+
+
+def _no_joules_digest(trace):
+    """sha256 of repr() of every TrainingTrace field but joules_cum."""
+    fields = (trace.objective, trace.objective_error, trace.bits_cum, trace.censored_cum, trace.residual)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+# ps-admm's five columns other than Joules, recorded while it still priced an
+# iteration as one sum of its N messages: pricing each message on its own
+# may move joules_cum in the last bits, and nothing else.
+PS_ADMM_NO_JOULES_DIGESTS = {
+    "trace:ps-admm": "b38c4f9295015131672eff490407ac41defd786112632df24e78ba9fc1db8346",
+    "benchmark:ps-admm": "1b07cdfbb05c387a0ed67329e9ec9143bd4e11764c7f91a43b8bf28174de70b4",
+    "edge:star:ps-admm": "f9536b5c84d9ab7be1ec645a2dd64f55ef17d917a38f0c88a74fa397dbdd62c6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PS_ADMM_NO_JOULES_DIGESTS))
+def test_ps_admm_columns_but_joules_pinned(case):
+    table, name = case.split(":", 1)
+    assert _no_joules_digest(PINNED_RUNS[table](name)) == PS_ADMM_NO_JOULES_DIGESTS[case]
+
