@@ -1,5 +1,6 @@
 """Checks for integer and finite-number fields, seeded randomness, a
-fixed-point iterator, and the YAML loader for scenario and instance files.
+fixed-point iterator, a strictly ordered sum, and the YAML loader for
+scenario and instance files.
 
 The random generator is numpy's PCG64 (O'Neill's permuted congruential
 generator, 128-bit state).  PCG64 has a published state-transition function
@@ -21,6 +22,7 @@ __all__ = [
     "child_rng",
     "fixed_point",
     "NonConvergence",
+    "sequential_sum",
     "load_yaml",
 ]
 
@@ -83,6 +85,17 @@ def fixed_point(f, x0: float, tol: float = 1e-9, max_iter: int = 100_000) -> flo
             return fx
         x = fx
     raise NonConvergence(max_iter, x)
+
+
+def sequential_sum(values):
+    """The values added one after the other from int 0, as builtin sum()
+    adds floats up to Python 3.11: from 3.12 sum() compensates the rounding
+    of a float sum, so its last bits would depend on the Python version.
+    Like sum(), an empty sum is the int 0."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def load_yaml(text: str):

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ..core import sequential_sum
+
 TRACE_BLOCK = 16  # model stacks whose errors are evaluated together: a run's history block
 
 
@@ -105,7 +107,7 @@ class ProblemStack:
         for p, t in zip(self.problems, theta):
             r = p.A @ t - p.b
             values.append(float(r @ r + p.reg * (t @ t)))
-        return sum(values)
+        return sequential_sum(values)
 
     def errors(self, models: np.ndarray, rows: np.ndarray) -> list[list[float]]:
         """sum_n f_n(theta_n) - f_n(theta*) for each model stack of a

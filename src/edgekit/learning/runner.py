@@ -42,10 +42,12 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          phase-major; the solve writes each phase's rows
                          into it, so there is no separate current theta.
                          It starts at zero, so rows a block has not
-                         reached are finite when the block is evaluated
-  sends       (16, M)    which rows transmitted in each iteration; the
-                         trace evaluation counts each point's messages
-                         from it
+                         reached are finite when the block is evaluated.
+                         ps-admm adds P rows after its workers', each
+                         point's centre z
+  sends       (16, M)    which rows transmitted in each iteration; it
+                         starts all True, and ps-admm, whose workers all
+                         transmit, never writes it
   theta_hat   (M, d)     last transmitted models, phase-major
   src         (2M+2F+2, d)
                          every addend a phase can need, in blocks: 2 g_n (M
@@ -95,16 +97,21 @@ every row copies them into theta_hat with a plain slice write; a partial
 send is a masked copy, and one that sends nothing writes nothing.  The
 group's rho theta_hat rows are then rewritten whole: a row that did not send
 already held rho times its theta_hat.  Per iteration: one gather of the edge
-ends, an in-place dual step and its negation.  Nothing in the loop reads the
-trace, so the objective, the residual and the stop test are evaluated once
-per block, which the trace evaluation puts back in worker order: when it
-fills, when the run ends, and before a d-gadmm re-chain changes the edges the
-residual is taken over.  d-gadmm re-initializes the duals on re-chaining as
-prefix sums of the local gradients along the new chain order.  ps-admm keeps
-the same history block, writes each iteration's centre z into a
-(16, P, 1, d) block beside it and reuses one (P, N, d) work array for its
-rhs, its centre step and its dual step; a point's centre is a reduce over
-its own N rows.
+ends, an in-place dual step and its negation.  d-gadmm re-initializes the
+duals on re-chaining as prefix sums of the local gradients along the new
+chain order.  ps-admm writes each iteration's centres into the last P rows
+of the history block and reuses one (P, N, d) work array for its rhs, its
+centre step and its dual step; a point's centre is a reduce over its N rows.
+
+The trace.  Neither loop reads it: each calls `_Traces.advance()` after an
+iteration, and `_Traces.flush()` evaluates the block's objective, residual
+and stop test in worker order when it fills, when the run ends and before a
+d-gadmm re-chain changes the edges.  `use(rows, ends, groups)` sets the
+layout: each point's worker rows, each edge's two end rows, and the sizes k
+of the band groups (P*k sends rows, point by point): the head and tail
+phases, or ps-admm's N workers, each with an edge to its point's centre.
+Every gap is models[:, ends[0]] - models[:, ends[1]], one np.add.reduceat
+over `sends` counts each group's messages, and each is priced on its own.
 
 Stopping.  With `stop_error` a point's trace ends at the first iteration
 whose objective error is below it, exactly as when the test ran every
@@ -145,7 +152,8 @@ run before its gemms.  Three rules keep it so:
      np.add.accumulate, a strict left-to-right scan of the stack in place:
      the same additions in the same order as the reduce makes for P > 1
      (-0.0 + x is x).  A signed-incidence matmul reorders the sum.
-  3. joules is a sequential Python float sum, one add per message, and an
+  3. joules is a sequential Python float sum for every variant, one
+     message at a time, and an
      iteration's residual a strict left-to-right np.add.accumulate over
      its gap norms (the sum a Python loop over them makes), once per
      block: the block's gap norms are stacked calls that broadcast over
@@ -214,6 +222,11 @@ class Setting:
     censor: CensorSchedule | None = None
     energy_model: CommEnergyModel = CommEnergyModel()
     iters: int = 1000
+
+    def payload_bits(self, d: int) -> int:
+        """Bits of one message of a d-coordinate model: full precision, or
+        the quantizer's payload when the point quantizes."""
+        return FULL_PRECISION_BITS * d if self.quantizer is None else self.quantizer.payload_bits(d)
 
 
 def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
@@ -340,51 +353,82 @@ def run_points(
 
 
 class _Traces:
-    """The traces of a run's points, their running (bits, joules, censored)
-    totals and the iterations each has still to report."""
+    """The history blocks of a run's loop and the layout they are read in
+    (see The trace above), each point's trace, its running (bits, joules,
+    censored) totals and the iterations it has still to report."""
 
-    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None):
-        self.stack, self.stop_error = stack, stop_error
+    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None, rows: int):
+        self.stack, self.points, self.stop_error = stack, points, stop_error
         self.traces = [TrainingTrace() for _ in points]
         self.totals = [(0.0, 0.0, 0)] * len(points)
         self.left = [point.iters for point in points]
+        self.payloads = [point.payload_bits(stack.dim) for point in points]
+        self.models = np.zeros((TRACE_BLOCK, rows, stack.dim))
+        self.sends = np.ones((TRACE_BLOCK, len(points) * stack.n), dtype=bool)
+        self.slot = 0  # this iteration's row of the history blocks
 
-    def flush(self, n, models, rows, block) -> bool:
-        """Append the first n iterations of the history block to each point's
-        trace; True once every point has ended.
+    def use(self, rows: np.ndarray, ends: np.ndarray, groups: Sequence[int]) -> None:
+        """Read the blocks in this layout from the next `flush` on."""
+        P = len(self.points)
+        self.rows, self.ends, self.firsts, self.bands, start = rows, ends, [], [], 0
+        for k in groups:
+            self.firsts += [P * start + p * k for p in range(P)]
+            # Joules per message at each point with the band split k ways
+            self.bands.append((k, [message_energy(payload, point.energy_model.share(k), 1.0)
+                                   for point, payload in zip(self.points, self.payloads)]))
+            start += k
 
-        Iteration i ran with the models `models[i]` of the (16, P*N, d)
-        history block, worker w of point p in row rows[p*N + w].  `block(n)`
-        gives the (n, P, M, d) consensus gaps the n iterations left, and
-        `steps(p, n, totals)`, point p's running totals after each of them.
+    def advance(self) -> bool:
+        """End an iteration; True once every point has ended."""
+        self.slot += 1
+        return self.slot == TRACE_BLOCK and self.flush()
+
+    def flush(self) -> bool:
+        """Append the iterations of the history blocks so far to each point's
+        trace and empty them; True once every point has ended.
+
         The error is evaluated over the whole block and kept for the rows the
         point reports (bit-identity rule 1).  A point ends at its first
         iteration whose objective error is below `stop_error`, or at its
-        last; each list of its trace is extended once up to there.
+        last; each list of its trace is extended up to there.
         """
+        n, self.slot = self.slot, 0
         if n and any(self.left):
-            gaps, steps = block(n)
-            errors = self.stack.errors(models, rows)
+            done, P = self.models[:n], len(self.points)
+            gaps = done[:, self.ends[0]]
+            gaps -= done[:, self.ends[1]]
             # each iteration's residual: its gap norms added one after the other
-            residuals = np.add.accumulate(row_norms(gaps), axis=2)[..., -1].T.tolist()
+            norms = row_norms(gaps).reshape(n, P, -1)
+            residuals = np.add.accumulate(norms, axis=2)[..., -1].T.tolist()
+            # messages sent by each band group at each point in each iteration
+            sent = np.add.reduceat(self.sends[:n], self.firsts, axis=1, dtype=np.intp).tolist()
+            errors = self.stack.errors(self.models, self.rows)
             for p, trace in enumerate(self.traces):
                 if self.left[p]:
-                    self._append(p, trace, errors[p][:min(n, self.left[p])], residuals[p], steps)
+                    self._append(p, trace, errors[p][:min(n, self.left[p])], residuals[p], sent)
         return not any(self.left)
 
-    def _append(self, p, trace, signed, residuals, steps):
+    def _append(self, p, trace, signed, residuals, sent):
         error = [abs(e) for e in signed]
         below = [] if self.stop_error is None else [i for i, e in enumerate(error) if e < self.stop_error]
         n = below[0] + 1 if below else len(error)
         self.left[p] = 0 if below else self.left[p] - n
-        totals = steps(p, n, self.totals[p])
-        self.totals[p] = totals[-1]
-        bits, joules, censored = zip(*totals)
+        bits, joules, censored = self.totals[p]
+        payload, bands = self.payloads[p], [(g * len(self.points) + p, k, energy[p])
+                                            for g, (k, energy) in enumerate(self.bands)]
+        for counts in sent[:n]:
+            for at, k, energy in bands:
+                n_sent = counts[at]
+                bits += payload * n_sent
+                for _ in range(n_sent):
+                    joules += energy
+                censored += k - n_sent
+            trace.bits_cum.append(bits)
+            trace.joules_cum.append(joules)
+            trace.censored_cum.append(censored)
+        self.totals[p] = bits, joules, censored
         trace.objective += [self.stack.f_star + e for e in signed[:n]]
         trace.objective_error += error[:n]
-        trace.bits_cum += bits
-        trace.joules_cum += joules
-        trace.censored_cum += censored
         trace.residual += residuals[:n]
 
 
@@ -402,46 +446,27 @@ def _run_ps(stack, points, stop_error):
     inv = np.concatenate([inverses(H, np.ones(N, dtype=int), point.rho) for point in points])
     rho = _rho_rows(points, N, d)  # each point's rho at every element it multiplies
     lam = np.zeros((P, N, d))
-    traces = _Traces(stack, points, stop_error)
-    models, centers = np.zeros((TRACE_BLOCK, P * N, d)), np.empty((TRACE_BLOCK, P, 1, d))
-    rows = np.arange(P * N)
-
-    payload = FULL_PRECISION_BITS * d
-    energy_per_iter = [sum([message_energy(payload, point.energy_model.share(N), 1.0)] * N) for point in points]
-
-    def steps(p, n, totals):
-        bits, joules, _ = totals
-        out = []
-        for _ in range(n):
-            bits += N * payload
-            joules += energy_per_iter[p]
-            out.append((bits, joules, 0))
-        return out
-
-    def flush(n) -> bool:
-        return traces.flush(n, models, rows, lambda n: (models[:n].reshape(n, P, N, d) - centers[:n], steps))
+    traces = _Traces(stack, points, stop_error, P * N + P)  # the workers' rows, then each point's centre z
+    workers = np.arange(P * N)
+    traces.use(workers, np.stack([workers, P * N + workers // N]), [N])  # edges worker -> centre, one band
 
     two_g = np.tile(2.0 * g, (P, 1, 1))
     # work: the rhs, then the centre's addends, then the dual step
     work, rho_z = np.empty((P, N, d)), np.empty((P, 1, d))
     z = np.zeros((P, 1, d))  # the last centre of each point, a row against its workers
-    thetas = tuple(models.reshape(TRACE_BLOCK, P, N, d))
-    cols = tuple(models[..., None])  # column stacks for np.matmul
+    # per history row: the workers' models, as column stacks for np.matmul, and the centres
+    blocks = [(m[:P * N].reshape(P, N, d), m[:P * N, :, None], m[P * N:].reshape(P, 1, d)) for m in traces.models]
     work_col, rho_row = work.reshape(P * N, d, 1), rho[:, :1]
-    slot = 0  # this iteration's row of the history block
     for _ in range(max(point.iters for point in points)):
-        theta, centre = thetas[slot], centers[slot]
+        theta, col, centre = blocks[traces.slot]
         np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho_row, out=rho_z), out=work)
-        np.matmul(inv, work_col, out=cols[slot])
+        np.matmul(inv, work_col, out=col)
         np.add(theta, np.divide(lam, rho, out=work), out=work)
         z = np.divide(np.add.reduce(work, axis=1, keepdims=True, out=centre), N, out=centre)  # what np.mean computes
         dual_update(lam, theta, z, rho, work)
-        slot += 1
-        if slot == TRACE_BLOCK:
-            slot = 0
-            if flush(TRACE_BLOCK):
-                return traces.traces
-    flush(slot)
+        if traces.advance():
+            break
+    traces.flush()
     return traces.traces
 
 
@@ -466,8 +491,6 @@ class _Phase:
     diff: np.ndarray  # (P*k, d) the update a censoring test measures
     norm: np.ndarray  # (P*k,) its length
     changed: np.ndarray  # (P*k, d) bool, new != last
-    energy: list[float]  # per point, Joules per message at this group's bandwidth share
-    firsts: list[int]  # per point, the first of its k rows
 
 
 def _src_rows(N, E):
@@ -477,10 +500,11 @@ def _src_rows(N, E):
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
-def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho):
+def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
     """The head and tail phases of `topology` at every point, its (P, N)
     table of each point's worker rows, and the (2, P*E) rows of each
-    point's edges' left and right ends."""
+    point's edges' left and right ends; `traces` reads its blocks in this
+    layout from then on."""
     P, N, d, E = len(points), topology.n, stack.dim, len(topology.edges)
     edges = [(u - 1, v - 1) for u, v in topology.edges]
     groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
@@ -506,7 +530,7 @@ def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_h
         padded = [[p * N + n, *slots[p][n]] + [minus_zero, plus_zero] * (D - degree[n])
                   for p in range(P) for n in members]
         rows, terms = slice(P * start, P * (start + k)), np.empty((2 * D + 1, P * k, d, 1))
-        new = tuple(models[:, rows])
+        new = tuple(traces.models[:, rows])
         phases.append(_Phase(
             inv=inv_cache[degree][:, members].reshape(P * k, d, d),
             idx=np.array(padded, dtype=np.intp).T.copy(),
@@ -515,7 +539,7 @@ def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_h
             rhs=np.empty((P * k, d, 1)),
             new=new,
             cols=tuple(m[..., None] for m in new),
-            send=tuple(sends[:, rows]),
+            send=tuple(traces.sends[:, rows]),
             last=theta_hat[rows],
             pull=pull[rows],
             rho=rho[:, :k].reshape(P * k, d),
@@ -523,13 +547,12 @@ def _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_h
             diff=np.empty((P * k, d)),
             norm=np.empty(P * k),
             changed=np.empty((P * k, d), dtype=bool),
-            energy=[message_energy(payload, point.energy_model.share(k), 1.0)
-                    for point, payload in zip(points, payloads)],
-            firsts=[P * start + p * k for p in range(P)],
         ))
         start += k
     ends = [[row[p][end[side]] for p in range(P) for end in edges] for side in (0, 1)]
-    return phases, np.array(row, dtype=np.intp), np.array(ends, dtype=np.intp)
+    row, ends = np.array(row, dtype=np.intp), np.array(ends, dtype=np.intp)
+    traces.use(row.ravel(), ends, [len(members) for members in groups])
+    return phases, row, ends
 
 
 def _chain_duals(order, stack, theta, row):
@@ -564,59 +587,26 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
     rho_edges = rho[:, :E].reshape(P * E, d)
     quantized, censored = points[0].quantizer is not None, points[0].censor is not None
     censors = [point.censor for point in points]
-    payloads = [FULL_PRECISION_BITS * d if point.quantizer is None else point.quantizer.payload_bits(d)
-                for point in points]
     q_rngs = [child_rng(seed, 1) for _ in points]
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    traces = _Traces(stack, points, stop_error)
-    models = np.zeros((TRACE_BLOCK, P * N, d))
-    sends = np.empty((TRACE_BLOCK, P * N), dtype=bool)  # the rows that transmitted in each iteration
-    phases, row, ends = _phases(topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho)
+    traces = _Traces(stack, points, stop_error, P * N)
+    phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
 
-    def block(n):
-        done = models[:n]
-        gaps = done[:, ends[0]]
-        gaps -= done[:, ends[1]]
-        # messages sent by each phase at each point in each iteration, phase by phase
-        sent = np.add.reduceat(sends[:n], [f for ph in phases for f in ph.firsts], axis=1, dtype=np.intp).tolist()
-
-        def steps(p, n, totals):
-            bits, joules, censored = totals
-            payload, out = payloads[p], []
-            energy = [(g * P + p, ph.energy[p], len(ph.norm) // P) for g, ph in enumerate(phases)]
-            for counts in sent[:n]:
-                for at, e, k in energy:
-                    n_sent = counts[at]
-                    bits += payload * n_sent
-                    for _ in range(n_sent):
-                        joules += e
-                    censored += k - n_sent
-                out.append((bits, joules, censored))
-            return out
-
-        return gaps.reshape(n, P, E, d), steps
-
-    def flush(n) -> bool:
-        return traces.flush(n, models, row.ravel(), block)
-
-    slot = 0  # this iteration's row of the history block
     for k in range(max(point.iters for point in points)):
         if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
-            theta = models[slot - 1]  # the last iteration's models (row 15 when a flush just emptied the block)
-            if flush(slot):  # the gaps so far are across the old chain's edges
-                return traces.traces
-            slot = 0
+            theta = traces.models[traces.slot - 1]  # the last iteration's (row 15 when a flush just emptied the block)
+            if traces.flush():  # the gaps so far are across the old chain's edges
+                break
             topology = rechain(topology, k, seed)
             old_row = row
-            phases, row, ends = _phases(
-                topology, stack, points, payloads, inv_cache, models, sends, theta_hat, pull, rho
-            )
+            phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
             perm = np.empty(P * N, dtype=np.intp)
             perm[row.ravel()] = old_row.ravel()  # new row r holds old row perm[r]
             theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
             lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
             np.negative(lam, out=neg_lam)
 
+        slot = traces.slot
         if censored:
             thresholds = [censor.threshold(k) for censor in censors]
         for ph in phases:
@@ -629,9 +619,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
                 new = quantize_step(new, last, q_rngs, ph.quantize)
             if censored:
                 censor_mask(new, last, thresholds, ph.diff, ph.norm, send)
-            elif k == 0:
-                send[...] = True
-            else:
+            elif k:  # the first iteration sends every row, as `sends` starts
                 np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=1, out=send)
             sent = int(np.count_nonzero(send))
             if sent:
@@ -645,10 +633,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
         theta_hat.take(ends, axis=0, out=end_hat, mode="clip")
         dual_update(lam, left_hat, right_hat, rho_edges, left_hat)
         np.negative(lam, out=neg_lam)
-        slot += 1
-        if slot == TRACE_BLOCK:
-            slot = 0
-            if flush(TRACE_BLOCK):
-                return traces.traces
-    flush(slot)
+        if traces.advance():
+            break
+    traces.flush()
     return traces.traces

@@ -36,7 +36,7 @@ import numpy as np
 from . import learning as L
 from . import placement as P
 from . import radio as R
-from .core import make_rng
+from .core import make_rng, sequential_sum
 from .scenario import Point, Scenario, point_path
 
 
@@ -247,7 +247,7 @@ def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]
         for k in range(len(trace))
     ]
     learning_energy = trace.joules_cum[-1]
-    ledger_energy = sum([record[1]] * records)  # record by record; an int 0 (written 0) without a ledger
+    ledger_energy = sequential_sum([record[1]] * records)  # record by record; an int 0 (written 0) without a ledger
     summary = [placement_energy, learning_energy, ledger_energy, records,
                placement_energy + learning_energy + ledger_energy]
     return [("", INTEGRATED_HEADER, rows), ("_summary", SUMMARY_HEADER, [summary])]

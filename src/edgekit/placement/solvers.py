@@ -24,12 +24,13 @@ import time
 
 import numpy as np
 
+from ..core import sequential_sum
 from .model import AppGraph, Assignment, Infeasible, NetGraph, TimeBudgetExceeded, evaluate_assignment
 
 
 def _feasibility_precheck(app: AppGraph, net: NetGraph) -> None:
-    total_demand = sum(c.resources for c in app.components)
-    total_supply = sum(n.resources for n in net.nodes)
+    total_demand = sequential_sum(c.resources for c in app.components)
+    total_supply = sequential_sum(n.resources for n in net.nodes)
     if total_demand > total_supply:
         raise Infeasible(
             f"total component demand {total_demand} exceeds total node resources {total_supply}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import is_int, is_number
+from ..core import is_int, is_number, sequential_sum
 
 
 class UnstableConfig(ValueError):
@@ -215,8 +215,8 @@ class LatencyEnergyBreakdown:
 
     @property
     def total_latency(self) -> float:
-        return sum(self.latency.values())
+        return sequential_sum(self.latency.values())
 
     @property
     def total_energy(self) -> float:
-        return sum(self.energy.values())
+        return sequential_sum(self.energy.values())

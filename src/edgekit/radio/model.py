@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import fixed_point
+from ..core import fixed_point, sequential_sum
 from .config import (
     DltConfig,
     LatencyEnergyBreakdown,
@@ -42,7 +42,7 @@ def reservation_probability(config: RadioConfig) -> tuple[float, float]:
 
     def total(x: float) -> float:
         q = 1.0 - p_d * math.exp(-x / K)
-        return lam_a * sum([q**l for l in attempts])
+        return lam_a * sequential_sum([q**l for l in attempts])
 
     lam_tot = fixed_point(total, lam_a)
     p_rr = p_d * math.exp(-lam_tot / K)
@@ -64,7 +64,7 @@ def latency_rr(config: RadioConfig, P_rr: float) -> float:
     if not 0.0 < P_rr <= 1.0:
         raise ValueError("P_rr must be in (0, 1]")
     per_attempt = latency_ra(config) + latency_rar(config)
-    return sum(
+    return sequential_sum(
         (1.0 - P_rr) ** (l - 1) * P_rr * l * per_attempt
         for l in range(1, config.N_rmax + 1)
     )
@@ -119,7 +119,7 @@ def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, flo
     e_sync = power.P_l * radio.L_sync
     e_rar = power.P_l * latency_rar(radio)
     e_ra = (latency_ra(radio) - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
-    e_rr = sum(
+    e_rr = sequential_sum(
         (1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar)
         for l in range(1, radio.N_rmax + 1)
     )

@@ -205,15 +205,12 @@ def _check_message_energy(block: dict, errors: list[str]) -> None:
     dearest message is one of its largest group: all workers for ps-admm,
     the ceil(workers / 2) heads or tails of either topology otherwise.
     """
-    from .learning import CommEnergyModel, QuantizerConfig, message_energy
-    from .learning.runner import FULL_PRECISION_BITS
+    from .learning import CommEnergyModel, QuantizerConfig, Setting, message_energy
 
     variant, workers, dim = block["variant"], block["workers"], block["dim"]
     senders = workers if variant == "ps-admm" else math.ceil(workers / 2)
-    if variant == "cq-ggadmm":
-        payload = QuantizerConfig(bits=block["quantizer_bits"]).payload_bits(dim)
-    else:
-        payload = FULL_PRECISION_BITS * dim
+    quantizer = QuantizerConfig(bits=block["quantizer_bits"]) if variant == "cq-ggadmm" else None
+    payload = Setting(quantizer=quantizer).payload_bits(dim)
     channel = CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]).share(senders)
     try:
         joules = message_energy(payload, channel, 1.0)  # the run's channel gains are all 1

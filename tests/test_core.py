@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from edgekit.core import (
     is_int,
     is_number,
     make_rng,
+    sequential_sum,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "edgekit"
 
 
 @pytest.mark.parametrize("value, integer, number", [
@@ -65,3 +70,22 @@ class TestFixedPoint:
             fixed_point(lambda x: x, 0.0, tol=0.0)
         with pytest.raises(ValueError):
             fixed_point(lambda x: x, 0.0, max_iter=0)
+
+
+def test_sequential_sum_adds_in_order():
+    # compensated summation (builtin sum from Python 3.12) gives 1.0
+    assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+    assert sequential_sum([]) == 0 and type(sequential_sum([])) is int
+    assert sequential_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+
+
+def test_no_builtin_sum_in_src():
+    # builtin sum() of floats rounds differently from Python 3.12 on, so a
+    # reported float adds with sequential_sum instead
+    calls = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

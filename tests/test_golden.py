@@ -92,7 +92,7 @@ LEARNING_SWEEPS = {
     ),
     "ps-admm-rho": (
         {"variant": "ps-admm", "workers": 6, "dim": 3, "samples": 10, "iters": 120}, "learning.rho", [0.7, 1.3],
-        "f7ce30bd5538525f588ad40e556a61663b530f5cde3e72cf7be614e919649b3a",
+        "25e60804ccb9d0dc6f1516a57804b7c5edefa6e1b32c24a0b93576e70efb8805",
     ),
     "ggadmm-iters": (
         {"variant": "ggadmm", **BIPARTITE}, "learning.iters", [5, 40, 17],

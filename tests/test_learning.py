@@ -732,7 +732,7 @@ def _pinned_run(variant):
 # these pin each variant's floats to the last bit: a refactor that reorders
 # one sum or swaps one BLAS call for another changes them.
 TRACE_DIGESTS = {
-    "ps-admm": "f743c1c7e4a5b720183f7c718d0d31fa61120f2bad9b58afeb565f982de7988d",
+    "ps-admm": "bc6933c3cc7fe767e1e8ab80dfa316e25b12d958ce6563412ff2dec64ca49e38",
     "gadmm": "854fd992ec106cfc441485d1f2676ecb3875e96be5f32a8f5ba9cffd1ed19828",
     "d-gadmm": "e6d450e49027246d91a79f20f21d9293d736c5bf773fea0fa54c109cde714af0",
     "ggadmm": "dcac81401a1c14ee5a28131f7d5983c9bbe31d111ad812dea6e5265bc7d5737f",
@@ -771,7 +771,7 @@ BENCHMARK_SIZE_DIGESTS = {
     "cq-ggadmm": "8b36c19ef8b43861a38a0097d4273054f95756cc2bc70f8b8f05519759a1a9f2",
     "gadmm": "a55742a445c03f9db0979c4f660971c1c2f17bd3f6cd1ad2c50650a2668fe9bf",
     "d-gadmm": "7cb44496d47407d4b282263c5213c0d0e315d34149c8ded0d1f570ee75c7950c",
-    "ps-admm": "f9aedfacbec9802f7e974e56b9390d668e393dd6ae9fbe1ec1aceeeb03d57a3a",
+    "ps-admm": "e07722a4a4f2182aeb9bfe3c6e1c134f5802a397d81830753223000613095237",
 }
 
 
@@ -802,7 +802,7 @@ def _edge_run(case):
 # in another order changes the star's, and a centre step that sums ps-admm's
 # single column in another order changes "star:ps-admm".
 EDGE_RUN_DIGESTS = {
-    "star:ps-admm": "dc3f031a416d2de82532d54554bb2fc752acceb998a7a8fed46a51050c0916fa",
+    "star:ps-admm": "5e1fcd93d10a3d2b2c7e2fa2129ad77c54a741a4c4bddb126908aacce0a5f5a3",
     "star:ggadmm": "7cff72ff62aa329ed85a6f1081b8e7e449b41203273b52b5dfbeed6234041059",
     "star:c-ggadmm": "9b6e80433bfd31c682960a49131522c6fb2f93d9894dbb1ba094c59be1759a24",
     "star:cq-ggadmm": "9c7cb0001ff373ebd8d0f0f3e41e09e11fa7f5adba7c7b40a64de29f0a222be6",
@@ -895,19 +895,19 @@ LOOP_DIGESTS = {
     "trace:d-gadmm": "85bb823da1e447e9eba854466df5ef6945c90a7564e50db4a9063d41ae11e8c6",
     "trace:gadmm": "f75d1585e8b7e2da3fcb77027571e88753ecf1775de32a3040230617059fe578",
     "trace:ggadmm": "58721dddfd27e1900c66dc18ff501e536a012a4a5ecc0f37eb99c42daf74f5bc",
-    "trace:ps-admm": "534421b4d22484e20dbf263f998646cf7d945c032ae4e99917985e94bc4406cb",
+    "trace:ps-admm": "181f395d050b5c843edee269af30a7930b805e7fc87c4930bc0648881852fb89",
     "benchmark:c-ggadmm": "94361cf0bd14d71d616e254bacfd5186b2f341dd88f9fb85cce66588bc9f2e67",
     "benchmark:cq-ggadmm": "34bc969486f624c1af83afaa693c82916ba7c180f594059342f78b2f00709cab",
     "benchmark:d-gadmm": "984c6c26b8941f63df7b070545485fd07cdfd62eaf55fd63ae71f00739270aae",
     "benchmark:gadmm": "0e05aff00af224d5712aa4deb9720b47f81c2a0dbc00e8f6368f56d559456ed1",
     "benchmark:ggadmm": "adc73841982482064d1fe1327c943da99c6d9b7253469138790963bfed3387ec",
-    "benchmark:ps-admm": "a4866c36b7135a1560f57dc81d4df71f6215cd8086834a8f40d4bbf5ac464092",
+    "benchmark:ps-admm": "0da5a1a72128e08105e7c8cd67ce705fa80a149cb06027df0947ebd49137d4e9",
     "edge:chain2:gadmm": "fef8f85b45b13f29a3eaed28472946f68e41a6fcd622a0cf481d7c68b438f3aa",
     "edge:chain3:gadmm": "ff8d4870aacdee3cf2afd5a93fd957906ec16264f414ea7c3cf96f3fc55eb2be",
     "edge:star:c-ggadmm": "5aa2a2a443cd5354fd2796e105a895715e6e362e657efb390678fedb51c2b2e6",
     "edge:star:cq-ggadmm": "d62bb22fc8af44c5ab21d3cb9f7a41726813efbb063d0fbc475a9dd008944a96",
     "edge:star:ggadmm": "01864bfa66224ab13df3e0144ee557e6389347ed48fadd01fb6a3366e14d5ff2",
-    "edge:star:ps-admm": "37a1ba12ba33a8d0a07794f84f0b8add599ea9f4840079a26bd4accf9e9a021c",
+    "edge:star:ps-admm": "d6089ae43f01070972d43024bdae92a6e7c88a611f3c472f06745786dd681d9a",
     "send:bipartite6:c-ggadmm": "6218c8bf59784f9773caf6b1e99c6ff86c34bc9b316b4dbad29420b3fbdb2567",
     "send:chain4:cq-ggadmm": "2a51baeeed0e58de8b74ad37fed6abdca6a720ce4baa1ab0d6ceb12db644d6af",
     "send:chain4:gadmm": "98ce3770c406947490c1b1bc9ac5bad8ca20e7875a7bf61046b82b02e3f480b7",
@@ -940,4 +940,17 @@ PS_ADMM_NO_JOULES_DIGESTS = {
 def test_ps_admm_columns_but_joules_pinned(case):
     table, name = case.split(":", 1)
     assert _no_joules_digest(PINNED_RUNS[table](name)) == PS_ADMM_NO_JOULES_DIGESTS[case]
+
+
+def test_ps_admm_prices_each_message_on_its_own():
+    # the pinned run's N = 6 workers send one full-precision model each per
+    # iteration, and the trace adds their Joules one message at a time
+    trace, N, d = _pinned_run("ps-admm"), 6, 3
+    energy, joules, expected = message_energy(32 * d, CommEnergyModel().share(N), 1.0), 0.0, []
+    for _ in range(len(trace)):
+        for _ in range(N):
+            joules += energy
+        expected.append(joules)
+    assert len(expected) == 120
+    assert trace.joules_cum == expected
 
