@@ -357,13 +357,13 @@ class _Traces:
     (see The trace above), each point's trace, its running (bits, joules,
     censored) totals and the iterations it has still to report."""
 
-    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None, rows: int):
+    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None, model_rows: int):
         self.stack, self.points, self.stop_error = stack, points, stop_error
         self.traces = [TrainingTrace() for _ in points]
         self.totals = [(0.0, 0.0, 0)] * len(points)
         self.left = [point.iters for point in points]
         self.payloads = [point.payload_bits(stack.dim) for point in points]
-        self.models = np.zeros((TRACE_BLOCK, rows, stack.dim))
+        self.models = np.zeros((TRACE_BLOCK, model_rows, stack.dim))
         self.sends = np.ones((TRACE_BLOCK, len(points) * stack.n), dtype=bool)
         self.slot = 0  # this iteration's row of the history blocks
 
