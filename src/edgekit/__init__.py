@@ -10,7 +10,7 @@ Sub-packages:
 Top-level modules:
 
     core        integer and finite-number checks, seeded RNG streams,
-                fixed-point iterator, YAML loader
+                ordered sum, YAML loader
     scenario    experiment description files (YAML) and their validation
     pipeline    scenario execution and deterministic CSV reports
     cli         the `edgekit` command

@@ -1,6 +1,5 @@
 """Checks for integer and finite-number fields, seeded randomness, a
-fixed-point iterator, a strictly ordered sum, and the YAML loader for
-scenario and instance files.
+strictly ordered sum, and the YAML loader for scenario and instance files.
 
 The random generator is numpy's PCG64 (O'Neill's permuted congruential
 generator, 128-bit state).  PCG64 has a published state-transition function
@@ -20,7 +19,6 @@ __all__ = [
     "is_number",
     "make_rng",
     "child_rng",
-    "fixed_point",
     "NonConvergence",
     "sequential_sum",
     "load_yaml",
@@ -66,25 +64,6 @@ class NonConvergence(RuntimeError):
         super().__init__(f"no fixed point after {max_iter} iterations (last x={last_value})")
         self.max_iter = max_iter
         self.last_value = last_value
-
-
-def fixed_point(f, x0: float, tol: float = 1e-9, max_iter: int = 100_000) -> float:
-    """Iterate x <- f(x) until |f(x) - x| <= tol.
-
-    Raises NonConvergence when max_iter is exhausted; the caller decides
-    whether that is fatal.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    x = float(x0)
-    for _ in range(max_iter):
-        fx = float(f(x))
-        if abs(fx - x) <= tol:
-            return fx
-        x = fx
-    raise NonConvergence(max_iter, x)
 
 
 def sequential_sum(values):

@@ -26,7 +26,6 @@ keeping the default output a pure function of (scenario, seed).
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from pathlib import Path
@@ -41,22 +40,21 @@ from .scenario import Point, Scenario, point_path
 
 
 def _fmt(x) -> str:
-    if type(x) is float:
-        return repr(x)
-    if isinstance(x, bool):
-        return str(int(x))
+    """A cell that is not a float: an integer (a bool as 0 or 1) or another
+    real number."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    """The header and rows as comma-separated lines ending in CRLF, the
+    bytes csv.writer writes: no header or cell holds a comma, a quote or a
+    line break, so none is quoted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+    lines = [",".join(header)]
+    lines += [",".join([repr(x) if type(x) is float else _fmt(x) for x in row]) for row in rows]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
     return path
 
 

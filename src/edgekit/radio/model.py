@@ -9,12 +9,19 @@ approximation: backlog means are treated as constants and iterated to a
 fixed point.  The data-queue latencies are `config.latency_tx` and
 `config.latency_rx`, the kernels RadioConfig checks its own stability with;
 here they also price the ledger's block messages.
+
+Every term is scalar `math` on Python floats, never numpy.  numpy's SIMD
+exp and power round differently from libm on some CPUs: on an AVX-512 host
+`np.exp` differed from `math.exp` on 4.6 % of 2 million inputs, and a
+fixed point priced with `np.exp` and `np.power` moved P_rr at 26 and 18 of
+the 300 points of the two dense `radio.t` sweeps the tests pin, so the
+reported CSVs would depend on the CPU.
 """
 from __future__ import annotations
 
 import math
 
-from ..core import fixed_point, sequential_sum
+from ..core import NonConvergence
 from .config import (
     DltConfig,
     LatencyEnergyBreakdown,
@@ -24,6 +31,8 @@ from .config import (
     latency_tx,
 )
 
+_MAX_STEPS = 100_000  # of the reservation fixed point
+
 
 def reservation_probability(config: RadioConfig) -> tuple[float, float]:
     """Steady-state (P_rr, lambda_tot) of the drift approximation.
@@ -32,21 +41,27 @@ def reservation_probability(config: RadioConfig) -> tuple[float, float]:
     lambda_a * (1-P_rr)^(l-1) contenders at attempt l = 1..N_rmax, so the
     total contention rate is the fixed point of
 
-        x = lambda_a * sum_{l=1}^{N_rmax} (1 - P_rr(x))^(l-1).
+        x = lambda_a * sum_{l=1}^{N_rmax} (1 - P_rr(x))^(l-1),
+
+    iterated from x = lambda_a until one step moves it by at most 1e-9.
+    Raises NonConvergence after 100 000 steps.
     """
-    lam_a = config.lambda_a
+    lam_a = float(config.lambda_a)
     p_d, K = config.p_d, config.K
     if lam_a == 0.0:
         return p_d, 0.0
     attempts = range(config.N_rmax)
-
-    def total(x: float) -> float:
+    x = lam_a
+    for _ in range(_MAX_STEPS):
         q = 1.0 - p_d * math.exp(-x / K)
-        return lam_a * sequential_sum([q**l for l in attempts])
-
-    lam_tot = fixed_point(total, lam_a)
-    p_rr = p_d * math.exp(-lam_tot / K)
-    return p_rr, lam_tot
+        total = 0
+        for l in attempts:  # in order, as core.sequential_sum adds (not builtin sum)
+            total += q**l
+        lam_tot = lam_a * total
+        if abs(lam_tot - x) <= 1e-9:
+            return p_d * math.exp(-lam_tot / K), lam_tot
+        x = lam_tot
+    raise NonConvergence(_MAX_STEPS, x)
 
 
 def latency_ra(config: RadioConfig) -> float:
@@ -59,15 +74,26 @@ def latency_rar(config: RadioConfig) -> float:
     return 0.5 * config.d + 0.5 * config.Q * config.f * config.u + config.u
 
 
-def latency_rr(config: RadioConfig, P_rr: float) -> float:
-    """Expected resource-reservation latency over up to N_rmax attempts."""
+def _attempt_weights(P_rr: float, N_rmax: int) -> list[float]:
+    """(1-P_rr)^(l-1) * P_rr, the chance that attempt l = 1..N_rmax is the
+    first to succeed: the weights of both reservation sums."""
     if not 0.0 < P_rr <= 1.0:
         raise ValueError("P_rr must be in (0, 1]")
-    per_attempt = latency_ra(config) + latency_rar(config)
-    return sequential_sum(
-        (1.0 - P_rr) ** (l - 1) * P_rr * l * per_attempt
-        for l in range(1, config.N_rmax + 1)
-    )
+    miss = 1.0 - P_rr
+    return [miss**l * P_rr for l in range(N_rmax)]
+
+
+def _rr_latency(weights: list[float], per_attempt: float) -> float:
+    total = 0
+    for l, weight in enumerate(weights, 1):
+        total += weight * l * per_attempt
+    return total
+
+
+def latency_rr(config: RadioConfig, P_rr: float) -> float:
+    """Expected resource-reservation latency over up to N_rmax attempts."""
+    weights = _attempt_weights(P_rr, config.N_rmax)
+    return _rr_latency(weights, latency_ra(config) + latency_rar(config))
 
 
 def pow_latency(dlt: DltConfig) -> float:
@@ -92,70 +118,47 @@ def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> fl
 
 
 def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
-    """Latency of the post-mining block messages."""
-    up_new, up_trans, down_get = (_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
-    return up_new + up_trans + down_get
-
-
-def _latency_terms(radio, dlt, l_rr, l_tx, l_rx, l_block) -> dict[str, float]:
-    lat = {
-        "sync_up": radio.L_sync,
-        "rr_up": l_rr,
-        "tx_up": l_tx,
-        "sync_down": radio.L_sync,
-        "rr_down": l_rr,
-        "rx_down": l_rx,
-    }
-    if dlt is not None:
-        lat["pow"] = pow_latency(dlt)
-        lat["block_exchange"] = l_block
-    return lat
-
-
-def _energy_terms(radio, power, dlt, P_rr, l_tx, l_rx, l_block) -> dict[str, float]:
-    # The reservation-energy sum intentionally omits the attempt-multiplicity
-    # factor carried by the latency sum: both formulas are reproduced exactly
-    # as stated by the source model.
-    e_sync = power.P_l * radio.L_sync
-    e_rar = power.P_l * latency_rar(radio)
-    e_ra = (latency_ra(radio) - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
-    e_rr = sequential_sum(
-        (1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar)
-        for l in range(1, radio.N_rmax + 1)
-    )
-    service_up = radio.l1 / (radio.R_u * radio.w)
-    e_tx = (l_tx - service_up) * power.P_I + (power.P_c + power.P_e * power.P_t) * service_up
-    service_down = radio.m1 / (radio.R_d * radio.y)
-    e_rx = (l_rx - service_down) * power.P_I + power.P_l * service_down
-    en = {
-        "sync_up": e_sync,
-        "rr_up": e_rr,
-        "tx_up": e_tx,
-        "sleep_up": power.E_s_up,
-        "sync_down": e_sync,
-        "rr_down": e_rr,
-        "rx_down": e_rx,
-        "sleep_down": power.E_s_down,
-    }
-    if dlt is not None:
-        # the mining race is powered by the miner's compute draw, not the
-        # device profile
-        en["pow"] = dlt.P_c * pow_latency(dlt)
-        en["block_exchange"] = power.P_t * l_block
-    return en
+    """Latency of the post-mining block messages, in _BLOCK_MESSAGES' order."""
+    new, trans, get = dlt.new_block_bits, dlt.trans_block_bits, dlt.get_block_bits
+    return latency_tx(config, new, new**2) + latency_tx(config, trans, trans**2) + latency_rx(config, get, get**2)
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
     """Latency and energy terms together, each shared term computed once.
 
     The queue latencies are priced by both halves: the latency half directly,
-    the energy half as idle time around the service time.
+    the energy half as idle time around the service time.  Both reservation
+    sums weigh attempt l by the chance that it is the first to succeed.
     """
     p_rr, _ = reservation_probability(radio)
-    l_rr = latency_rr(radio, p_rr)
+    weights = _attempt_weights(p_rr, radio.N_rmax)
+    l_ra, l_rar = latency_ra(radio), latency_rar(radio)
+    l_rr = _rr_latency(weights, l_ra + l_rar)
     l_tx, l_rx = latency_tx(radio, radio.l1, radio.l2), latency_rx(radio, radio.m1, radio.m2)
-    queues = l_tx, l_rx, None if dlt is None else _block_exchange_latency(radio, dlt)
-    return LatencyEnergyBreakdown(
-        latency=_latency_terms(radio, dlt, l_rr, *queues),
-        energy=_energy_terms(radio, power, dlt, p_rr, *queues),
-    )
+
+    # The reservation-energy sum intentionally omits the attempt-multiplicity
+    # factor carried by the latency sum: both formulas are reproduced exactly
+    # as stated by the source model.
+    P_l, P_I, tau = power.P_l, power.P_I, radio.tau
+    P_send = power.P_c + power.P_e * power.P_t
+    e_sync = P_l * radio.L_sync
+    e_attempt = ((l_ra - tau) * P_I + tau * P_send) + P_l * l_rar
+    e_rr = 0
+    for weight in weights:
+        e_rr += weight * e_attempt
+    service_up = radio.l1 / (radio.R_u * radio.w)
+    e_tx = (l_tx - service_up) * P_I + P_send * service_up
+    service_down = radio.m1 / (radio.R_d * radio.y)
+    e_rx = (l_rx - service_down) * P_I + P_l * service_down
+
+    lat = {"sync_up": radio.L_sync, "rr_up": l_rr, "tx_up": l_tx,
+           "sync_down": radio.L_sync, "rr_down": l_rr, "rx_down": l_rx}
+    en = {"sync_up": e_sync, "rr_up": e_rr, "tx_up": e_tx, "sleep_up": power.E_s_up,
+          "sync_down": e_sync, "rr_down": e_rr, "rx_down": e_rx, "sleep_down": power.E_s_down}
+    if dlt is not None:
+        l_pow, l_block = pow_latency(dlt), _block_exchange_latency(radio, dlt)
+        lat["pow"], lat["block_exchange"] = l_pow, l_block
+        # the mining race is powered by the miner's compute draw, not the
+        # device profile
+        en["pow"], en["block_exchange"] = dlt.P_c * l_pow, power.P_t * l_block
+    return LatencyEnergyBreakdown(latency=lat, energy=en)

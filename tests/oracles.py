@@ -3,20 +3,23 @@ check the closed forms, the solvers and the buffered kernels of edgekit.
 
 They simulate the actual random processes (slotted preamble contention with
 backoff; the mining race), enumerate every assignment, or compute a kernel
-the plain allocating way or in its direct form, and are kept independent of
-the code they check.
+the plain allocating, generic or library way or in its direct form, and are
+kept independent of the code they check.
 """
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from edgekit.core import make_rng
+from edgekit.core import NonConvergence, make_rng, sequential_sum
 from edgekit.learning import QuantizerConfig
 from edgekit.placement import AppGraph, Assignment, Infeasible, NetGraph, evaluate_assignment
-from edgekit.radio import RadioConfig
+from edgekit.radio import PowerProfile, RadioConfig, latency_ra, latency_rar
 
 BACKOFF_WINDOW = 10  # periods; steady-state success rate is insensitive to it
 DRAW_BLOCK = 1 << 16  # random numbers drawn per numpy call
@@ -72,6 +75,70 @@ def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: i
     if attempts == 0:
         return float(p_d)
     return successes / attempts
+
+
+def fixed_point(f, x0: float, tol: float = 1e-9, max_iter: int = 100_000) -> float:
+    """Iterate x <- f(x) from float(x0) until |f(x) - x| <= tol; raise
+    NonConvergence after max_iter steps."""
+    x = float(x0)
+    for _ in range(max_iter):
+        fx = float(f(x))
+        if abs(fx - x) <= tol:
+            return fx
+        x = fx
+    raise NonConvergence(max_iter, x)
+
+
+def reservation_probability_generic(config: RadioConfig) -> tuple[float, float]:
+    """(P_rr, lambda_tot) by the generic `fixed_point` over a closure that
+    adds each step's attempt terms from a list with `sequential_sum`: the
+    reference for edgekit's own reservation loop."""
+    lam_a = config.lambda_a
+    p_d, K = config.p_d, config.K
+    if lam_a == 0.0:
+        return p_d, 0.0
+    attempts = range(config.N_rmax)
+
+    def total(x: float) -> float:
+        q = 1.0 - p_d * math.exp(-x / K)
+        return lam_a * sequential_sum([q**l for l in attempts])
+
+    lam_tot = fixed_point(total, lam_a)
+    return p_d * math.exp(-lam_tot / K), lam_tot
+
+
+def reservation_sums(radio: RadioConfig, power: PowerProfile, P_rr: float) -> tuple[float, float]:
+    """The reservation latency and energy as two generator sums over the
+    attempts l = 1..N_rmax, each recomputing its weight (1-P_rr)^(l-1) P_rr:
+    the reference for edgekit's shared attempt weights."""
+    l_ra, l_rar = latency_ra(radio), latency_rar(radio)
+    e_ra = (l_ra - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
+    e_rar = power.P_l * l_rar
+    attempts = range(1, radio.N_rmax + 1)
+    latency = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * l * (l_ra + l_rar) for l in attempts)
+    energy = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar) for l in attempts)
+    return latency, energy
+
+
+def _csv_cell(x) -> str:
+    if type(x) is float:
+        return repr(x)
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def write_csv_module(path: Path, header: list[str], rows: list[list]) -> Path:
+    """A report written through the standard library's csv.writer: the
+    reference for edgekit's own row joiner."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_csv_cell(x) for x in row])
+    return path
 
 
 def pow_latency_oracle(M: int, lambda_c: float, trials: int = 100_000, seed: int = 0) -> float:

@@ -5,15 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgekit.core import (
-    NonConvergence,
-    child_rng,
-    fixed_point,
-    is_int,
-    is_number,
-    make_rng,
-    sequential_sum,
-)
+from edgekit.core import child_rng, is_int, is_number, make_rng, sequential_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgekit"
 
@@ -54,24 +46,6 @@ class TestRng:
         assert np.array_equal(a, again)
 
 
-class TestFixedPoint:
-    def test_contraction_to_zero(self):
-        assert abs(fixed_point(lambda x: 0.5 * x, 1.0, tol=1e-12)) < 1e-11
-
-    def test_dottie_number(self):
-        assert fixed_point(math.cos, 1.0) == pytest.approx(0.7390851332151607, abs=1e-8)
-
-    def test_non_convergence(self):
-        with pytest.raises(NonConvergence):
-            fixed_point(lambda x: x + 1, 0.0, max_iter=100)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            fixed_point(lambda x: x, 0.0, tol=0.0)
-        with pytest.raises(ValueError):
-            fixed_point(lambda x: x, 0.0, max_iter=0)
-
-
 def test_sequential_sum_adds_in_order():
     # compensated summation (builtin sum from Python 3.12) gives 1.0
     assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
@@ -79,13 +53,29 @@ def test_sequential_sum_adds_in_order():
     assert sequential_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
 
 
+def _src_nodes(root: Path = SRC):
+    """(where, node) for every syntax node of every module under `root`."""
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}", node
+
+
 def test_no_builtin_sum_in_src():
     # builtin sum() of floats rounds differently from Python 3.12 on, so a
     # reported float adds with sequential_sum instead
     calls = [
-        f"{path.relative_to(SRC)}:{node.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        where for where, node in _src_nodes()
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert calls == []
+
+
+def test_no_numpy_in_radio():
+    # numpy's SIMD exp and power may round differently from libm on some
+    # CPUs, so the radio model stays on math and its bits on the host's libm
+    imports = [
+        where for where, node in _src_nodes(SRC / "radio")
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    ]
+    assert imports == []

@@ -3,8 +3,9 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from edgekit.core import NonConvergence
 from edgekit.radio import (
     DltConfig,
     LatencyEnergyBreakdown,
@@ -20,9 +21,17 @@ from edgekit.radio import (
     pow_latency,
     reservation_probability,
 )
-from edgekit.radio.model import _block_exchange_latency
+from edgekit.radio.model import _block_exchange_latency, _block_message_latency
 
-from oracles import monte_carlo_reservation, pow_latency_oracle
+from oracles import (
+    monte_carlo_reservation,
+    pow_latency_oracle,
+    reservation_probability_generic,
+    reservation_sums,
+)
+
+# arrivals per period as a scenario file gives them: a YAML integer or float
+_rates = st.one_of(st.integers(0, 40), st.floats(0.0, 40.0))
 
 
 class TestCollision:
@@ -77,6 +86,35 @@ class TestReservation:
         p, _ = reservation_probability(cfg)
         mc = monte_carlo_reservation(cfg, periods=20_000, seed=9)
         assert abs(p - mc) <= 0.02
+
+
+class TestReservationLoop:
+    @settings(max_examples=300)
+    @given(
+        K=st.integers(1, 10_000),
+        N_rmax=st.integers(1, 12),
+        lambda_u=_rates,
+        lambda_d=_rates,
+        p_d=st.one_of(st.just(1), st.floats(1e-300, 1.0)),
+    )
+    @example(K=48, N_rmax=10, lambda_u=0, lambda_d=0, p_d=0.7)  # lambda_a = 0
+    @example(K=48, N_rmax=10, lambda_u=3, lambda_d=5, p_d=1)
+    @example(K=48, N_rmax=10, lambda_u=8.9, lambda_d=8.9, p_d=1.0)  # between two stable roots
+    @example(K=1, N_rmax=12, lambda_u=40.0, lambda_d=40.0, p_d=1e-300)
+    def test_equals_generic_iteration(self, K, N_rmax, lambda_u, lambda_d, p_d):
+        cfg = RadioConfig(K=K, N_rmax=N_rmax, lambda_u=lambda_u, lambda_d=lambda_d, p_d=p_d)
+        # repr tells every float apart bit for bit, and an int from a float
+        assert repr(reservation_probability(cfg)) == repr(reservation_probability_generic(cfg))
+
+    def test_non_convergence(self):
+        # lambda_tot overflows to inf, and inf - inf is nan: no step meets the stop rule
+        cfg = RadioConfig(lambda_u=1e308, lambda_d=0.0, N_rmax=2)
+        with pytest.raises(NonConvergence) as got:
+            reservation_probability(cfg)
+        with pytest.raises(NonConvergence) as want:
+            reservation_probability_generic(cfg)
+        assert got.value.max_iter == want.value.max_iter == 100_000
+        assert got.value.last_value == want.value.last_value == math.inf
 
 
 class TestMonteCarloOracle:
@@ -201,6 +239,41 @@ class TestBreakdowns:
             LatencyEnergyBreakdown(latency={"warp": 1.0})
         with pytest.raises(ValueError):
             LatencyEnergyBreakdown(energy={"pow": -1.0})
+
+
+class TestSharedTerms:
+    @settings(max_examples=200)
+    @given(
+        t=st.floats(0.01, 3.0),
+        K=st.integers(1, 96),
+        N_rmax=st.integers(1, 12),
+        lambda_u=_rates,
+        lambda_d=st.floats(0.0, 8.0),
+        p_d=st.floats(0.01, 1.0),
+        Q=st.floats(0.0, 5.0),
+        P_e=st.floats(0.05, 1.0),
+        P_I=st.floats(0.0, 1.0),
+        P_c=st.floats(0.0, 1.0),
+        P_l=st.floats(0.0, 1.0),
+        P_t=st.floats(0.0, 1.0),
+        new=st.floats(1.0, 8_000.0),
+        get=st.floats(1.0, 8_000.0),
+        trans=st.floats(1.0, 8_000.0),
+    )
+    def test_terms_equal_their_separate_forms(self, t, K, N_rmax, lambda_u, lambda_d, p_d, Q,
+                                              P_e, P_I, P_c, P_l, P_t, new, get, trans):
+        radio = RadioConfig(t=t, K=K, N_rmax=N_rmax, lambda_u=lambda_u, lambda_d=lambda_d, p_d=p_d, Q=Q)
+        power = PowerProfile(P_e=P_e, P_I=P_I, P_c=P_c, P_l=P_l, P_t=P_t)
+        dlt = DltConfig(new_block_bits=new, get_block_bits=get, trans_block_bits=trans)
+        b = full_breakdown(radio, power, dlt)
+        p_rr, _ = reservation_probability(radio)
+        latency, energy = reservation_sums(radio, power, p_rr)
+        assert b.latency["rr_up"] == latency_rr(radio, p_rr) == latency
+        assert b.energy["rr_up"] == energy
+        up_new, up_trans, down_get = (
+            _block_message_latency(radio, dlt, name) for name in ("new_block_bits", "trans_block_bits", "get_block_bits")
+        )
+        assert b.latency["block_exchange"] == up_new + up_trans + down_get
 
 
 def _block_exchange_terms_with_copies(config, dlt):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from edgekit import core, pipeline
 from edgekit.cli import build_parser, main
@@ -16,6 +17,8 @@ from edgekit.placement import load_instance
 from edgekit.radio import DltConfig, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
 from edgekit.scenario import ParseError, ValidationError, parse_scenario
+
+from oracles import write_csv_module
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,6 +269,33 @@ class TestRunScenario:
         assert scenario.points[0].placement["instance"][1].links[0] == (1, 2, 0.2)
         inst.unlink()  # the run reads no file
         assert run_scenario(scenario)[0].read_bytes() == expected
+
+
+_cells = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200)
+    @given(
+        header=st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True), min_size=1, max_size=6),
+        rows=st.lists(st.lists(_cells, max_size=6), max_size=5),
+    )
+    @example(header=["param", "L_total"], rows=[])
+    @example(
+        header=["a", "b", "c", "d"],
+        rows=[[-0.0, 5e-324, 1e308, 2**53 + 1], [True, np.int64(-7), np.float64(0.1), 2**64]],
+    )
+    def test_same_bytes_as_csv_module(self, header, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours = pipeline._write_csv(Path(tmp) / "ours.csv", header, rows).read_bytes()
+            theirs = write_csv_module(Path(tmp) / "theirs.csv", header, rows).read_bytes()
+        assert ours == theirs
 
 
 class TestIntegrated:
