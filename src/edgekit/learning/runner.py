@@ -104,14 +104,16 @@ of the history block and reuses one (P, N, d) work array for its rhs, its
 centre step and its dual step; a point's centre is a reduce over its N rows.
 
 The trace.  Neither loop reads it: each calls `_Traces.advance()` after an
-iteration, and `_Traces.flush()` evaluates the block's objective, residual
-and stop test in worker order when it fills, when the run ends and before a
-d-gadmm re-chain changes the edges.  `use(rows, ends, groups)` sets the
-layout: each point's worker rows, each edge's two end rows, and the sizes k
-of the band groups (P*k sends rows, point by point): the head and tail
-phases, or ps-admm's N workers, each with an edge to its point's centre.
-Every gap is models[:, ends[0]] - models[:, ends[1]], one np.add.reduceat
-over `sends` counts each group's messages, and each is priced on its own.
+iteration, and `_Traces.flush()` evaluates the block's objective and stop
+test in worker order when it fills, when the run ends and before a d-gadmm
+re-chain changes the edges.  `use(rows, ends, groups)` sets the layout:
+each point's worker rows, each edge's two end rows, and the sizes k of the
+band groups (P*k sends rows, point by point): the head and tail phases, or
+ps-admm's N workers, each with an edge to its point's centre.  One
+np.add.reduceat over `sends` counts each group's messages, and each is
+priced on its own.  The flush where a point ends takes its consensus
+residual from its last reported row i alone: the gaps models[i, left end] -
+models[i, right end] of its edges (ps-admm's are worker minus centre).
 
 Stopping.  With `stop_error` a point's trace ends at the first iteration
 whose objective error is below it, exactly as when the test ran every
@@ -153,16 +155,13 @@ run before its gemms.  Three rules keep it so:
      the same additions in the same order as the reduce makes for P > 1
      (-0.0 + x is x).  A signed-incidence matmul reorders the sum.
   3. joules is a sequential Python float sum for every variant, one
-     message at a time, and an
-     iteration's residual a strict left-to-right np.add.accumulate over
-     its gap norms (the sum a Python loop over them makes), once per
-     block: the block's gap norms are stacked calls that broadcast over
-     the block and point axes without changing the per-row BLAS call.  The
-     objective error's worker terms are added in worker order by one
-     np.add.reduce over the slow axis (rule 2; the block axis is 16 long,
-     so it is never collapsed).  ps-admm's centre is one np.add.reduce
-     over each point's workers, pairwise along a lone column exactly as in
-     a one-point run.
+     message at a time, and the final residual a strict left-to-right
+     np.add.accumulate over the point's gap norms, one ddot each (the sum a
+     Python loop over them makes).  The objective error's worker terms are
+     added in worker order by one np.add.reduce over the slow axis (rule 2;
+     the block axis is 16 long, so it is never collapsed).  ps-admm's
+     centre is one np.add.reduce over each point's workers, pairwise along
+     a lone column exactly as in a one-point run.
 """
 from __future__ import annotations
 
@@ -189,14 +188,15 @@ class ConfigMismatch(ValueError):
 
 @dataclass
 class TrainingTrace:
-    """Per-iteration record of the run (cumulative bits/Joules/censored)."""
+    """Per-iteration record of the run (cumulative bits/Joules/censored), and
+    the consensus residual of its last iteration (None for an empty trace)."""
 
     objective: list[float] = field(default_factory=list)
     objective_error: list[float] = field(default_factory=list)
     bits_cum: list[float] = field(default_factory=list)
     joules_cum: list[float] = field(default_factory=list)
     censored_cum: list[int] = field(default_factory=list)
-    residual: list[float] = field(default_factory=list)
+    final_residual: float | None = None
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -370,7 +370,7 @@ class _Traces:
     def use(self, rows: np.ndarray, ends: np.ndarray, groups: Sequence[int]) -> None:
         """Read the blocks in this layout from the next `flush` on."""
         P = len(self.points)
-        self.rows, self.ends, self.firsts, self.bands, start = rows, ends, [], [], 0
+        self.rows, self.ends, self.firsts, self.bands, start = rows, ends.reshape(2, P, -1), [], [], 0
         for k in groups:
             self.firsts += [P * start + p * k for p in range(P)]
             # Joules per message at each point with the band split k ways
@@ -394,21 +394,15 @@ class _Traces:
         """
         n, self.slot = self.slot, 0
         if n and any(self.left):
-            done, P = self.models[:n], len(self.points)
-            gaps = done[:, self.ends[0]]
-            gaps -= done[:, self.ends[1]]
-            # each iteration's residual: its gap norms added one after the other
-            norms = row_norms(gaps).reshape(n, P, -1)
-            residuals = np.add.accumulate(norms, axis=2)[..., -1].T.tolist()
             # messages sent by each band group at each point in each iteration
             sent = np.add.reduceat(self.sends[:n], self.firsts, axis=1, dtype=np.intp).tolist()
             errors = self.stack.errors(self.models, self.rows)
             for p, trace in enumerate(self.traces):
                 if self.left[p]:
-                    self._append(p, trace, errors[p][:min(n, self.left[p])], residuals[p], sent)
+                    self._append(p, trace, errors[p][:min(n, self.left[p])], sent)
         return not any(self.left)
 
-    def _append(self, p, trace, signed, residuals, sent):
+    def _append(self, p, trace, signed, sent):
         error = [abs(e) for e in signed]
         below = [] if self.stop_error is None else [i for i, e in enumerate(error) if e < self.stop_error]
         n = below[0] + 1 if below else len(error)
@@ -429,7 +423,9 @@ class _Traces:
         self.totals[p] = bits, joules, censored
         trace.objective += [self.stack.f_star + e for e in signed[:n]]
         trace.objective_error += error[:n]
-        trace.residual += residuals[:n]
+        if not self.left[p]:  # the point ends at row n-1: its gap norms added one after the other
+            last, (left, right) = self.models[n - 1], self.ends[:, p]
+            trace.final_residual = float(np.add.accumulate(row_norms(last[left] - last[right]))[-1])
 
 
 def _rho_rows(points, rows, d):

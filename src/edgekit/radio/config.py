@@ -8,7 +8,8 @@ unit, w / y the shares of uplink / downlink resources left for data after
 control scheduling, and Q the mean number of queued scheduling requests.
 They are exposed as plain documented scalars.
 
-Every field is a finite number (K, N_rmax and M integers >= 1).  Each
+Every field is a finite number (K, N_rmax and M integers >= 1), and so is
+the reservation fixed point's largest contention rate lambda_a * N_rmax.  Each
 queue formula and its stability test exist once, in `latency_tx` and
 `latency_rx`.  A RadioConfig prices its own packets (l1, l2) and (m1, m2)
 with them after its range checks, so the rule that rejects a config is the
@@ -78,6 +79,9 @@ class RadioConfig:
         for name in ("p_d", "f", "w", "y"):  # a probability and fractions of the radio resources
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
+        if not is_number((float(self.lambda_u) + self.lambda_d) * self.N_rmax):  # the fixed point's largest rate
+            name = "lambda_u" if self.lambda_u >= self.lambda_d else "lambda_d"
+            raise ValueError(f"{name} makes the largest contention rate (lambda_u + lambda_d) * N_rmax overflow")
         try:  # both queues must keep up with the config's own packets
             latency_tx(self, self.l1, self.l2)
             latency_rx(self, self.m1, self.m2)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -25,6 +26,7 @@ from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_
 from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
 from edgekit.learning.topology import InvalidN, Topology
+from edgekit.pipeline import LEARNING_HEADER
 
 from conftest import scalar_problems, synthetic_problems
 from oracles import dequantize_rows, direct_objective_error, quantize_rows
@@ -476,7 +478,7 @@ class TestRun:
         problems = scalar_problems([1, 2, 3, 4])
         topo = build_topology(4, kind="chain")
         trace = run("gadmm", problems, topo, rho=rho, iters=2000)
-        assert min(trace.residual) < 1e-4
+        assert trace.final_residual < 1e-4
 
     def test_zero_threshold_censoring_matches_plain(self):
         problems = synthetic_problems(6, 3, 10, seed=4)
@@ -568,7 +570,8 @@ class TestRun:
         assert trace.objective_error[-1] < static.objective_error[-1]
 
 
-TRACE_FIELDS = ("objective", "objective_error", "bits_cum", "joules_cum", "censored_cum", "residual")
+# the per-iteration fields of a TrainingTrace; final_residual is checked on its own
+TRACE_FIELDS = ("objective", "objective_error", "bits_cum", "joules_cum", "censored_cum")
 
 
 def _small_run(variant, iters, tau=5, stop_error=None):
@@ -614,6 +617,8 @@ class TestStopping:
             assert k == at + 1
         for name in TRACE_FIELDS:
             assert getattr(stopped, name) == getattr(full, name)[:k]
+        # the residual of the last reported iteration, not of one the loop ran past the stop
+        assert stopped.final_residual == _small_run(variant, k, tau).final_residual
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -625,6 +630,11 @@ def test_whole_blocks_end_with_an_empty_flush(variant):
         assert len(getattr(short, name)) == 16
         assert len(getattr(long, name)) == 32
         assert getattr(long, name)[:16] == getattr(short, name)
+    # a stop on a block's last row, before d-gadmm's re-chain there
+    cut = _small_run(variant, 32, tau=16, stop_error=math.nextafter(long.objective_error[15], math.inf))
+    assert len(cut) == 16
+    assert isinstance(short.final_residual, float)
+    assert cut.final_residual == short.final_residual
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -637,6 +647,10 @@ def test_a_run_is_the_prefix_of_a_longer_one(variant):
         short = _small_run(variant, k)
         for name in TRACE_FIELDS:
             assert getattr(short, name) == getattr(full, name)[:k], (k, name)
+        # the same run stopped at iteration k reports k's residual
+        cut = _small_run(variant, 40, stop_error=math.nextafter(full.objective_error[k - 1], math.inf))
+        assert len(cut) == k
+        assert cut.final_residual == short.final_residual, k
 
 
 point_settings = st.tuples(
@@ -679,6 +693,7 @@ class TestStackedPoints:
                         point.iters, seed=seed, stop_error=stop)
             for name in TRACE_FIELDS:
                 assert getattr(trace, name) == getattr(alone, name), name
+            assert trace.final_residual == alone.final_residual
 
     @pytest.mark.parametrize("variant", ["ps-admm", "ggadmm", "c-ggadmm", "cq-ggadmm"])
     def test_one_scalar_head_stacks_as_its_own_runs(self, variant):
@@ -695,6 +710,7 @@ class TestStackedPoints:
             alone = run(variant, problems, STAR, point.rho, point.quantizer, point.censor, iters=point.iters, seed=4)
             for name in TRACE_FIELDS:
                 assert getattr(trace, name) == getattr(alone, name), name
+            assert trace.final_residual == alone.final_residual
 
     def test_points_must_agree_on_compression(self):
         problems = synthetic_problems(4, 2, 5)
@@ -705,15 +721,10 @@ class TestStackedPoints:
             run_points("ggadmm", problems, topo, [])
 
 
-def _final_residual(trace):
-    """The consensus residual of the trace's last iteration, None when empty."""
-    return trace.residual[-1] if trace.residual else None
-
-
 def _trace_digest(trace):
     fields = (
         trace.objective, trace.objective_error, trace.bits_cum,
-        trace.joules_cum, trace.censored_cum, _final_residual(trace),
+        trace.joules_cum, trace.censored_cum, trace.final_residual,
     )
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
@@ -733,8 +744,7 @@ def _pinned_run(variant):
     )
 
 
-# sha256 of repr() of every TrainingTrace field, the residual by its final
-# value (`_final_residual`).  Like the golden out/*.csv,
+# sha256 of repr() of every TrainingTrace field.  Like the golden out/*.csv,
 # these pin each variant's floats to the last bit: a refactor that reorders
 # one sum or swaps one BLAS call for another changes them.
 TRACE_DIGESTS = {
@@ -881,7 +891,7 @@ def test_send_run_digest_pinned(case, monkeypatch):
 def _loop_digest(trace):
     """sha256 of repr() of the fields the ADMM loop itself produces, without
     the objective's two columns, which the trace evaluation derives."""
-    fields = (trace.bits_cum, trace.joules_cum, trace.censored_cum, _final_residual(trace))
+    fields = (trace.bits_cum, trace.joules_cum, trace.censored_cum, trace.final_residual)
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
@@ -926,9 +936,21 @@ def test_loop_digest_pinned(case):
     assert _loop_digest(PINNED_RUNS[table](name)) == LOOP_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(LOOP_DIGESTS))
+def test_every_trace_series_is_a_report_column(case):
+    # a per-iteration list that no report writes would be work no caller reads
+    table, name = case.split(":", 1)
+    trace = PINNED_RUNS[table](name)
+    series = tuple(f.name for f in dataclasses.fields(trace) if isinstance(getattr(trace, f.name), list))
+    assert series == TRACE_FIELDS
+    assert set(series) <= set(LEARNING_HEADER)
+    for field_name in series:
+        assert len(getattr(trace, field_name)) == len(trace), field_name
+
+
 def _no_joules_digest(trace):
     """sha256 of repr() of every TrainingTrace field but joules_cum."""
-    fields = (trace.objective, trace.objective_error, trace.bits_cum, trace.censored_cum, _final_residual(trace))
+    fields = (trace.objective, trace.objective_error, trace.bits_cum, trace.censored_cum, trace.final_residual)
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 

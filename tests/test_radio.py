@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -59,6 +60,17 @@ class TestReservation:
                 RadioConfig(p_d=p_d)
         assert reservation_probability(RadioConfig(p_d=1e-300))[0] > 0.0
 
+    def test_overflowing_contention_rate_rejected(self):
+        # (lambda_u + lambda_d) * N_rmax bounds the fixed point; past the float
+        # range it iterated inf - inf = nan up to its step limit
+        for fields, name in (({"lambda_u": 1e308, "lambda_d": 0.0}, "lambda_u"),
+                             ({"lambda_u": 10**308, "lambda_d": 0}, "lambda_u"),
+                             ({"lambda_u": 0.0, "lambda_d": 1e308}, "lambda_d")):
+            with pytest.raises(ValueError, match=f"^{name} makes the largest contention rate"):
+                RadioConfig(N_rmax=2, **fields)
+        cfg = RadioConfig(lambda_u=1e307, lambda_d=0.0, N_rmax=10)  # the largest rate 1e308 is finite
+        assert math.isfinite(reservation_probability(cfg)[1])
+
     def test_backlog_exceeds_arrivals(self):
         cfg = RadioConfig(lambda_u=5.0, lambda_d=5.0, N_rmax=10, p_d=0.9)
         p, lam = reservation_probability(cfg)
@@ -107,8 +119,9 @@ class TestReservationLoop:
         assert repr(reservation_probability(cfg)) == repr(reservation_probability_generic(cfg))
 
     def test_non_convergence(self):
-        # lambda_tot overflows to inf, and inf - inf is nan: no step meets the stop rule
-        cfg = RadioConfig(lambda_u=1e308, lambda_d=0.0, N_rmax=2)
+        # lambda_tot overflows to inf, and inf - inf is nan: no step meets the stop rule.
+        # RadioConfig rejects such rates, so a stand-in with the four fields the loop reads
+        cfg = SimpleNamespace(lambda_a=1e308, p_d=1.0, K=48, N_rmax=2)
         with pytest.raises(NonConvergence) as got:
             reservation_probability(cfg)
         with pytest.raises(NonConvergence) as want:

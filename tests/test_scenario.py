@@ -435,6 +435,25 @@ class TestCli:
         assert main(["radio", "--scenario", str(p)]) == 2
         assert "P_rr must be in (0, 1]" in capsys.readouterr().err
 
+    def test_overflowing_contention_rate_exits_one_before_writing(self, tmp_path, capsys):
+        # ran the reservation fixed point to its 100 000-step limit and exited 2
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/radio.csv
+            radio: {{lambda_u: 1.0e+308, lambda_d: 0.0, N_rmax: 2}}
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 1
+        assert "radio.lambda_u: lambda_u makes the largest contention rate" in capsys.readouterr().err
+        swept = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/radio.csv
+            radio: {{lambda_u: 1.0e+306, lambda_d: 0.0}}
+            sweep: {{param: radio.t, values: [0.32, 32.0]}}
+        """)
+        assert main(["radio", "--scenario", str(swept)]) == 1
+        assert "sweep.values[1]: radio.t: lambda_u makes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_payload_size_exits_one_before_writing(self, tmp_path, capsys):
         p = write(tmp_path, f"""
             kind: radio-dlt
