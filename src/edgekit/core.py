@@ -8,8 +8,8 @@ bit-for-bit across platforms from the same 64-bit seed.
 """
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 import numpy as np
 import yaml
@@ -27,22 +27,23 @@ __all__ = [
 # libyaml's parser when PyYAML was built with it (5x faster on the golden
 # scenarios), else the pure-Python one; both build the same safe objects.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+FLOAT_MAX = sys.float_info.max
 
 
-# is_int and is_number let an int or a float skip the ABC checks, which cost
-# several times more (they run on every field of every radio config built).
-def is_int(value, least: int) -> bool:
-    """`value` is an integer >= `least` (YAML's true and false are not)."""
+# is_int and is_number let an int or a float skip the ABC checks (several times
+# dearer, on every radio config field), and compare ints of any size exactly.
+def is_int(value, least: int, most: float = FLOAT_MAX) -> bool:
+    """`value` is an integer in [least, most] (YAML's true and false are not)."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         return False
-    return value >= least
+    return least <= value <= most
 
 
 def is_number(value) -> bool:
-    """`value` is a finite real number (YAML's true and false are not)."""
+    """`value` is a real number in the float range (YAML's true and false are not)."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
-    return math.isfinite(value)
+    return -FLOAT_MAX <= value <= FLOAT_MAX
 
 
 def make_rng(seed: int) -> np.random.Generator:

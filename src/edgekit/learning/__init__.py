@@ -2,7 +2,7 @@ from .problems import LocalProblem, centralized_solution
 from .topology import Topology, build_topology, rechain
 from .compression import QuantizerConfig, CensorSchedule
 from .energy import CommEnergyModel, message_energy
-from .runner import Setting, TrainingTrace, run, run_points, dual_update
+from .runner import TRAITS, Setting, TrainingTrace, run, run_points, dual_update
 
 __all__ = [
     "LocalProblem",
@@ -14,6 +14,7 @@ __all__ = [
     "CensorSchedule",
     "CommEnergyModel",
     "message_energy",
+    "TRAITS",
     "TrainingTrace",
     "run",
     "run_points",

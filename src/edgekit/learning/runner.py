@@ -1,6 +1,6 @@
 """Alternating head/tail ADMM variants with per-message energy accounting.
 
-Supported variants:
+Supported variants (the keys of `TRAITS`, which every variant decision reads):
 
   ps-admm    parameter-server consensus ADMM baseline (star topology; all N
              workers transmit a full-precision model each iteration, server
@@ -166,6 +166,7 @@ run before its gemms.  Three rules keep it so:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -177,7 +178,20 @@ from .energy import CommEnergyModel, message_energy
 from .problems import TRACE_BLOCK, LocalProblem, ProblemStack
 from .topology import Topology, rechain
 
-VARIANTS = ("ps-admm", "gadmm", "d-gadmm", "ggadmm", "c-ggadmm", "cq-ggadmm")
+# What each variant runs on and sends: a parameter `server` takes no topology, a `graph`
+# variant a chain or bipartite one (the others a chain only); one that `rechains` does so
+# every tau_coh iterations over an even number of workers; only one that `quantizes` takes
+# a quantizer, and needs one, and only one that `censors` takes a censor schedule.
+Traits = namedtuple("Traits", "server graph rechains quantizes censors", defaults=(False,) * 5)
+TRAITS = {
+    "ps-admm": Traits(server=True),
+    "gadmm": Traits(),
+    "d-gadmm": Traits(rechains=True),
+    "ggadmm": Traits(graph=True),
+    "c-ggadmm": Traits(graph=True, censors=True),
+    "cq-ggadmm": Traits(graph=True, quantizes=True, censors=True),
+}
+VARIANTS = tuple(TRAITS)  # the names in order (hypothesis samples from a sequence)
 
 FULL_PRECISION_BITS = 32  # bits per coordinate without quantization
 
@@ -275,12 +289,17 @@ def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray
 def _check_variant(variant, topology, points, n_problems):
     if variant not in VARIANTS:
         raise ConfigMismatch(f"unknown variant {variant!r}")
+    traits = TRAITS[variant]
     if not points:
         raise ConfigMismatch("a run needs at least one point")
     if len({(p.quantizer is None, p.censor is None) for p in points}) > 1:
         raise ConfigMismatch("the points of one run must all quantize or none, and all censor or none")
     quantizer, censor = points[0].quantizer, points[0].censor
-    if variant == "ps-admm":
+    if (quantizer is not None) != traits.quantizes:
+        raise ConfigMismatch(f"{variant} {'requires a' if traits.quantizes else 'takes no'} quantizer")
+    if censor is not None and not traits.censors:
+        raise ConfigMismatch(f"{variant} takes no censor schedule")
+    if traits.server:  # a given topology is ignored
         return
     if topology is None:
         raise ConfigMismatch(f"{variant} requires a topology")
@@ -290,18 +309,12 @@ def _check_variant(variant, topology, points, n_problems):
         raise ConfigMismatch(f"invalid topology: {err}") from err
     if topology.n != n_problems:
         raise ConfigMismatch(f"a topology of {topology.n} workers for {n_problems} problems")
-    if variant in ("gadmm", "d-gadmm") and topology.kind != "chain":
+    if not traits.graph and topology.kind != "chain":
         raise ConfigMismatch(f"{variant} requires a chain topology")
-    if variant == "d-gadmm" and math.isinf(topology.tau_coh):
-        raise ConfigMismatch("d-gadmm requires a finite tau_coh")
-    if variant == "d-gadmm" and topology.positions is None:
-        raise ConfigMismatch("d-gadmm re-chains by worker positions, and the topology has none")
-    if quantizer is not None and variant != "cq-ggadmm":
-        raise ConfigMismatch("quantizer is only valid for cq-ggadmm")
-    if censor is not None and variant not in ("c-ggadmm", "cq-ggadmm"):
-        raise ConfigMismatch("censoring is only valid for c-/cq-ggadmm")
-    if variant == "cq-ggadmm" and quantizer is None:
-        raise ConfigMismatch("cq-ggadmm requires a quantizer")
+    if traits.rechains and (math.isinf(topology.tau_coh) or topology.positions is None or topology.n % 2):
+        raise ConfigMismatch(f"{variant} re-chains an even number of workers by position every finite tau_coh; "
+                             f"this topology: {topology.n} workers, tau_coh {topology.tau_coh}, "
+                             f"positions {'none' if topology.positions is None else 'given'}")
 
 
 def run(
@@ -347,9 +360,9 @@ def run_points(
     """
     _check_variant(variant, topology, points, len(problems))
     stack = ProblemStack(problems, len(points))
-    if variant == "ps-admm":
+    if TRAITS[variant].server:
         return _run_ps(stack, points, stop_error)
-    return _run_decentralized(variant, stack, topology, points, seed, stop_error)
+    return _run_decentralized(TRAITS[variant].rechains, stack, topology, points, seed, stop_error)
 
 
 class _Traces:
@@ -567,7 +580,7 @@ def _chain_duals(order, stack, theta, row):
     return np.subtract.accumulate(np.concatenate([start, grad], axis=1), axis=1)[:, 1:].reshape(-1, stack.dim)
 
 
-def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
+def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None):
     P, N, d = len(points), stack.n, stack.dim
     E = len(topology.edges)
     neg, plus, minus_zero, pulls, plus_zero = _src_rows(P * N, P * E)
@@ -589,7 +602,7 @@ def _run_decentralized(variant, stack, topology, points, seed, stop_error=None):
     phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
 
     for k in range(max(point.iters for point in points)):
-        if variant == "d-gadmm" and k > 0 and k % topology.tau_coh == 0:
+        if rechains and k > 0 and k % topology.tau_coh == 0:
             theta = traces.models[traces.slot - 1]  # the last iteration's (row 15 when a flush just emptied the block)
             if traces.flush():  # the gaps so far are across the old chain's edges
                 break

@@ -76,11 +76,11 @@ def make_problems(cfg: dict, seed: int) -> list:
 
 
 def _topology(cfg: dict, seed: int) -> L.Topology:
-    """The workers' topology: a chain for ps-admm, gadmm and d-gadmm (which
-    re-chains every tau_coh iterations), else the block's topology kind."""
-    variant = cfg["variant"]
-    kind = "chain" if variant in ("ps-admm", "gadmm", "d-gadmm") else cfg["topology"]
-    tau = cfg["tau_coh"] if variant == "d-gadmm" else math.inf
+    """The workers' topology: the block's kind for a variant that runs on a
+    graph, else a chain, re-chained every tau_coh iterations if it re-chains."""
+    traits = L.TRAITS[cfg["variant"]]
+    kind = cfg["topology"] if traits.graph else "chain"
+    tau = cfg["tau_coh"] if traits.rechains else math.inf
     return L.build_topology(cfg["workers"], kind=kind, seed=seed, tau_coh=tau, mean_degree=cfg["mean_degree"])
 
 
@@ -93,14 +93,11 @@ STACKED_FIELDS = frozenset({
 
 def _setting(cfg: dict) -> L.Setting:
     """What a learning block sets for its own point of a stacked run."""
-    variant = cfg["variant"]
-    censor = None
-    if variant in ("c-ggadmm", "cq-ggadmm"):
-        censor = L.CensorSchedule(xi0=cfg["censor_xi0"], alpha=cfg["censor_alpha"])
+    traits = L.TRAITS[cfg["variant"]]
     return L.Setting(
         rho=cfg["rho"],
-        quantizer=L.QuantizerConfig(bits=cfg["quantizer_bits"]) if variant == "cq-ggadmm" else None,
-        censor=censor,
+        quantizer=L.QuantizerConfig(bits=cfg["quantizer_bits"]) if traits.quantizes else None,
+        censor=L.CensorSchedule(xi0=cfg["censor_xi0"], alpha=cfg["censor_alpha"]) if traits.censors else None,
         energy_model=L.CommEnergyModel(cfg["bandwidth_hz"], cfg["slot_s"], cfg["noise_density"]),
         iters=cfg["iters"],
     )
@@ -109,10 +106,10 @@ def _setting(cfg: dict) -> L.Setting:
 def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None = None) -> list[L.TrainingTrace]:
     """Train at each of the learning blocks `cfgs`, which differ only in
     STACKED_FIELDS, as one stacked run on the first block's synthetic
-    problems over `topology` (by default the block's own; ps-admm needs
-    none); return each block's trace."""
+    problems over `topology` (by default the block's own; a parameter
+    server needs none); return each block's trace."""
     cfg = cfgs[0]
-    if topology is None and cfg["variant"] != "ps-admm":
+    if topology is None and not L.TRAITS[cfg["variant"]].server:
         topology = _topology(cfg, seed)
     return L.run_points(
         cfg["variant"], make_problems(cfg, seed), topology, [_setting(c) for c in cfgs], seed=seed,

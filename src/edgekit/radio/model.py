@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import NonConvergence
+from ..core import NonConvergence, sequential_sum
 from .config import (
     DltConfig,
     LatencyEnergyBreakdown,
@@ -118,9 +118,8 @@ def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> fl
 
 
 def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
-    """Latency of the post-mining block messages, in _BLOCK_MESSAGES' order."""
-    new, trans, get = dlt.new_block_bits, dlt.trans_block_bits, dlt.get_block_bits
-    return latency_tx(config, new, new**2) + latency_tx(config, trans, trans**2) + latency_rx(config, get, get**2)
+    """Latency of the post-mining block messages, added in _BLOCK_MESSAGES' order."""
+    return sequential_sum(_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:

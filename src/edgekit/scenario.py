@@ -86,16 +86,15 @@ KIND_READS = {
     "integrated": ("learning", "placement.nodes", "radio", "power", "dlt", "integrated"),
 }
 
-# Learning fields that only some variants read; a scenario setting one for
-# another variant is rejected rather than silently ignored.
-_GRAPH_VARIANTS = ("ggadmm", "c-ggadmm", "cq-ggadmm")
+# Learning fields that only the variants with a trait (learning.TRAITS) read;
+# a scenario setting one for another variant is rejected, not ignored.
 VARIANT_FIELDS = {
-    "topology": _GRAPH_VARIANTS,
-    "mean_degree": _GRAPH_VARIANTS,
-    "tau_coh": ("d-gadmm",),
-    "quantizer_bits": ("cq-ggadmm",),
-    "censor_xi0": ("c-ggadmm", "cq-ggadmm"),
-    "censor_alpha": ("c-ggadmm", "cq-ggadmm"),
+    "topology": "graph",
+    "mean_degree": "graph",
+    "tau_coh": "rechains",
+    "quantizer_bits": "quantizes",
+    "censor_xi0": "censors",
+    "censor_alpha": "censors",
 }
 
 
@@ -152,7 +151,7 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool 
     """The learning rules; the base of a swept block is checked by the
     one-field rules only, and the rules that read several fields run at the
     points, each of which has its own value of the swept field."""
-    from .learning.runner import VARIANTS
+    from .learning.runner import TRAITS, VARIANTS
 
     before = len(errors)
     variant = block["variant"]
@@ -177,40 +176,40 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool 
         errors.append("learning.tau_coh: must be a positive integer")
     if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
-    if swept:
+    if swept or variant not in VARIANTS:  # the rules below read several fields, some the variant's
         return
+    traits = TRAITS[variant]
     # Gaussian designs: the stacked system has full column rank almost surely
     # exactly when it has at least `dim` rows
     workers, samples, dim = (block[k] for k in ("workers", "samples", "dim"))
     if is_number(block["reg"]) and block["reg"] == 0 and all(is_int(v, 1) for v in (workers, samples, dim)) \
             and workers * samples < dim:
         errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
-    if variant == "d-gadmm" and is_int(workers, 2) and workers % 2:
-        errors.append("learning.workers: d-gadmm re-chains an even number of workers")
-    if block["tau_coh"] is None and variant == "d-gadmm":
-        errors.append("learning.tau_coh: d-gadmm needs a re-chaining interval")
+    if traits.rechains and is_int(workers, 2) and workers % 2:
+        errors.append(f"learning.workers: {variant} re-chains an even number of workers")
+    if traits.rechains and block["tau_coh"] is None:
+        errors.append(f"learning.tau_coh: {variant} needs a re-chaining interval")
     for key in given:
-        if key in VARIANT_FIELDS and variant not in VARIANT_FIELDS[key]:
+        if key in VARIANT_FIELDS and not getattr(traits, VARIANT_FIELDS[key]):
             errors.append(f"learning.{key}: not used by variant {variant}")
-    if "mean_degree" in given and variant in _GRAPH_VARIANTS and block["topology"] != "bipartite":
+    if "mean_degree" in given and traits.graph and block["topology"] != "bipartite":
         errors.append("learning.mean_degree: only a bipartite topology uses it")
     if len(errors) == before:
-        _check_message_energy(block, errors)
+        _check_message_energy(block, traits, errors)
 
 
-def _check_message_energy(block: dict, errors: list[str]) -> None:
+def _check_message_energy(block: dict, traits, errors: list[str]) -> None:
     """A valid block whose messages cost more energy than a float holds.
 
     A message costs more the more senders split the band, so the run's
-    dearest message is one of its largest group: all workers for ps-admm,
+    dearest message is one of its largest group: all workers of a server,
     the ceil(workers / 2) heads or tails of either topology otherwise.
     """
     from .learning import CommEnergyModel, QuantizerConfig, Setting, message_energy
 
-    variant, workers, dim = block["variant"], block["workers"], block["dim"]
-    senders = workers if variant == "ps-admm" else math.ceil(workers / 2)
-    quantizer = QuantizerConfig(bits=block["quantizer_bits"]) if variant == "cq-ggadmm" else None
-    payload = Setting(quantizer=quantizer).payload_bits(dim)
+    senders = block["workers"] if traits.server else math.ceil(block["workers"] / 2)
+    quantizer = QuantizerConfig(bits=block["quantizer_bits"]) if traits.quantizes else None
+    payload = Setting(quantizer=quantizer).payload_bits(block["dim"])
     channel = CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]).share(senders)
     try:
         joules = message_energy(payload, channel, 1.0)  # the run's channel gains are all 1
@@ -444,7 +443,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         raise ParseError(f"{path}: kind must be one of {', '.join(KINDS)}, got {kind!r}")
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not is_int(seed, 0):
+    if not is_int(seed, 0, math.inf):  # a seed of any size
         errors.append("seed: must be a non-negative integer")
         seed = 0
     output = raw.get("output", "out/report.csv")

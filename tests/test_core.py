@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgekit.core import child_rng, is_int, is_number, make_rng, sequential_sum
+from edgekit.learning.runner import VARIANTS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgekit"
 
@@ -19,6 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "edgekit"
     (math.nan, False, False),
     (-math.inf, False, False),
     ("3", False, False),
+    pytest.param(10**400, False, False, id="1e400-False-False"),  # an int beyond the float range
 ])
 def test_field_checks(value, integer, number):
     assert is_int(value, 1) == integer
@@ -68,6 +70,28 @@ def test_no_builtin_sum_in_src():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert calls == []
+
+
+def test_variant_names_only_in_the_variant_table():
+    # every variant decision reads learning.runner.TRAITS: a variant name
+    # spelled anywhere else in src/ would be a decision made a second time
+    nodes = list(_src_nodes())
+    allowed = set()
+    for _, node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {getattr(target, "id", None) for target in targets}
+            pairs = list(zip(node.value.keys, node.value.values))
+            if "TRAITS" in names:
+                allowed |= {id(key) for key, _ in pairs}
+            if "LEARNING_DEFAULTS" in names:  # the default variant
+                allowed |= {id(value) for key, value in pairs if getattr(key, "value", None) == "variant"}
+    assert len(allowed) == len(VARIANTS) + 1
+    spelled = [
+        where for where, node in nodes
+        if isinstance(node, ast.Constant) and node.value in VARIANTS and id(node) not in allowed
+    ]
+    assert spelled == []
 
 
 def test_no_numpy_in_radio():

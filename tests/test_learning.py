@@ -521,19 +521,28 @@ class TestRun:
         assert len(chain.heads) <= math.ceil(9 / 2)
         assert len(chain.tails) <= math.ceil(9 / 2)
 
-    def test_variant_argument_checks(self):
-        problems = scalar_problems([1, 2])
+    def test_variant_argument_checks(self, monkeypatch):
+        def loop(*args):
+            raise AssertionError("a rejected run reached its loop")
+
+        monkeypatch.setattr(runner, "_run_ps", loop)  # each call is rejected before any iteration
+        monkeypatch.setattr(runner, "_run_decentralized", loop)
+        problems, five = scalar_problems([1, 2]), scalar_problems([1, 2, 3, 4, 5])
         topo = build_topology(2, kind="chain")
-        with pytest.raises(ConfigMismatch):
-            run("nope", problems, topo)
-        with pytest.raises(ConfigMismatch):
-            run("gadmm", problems, None)
-        with pytest.raises(ConfigMismatch):
-            run("gadmm", problems, topo, quantizer=QuantizerConfig(bits=2))
-        with pytest.raises(ConfigMismatch):
-            run("cq-ggadmm", problems, topo)
-        with pytest.raises(ConfigMismatch):
-            run("d-gadmm", problems, topo)  # tau_coh is inf
+        for variant, workers, topology, kwargs in [
+            ("nope", problems, topo, {}),
+            ("gadmm", problems, None, {}),
+            ("gadmm", problems, topo, {"quantizer": QuantizerConfig(bits=2)}),
+            ("cq-ggadmm", problems, topo, {}),
+            ("d-gadmm", problems, topo, {}),  # tau_coh is inf
+            # ran, pricing every message at the quantized payload, or ignoring the schedule
+            ("ps-admm", problems, None, {"quantizer": QuantizerConfig(bits=2)}),
+            ("ps-admm", problems, None, {"censor": CensorSchedule()}),
+            # ran tau_coh iterations, then failed inside rechain with a ValueError
+            ("d-gadmm", five, build_topology(5, kind="chain", tau_coh=3), {}),
+        ]:
+            with pytest.raises(ConfigMismatch):
+                run(variant, workers, topology, **kwargs)
 
     def test_edge_inside_a_group_rejected(self):
         # both ends of edge (1, 3) are heads and would solve in the same phase

@@ -107,6 +107,8 @@ class TestParsing:
         p = write(tmp_path, "kind: learning\nseed: 5\n")
         assert parse_scenario(p).seed == 5
         assert parse_scenario(p, seed_override=9).seed == 9
+        # a seed is any non-negative integer, where a count ends at the float range
+        assert parse_scenario(write(tmp_path, f"kind: learning\nseed: 1{'0' * 400}\n")).seed == 10**400
 
     def test_negative_payload_size_names_field(self, tmp_path):
         p = write(tmp_path, """
@@ -394,6 +396,23 @@ class TestCli:
         p = write(tmp_path, "kind: radio-dlt\nradio:\n  K: -1\n")
         assert main(["radio", "--scenario", str(p)]) == 1
         assert "radio.K" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind, field", [
+        # exited 1 with an OverflowError traceback and no dotted path
+        ("learn", "learning", "learning.rho"),
+        ("radio", "radio-dlt", "radio.lambda_s"),
+        ("radio", "radio-dlt", "radio.N_rmax"),
+        ("learn", "learning", "learning.workers"),
+        # exited 2 at run time
+        ("radio", "radio-dlt", "radio.K"),
+        ("place", "placement", "placement.nodes"),
+    ])
+    def test_integer_beyond_the_float_range_exits_one(self, tmp_path, capsys, command, kind, field):
+        block, name = field.split(".")
+        p = write(tmp_path, f"kind: {kind}\noutput: {tmp_path}/out/r.csv\n{block}:\n  {name}: 1{'0' * 400}\n")
+        assert main([command, "--scenario", str(p)]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         p = write(tmp_path, "kind: learning\n")
