@@ -47,15 +47,43 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     """The header and rows as comma-separated lines ending in CRLF, the
     bytes csv.writer writes: no header or cell holds a comma, a quote or a
-    line break, so none is quoted."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    line break, so none is quoted.  An all-float row (a float subclass
+    included) is joined by float.__repr__ alone, any other cell by cell."""
     lines = [",".join(header)]
-    lines += [",".join([repr(x) if type(x) is float else _fmt(x) for x in row]) for row in rows]
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    for row in rows:
+        try:
+            lines.append(",".join(map(float.__repr__, row)))
+        except TypeError:  # a cell that is not a float
+            lines.append(",".join([repr(x) if type(x) is float else _fmt(x) for x in row]))
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _write(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="")
     return path
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    return _write(path, _csv_text(header, rows))
+
+
+def _check_finite(path: Path, text: str) -> None:
+    """Raise FloatingPointError, naming the file, the row and the column,
+    if a cell below the header of report `text` is inf or nan.  Cells are
+    reprs of floats and integers, and of those only inf, -inf and nan hold
+    the letter n."""
+    if text.find("n", text.index("\r\n")) < 0:
+        return
+    lines = text.split("\r\n")
+    header = lines[0].split(",")
+    for i, line in enumerate(lines[1:], 1):
+        for column, cell in zip(header, line.split(",")):
+            if "n" in cell:
+                raise FloatingPointError(f"{path}: row {i}, {column} is {cell}, not a finite number")
 
 
 def make_problems(cfg: dict, seed: int) -> list:
@@ -178,15 +206,14 @@ RADIO_TERMS = R.LatencyEnergyBreakdown.TERMS
 RADIO_COLUMNS = (
     ["L_total", "E_total"] + [f"latency_{t}" for t in RADIO_TERMS] + [f"energy_{t}" for t in RADIO_TERMS]
 )
+_ABSENT = (0.0,) * len(RADIO_TERMS)  # the cell of a term a breakdown does not have
 
 
 def run_radio_block(point: Point) -> list:
     """The point's radio-dlt row after its parameter column (RADIO_COLUMNS)."""
     b = R.full_breakdown(point.radio, point.power, point.dlt)
-    return (
-        [b.total_latency, b.total_energy]
-        + [b.latency.get(t, 0.0) for t in RADIO_TERMS] + [b.energy.get(t, 0.0) for t in RADIO_TERMS]
-    )
+    return [b.total_latency, b.total_energy,
+            *map(b.latency.get, RADIO_TERMS, _ABSENT), *map(b.energy.get, RADIO_TERMS, _ABSENT)]
 
 
 def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
@@ -272,16 +299,21 @@ _RUN_POINTS = {
 
 
 def run_scenario(scenario: Scenario) -> list[Path]:
-    """Run every point, then write the CSVs; return the written paths."""
-    out, sweep = Path(scenario.output), scenario.sweep
+    """Run every point, check that every report is finite, then write the
+    CSVs; return the written paths."""
+    sweep = scenario.sweep
     results = _RUN_POINTS[scenario.kind](scenario)
     if scenario.kind == "radio-dlt":
         header = [sweep.param if sweep else "param", *RADIO_COLUMNS]
         rows = [[point.value if sweep else 0, *row] for point, row in zip(scenario.points, results)]
-        return [_write_csv(out, header, rows)]
-    written = []
-    for point, reports in zip(scenario.points, results):
-        path = point_path(scenario.output, sweep, point.value)
-        for suffix, header, rows in reports:
-            written.append(_write_csv(path.with_name(f"{path.stem}{suffix}{path.suffix}"), header, rows))
-    return written
+        reports = [(Path(scenario.output), header, rows)]
+    else:
+        reports = []
+        for point, point_reports in zip(scenario.points, results):
+            path = point_path(scenario.output, sweep, point.value)
+            reports += [(path.with_name(f"{path.stem}{suffix}{path.suffix}"), header, rows)
+                        for suffix, header, rows in point_reports]
+    texts = [(path, _csv_text(header, rows)) for path, header, rows in reports]
+    for path, text in texts:
+        _check_finite(path, text)
+    return [_write(path, text) for path, text in texts]

@@ -17,7 +17,8 @@ rule that prices its ledger payloads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from ..core import is_int, is_number, sequential_sum
 
@@ -26,21 +27,81 @@ class UnstableConfig(ValueError):
     pass
 
 
-def _check_fields(config, counts: tuple[str, ...] = (), positive: tuple[str, ...] = ()) -> None:
-    """Each field of `config` an integer >= 1 when named in `counts`, else a
-    finite number, > 0 when named in `positive` and >= 0 otherwise."""
-    for name, value in vars(config).items():
+def _shown(value) -> str:
+    """repr(value), or an integer beyond the float range by its length."""
+    if is_int(value, -math.inf, math.inf) and not is_number(value):
+        return f"a {len(str(abs(value)))}-digit integer"
+    return repr(value)
+
+
+def _check_fields(config, names) -> None:
+    """The one-field rules on the fields `names` of `config`: each an
+    integer >= 1 when a count, else a finite number, > 0 when positive and
+    >= 0 otherwise; then each unit field <= 1."""
+    values, counts, positive = vars(config), config._COUNTS, config._POSITIVE
+    for name in names:
+        value = values[name]
         if name in counts:
             if not is_int(value, 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                within = " in the float range" if is_int(value, 1, math.inf) else ""
+                raise ValueError(f"{name} must be an integer >= 1{within}, got {_shown(value)}")
         elif not is_number(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+            raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
         elif value <= 0 and (value < 0 or name in positive):
             raise ValueError(f"{name} must be {'> 0' if name in positive else '>= 0'}")
+    for name in names:
+        if name in config._UNIT and values[name] > 1.0:
+            raise ValueError(f"{name} must be in (0, 1]")
+
+
+class _Record:
+    """A frozen config record with one check routine: the one-field rules
+    on the named fields, then the rules that read several (`_check_joint`).
+
+    A record built whole checks every field.  The base of a sweep, which no
+    point runs, is checked by the one-field rules only (`swept_base`); a
+    point derived from it (`derive`) checks the fields it replaces, then
+    every rule that reads several fields.  The base has passed the one-field
+    rules on every other field, so a point fails exactly where the same
+    record built whole fails, with the same error.
+    """
+
+    _COUNTS: frozenset = frozenset()  # integers >= 1
+    _POSITIVE: frozenset = frozenset()  # > 0; every other number >= 0
+    _UNIT: frozenset = frozenset()  # also <= 1
+
+    def __post_init__(self):
+        self._check(vars(self))
+
+    def _check(self, names, joint: bool = True) -> None:
+        _check_fields(self, names)
+        if joint:
+            self._check_joint()
+
+    def _check_joint(self) -> None:
+        pass
+
+    @classmethod
+    def swept_base(cls, **given):
+        """The record with the fields `given`, checked by the one-field rules only."""
+        record = object.__new__(cls)
+        vars(record).update({f.name: f.default for f in fields(cls)}, **given)
+        record._check(vars(record), joint=False)
+        return record
+
+    def derive(self, replaced: dict):
+        """This record with the fields `replaced` set, checked as a record
+        built whole would be: self must have passed the one-field rules."""
+        record = object.__new__(type(self))
+        values = vars(record)
+        values.update(vars(self))
+        values.update(replaced)
+        record._check([name for name in values if name in replaced])  # in field order, as built whole
+        return record
 
 
 @dataclass(frozen=True)
-class RadioConfig:
+class RadioConfig(_Record):
     K: int = 48  # preambles per random-access opportunity
     tau: float = 0.0064  # NPRACH unit length (s)
     t: float = 0.32  # mean NPRACH inter-period (s)
@@ -71,14 +132,14 @@ class RadioConfig:
         """Access request arrivals per NPRACH period."""
         return self.lambda_u + self.lambda_d
 
-    def __post_init__(self):
-        # the model divides by periods, by first packet moments and by s1, and a
-        # reservation must be able to succeed (p_d > 0)
-        _check_fields(self, counts=("K", "N_rmax"),
-                      positive=("t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d", "p_d"))
-        for name in ("p_d", "f", "w", "y"):  # a probability and fractions of the radio resources
-            if getattr(self, name) > 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+    # the model divides by periods, by first packet moments and by s1, and a
+    # reservation must be able to succeed (p_d > 0); p_d is a probability and
+    # f, w, y are fractions of the radio resources
+    _COUNTS = frozenset({"K", "N_rmax"})
+    _POSITIVE = frozenset({"t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d", "p_d"})
+    _UNIT = frozenset({"p_d", "f", "w", "y"})
+
+    def _check_joint(self) -> None:
         if not is_number((float(self.lambda_u) + self.lambda_d) * self.N_rmax):  # the fixed point's largest rate
             name = "lambda_u" if self.lambda_u >= self.lambda_d else "lambda_d"
             raise ValueError(f"{name} makes the largest contention rate (lambda_u + lambda_d) * N_rmax overflow")
@@ -154,7 +215,7 @@ def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: floa
 
 
 @dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(_Record):
     P_e: float = 0.5  # amplifier efficiency
     P_I: float = 0.01  # idle (W)
     P_c: float = 0.1  # circuit/compute (W)
@@ -163,14 +224,11 @@ class PowerProfile:
     E_s_up: float = 0.0  # uplink sleep-state energy per session (J)
     E_s_down: float = 0.0  # downlink sleep-state energy per session (J)
 
-    def __post_init__(self):
-        _check_fields(self, positive=("P_e",))
-        if self.P_e > 1.0:
-            raise ValueError("P_e must be in (0, 1]")
+    _POSITIVE = _UNIT = frozenset({"P_e"})
 
 
 @dataclass(frozen=True)
-class DltConfig:
+class DltConfig(_Record):
     M: int = 5  # miners
     lambda_0: float = 10.0  # scaling from compute power to hash rate
     P_c: float = 0.2  # miner compute power (W)
@@ -178,11 +236,10 @@ class DltConfig:
     get_block_bits: float = 4096.0  # block request/response payload
     trans_block_bits: float = 4096.0  # block body payload
 
-    def __post_init__(self):
-        # lambda_c = lambda_0 * P_c is a hash rate; the payloads are priced
-        # as packet lengths of the radio queues
-        _check_fields(self, counts=("M",),
-                      positive=("lambda_0", "P_c", "new_block_bits", "get_block_bits", "trans_block_bits"))
+    # lambda_c = lambda_0 * P_c is a hash rate; the payloads are priced as
+    # packet lengths of the radio queues
+    _COUNTS = frozenset({"M"})
+    _POSITIVE = frozenset({"lambda_0", "P_c", "new_block_bits", "get_block_bits", "trans_block_bits"})
 
     @property
     def lambda_c(self) -> float:
@@ -209,10 +266,13 @@ class LatencyEnergyBreakdown:
         "block_exchange",
     )
 
+    _TERM_SET = frozenset(TERMS)
+
     def __post_init__(self):
         for part, vals in (("latency", self.latency), ("energy", self.energy)):
+            known = vals.keys() <= self._TERM_SET
             for k, v in vals.items():
-                if k not in self.TERMS:
+                if not known and k not in self._TERM_SET:
                     raise ValueError(f"unknown {part} term {k!r}")
                 if v < 0:
                     raise ValueError(f"{part} term {k} must be >= 0, got {v}")

@@ -15,7 +15,9 @@ Parsing validates every block and expands a sweep into one validated Point
 per value (one point without a sweep).  The base of the swept block runs
 nowhere, so it is checked by the one-field rules only; the rules that read
 several fields (the variant rules, say) run at each point, against its own
-value of the swept field.  A point prices a ledger exactly when it has a dlt
+value of the swept field.  A point of a radio, power or dlt sweep is its
+base with the swept fields replaced (`derive`), which runs the one-field
+rules on those fields alone.  A point prices a ledger exactly when it has a dlt
 block, `dlt: {}` (the defaults) included, and must carry its payloads
 through its radio queues; an integrated scenario none of whose points
 prices one may not set radio, power or dlt.
@@ -278,13 +280,16 @@ def _given(name: str, block, errors: list[str]) -> dict:
     return {key: value for key, value in block.items() if key in _FIELDS[name]}
 
 
-def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: bool = False):
+def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: bool = False,
+           base=None):
     """Block `name` as a run uses it, from the fields the scenario sets.
 
     A config class's error is put on `culprit` (a swept field) when given,
     else on the field its message starts with.  `swept` marks the base of a
-    block a sweep sets a field of: no point runs it, so a validator leaves
-    the rules that read several fields to the points.
+    block a sweep sets a field of: no point runs it, so it is checked by the
+    one-field rules only, and the rules that read several fields run at the
+    points.  A point of a config block is `base` with the fields `given`
+    replaced (`derive`), checked as the block built whole would be.
     """
     if name in _DICT_BLOCKS:
         defaults, validate = _DICT_BLOCKS[name]
@@ -292,7 +297,10 @@ def _build(name: str, given: dict, errors: list[str], culprit: str | None = None
         validate(block, given, errors, swept)
         return block
     try:
-        return _CONFIG_CLASSES[name](**given)
+        if base is not None:
+            return base.derive(given)
+        cls = _CONFIG_CLASSES[name]
+        return cls.swept_base(**given) if swept else cls(**given)
     except ValueError as exc:
         msg = str(exc)
         culprit = culprit or next((k for k in given if msg.startswith(f"{k} ")), None)
@@ -395,22 +403,26 @@ def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
     return {param.split(".", 1)[1]: value}
 
 
-def _expand(seed: int, given: dict, base: dict, sweep: SweepSpec | None, errors: list[str]) -> tuple[Point, ...]:
-    """One point per sweep value, each validated; the base alone without a sweep."""
+def _expand(seed: int, given: dict, base: dict, blocks: dict, sweep: SweepSpec | None,
+            errors: list[str]) -> tuple[Point, ...]:
+    """One point per sweep value, each validated; the base alone without a
+    sweep.  A point of a radio, power or dlt sweep is derived from the
+    swept block's base in `blocks`, a dict block's is built afresh."""
     if sweep is None:
         point = Point(seed=seed, **base)
         _check_ledger(point, errors)
         return (point,)
     name = sweep.block
+    origin = blocks[name] if name in _CONFIG_CLASSES else None
     points = []
     for i, value in enumerate(sweep.values):
         found: list[str] = []
         try:
-            fields = _swept_fields(sweep.param, value, base["radio"])
+            fields = _swept_fields(sweep.param, value, blocks["radio"])
         except (ValueError, TypeError) as exc:
             found.append(f"{sweep.param}: {exc}")
         else:
-            swept = _build(name, {**given[name], **fields}, found, culprit=sweep.field)
+            swept = _build(name, fields if origin else {**given[name], **fields}, found, sweep.field, base=origin)
             points.append(Point(seed=seed, value=value, **{**base, name: swept}))
             if not found:
                 _check_ledger(points[-1], found)
@@ -456,13 +468,14 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
     if sweep is not None and kind != "radio-dlt":  # radio-dlt writes one row per value
         _check_paths(output, sweep, errors)
-    base = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
-            for name in BLOCKS}
-    if "dlt" not in raw:
-        base["dlt"] = None  # no ledger round; an empty block is one at DltConfig's defaults
+    blocks = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
+              for name in BLOCKS}
+    # without a dlt block no ledger round (a dlt sweep derives its points from
+    # the defaults); an empty block is one at DltConfig's defaults
+    base = {**blocks, "dlt": blocks["dlt"] if "dlt" in raw else None}
     if errors:
         raise ValidationError(errors)
-    points = _expand(seed, given, base, sweep, errors)
+    points = _expand(seed, given, base, blocks, sweep, errors)
     if kind == "integrated":
         _check_ledger_off(raw, sweep, points, errors)
     if errors:

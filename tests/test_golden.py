@@ -32,35 +32,43 @@ def test_golden_scenario_reproduces_committed_csv(name, tmp_path):
         assert path.read_bytes() == expected.read_bytes(), f"{path.name} differs from {expected}"
 
 
-def _dense_sweep_scenario(tmp_path, radio_update: dict, dlt_update: dict) -> Path:
-    """The golden radio scenario swept over 300 NPRACH periods, 0.04 s to 2.56 s."""
+def _dense_sweep_scenario(tmp_path, radio_update: dict, dlt_update: dict, param: str, values: list) -> Path:
+    """The golden radio scenario swept over 300 values of `param`."""
     doc = yaml.safe_load((ROOT / "scenarios" / "radio.yaml").read_text())
     doc["radio"].update(radio_update)
     doc["dlt"].update(dlt_update)
     doc["output"] = str(tmp_path / "dense.csv")
-    doc["sweep"]["values"] = [round(0.04 * 64.0 ** (i / 299), 6) for i in range(300)]
+    doc["sweep"] = {"param": param, "values": values}
     path = tmp_path / "dense.yaml"
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     return path
 
 
+# 300 NPRACH periods, 0.04 s to 2.56 s, and 300 sensing rates, 0.01 to 10
+# (at 10 the ledger's block body loads the uplink queue to 0.96)
+PERIODS = ("radio.t", [round(0.04 * 64.0 ** (i / 299), 6) for i in range(300)])
+SENSING_RATES = ("radio.lambda_s", [round(0.01 * 1000.0 ** (i / 299), 6) for i in range(300)])
+
 # sha256 of each 300-row CSV.  Like out/radio.csv, they pin every reported
-# float to the last bit, but at 300 periods instead of seven, and the second
-# prices non-default ledger payloads.
+# float to the last bit, but at 300 points instead of seven.  The second
+# prices non-default ledger payloads; the third sweeps one field, which its
+# points derive from the checked base without the fields radio.t moves.
 DENSE_SWEEPS = {
-    "golden": ({}, {}, "2cd46ba1daf02147785905316c36e11b36659413cdf08e1d6967720534c805e6"),
+    "golden": ({}, {}, PERIODS, "2cd46ba1daf02147785905316c36e11b36659413cdf08e1d6967720534c805e6"),
     "light-load-payloads": (
         {"lambda_u": 0.7, "lambda_d": 1.2, "lambda_s": 2.5, "lambda_b": 3.5},
         {"new_block_bits": 512.0, "get_block_bits": 2048.0, "trans_block_bits": 6000.0},
+        PERIODS,
         "2874efe99c624fffc395d7278bdcbfd3b37c1b1e6fb4d68b9535a9b7427cdc92",
     ),
+    "sensing-rate": ({}, {}, SENSING_RATES, "dcc979d75bef760a4bdcceeda62e73bac230fcc4fa89a367e50883160b979bc4"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_SWEEPS))
 def test_dense_radio_sweep_digest_pinned(name, tmp_path, capsys):
-    radio_update, dlt_update, digest = DENSE_SWEEPS[name]
-    scenario = _dense_sweep_scenario(tmp_path, radio_update, dlt_update)
+    radio_update, dlt_update, (param, values), digest = DENSE_SWEEPS[name]
+    scenario = _dense_sweep_scenario(tmp_path, radio_update, dlt_update, param, values)
     assert main(["radio", "--scenario", str(scenario)]) == 0
     assert capsys.readouterr().out.split() == [str(tmp_path / "dense.csv")]
     data = (tmp_path / "dense.csv").read_bytes()

@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 import yaml
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from edgekit import core, pipeline
 from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
-from edgekit.radio import DltConfig, nprach_period_fields
+from edgekit.radio import DltConfig, PowerProfile, RadioConfig, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
-from edgekit.scenario import ParseError, ValidationError, parse_scenario
+from edgekit.scenario import ParseError, Point, ValidationError, _check_ledger, _swept_fields, parse_scenario
 
 from oracles import write_csv_module
 
@@ -487,6 +487,28 @@ class TestCli:
         assert "dlt.get_block_bits" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_count_beyond_the_float_range_names_the_range(self, tmp_path, capsys):
+        # echoed all 401 digits after "must be an integer >= 1"
+        p = write(tmp_path, f"kind: radio-dlt\noutput: {tmp_path}/out/r.csv\nradio:\n  K: 1{'0' * 400}\n")
+        assert main(["radio", "--scenario", str(p)]) == 1
+        error = "radio.K: K must be an integer >= 1 in the float range, got a 401-digit integer"
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_non_finite_report_exits_two_before_writing(self, tmp_path, capsys):
+        # a diverging 1-bit run: exited 0 and wrote 1021 rows holding inf or nan
+        p = write(tmp_path, f"""
+            kind: learning
+            seed: 1
+            output: {tmp_path}/out/r.csv
+            learning: {{variant: cq-ggadmm, workers: 8, dim: 4, samples: 15, topology: bipartite,
+                        mean_degree: 3.0, iters: 2000, quantizer_bits: 1, censor_xi0: 0.05, rho: 2.0}}
+        """)
+        with np.errstate(all="ignore"):
+            assert main(["learn", "--scenario", str(p)]) == 2
+        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 980, objective is inf, not a finite number"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
@@ -795,6 +817,17 @@ class TestOnePath:
         assert [Path(line).name for line in capsys.readouterr().out.split()] == [
             "r_placement_components_3.csv", "r_placement_components_4.csv",
         ]
+        # exited 1 with "radio: uplink transmission queue is unstable", the
+        # queue of the base's G, which no point runs
+        p = self.scenario(tmp_path, """
+            kind: radio-dlt
+            radio: {G: 200.0}
+            sweep: {param: radio.G, values: [1.0, 2.0]}
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 0
+        assert [line.split(",")[0] for line in (tmp_path / "out" / "r.csv").read_text().splitlines()] == [
+            "radio.G", "1.0", "2.0",
+        ]
 
     def test_cross_field_rule_rejects_a_swept_point(self, tmp_path, capsys):
         p = self.scenario(tmp_path, self.WORKERS_SWEEP % "[4, 5]")
@@ -929,3 +962,133 @@ class TestStaticMistakes:
                 code = main([command, "--scenario", str(path)])
             assert code == (1 if bad else 0)
             assert out.exists() == (code == 0)
+
+
+# Bad values of a radio-dlt sweep over a radio, power or dlt field, and the
+# full stderr of each, recorded while every point was built whole.
+BAD_SWEPT_VALUES = {
+    "t-below-unit": ({}, "radio.t", [0.32, 0.001],
+                     "sweep.values[1]: radio.t: NPRACH period must exceed the NPRACH unit length"),
+    "t-not-a-number": ({}, "radio.t", ["x", 0.32], "sweep.values[0]: radio.t: t must be a finite number, got 'x'"),
+    "t-bool": ({}, "radio.t", [True], "sweep.values[0]: radio.t: t must be a finite number, got True"),
+    "t-huge-rate": ({}, "radio.t", [1.0e+308], "sweep.values[0]: radio.t: lambda_u must be a finite number, got inf"),
+    "t-downlink-unstable": ({}, "radio.t", [0.32, 1000.0],
+                            "sweep.values[1]: radio.t: downlink reception queue is unstable"),
+    "K-zero": ({}, "radio.K", [0, 2.5, True],
+               "sweep.values[0]: radio.K: K must be an integer >= 1, got 0\n"
+               "sweep.values[1]: radio.K: K must be an integer >= 1, got 2.5\n"
+               "sweep.values[2]: radio.K: K must be an integer >= 1, got True"),
+    "p_d-range": ({}, "radio.p_d", [1.5, 0.0],
+                  "sweep.values[0]: radio.p_d: p_d must be in (0, 1]\nsweep.values[1]: radio.p_d: p_d must be > 0"),
+    "w-range": ({}, "radio.w", [1.0, 1.5, -0.5],
+                "sweep.values[1]: radio.w: w must be in (0, 1]\nsweep.values[2]: radio.w: w must be > 0"),
+    "f-nan": ({}, "radio.f", [float("nan")], "sweep.values[0]: radio.f: f must be a finite number, got nan"),
+    "lambda_u-overflow": ({}, "radio.lambda_u", [1.0e+308],
+                          "sweep.values[0]: radio.lambda_u: lambda_u makes the largest contention rate "
+                          "(lambda_u + lambda_d) * N_rmax overflow"),
+    "lambda_d-overflow": ({"lambda_u": 0.0}, "radio.lambda_d", [1.0e+308],
+                          "sweep.values[0]: radio.lambda_d: lambda_d makes the largest contention rate "
+                          "(lambda_u + lambda_d) * N_rmax overflow"),
+    "l1-uplink": ({}, "radio.l1", [512.0, 1.0e+9], "sweep.values[1]: radio.l1: uplink transmission queue is unstable"),
+    "G-uplink": ({}, "radio.G", [200.0], "sweep.values[0]: radio.G: uplink transmission queue is unstable"),
+    "m1-downlink": ({}, "radio.m1", [1.0e+9], "sweep.values[0]: radio.m1: downlink reception queue is unstable"),
+    "R_u-float-range": ({}, "radio.R_u", [1.0e+200], "sweep.values[0]: radio.R_u: queue latency out of float range"),
+    "P_e-range": ({}, "power.P_e", [2.0, 0.0],
+                  "sweep.values[0]: power.P_e: P_e must be in (0, 1]\nsweep.values[1]: power.P_e: P_e must be > 0"),
+    "P_t-negative": ({}, "power.P_t", [-1.0], "sweep.values[0]: power.P_t: P_t must be >= 0"),
+    "M-zero": ({}, "dlt.M", [0, 3, "x"],
+               "sweep.values[0]: dlt.M: M must be an integer >= 1, got 0\n"
+               "sweep.values[2]: dlt.M: M must be an integer >= 1, got 'x'"),
+    "trans-block-unstable": ({}, "dlt.trans_block_bits", [1.0e+9],
+                             "sweep.values[0]: dlt.trans_block_bits: uplink transmission queue is unstable"),
+    "get-block-float-range": ({}, "dlt.get_block_bits", [1.0e+200],
+                              "sweep.values[0]: dlt.get_block_bits: queue latency out of float range"),
+}
+
+# Valid values of each radio, power and dlt field, for a base block, and
+# values that break one of the rules of some field, for a sweep.
+_RADIO_VALUES = {
+    "K": st.integers(1, 96), "N_rmax": st.integers(1, 12), "tau": st.floats(0.001, 0.05),
+    "t": st.floats(0.06, 3.0), "d": st.floats(0.05, 1.0), "lambda_u": st.floats(0.0, 5.0),
+    "lambda_d": st.floats(0.0, 5.0), "lambda_s": st.floats(0.0, 10.0), "lambda_b": st.floats(0.0, 10.0),
+    "p_d": st.floats(0.05, 1.0), "Q": st.floats(0.0, 5.0), "f": st.floats(0.05, 1.0), "u": st.floats(0.001, 0.05),
+    "w": st.floats(0.1, 1.0), "y": st.floats(0.1, 1.0), "G": st.floats(0.1, 20.0),
+    "R_u": st.floats(1e4, 3e5), "R_d": st.floats(1e4, 3e5), "l1": st.floats(64.0, 4096.0),
+    "l2": st.floats(0.0, 1e7), "m1": st.floats(64.0, 4096.0), "m2": st.floats(0.0, 1e7),
+    "f1": st.floats(0.5, 2.0), "L_sync": st.floats(0.0, 1.0),
+}
+_POWER_VALUES = {name: st.floats(0.0, 1.0) for name in ("P_I", "P_c", "P_l", "P_t", "E_s_up", "E_s_down")} | {
+    "P_e": st.floats(0.05, 1.0),
+}
+_DLT_VALUES = {"M": st.integers(1, 20), "lambda_0": st.floats(0.1, 50.0), "P_c": st.floats(0.01, 1.0)} | {
+    name: st.floats(1.0, 4096.0) for name in ("new_block_bits", "get_block_bits", "trans_block_bits")
+}
+_BLOCK_VALUES = {"radio": _RADIO_VALUES, "power": _POWER_VALUES, "dlt": _DLT_VALUES}
+_BAD_VALUES = st.sampled_from([0, -1.0, 0.0, 1.5, 2.5, 1.0e9, 1.0e200, 1.0e308, float("inf"), float("nan"),
+                               True, "x", 10**400, 0.001, 1000.0])
+
+
+@st.composite
+def derived_sweeps(draw):
+    """A radio-dlt scenario with a valid base block and a sweep of one of its
+    fields, some of whose values may break a rule."""
+    block, field = draw(st.sampled_from([(block, field) for block, values in _BLOCK_VALUES.items()
+                                         for field in values]))
+    values = _BLOCK_VALUES[block]
+    base = draw(st.fixed_dictionaries({}, optional=values))
+    swept = draw(st.lists(st.one_of(values[field], _BAD_VALUES), min_size=1, max_size=4))
+    doc = {"kind": "radio-dlt", block: base, "sweep": {"param": f"{block}.{field}", "values": swept}}
+    return doc  # no dlt block, so a ledger only at the points of a dlt sweep, on the default radio
+
+
+class TestDerivedPoints:
+    @pytest.mark.parametrize("name", sorted(BAD_SWEPT_VALUES))
+    def test_bad_swept_value_stderr(self, tmp_path, capsys, name):
+        radio, param, values, stderr = BAD_SWEPT_VALUES[name]
+        doc = {"kind": "radio-dlt", "output": f"{tmp_path}/out/r.csv", "radio": radio, "dlt": {},
+               "sweep": {"param": param, "values": values}}
+        p = tmp_path / "s.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["radio", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in stderr.split("\n"))
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=derived_sweeps())
+    @example(doc={"kind": "radio-dlt", "radio": {"tau": 0.0256, "lambda_s": 5.0},
+                  "sweep": {"param": "radio.t", "values": [0.04, 0.32, 2.56]}})
+    @example(doc={"kind": "radio-dlt", "radio": {"lambda_u": 0.0},
+                  "sweep": {"param": "radio.t", "values": [0.08, 0.001, 1000.0, 1.0e+308, "x"]}})
+    def test_point_equals_the_block_built_whole(self, doc):
+        block, field = doc["sweep"]["param"].split(".")
+        cls = {"radio": RadioConfig, "power": PowerProfile, "dlt": DltConfig}[block]
+        try:
+            cls(**doc[block])
+        except ValueError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            values = core.load_yaml(path.read_text())["sweep"]["values"]
+            expected, errors = [], []
+            for i, value in enumerate(values):
+                try:
+                    fields = _swept_fields(doc["sweep"]["param"], value, RadioConfig(**doc.get("radio", {})))
+                    expected.append(cls(**{**doc[block], **fields}))
+                except ValueError as exc:
+                    errors.append(f"sweep.values[{i}]: {block}.{field}: {exc}")
+                    continue
+                if block == "dlt":  # payloads the default radio's queues cannot carry
+                    found = []
+                    _check_ledger(Point(0, {}, {}, RadioConfig(), PowerProfile(), expected[-1], {}), found)
+                    errors += [f"sweep.values[{i}]: {e}" for e in found]
+            try:
+                points = parse_scenario(path).points
+            except ValidationError as exc:
+                assert exc.errors == errors
+                return
+        assert not errors
+        derived = [getattr(point, block) for point in points]
+        assert [type(config) for config in derived] == [cls] * len(values)
+        assert [vars(config) for config in derived] == [vars(config) for config in expected]
+        assert derived == expected
