@@ -270,9 +270,8 @@ class LatencyEnergyBreakdown:
 
     def __post_init__(self):
         for part, vals in (("latency", self.latency), ("energy", self.energy)):
-            known = vals.keys() <= self._TERM_SET
             for k, v in vals.items():
-                if not known and k not in self._TERM_SET:
+                if k not in self._TERM_SET:
                     raise ValueError(f"unknown {part} term {k!r}")
                 if v < 0:
                     raise ValueError(f"{part} term {k} must be >= 0, got {v}")
