@@ -83,15 +83,16 @@ def quantize_step(
     integer level of each coordinate and R_i.  The levels are kept as
     floats: they are small integers, so level * step is the product the
     receiver forms.  An all-zero row has R = 0, gets level 0 and draws
-    nothing, so one call consumes each point's stream exactly as k
-    sequential one-row calls do.  Every step writes into `buf`, which may
+    nothing; so does a row whose step 2R / (2^b - 1) underflows to 0 (R a
+    few subnormals), which is sent as an all-zero update.  So one call
+    consumes each point's stream exactly as k sequential one-row calls do.  Every step writes into `buf`, which may
     not overlap `new` or `last`.
     """
     delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
     np.subtract(new, last, out=delta)
     np.maximum.reduce(np.abs(delta, out=frac), axis=1, keepdims=True, out=radius)  # d >= 1
-    zero = None if np.count_nonzero(radius) == len(radius) else radius[:, 0] == 0.0
     np.divide(np.multiply(radius, 2.0, out=step), buf.top_rows, out=step)
+    zero = None if np.count_nonzero(step) == len(step) else step[:, 0] == 0.0  # R = 0, or 2R / top underflows
     if zero is not None:
         step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
     np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly

@@ -179,12 +179,14 @@ def quantize_rows(
     probabilities that make the rounding unbiased.  Returns the integer
     levels (k, d) and the radii R (k,).  An all-zero row has R = 0, all-zero
     levels and draws nothing, so one call consumes `rng` exactly as k
-    sequential one-row calls do.
+    sequential one-row calls do.  A row whose step 2R / (2^b - 1)
+    underflows to 0 is sent as an all-zero row, with R = 0.
     """
     delta = np.asarray(delta, dtype=float)
     radius = np.maximum.reduce(np.abs(delta), axis=1)  # d >= 1
-    live = radius != 0.0
     n_levels = 2**config.bits
+    live = 2.0 * radius / (n_levels - 1) != 0.0
+    radius[~live] = 0.0
     R = radius[live, None]
     step = 2.0 * R / (n_levels - 1)
     scaled = (delta[live] + R) / step  # in [0, n_levels - 1]: delta + R >= 0 exactly

@@ -332,6 +332,7 @@ class TestQuantizer:
         bits=st.integers(1, 32),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(vec=[-5e-324], bits=3, seed=0)  # 2R / 7 underflows to 0: sent as an all-zero update
     def test_roundtrip_error_bounded_by_step(self, vec, bits, seed):
         x = np.array(vec)
         q = QuantizerConfig(bits=bits)
@@ -371,6 +372,8 @@ class TestQuantizer:
     @example(rows=[[1.5, -0.25, 3.0], [-2.0, 0.0, 0.5], [0.125, 7.0, -7.0]], bits=2, seed=7)
     # exactly one all-zero row, which draws nothing
     @example(rows=[[1.5, -0.25, 3.0], [0.0, -0.0, 0.0], [-2.0, 0.0, 0.5]], bits=3, seed=8)
+    # a row whose step underflows to 0, which is sent as all zero and draws nothing
+    @example(rows=[[1.5, -0.25, 3.0], [5e-324, 0.0, -5e-324], [-2.0, 0.0, 0.5]], bits=3, seed=9)
     def test_rows_match_sequential_messages(self, rows, bits, seed):
         delta = np.array(rows)
         q = QuantizerConfig(bits=bits)
