@@ -85,8 +85,8 @@ def quantize_step(
     receiver forms.  An all-zero row has R = 0, gets level 0 and draws
     nothing; so does a row whose step 2R / (2^b - 1) underflows to 0 (R a
     few subnormals), which is sent as an all-zero update.  So one call
-    consumes each point's stream exactly as k sequential one-row calls do.  Every step writes into `buf`, which may
-    not overlap `new` or `last`.
+    consumes each point's stream exactly as k sequential one-row calls do.
+    Every step writes into `buf`, which may not overlap `new` or `last`.
     """
     delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
     np.subtract(new, last, out=delta)

@@ -50,14 +50,9 @@ def _fmt(x) -> str:
 def _csv_text(header: list[str], rows: list[list]) -> str:
     """The header and rows as comma-separated lines ending in CRLF, the
     bytes csv.writer writes: no header or cell holds a comma, a quote or a
-    line break, so none is quoted.  An all-float row (a float subclass
-    included) is joined by float.__repr__ alone, any other cell by cell."""
+    line break, so none is quoted."""
     lines = [",".join(header)]
-    for row in rows:
-        try:
-            lines.append(",".join(map(float.__repr__, row)))
-        except TypeError:  # a cell that is not a float
-            lines.append(",".join([repr(x) if type(x) is float else _fmt(x) for x in row]))
+    lines += [",".join([repr(x) if type(x) is float else _fmt(x) for x in row]) for row in rows]
     return "\r\n".join(lines) + "\r\n"
 
 

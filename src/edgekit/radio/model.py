@@ -118,8 +118,7 @@ def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> fl
 
 
 def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
-    """Latency of the post-mining block messages, added in _BLOCK_MESSAGES'
-    order: the reference for the inline sum in full_breakdown."""
+    """Latency of the post-mining block messages, added in _BLOCK_MESSAGES' order."""
     return sequential_sum(_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
 
 
@@ -131,8 +130,9 @@ def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | Non
     sums weigh attempt l by the chance that it is the first to succeed.
     """
     p_rr, _ = reservation_probability(radio)
+    weights = _attempt_weights(p_rr, radio.N_rmax)
     l_ra, l_rar = latency_ra(radio), latency_rar(radio)
-    per_attempt = l_ra + l_rar
+    l_rr = _rr_latency(weights, l_ra + l_rar)
     l_tx, l_rx = latency_tx(radio, radio.l1, radio.l2), latency_rx(radio, radio.m1, radio.m2)
 
     # The reservation-energy sum intentionally omits the attempt-multiplicity
@@ -142,9 +142,8 @@ def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | Non
     P_send = power.P_c + power.P_e * power.P_t
     e_sync = P_l * radio.L_sync
     e_attempt = ((l_ra - tau) * P_I + tau * P_send) + P_l * l_rar
-    l_rr = e_rr = 0  # both sums in one pass, each in attempt order as latency_rr adds
-    for l, weight in enumerate(_attempt_weights(p_rr, radio.N_rmax), 1):
-        l_rr += weight * l * per_attempt
+    e_rr = 0
+    for weight in weights:
         e_rr += weight * e_attempt
     service_up = radio.l1 / (radio.R_u * radio.w)
     e_tx = (l_tx - service_up) * P_I + P_send * service_up
@@ -156,14 +155,7 @@ def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | Non
     en = {"sync_up": e_sync, "rr_up": e_rr, "tx_up": e_tx, "sleep_up": power.E_s_up,
           "sync_down": e_sync, "rr_down": e_rr, "rx_down": e_rx, "sleep_down": power.E_s_down}
     if dlt is not None:
-        l_pow = pow_latency(dlt)
-        new, trans, get = dlt.new_block_bits, dlt.trans_block_bits, dlt.get_block_bits
-        # _block_exchange_latency inline: _BLOCK_MESSAGES' kernels in its
-        # order, added from int 0
-        l_block = 0
-        l_block += latency_tx(radio, new, new**2)
-        l_block += latency_tx(radio, trans, trans**2)
-        l_block += latency_rx(radio, get, get**2)
+        l_pow, l_block = pow_latency(dlt), _block_exchange_latency(radio, dlt)
         lat["pow"], lat["block_exchange"] = l_pow, l_block
         # the mining race is powered by the miner's compute draw, not the
         # device profile

@@ -40,6 +40,7 @@ import yaml
 from .core import is_int, is_number, load_yaml
 from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
+from .radio.config import _shown
 from .radio.model import _BLOCK_MESSAGES, _block_message_latency
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
@@ -398,7 +399,7 @@ def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
     from it, keeping the base's arrivals per second."""
     if param == "radio.t":
         if not is_number(value):
-            raise ValueError(f"t must be a finite number, got {value!r}")
+            raise ValueError(f"t must be a finite number, got {_shown(value)}")
         return nprach_period_fields(radio, float(value), arrivals_per_second=radio.lambda_a / radio.t)
     return {param.split(".", 1)[1]: value}
 

@@ -965,12 +965,15 @@ class TestStaticMistakes:
 
 
 # Bad values of a radio-dlt sweep over a radio, power or dlt field, and the
-# full stderr of each, recorded while every point was built whole.
+# full stderr of each, recorded while every point was built whole; only
+# t-beyond-float-range was not, as that stderr then echoed all 401 digits.
 BAD_SWEPT_VALUES = {
     "t-below-unit": ({}, "radio.t", [0.32, 0.001],
                      "sweep.values[1]: radio.t: NPRACH period must exceed the NPRACH unit length"),
     "t-not-a-number": ({}, "radio.t", ["x", 0.32], "sweep.values[0]: radio.t: t must be a finite number, got 'x'"),
     "t-bool": ({}, "radio.t", [True], "sweep.values[0]: radio.t: t must be a finite number, got True"),
+    "t-beyond-float-range": ({}, "radio.t", [10**400],
+                             "sweep.values[0]: radio.t: t must be a finite number, got a 401-digit integer"),
     "t-huge-rate": ({}, "radio.t", [1.0e+308], "sweep.values[0]: radio.t: lambda_u must be a finite number, got inf"),
     "t-downlink-unstable": ({}, "radio.t", [0.32, 1000.0],
                             "sweep.values[1]: radio.t: downlink reception queue is unstable"),
