@@ -62,10 +62,6 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    return _write(path, _csv_text(header, rows))
-
-
 def _check_finite(path: Path, text: str) -> None:
     """Raise FloatingPointError, naming the file, the row and the column,
     if a cell below the header of report `text` is inf or nan.  Cells are

@@ -60,10 +60,10 @@ class _Record:
 
     A record built whole checks every field.  The base of a sweep, which no
     point runs, is checked by the one-field rules only (`swept_base`); a
-    point derived from it (`derive`) checks the fields it replaces, then
-    every rule that reads several fields.  The base has passed the one-field
-    rules on every other field, so a point fails exactly where the same
-    record built whole fails, with the same error.
+    point it makes (`sweep_point`, through `derive`) checks the fields it
+    replaces, then every rule that reads several fields.  The base has
+    passed the one-field rules on every other field, so a point fails
+    exactly where the same record built whole fails, with the same error.
     """
 
     _COUNTS: frozenset = frozenset()  # integers >= 1
@@ -98,6 +98,10 @@ class _Record:
         values.update(replaced)
         record._check([name for name in values if name in replaced])  # in field order, as built whole
         return record
+
+    def sweep_point(self, name: str, value):
+        """The point at one value of a sweep over field `name` of this base."""
+        return self.derive({name: value})
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,15 @@ class RadioConfig(_Record):
     _COUNTS = frozenset({"K", "N_rmax"})
     _POSITIVE = frozenset({"t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d", "p_d"})
     _UNIT = frozenset({"p_d", "f", "w", "y"})
+
+    def sweep_point(self, name: str, value):
+        """As for any record, but a value of t also moves the fields derived
+        from it (`nprach_period_fields`)."""
+        if name != "t":
+            return super().sweep_point(name, value)
+        if not is_number(value):
+            raise ValueError(f"t must be a finite number, got {_shown(value)}")
+        return self.derive(nprach_period_fields(self, float(value)))
 
     def _check_joint(self) -> None:
         if not is_number((float(self.lambda_u) + self.lambda_d) * self.N_rmax):  # the fixed point's largest rate
@@ -194,16 +207,17 @@ def latency_rx(config: RadioConfig, m1: float, m2: float) -> float:
     )
 
 
-def nprach_period_fields(radio: RadioConfig, t: float, arrivals_per_second: float) -> dict:
+def nprach_period_fields(radio: RadioConfig, t: float) -> dict:
     """Field values of `radio` at NPRACH period t.
 
     The data resource shares are re-derived from the control overhead
     (w = 1 - tau/t uplink, y = 1 - u/d downlink), which is what couples a
     short period to expensive data transmission.  The per-period arrival
-    rates are `arrivals_per_second` * t, split as in `radio`.
+    rates keep `radio`'s arrivals per second, split as in `radio`.
     """
     if t <= radio.tau:
         raise UnstableConfig("NPRACH period must exceed the NPRACH unit length")
+    arrivals_per_second = radio.lambda_a / radio.t
     split = radio.lambda_u / radio.lambda_a if radio.lambda_a > 0 else 0.5
     return {
         "t": t,

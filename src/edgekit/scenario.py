@@ -11,22 +11,24 @@ that kind needs.  Top-level keys:
     learning / placement / radio / power / dlt / integrated   config blocks,
               only those the kind reads (KIND_READS)
 
-Parsing validates every block and expands a sweep into one validated Point
-per value (one point without a sweep).  The base of the swept block runs
-nowhere, so it is checked by the one-field rules only; the rules that read
-several fields (the variant rules, say) run at each point, against its own
-value of the swept field.  A point of a radio, power or dlt sweep is its
-base with the swept fields replaced (`derive`), which runs the one-field
-rules on those fields alone.  A point prices a ledger exactly when it has a dlt
-block, `dlt: {}` (the defaults) included, and must carry its payloads
-through its radio queues; an integrated scenario none of whose points
-prices one may not set radio, power or dlt.
-A placement instance file is loaded, and so checked, at parse time, and its
-point runs the loaded instance.  Sweeping `radio.t` also sets the fields
-`radio.nprach_period_fields` derives from it.  Two sweep values may not
-name the same report file (`point_path`).  Golden examples live in
-scenarios/.  Errors name the field by its dotted path (e.g. "radio.K"),
-after the value's index for a sweep point ("sweep.values[1]: radio.t").
+Parsing builds and validates only the blocks the kind reads (a point's other
+blocks are None), and expands a sweep into one validated Point per value
+(one point without a sweep).  The base of the swept block runs nowhere, so
+it is checked by the one-field rules only; the rules that read several
+fields (the variant rules, say) run at each point, against its own value of
+the swept field.  The base record of a radio, power or dlt sweep makes its
+points (`sweep_point`): itself with the swept fields replaced (`derive`),
+which runs the one-field rules on those fields alone; RadioConfig's
+`radio.t` point also sets the fields `nprach_period_fields(radio, t)`
+derives from t.  A point prices a ledger exactly when it has a dlt block,
+`dlt: {}` (the defaults) included, and must carry its payloads through its
+radio queues; an integrated scenario none of whose points prices one may not
+set radio, power or dlt.  A placement instance file is loaded, and so
+checked, at parse time, and its point runs the loaded instance.  Two sweep
+values may not name the same report file (`point_path`).  Golden examples
+live in scenarios/.  Errors name the field by its dotted path (e.g.
+"radio.K"), after the value's index for a sweep point
+("sweep.values[1]: radio.t").
 """
 from __future__ import annotations
 
@@ -39,8 +41,7 @@ import yaml
 
 from .core import is_int, is_number, load_yaml
 from .placement import load_instance
-from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig, nprach_period_fields
-from .radio.config import _shown
+from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig
 from .radio.model import _BLOCK_MESSAGES, _block_message_latency
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
@@ -127,24 +128,26 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Point:
-    """One concrete run: every block as the run uses it (dlt None without a
-    ledger).  Unswept blocks are the base scenario's own objects."""
+    """One concrete run: each block its kind reads as the run uses it, None
+    for the others (dlt also None without a ledger).  Every point shares the
+    objects of the unswept blocks."""
 
     seed: int
-    learning: dict
-    placement: dict
-    radio: RadioConfig
-    power: PowerProfile
+    learning: dict | None
+    placement: dict | None
+    radio: RadioConfig | None
+    power: PowerProfile | None
     dlt: DltConfig | None
-    integrated: dict
+    integrated: dict | None
     value: object = None  # the swept field's value at this point
 
 
-@dataclass(frozen=True, kw_only=True)
-class Scenario(Point):
-    """The base point, which the sweep varies, and the points to run."""
+@dataclass(frozen=True)
+class Scenario:
+    """A parsed scenario: what it runs and where it writes, and its points."""
 
     kind: str
+    seed: int
     output: str
     sweep: SweepSpec | None
     points: tuple[Point, ...]
@@ -281,30 +284,25 @@ def _given(name: str, block, errors: list[str]) -> dict:
     return {key: value for key, value in block.items() if key in _FIELDS[name]}
 
 
-def _build(name: str, given: dict, errors: list[str], culprit: str | None = None, swept: bool = False,
-           base=None):
+def _build(name: str, given: dict, errors: list[str], swept: bool = False):
     """Block `name` as a run uses it, from the fields the scenario sets.
 
-    A config class's error is put on `culprit` (a swept field) when given,
-    else on the field its message starts with.  `swept` marks the base of a
-    block a sweep sets a field of: no point runs it, so it is checked by the
-    one-field rules only, and the rules that read several fields run at the
-    points.  A point of a config block is `base` with the fields `given`
-    replaced (`derive`), checked as the block built whole would be.
+    A config class's error is put on the field its message starts with.
+    `swept` marks the base of a block a sweep sets a field of: no point runs
+    it, so it is checked by the one-field rules only, and the rules that
+    read several fields run at the points.
     """
     if name in _DICT_BLOCKS:
         defaults, validate = _DICT_BLOCKS[name]
         block = {**defaults, **given}
         validate(block, given, errors, swept)
         return block
+    cls = _CONFIG_CLASSES[name]
     try:
-        if base is not None:
-            return base.derive(given)
-        cls = _CONFIG_CLASSES[name]
         return cls.swept_base(**given) if swept else cls(**given)
     except ValueError as exc:
         msg = str(exc)
-        culprit = culprit or next((k for k in given if msg.startswith(f"{k} ")), None)
+        culprit = next((k for k in given if msg.startswith(f"{k} ")), None)
         errors.append(f"{name}.{culprit}: {msg}" if culprit else f"{name}: {msg}")
         return None
 
@@ -394,39 +392,29 @@ def _check_paths(output: str, sweep: SweepSpec, errors: list[str]) -> None:
             errors.append(f"sweep.values[{i}]: writes the same file as sweep.values[{j}]")
 
 
-def _swept_fields(param: str, value, radio: RadioConfig) -> dict:
-    """The fields one sweep value sets: radio.t also moves the fields derived
-    from it, keeping the base's arrivals per second."""
-    if param == "radio.t":
-        if not is_number(value):
-            raise ValueError(f"t must be a finite number, got {_shown(value)}")
-        return nprach_period_fields(radio, float(value), arrivals_per_second=radio.lambda_a / radio.t)
-    return {param.split(".", 1)[1]: value}
-
-
 def _expand(seed: int, given: dict, base: dict, blocks: dict, sweep: SweepSpec | None,
             errors: list[str]) -> tuple[Point, ...]:
     """One point per sweep value, each validated; the base alone without a
-    sweep.  A point of a radio, power or dlt sweep is derived from the
-    swept block's base in `blocks`, a dict block's is built afresh."""
+    sweep.  A radio, power or dlt point is made by the swept block's base
+    record in `blocks`, a dict block's is built afresh."""
     if sweep is None:
         point = Point(seed=seed, **base)
         _check_ledger(point, errors)
         return (point,)
-    name = sweep.block
-    origin = blocks[name] if name in _CONFIG_CLASSES else None
+    name, field = sweep.block, sweep.field
     points = []
     for i, value in enumerate(sweep.values):
         found: list[str] = []
-        try:
-            fields = _swept_fields(sweep.param, value, blocks["radio"])
-        except (ValueError, TypeError) as exc:
-            found.append(f"{sweep.param}: {exc}")
+        if name in _DICT_BLOCKS:
+            swept = _build(name, {**given[name], field: value}, found)
         else:
-            swept = _build(name, fields if origin else {**given[name], **fields}, found, sweep.field, base=origin)
+            try:
+                swept = blocks[name].sweep_point(field, value)
+            except ValueError as exc:
+                found.append(f"{sweep.param}: {exc}")
+        if not found:
             points.append(Point(seed=seed, value=value, **{**base, name: swept}))
-            if not found:
-                _check_ledger(points[-1], found)
+            _check_ledger(points[-1], found)
         errors.extend(f"sweep.values[{i}]: {e}" for e in found)
     return tuple(points)
 
@@ -464,21 +452,22 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         errors.append("output: must be a non-empty path")
         output = "out/report.csv"
 
-    given = {name: _given(name, raw.get(name, {}), errors) for name in BLOCKS}
+    names = dict.fromkeys(r.split(".", 1)[0] for r in KIND_READS[kind])  # the blocks it reads, in BLOCKS order
+    given = {name: _given(name, raw.get(name, {}), errors) for name in names}
     _check_reads(kind, raw, given, errors)
     sweep = _parse_sweep(raw["sweep"], kind, errors) if "sweep" in raw else None
     if sweep is not None and kind != "radio-dlt":  # radio-dlt writes one row per value
         _check_paths(output, sweep, errors)
     blocks = {name: _build(name, given[name], errors, swept=sweep is not None and sweep.block == name)
-              for name in BLOCKS}
-    # without a dlt block no ledger round (a dlt sweep derives its points from
-    # the defaults); an empty block is one at DltConfig's defaults
-    base = {**blocks, "dlt": blocks["dlt"] if "dlt" in raw else None}
+              for name in names}
     if errors:
         raise ValidationError(errors)
+    # without a dlt block no ledger round (a dlt sweep derives its points from
+    # the defaults); an empty block is one at DltConfig's defaults
+    base = {**dict.fromkeys(BLOCKS), **blocks, "dlt": blocks["dlt"] if "dlt" in raw else None}
     points = _expand(seed, given, base, blocks, sweep, errors)
     if kind == "integrated":
         _check_ledger_off(raw, sweep, points, errors)
     if errors:
         raise ValidationError(errors)
-    return Scenario(kind=kind, seed=seed, output=output, **base, sweep=sweep, points=points)
+    return Scenario(kind=kind, seed=seed, output=output, sweep=sweep, points=points)

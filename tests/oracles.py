@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,6 +119,37 @@ def reservation_sums(radio: RadioConfig, power: PowerProfile, P_rr: float) -> tu
     latency = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * l * (l_ra + l_rar) for l in attempts)
     energy = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar) for l in attempts)
     return latency, energy
+
+
+def swept_fields(param: str, value, radio: RadioConfig) -> dict:
+    """The fields one sweep value sets, written out from the model: the
+    reference for the records' sweep points.  A value of radio.t, a finite
+    number, also moves the data shares w = 1 - tau/t and y = 1 - u/d (at
+    most 0.99 of the downlink to control), and the arrival rates per period
+    at `radio`'s arrivals per second, split between uplink and downlink as
+    in `radio`."""
+    if param != "radio.t":
+        return {param.split(".", 1)[1]: value}
+    if type(value) is int:
+        finite = abs(value) <= sys.float_info.max
+    else:
+        finite = type(value) is float and math.isfinite(value)
+    if not finite:
+        shown = f"a {len(str(abs(value)))}-digit integer" if type(value) is int else repr(value)
+        raise ValueError(f"t must be a finite number, got {shown}")
+    t = float(value)
+    if t <= radio.tau:
+        raise ValueError("NPRACH period must exceed the NPRACH unit length")
+    arrivals = radio.lambda_u + radio.lambda_d
+    per_second = arrivals / radio.t
+    split = radio.lambda_u / arrivals if arrivals > 0 else 0.5
+    return {
+        "t": t,
+        "w": 1.0 - radio.tau / t,
+        "y": 1.0 - min(radio.u / radio.d, 0.99),
+        "lambda_u": per_second * t * split,
+        "lambda_d": per_second * t * (1.0 - split),
+    }
 
 
 def _csv_cell(x) -> str:

@@ -16,9 +16,9 @@ from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
 from edgekit.radio import DltConfig, PowerProfile, RadioConfig, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
-from edgekit.scenario import ParseError, Point, ValidationError, _check_ledger, _swept_fields, parse_scenario
+from edgekit.scenario import BLOCKS, KIND_READS, ParseError, Point, ValidationError, _check_ledger, parse_scenario
 
-from oracles import write_csv_module
+from oracles import swept_fields, write_csv_module
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,8 +37,9 @@ class TestParsing:
         s = parse_scenario(p)
         assert s.kind == "learning"
         assert s.seed == 0
-        assert s.learning["variant"] == "gadmm"
-        assert s.learning["workers"] == 10
+        learning = s.points[0].learning
+        assert learning["variant"] == "gadmm"
+        assert learning["workers"] == 10
 
     def test_negative_preamble_count_names_field(self, tmp_path):
         p = write(tmp_path, """
@@ -97,11 +98,36 @@ class TestParsing:
         assert s.sweep.field == "t"
         assert s.sweep.values == (0.1, 0.2)
         assert [point.value for point in s.points] == [0.1, 0.2]
-        swept = s.points[1]
+        first, swept = s.points
         assert swept.radio.t == 0.2
         # radio.t moves the fields derived from it, at fixed arrivals per second
-        assert swept.radio == replace(s.radio, **nprach_period_fields(s.radio, 0.2, s.radio.lambda_a / s.radio.t))
-        assert swept.power is s.power and swept.learning is s.learning
+        assert swept.radio == replace(RadioConfig(), **nprach_period_fields(RadioConfig(), 0.2))
+        assert swept.power is first.power and swept.learning is first.learning is None
+
+    def test_scenario_is_its_points(self, tmp_path):
+        # the base of a G sweep breaks the joint queue rules, which run at the points only
+        p = write(tmp_path, """
+            kind: radio-dlt
+            radio: {G: 200.0}
+            sweep: {param: radio.G, values: [1.0, 2.0]}
+        """)
+        s = parse_scenario(p)
+        assert not any(hasattr(s, name) for name in BLOCKS)
+        assert [point.radio.G for point in s.points] == [1.0, 2.0]
+        for point in s.points:
+            assert point.radio == RadioConfig(**vars(point.radio))
+
+    def test_unread_blocks_are_not_checked(self, tmp_path, capsys):
+        p = write(tmp_path, """
+            kind: learning
+            radio: {K: 0}
+            placement: {runs: 0}
+        """)
+        assert main(["learn", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: placement: not read by kind learning\n"
+            "error: radio: not read by kind learning\n"
+        )
 
     def test_seed_override(self, tmp_path):
         p = write(tmp_path, "kind: learning\nseed: 5\n")
@@ -171,6 +197,13 @@ class TestGoldenScenarios:
     def test_golden_files_parse(self, name, kind):
         s = parse_scenario(GOLDEN / name)
         assert s.kind == kind
+
+    def test_points_hold_only_the_blocks_their_kind_reads(self):
+        for name in ("learning.yaml", "placement.yaml", "radio.yaml", "integrated.yaml"):
+            s = parse_scenario(GOLDEN / name)
+            reads = {r.split(".", 1)[0] for r in KIND_READS[s.kind]}
+            for point in s.points:
+                assert {b for b in BLOCKS if getattr(point, b) is None} == set(BLOCKS) - reads, name
 
 
 class TestRunScenario:
@@ -295,7 +328,7 @@ class TestCsvWriter:
     )
     def test_same_bytes_as_csv_module(self, header, rows):
         with tempfile.TemporaryDirectory() as tmp:
-            ours = pipeline._write_csv(Path(tmp) / "ours.csv", header, rows).read_bytes()
+            ours = pipeline._write(Path(tmp) / "ours.csv", pipeline._csv_text(header, rows)).read_bytes()
             theirs = write_csv_module(Path(tmp) / "theirs.csv", header, rows).read_bytes()
         assert ours == theirs
 
@@ -365,7 +398,7 @@ class TestIntegrated:
     def test_placement_does_not_alter_learning_math(self, tmp_path):
         rows, _ = self.reports(tmp_path)
         s = parse_scenario(self.scenario(tmp_path))
-        standalone, = run_learning_block([s.learning], s.seed)
+        standalone, = run_learning_block([s.points[0].learning], s.seed)
         assert [float(row[1]) for row in rows] == standalone.objective
         assert [float(row[2]) for row in rows] == standalone.objective_error
 
@@ -885,9 +918,9 @@ class TestOnePath:
             dlt: {M: 3}
             sweep: {param: learning.rho, values: [0.5, 1.0]}
         """))
-        for point in s.points:
-            assert point.radio is s.radio and point.power is s.power and point.dlt is s.dlt
-            assert point.placement is s.placement and point.integrated is s.integrated
+        first, second = s.points
+        assert second.radio is first.radio and second.power is first.power and second.dlt is first.dlt
+        assert second.placement is first.placement and second.integrated is first.integrated
         assert [point.learning["rho"] for point in s.points] == [0.5, 1.0]
 
 
@@ -1076,7 +1109,7 @@ class TestDerivedPoints:
             expected, errors = [], []
             for i, value in enumerate(values):
                 try:
-                    fields = _swept_fields(doc["sweep"]["param"], value, RadioConfig(**doc.get("radio", {})))
+                    fields = swept_fields(doc["sweep"]["param"], value, RadioConfig(**doc.get("radio", {})))
                     expected.append(cls(**{**doc[block], **fields}))
                 except ValueError as exc:
                     errors.append(f"sweep.values[{i}]: {block}.{field}: {exc}")
