@@ -18,7 +18,9 @@ Communication Efficient Framework for Distributed Machine Learning" (JMLR
 Workers exchange *transmitted* models: when a transmission is censored, the
 receivers keep using the last value that actually went over the air, and the
 dual updates are computed from transmitted values on both endpoints so the
-two mirrored copies of each dual stay bit-identical.
+two mirrored copies of each dual stay bit-identical.  A variant that does not
+censor transmits every model it computes; a model equal to the worker's last
+one is not counted as a message.
 
 Bandwidth is split among the workers scheduled to transmit in the same phase
 (N for the parameter server, the head or tail group size otherwise), which is
@@ -46,16 +48,23 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          ps-admm adds P rows after its workers', each
                          point's centre z
   sends       (16, M)    which rows transmitted in each iteration; it
-                         starts all True, and ps-admm, whose workers all
-                         transmit, never writes it
-  theta_hat   (M, d)     last transmitted models, phase-major
+                         starts all True.  A censoring phase writes its
+                         rows; without censoring the trace reads it off the
+                         history block (see The trace); ps-admm, whose
+                         workers all transmit, never writes it
+  theta_hat   (M, d)     last transmitted models, phase-major, which a
+                         censoring phase updates.  Without censoring every
+                         computed model is transmitted, and it holds the
+                         models of the iteration before the history block:
+                         NaN, which no model equals, before the first
   src         (2M+2F+2, d)
                          every addend a phase can need, in blocks: 2 g_n (M
                          rows, by point and worker), -lambda_i and
                          +lambda_i (F rows each, by point and edge), one
-                         -0.0 row, rho theta_hat (M rows, phase-major) and
-                         one +0.0 row.  Each transmit writes its rho
-                         theta_hat rows, each dual step both lambda blocks
+                         -0.0 row, rho times the last transmitted models
+                         (M rows, phase-major) and one +0.0 row.  Each
+                         phase writes its pull rows, each dual step both
+                         lambda blocks
   rho         (P, max(N, E), d)
                          each point's rho, made once per run; a group's
                          (P*k, d) rows and the (F, d) dual rows are cut from
@@ -78,8 +87,9 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          (P*k, d, 1) their sums: column stacks, the
                          operands np.matmul solves as one gemv per row
   ends        (2, F)     the rows of each edge's left and right end; the
-                         dual step gathers theta_hat at both into one
-                         (2, F, d) buffer
+                         dual step gathers the transmitted models at both
+                         (theta_hat, or without censoring the iteration's
+                         history row) into one (2, F, d) buffer
 
 An iteration is then a fixed number of numpy calls whatever N and D are,
 and allocates no array after the first, except for a quantized update with
@@ -87,17 +97,26 @@ an all-zero row.  Only two steps loop over the points: the quantizer draws
 with one rng.random per point, from the point's own child_rng(seed, 1)
 stream, and the censoring test compares the rows of each point after the
 first with its own threshold.  Per phase: one gather of the term stack, one
-ordered sum of it into rhs, one stacked solve written straight into the
+ordered sum of it into rhs and one stacked solve written straight into the
 group's rows of the history block (the phase keeps a view of its rows in
-each of the 16), and one buffered kernel each for quantizing, censoring and
-transmitting.
-Quantizing writes last + Q(new - last) into the phase's buffers; censoring
-is a subtract, a row ddot, a square root and a comparison.  A phase that sends
-every row copies them into theta_hat with a plain slice write; a partial
-send is a masked copy, and one that sends nothing writes nothing.  The
-group's rho theta_hat rows are then rewritten whole: a row that did not send
-already held rho times its theta_hat.  Per iteration: one gather of the edge
-ends, an in-place dual step and its negation.  d-gadmm re-initializes the
+each of the 16).  Without censoring the phase then writes rho times its new
+models into its pull rows, and that is all: four numpy calls.  The
+receivers so read every new model, also one equal in value to the last
+message the trace counted: where a coordinate only flipped the sign of a
+zero, they read -0.0 where they read +0.0, or the reverse.  Such an addend
+or operand changes the sign of a result that is exactly zero and nothing
+else: x + 0.0 and x + -0.0 are both x when x is not zero, and a product with
+a zero is a zero.  No reported number keeps the sign of a zero (the error is
+an absolute value and the residual a root of a sum of squares), and a send
+is decided by value, where -0.0 == 0.0.  A censoring phase instead runs one buffered kernel each
+for quantizing (cq-ggadmm), censoring and transmitting.  Quantizing writes
+last + Q(new - last) into the phase's buffers; censoring is a subtract, a
+row ddot, a square root and a comparison.  A phase that sends every row
+copies them into theta_hat with a plain slice write; a partial send is a
+masked copy, and one that sends nothing writes nothing.  The group's pull
+rows are then rewritten whole: a row that did not send already held rho
+times its theta_hat.  Per iteration: one gather of the edge ends, an
+in-place dual step and its negation.  d-gadmm re-initializes the
 duals on re-chaining as prefix sums of the local gradients along the new
 chain order.  ps-admm writes each iteration's centres into the last P rows
 of the history block and reuses one (P, N, d) work array for its rhs, its
@@ -109,7 +128,12 @@ test in worker order when it fills, when the run ends and before a d-gadmm
 re-chain changes the edges.  `use(rows, ends, groups)` sets the layout:
 each point's worker rows, each edge's two end rows, and the sizes k of the
 band groups (P*k sends rows, point by point): the head and tail phases, or
-ps-admm's N workers, each with an edge to its point's centre.  One
+ps-admm's N workers, each with an edge to its point's centre.  Without
+censoring, `flush` first reads `sends` off the block: a row is sent iff a
+coordinate differs (!=) from the same row one iteration earlier, the block's
+first row from theta_hat, which then takes the block's last row.  A d-gadmm
+re-chain flushes before it permutes the rows, and theta_hat with them, so
+the next block's first row is compared with the same worker's model.  One
 np.add.reduceat over `sends` counts each group's messages, and each is
 priced on its own.  The flush where a point ends takes its consensus
 residual from its last reported row i alone: the gaps models[i, left end] -
@@ -181,7 +205,7 @@ from .topology import Topology, rechain
 # What each variant runs on and sends: a parameter `server` takes no topology, a `graph`
 # variant a chain or bipartite one (the others a chain only); one that `rechains` does so
 # every tau_coh iterations over an even number of workers; only one that `quantizes` takes
-# a quantizer, and needs one, and only one that `censors` takes a censor schedule.
+# a quantizer, and only one that `censors` a censor schedule, and each needs one.
 Traits = namedtuple("Traits", "server graph rechains quantizes censors", defaults=(False,) * 5)
 TRAITS = {
     "ps-admm": Traits(server=True),
@@ -297,8 +321,8 @@ def _check_variant(variant, topology, points, n_problems):
     quantizer, censor = points[0].quantizer, points[0].censor
     if (quantizer is not None) != traits.quantizes:
         raise ConfigMismatch(f"{variant} {'requires a' if traits.quantizes else 'takes no'} quantizer")
-    if censor is not None and not traits.censors:
-        raise ConfigMismatch(f"{variant} takes no censor schedule")
+    if (censor is not None) != traits.censors:
+        raise ConfigMismatch(f"{variant} {'requires a' if traits.censors else 'takes no'} censor schedule")
     if traits.server:  # a given topology is ignored
         return
     if topology is None:
@@ -370,8 +394,9 @@ class _Traces:
     (see The trace above), each point's trace, its running (bits, joules,
     censored) totals and the iterations it has still to report."""
 
-    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None, model_rows: int):
-        self.stack, self.points, self.stop_error = stack, points, stop_error
+    def __init__(self, stack: ProblemStack, points: Sequence[Setting], stop_error: float | None, model_rows: int,
+                 before: np.ndarray | None = None):
+        self.stack, self.points, self.stop_error, self.before = stack, points, stop_error, before
         self.traces = [TrainingTrace() for _ in points]
         self.totals = [(0.0, 0.0, 0)] * len(points)
         self.left = [point.iters for point in points]
@@ -407,6 +432,8 @@ class _Traces:
         """
         n, self.slot = self.slot, 0
         if n and any(self.left):
+            if self.before is not None:
+                self._read_sends(n)
             # messages sent by each band group at each point in each iteration
             sent = np.add.reduceat(self.sends[:n], self.firsts, axis=1, dtype=np.intp).tolist()
             errors = self.stack.errors(self.models, self.rows)
@@ -414,6 +441,16 @@ class _Traces:
                 if self.left[p]:
                     self._append(p, trace, errors[p][:min(n, self.left[p])], sent)
         return not any(self.left)
+
+    def _read_sends(self, n):
+        """sends[:n] of a run whose rows transmit every model they compute: a
+        row is sent iff a coordinate differs (!=) from the same row one
+        iteration earlier, the block's first row from `before`, which then
+        takes the block's last."""
+        models, before = self.models[:n], self.before
+        (models[0] != before).any(axis=-1, out=self.sends[0])
+        (models[1:] != models[:-1]).any(axis=-1, out=self.sends[1:n])
+        before[...] = models[-1]
 
     def _append(self, p, trace, signed, sent):
         error = [abs(e) for e in signed]
@@ -492,20 +529,20 @@ class _Phase:
     rhs: np.ndarray  # (P*k, d, 1) their sums
     new: tuple[np.ndarray, ...]  # per history row, (P*k, d) views of the group's models
     cols: tuple[np.ndarray, ...]  # the same as (P*k, d, 1) column stacks, which the solve writes
+    pull: np.ndarray  # (P*k, d) view of its rows of rho times the transmitted models in src
+    rho: np.ndarray  # (P*k, d) each row's rho
+    # what only a censoring phase reads or writes
     send: tuple[np.ndarray, ...]  # per history row, (P*k,) views of the rows that transmit
     last: np.ndarray  # (P*k, d) view of the group's theta_hat rows
-    pull: np.ndarray  # (P*k, d) view of its rho theta_hat rows in src
-    rho: np.ndarray  # (P*k, d) each row's rho
     quantize: QuantizeBuffers | None  # the quantizer step's buffers, when the points quantize
     diff: np.ndarray  # (P*k, d) the update a censoring test measures
     norm: np.ndarray  # (P*k,) its length
-    changed: np.ndarray  # (P*k, d) bool, new != last
 
 
 def _src_rows(N, E):
     """First rows of src's blocks after 2 g (rows 0..N-1, by worker):
-    -lambda and +lambda (E rows each, by edge), the -0.0 row, rho theta_hat
-    (N rows, phase-major) and the +0.0 row."""
+    -lambda and +lambda (E rows each, by edge), the -0.0 row, rho times the
+    transmitted models (N rows, phase-major) and the +0.0 row."""
     return N, N + E, N + 2 * E, N + 2 * E + 1, 2 * N + 2 * E + 1
 
 
@@ -548,14 +585,13 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
             rhs=np.empty((P * k, d, 1)),
             new=new,
             cols=tuple(m[..., None] for m in new),
-            send=tuple(traces.sends[:, rows]),
-            last=theta_hat[rows],
             pull=pull[rows],
             rho=rho[:, :k].reshape(P * k, d),
+            send=tuple(traces.sends[:, rows]),
+            last=theta_hat[rows],
             quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
             diff=np.empty((P * k, d)),
             norm=np.empty(P * k),
-            changed=np.empty((P * k, d), dtype=bool),
         ))
         start += k
     ends = [[row[p][end[side]] for p in range(P) for end in edges] for side in (0, 1)]
@@ -589,16 +625,17 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
     src[minus_zero] = -0.0
     lam, neg_lam, pull = src[plus:plus + P * E], src[neg:plus], src[pulls:pulls + P * N]
     np.negative(lam, out=neg_lam)
-    theta_hat = np.zeros((P * N, d))
-    end_hat = np.empty((2, P * E, d))  # theta_hat at each edge's left and right end
+    quantized, censored = points[0].quantizer is not None, points[0].censor is not None
+    # without censoring, the models before the trace block, which `traces` sets
+    theta_hat = np.zeros((P * N, d)) if censored else np.full((P * N, d), np.nan)
+    end_hat = np.empty((2, P * E, d))  # the transmitted models at each edge's left and right end
     left_hat, right_hat = end_hat
     rho = _rho_rows(points, max(N, E), d)  # each point's rho, for each row of a phase or a dual
     rho_edges = rho[:, :E].reshape(P * E, d)
-    quantized, censored = points[0].quantizer is not None, points[0].censor is not None
     censors = [point.censor for point in points]
     q_rngs = [child_rng(seed, 1) for _ in points]
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-    traces = _Traces(stack, points, stop_error, P * N)
+    traces = _Traces(stack, points, stop_error, P * N, None if censored else theta_hat)
     phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
 
     for k in range(max(point.iters for point in points)):
@@ -623,13 +660,14 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
             # every index is in range, and mode="clip" gathers without a buffer
             src.take(ph.idx, axis=0, out=ph.gather, mode="clip")
             block_solve(ph.inv, ph.terms, ph.rhs, ph.cols[slot])
-            new, last, send = ph.new[slot], ph.last, ph.send[slot]
+            new = ph.new[slot]
+            if not censored:  # every row sends the model it computed
+                np.multiply(new, ph.rho, out=ph.pull)
+                continue
+            last, send = ph.last, ph.send[slot]
             if quantized:
                 new = quantize_step(new, last, q_rngs, ph.quantize)
-            if censored:
-                censor_mask(new, last, thresholds, ph.diff, ph.norm, send)
-            elif k:  # the first iteration sends every row, as `sends` starts
-                np.logical_or.reduce(np.not_equal(new, last, out=ph.changed), axis=1, out=send)
+            censor_mask(new, last, thresholds, ph.diff, ph.norm, send)
             sent = int(np.count_nonzero(send))
             if sent:
                 if sent == len(send):
@@ -639,7 +677,7 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
                 # a row that did not send already holds rho times its theta_hat
                 np.multiply(last, ph.rho, out=ph.pull)
 
-        theta_hat.take(ends, axis=0, out=end_hat, mode="clip")
+        (theta_hat if censored else traces.models[slot]).take(ends, axis=0, out=end_hat, mode="clip")
         dual_update(lam, left_hat, right_hat, rho_edges, left_hat)
         np.negative(lam, out=neg_lam)
         if traces.advance():

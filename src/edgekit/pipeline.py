@@ -291,9 +291,12 @@ _RUN_POINTS = {
 
 def run_scenario(scenario: Scenario) -> list[Path]:
     """Run every point, check that every report is finite, then write the
-    CSVs; return the written paths."""
+    CSVs; return the written paths.  numpy's overflow and invalid-value
+    warnings are off while the points run: the finiteness check names the
+    first cell they would have warned about."""
     sweep = scenario.sweep
-    results = _RUN_POINTS[scenario.kind](scenario)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = _RUN_POINTS[scenario.kind](scenario)
     if scenario.kind == "radio-dlt":
         header = [sweep.param if sweep else "param", *RADIO_COLUMNS]
         rows = [[point.value if sweep else 0, *row] for point, row in zip(scenario.points, results)]

@@ -329,7 +329,9 @@ def _parse_sweep(sw, kind: str, errors: list[str]) -> SweepSpec | None:
 
 
 def _check_reads(kind: str, raw: dict, given: dict, errors: list[str]) -> None:
-    """Blocks and fields the scenario sets that its kind does not read."""
+    """Blocks and fields the scenario sets that its kind does not read.  An
+    unread field is dropped from `given`, so that its block is built from
+    the fields the kind reads and the field's own rules never run."""
     reads = KIND_READS[kind]
     for name in BLOCKS:
         if name not in raw or name in reads:
@@ -337,6 +339,7 @@ def _check_reads(kind: str, raw: dict, given: dict, errors: list[str]) -> None:
         fields = [r.split(".", 1)[1] for r in reads if r.startswith(f"{name}.")]
         if fields:
             errors.extend(f"{name}.{key}: not read by kind {kind}" for key in given[name] if key not in fields)
+            given[name] = {key: value for key, value in given[name].items() if key in fields}
         else:
             errors.append(f"{name}: not read by kind {kind}")
 

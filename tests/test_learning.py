@@ -537,6 +537,7 @@ class TestRun:
             ("gadmm", problems, None, {}),
             ("gadmm", problems, topo, {"quantizer": QuantizerConfig(bits=2)}),
             ("cq-ggadmm", problems, topo, {}),
+            ("c-ggadmm", problems, topo, {}),  # ran as ggadmm, or failed in its loop for want of thresholds
             ("d-gadmm", problems, topo, {}),  # tau_coh is inf
             # ran, pricing every message at the quantized payload, or ignoring the schedule
             ("ps-admm", problems, None, {"quantizer": QuantizerConfig(bits=2)}),
@@ -847,9 +848,11 @@ def test_edge_run_digest_pinned(case):
 def _send_run(case):
     """Runs whose phases send only some of their rows, or none: uncensored
     scalar chains that settle on an exact fixed point (an unchanged model is
-    not sent), a c-ggadmm run whose threshold censors every message for its
-    first 16 iterations, and a cq-ggadmm chain that quantizes some all-zero
-    updates.  Returns the trace and the bits of one message."""
+    not sent), one of them re-chained every 5 iterations, so that partial
+    sends fall on the first iteration after a re-chain and on the first row
+    of a trace block; a c-ggadmm run whose threshold censors every message
+    for its first 16 iterations, and a cq-ggadmm chain that quantizes some
+    all-zero updates.  Returns the trace and the bits of one message."""
     shape, variant = case.split(":")
     if shape == "bipartite6":
         topo = build_topology(6, kind="bipartite", seed=21)
@@ -859,6 +862,8 @@ def _send_run(case):
     problems, topo = scalar_problems([0.0, -0.0, 0.5, 0.0]), build_topology(4, kind="chain")
     if variant == "gadmm":
         return run(variant, problems, topo, iters=300), 32
+    if variant == "d-gadmm":
+        return run(variant, problems, build_topology(4, kind="chain", seed=0, tau_coh=5), iters=200), 32
     q = QuantizerConfig(bits=2)
     trace = run(variant, problems, topo, quantizer=q, censor=CensorSchedule(xi0=0.1, alpha=0.97), iters=200, seed=3)
     return trace, q.payload_bits(1)
@@ -874,6 +879,7 @@ def _sends(trace, payload):
 # test names, so that the masked transmit path stays covered.
 SEND_RUN_DIGESTS = {
     "chain4:gadmm": "751435cad999964d50954fc7df71855dc5109067669c0f76dda21efaad8ab3c2",
+    "chain4:d-gadmm": "fe2196845772cea8054b40a70cdae12bb6e76a3a6dab7c0a85e5f578ed88ccb7",
     "bipartite6:c-ggadmm": "93912432edcd9adf3f47cd15141962a677e1c67e1a542f152694c56c7a1b6ed5",
     "chain4:cq-ggadmm": "3d880db19f97a01e342cfdd81786ac7be3aa15de0deeb95e1721a161ba36d19b",
 }
@@ -895,6 +901,9 @@ def test_send_run_digest_pinned(case, monkeypatch):
         assert any(n % 2 for n in sends[1:])
     else:  # both phases sent nothing, and later phases send again
         assert sends[1] == 0 and sends[-1] > 0
+    if case.endswith("d-gadmm"):  # partial sends right after a re-chain and at a block's first row
+        assert any(sends[k] < 4 for k in range(5, len(sends), 5))
+        assert any(sends[k] < 4 for k in range(TRACE_BLOCK, len(sends), TRACE_BLOCK))
     if case.endswith("cq-ggadmm"):  # one update of two is zero, and every row of others is live
         assert 1 in zero_rows and 0 in zero_rows
     assert _trace_digest(trace) == SEND_RUN_DIGESTS[case]
@@ -938,6 +947,7 @@ LOOP_DIGESTS = {
     "edge:star:ps-admm": "6ce50909ea58a1e4019a1977d2ad1e5445839454e8a5b91b100fe3a0160a1d3e",
     "send:bipartite6:c-ggadmm": "017237d85e76c6012ab133b36fa1e1431ee458fbbff3c29cbc41eca0807cb252",
     "send:chain4:cq-ggadmm": "fbc82068297522d5300d19d49b8355db0d01b64636216d6b93f2b0f1d23cf741",
+    "send:chain4:d-gadmm": "6c71d42e2c603359f1c6beeeb164ee7f81350ee2d3231fbbf84f6a6c96a358b1",
     "send:chain4:gadmm": "a2c16770d6515d8ae5d1ba87feee1cd2f421550f480843ea37698789b3f01e76",
 }
 

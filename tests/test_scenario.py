@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import textwrap
 from dataclasses import replace
@@ -21,6 +24,7 @@ from edgekit.scenario import BLOCKS, KIND_READS, ParseError, Point, ValidationEr
 from oracles import swept_fields, write_csv_module
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = GOLDEN.parent / "src"
 
 
 def write(tmp_path, text, name="s.yaml"):
@@ -127,6 +131,18 @@ class TestParsing:
         assert capsys.readouterr().err == (
             "error: placement: not read by kind learning\n"
             "error: radio: not read by kind learning\n"
+        )
+
+    def test_unread_fields_are_not_checked(self, tmp_path, capsys):
+        # an integrated scenario reads placement.nodes alone
+        p = write(tmp_path, """
+            kind: integrated
+            placement: {nodes: 10, runs: 0, shape: tall}
+        """)
+        assert main(["integrated", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: placement.runs: not read by kind integrated\n"
+            "error: placement.shape: not read by kind integrated\n"
         )
 
     def test_seed_override(self, tmp_path):
@@ -527,20 +543,36 @@ class TestCli:
         error = "radio.K: K must be an integer >= 1 in the float range, got a 401-digit integer"
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    DIVERGING = """
+        kind: learning
+        seed: 1
+        output: %s/out/r.csv
+        learning: {variant: cq-ggadmm, workers: 8, dim: 4, samples: 15, topology: bipartite,
+                   mean_degree: 3.0, iters: 2000, quantizer_bits: 1, censor_xi0: 0.05, rho: 2.0}
+    """
+
     def test_non_finite_report_exits_two_before_writing(self, tmp_path, capsys):
         # a diverging 1-bit run: exited 0 and wrote 1021 rows holding inf or nan
-        p = write(tmp_path, f"""
-            kind: learning
-            seed: 1
-            output: {tmp_path}/out/r.csv
-            learning: {{variant: cq-ggadmm, workers: 8, dim: 4, samples: 15, topology: bipartite,
-                        mean_degree: 3.0, iters: 2000, quantizer_bits: 1, censor_xi0: 0.05, rho: 2.0}}
-        """)
+        p = write(tmp_path, self.DIVERGING % tmp_path)
         with np.errstate(all="ignore"):
             assert main(["learn", "--scenario", str(p)]) == 2
         error = f"FloatingPointError: {tmp_path}/out/r.csv: row 980, objective is inf, not a finite number"
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_report_prints_its_error_alone(self, tmp_path):
+        # the same run as a command, with Python's default warning filters: it
+        # printed eleven numpy RuntimeWarnings ahead of its error line
+        p = write(tmp_path, self.DIVERGING % tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "edgekit.cli", "learn", "--scenario", str(p)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 980, objective is inf, not a finite number"
+        assert proc.stderr == f"error: {error}\n"
+        # the run itself, called directly, warns as numpy does by default
+        with pytest.warns(RuntimeWarning):
+            run_learning_block([parse_scenario(p).points[0].learning], seed=1)
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
