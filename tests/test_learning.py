@@ -537,7 +537,7 @@ class TestRun:
             ("gadmm", problems, None, {}),
             ("gadmm", problems, topo, {"quantizer": QuantizerConfig(bits=2)}),
             ("cq-ggadmm", problems, topo, {}),
-            ("c-ggadmm", problems, topo, {}),  # ran as ggadmm, or failed in its loop for want of thresholds
+            ("c-ggadmm", problems, topo, {}),  # ran as ggadmm
             ("d-gadmm", problems, topo, {}),  # tau_coh is inf
             # ran, pricing every message at the quantized payload, or ignoring the schedule
             ("ps-admm", problems, None, {"quantizer": QuantizerConfig(bits=2)}),
