@@ -36,7 +36,7 @@ from . import learning as L
 from . import placement as P
 from . import radio as R
 from .core import make_rng, sequential_sum
-from .scenario import Point, Scenario, point_path
+from .scenario import Point, Scenario, learning_setting, point_path
 
 
 def _fmt(x) -> str:
@@ -110,29 +110,28 @@ STACKED_FIELDS = frozenset({
 })
 
 
-def _setting(cfg: dict) -> L.Setting:
-    """What a learning block sets for its own point of a stacked run."""
-    traits = L.TRAITS[cfg["variant"]]
-    return L.Setting(
-        rho=cfg["rho"],
-        quantizer=L.QuantizerConfig(bits=cfg["quantizer_bits"]) if traits.quantizes else None,
-        censor=L.CensorSchedule(xi0=cfg["censor_xi0"], alpha=cfg["censor_alpha"]) if traits.censors else None,
-        energy_model=L.CommEnergyModel(cfg["bandwidth_hz"], cfg["slot_s"], cfg["noise_density"]),
-        iters=cfg["iters"],
-    )
-
-
-def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None = None) -> list[L.TrainingTrace]:
+def run_learning_block(cfgs: list[dict], seed: int) -> list[L.TrainingTrace]:
     """Train at each of the learning blocks `cfgs`, which differ only in
     STACKED_FIELDS, as one stacked run on the first block's synthetic
-    problems over `topology` (by default the block's own; a parameter
-    server needs none); return each block's trace."""
+    problems and topology (a parameter server needs none); return each
+    block's trace."""
     cfg = cfgs[0]
-    if topology is None and not L.TRAITS[cfg["variant"]].server:
-        topology = _topology(cfg, seed)
+    topology = None if L.TRAITS[cfg["variant"]].server else _topology(cfg, seed)
     return L.run_points(
-        cfg["variant"], make_problems(cfg, seed), topology, [_setting(c) for c in cfgs], seed=seed,
+        cfg["variant"], make_problems(cfg, seed), topology, [learning_setting(c) for c in cfgs], seed=seed,
     )
+
+
+def _learning_traces(scenario: Scenario) -> list[L.TrainingTrace]:
+    """Each point's training trace, for the learning and the integrated
+    kind.  The points run as one stacked run unless the sweep sets a
+    learning field outside STACKED_FIELDS, which gives each point its own
+    problems or topology, and so its own run."""
+    sweep, points = scenario.sweep, scenario.points
+    apart = sweep is not None and sweep.block == "learning" and sweep.field not in STACKED_FIELDS
+    groups = [[point] for point in points] if apart else [points]
+    return [trace for group in groups
+            for trace in run_learning_block([point.learning for point in group], group[0].seed)]
 
 
 def _learning_rows(trace: L.TrainingTrace) -> list[list]:
@@ -233,21 +232,21 @@ def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
     return P.AppGraph(components=tuple(comps), edges=tuple(edges), shape="custom")
 
 
-def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]:
-    """Place the learning sub-tasks, train over the placed workers, and price
-    one ledger record every `ledger_period` iterations (none without a dlt
-    block).
+def _integrated_reports(point: Point, trace: L.TrainingTrace) -> list[tuple[str, list[str], list[list]]]:
+    """Place the learning sub-tasks, report the point's training `trace`,
+    and price one ledger record every `ledger_period` iterations (none
+    without a dlt block).
 
     The application graph mirrors the learning roles: one data-processing
     source component, one training component per tail worker, and one
     aggregation component per head worker, wired along the worker topology
-    the training runs on.  Every record is the point's one `full_breakdown`.
+    the training runs on.  The placement prices that graph alone: training
+    does not read where its workers are placed.  Every record is the point's
+    one `full_breakdown`.
     """
-    topology = _topology(point.learning, point.seed)
-    app = _learning_app_graph(topology, point.seed)
+    app = _learning_app_graph(_topology(point.learning, point.seed), point.seed)
     net = P.generate_network(point.placement["nodes"], seed=point.seed)
     placement_energy = P.solve_heuristic(app, net).total_energy
-    trace, = run_learning_block([point.learning], point.seed, topology)
 
     period = point.integrated["ledger_period"]
     record, records = (0.0, 0.0), 0
@@ -266,26 +265,14 @@ def _integrated_reports(point: Point) -> list[tuple[str, list[str], list[list]]]
     return [("", INTEGRATED_HEADER, rows), ("_summary", SUMMARY_HEADER, [summary])]
 
 
-def _learning_reports(scenario: Scenario) -> list[list[tuple[str, list[str], list[list]]]]:
-    """Each point's learning report.  A sweep over one of STACKED_FIELDS
-    runs all its points as one stacked run, any other sweep one run per
-    point."""
-    sweep, points = scenario.sweep, scenario.points
-    stacked = sweep is not None and sweep.block == "learning" and sweep.field in STACKED_FIELDS
-    groups = [points] if stacked else [[point] for point in points]
-    traces = [trace for group in groups
-              for trace in run_learning_block([point.learning for point in group], group[0].seed)]
-    return [[("", LEARNING_HEADER, _learning_rows(trace))] for trace in traces]
-
-
 # Each kind's block function, over all of a scenario's points: radio-dlt's
 # gives each point's row, the others give (file-name suffix, header, rows)
 # for each of each point's reports.
 _RUN_POINTS = {
-    "learning": _learning_reports,
+    "learning": lambda s: [[("", LEARNING_HEADER, _learning_rows(trace))] for trace in _learning_traces(s)],
     "placement": lambda s: [[("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))] for p in s.points],
     "radio-dlt": lambda s: [run_radio_block(p) for p in s.points],
-    "integrated": lambda s: [_integrated_reports(p) for p in s.points],
+    "integrated": lambda s: list(map(_integrated_reports, s.points, _learning_traces(s))),
 }
 
 

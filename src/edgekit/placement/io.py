@@ -6,17 +6,17 @@ scenarios/placement_instance.yaml for a golden example.
 """
 from __future__ import annotations
 
-import numbers
 from pathlib import Path
 
-from ..core import load_yaml
+from ..core import is_number, load_yaml
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
 
 def _number(value, name: str):
-    """`value`, which must be a real number: YAML's true and false are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
+    """`value`, which must be a real number in the float range (`is_number`).
+    The message leaves the value out: it may be an integer of any length."""
+    if not is_number(value):
+        raise TypeError(f"{name} must be a finite number")
     return value
 
 

@@ -40,6 +40,7 @@ from pathlib import Path
 import yaml
 
 from .core import is_int, is_number, load_yaml
+from .learning import TRAITS, CensorSchedule, CommEnergyModel, QuantizerConfig, Setting, message_energy
 from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig
 from .radio.model import _BLOCK_MESSAGES, _block_message_latency
@@ -157,12 +158,10 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool 
     """The learning rules; the base of a swept block is checked by the
     one-field rules only, and the rules that read several fields run at the
     points, each of which has its own value of the swept field."""
-    from .learning.runner import TRAITS, VARIANTS
-
     before = len(errors)
     variant = block["variant"]
-    if variant not in VARIANTS:
-        errors.append(f"learning.variant: must be one of {', '.join(VARIANTS)}")
+    if variant not in TRAITS:
+        errors.append(f"learning.variant: must be one of {', '.join(TRAITS)}")
     if not is_int(block["workers"], 2):
         errors.append("learning.workers: must be an integer >= 2")
     if block["topology"] not in ("chain", "bipartite"):
@@ -182,7 +181,7 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool 
         errors.append("learning.tau_coh: must be a positive integer")
     if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
         errors.append("learning.censor_alpha: must be in (0, 1]")
-    if swept or variant not in VARIANTS:  # the rules below read several fields, some the variant's
+    if swept or variant not in TRAITS:  # the rules below read several fields, some the variant's
         return
     traits = TRAITS[variant]
     # Gaussian designs: the stacked system has full column rank almost surely
@@ -200,8 +199,25 @@ def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool 
             errors.append(f"learning.{key}: not used by variant {variant}")
     if "mean_degree" in given and traits.graph and block["topology"] != "bipartite":
         errors.append("learning.mean_degree: only a bipartite topology uses it")
+    # one bit has the levels -R and +R only, none near zero: every coordinate
+    # but the largest is sent about R off, and the error grows each message
+    if traits.quantizes and block["quantizer_bits"] == 1 and is_int(dim, 2):
+        errors.append(f"learning.quantizer_bits: 1 bit diverges at dim >= 2 (dim {dim}); use 2 or more")
     if len(errors) == before:
         _check_message_energy(block, traits, errors)
+
+
+def learning_setting(block: dict) -> Setting:
+    """What a valid learning block sets for its own point of a stacked run
+    (`learning.run_points`)."""
+    traits = TRAITS[block["variant"]]
+    return Setting(
+        rho=block["rho"],
+        quantizer=QuantizerConfig(bits=block["quantizer_bits"]) if traits.quantizes else None,
+        censor=CensorSchedule(xi0=block["censor_xi0"], alpha=block["censor_alpha"]) if traits.censors else None,
+        energy_model=CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]),
+        iters=block["iters"],
+    )
 
 
 def _check_message_energy(block: dict, traits, errors: list[str]) -> None:
@@ -211,14 +227,11 @@ def _check_message_energy(block: dict, traits, errors: list[str]) -> None:
     dearest message is one of its largest group: all workers of a server,
     the ceil(workers / 2) heads or tails of either topology otherwise.
     """
-    from .learning import CommEnergyModel, QuantizerConfig, Setting, message_energy
-
     senders = block["workers"] if traits.server else math.ceil(block["workers"] / 2)
-    quantizer = QuantizerConfig(bits=block["quantizer_bits"]) if traits.quantizes else None
-    payload = Setting(quantizer=quantizer).payload_bits(block["dim"])
-    channel = CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]).share(senders)
-    try:
-        joules = message_energy(payload, channel, 1.0)  # the run's channel gains are all 1
+    setting = learning_setting(block)
+    payload = setting.payload_bits(block["dim"])
+    try:  # the run's channel gains are all 1
+        joules = message_energy(payload, setting.energy_model.share(senders), 1.0)
     except OverflowError:
         joules = math.inf
     if not math.isfinite(joules):

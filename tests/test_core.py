@@ -94,6 +94,16 @@ def test_variant_names_only_in_the_variant_table():
     assert spelled == []
 
 
+def test_no_import_inside_a_function():
+    # a module's imports sit at its top, where a reader finds what it uses
+    imports = sorted({
+        f"{where.rsplit(':', 1)[0]}:{inner.lineno}" for where, node in _src_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+    assert imports == []
+
+
 def test_no_numpy_in_radio():
     # numpy's SIMD exp and power may round differently from libm on some
     # CPUs, so the radio model stays on math and its bits on the host's libm

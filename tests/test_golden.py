@@ -86,8 +86,8 @@ LEARNING_SWEEPS = {
         "8acd52a3dcae3235744208f39006b4e6406e51b5573d72b30adddf9167657fa9",
     ),
     "cq-ggadmm-bits": (
-        {"variant": "cq-ggadmm", **BIPARTITE, "censor_xi0": 0.05}, "learning.quantizer_bits", [1, 2, 4, 8],
-        "c87843c752af8936134d0bd3ff3e59c3defffc5518ac21841af2acf3bb2f0c60",
+        {"variant": "cq-ggadmm", **BIPARTITE, "censor_xi0": 0.05}, "learning.quantizer_bits", [2, 4, 8],
+        "c97ecc2c7ff2a19cad2f81723614a055ce24b9ed4815a150fe4360401c6b6bb5",
     ),
     "cq-ggadmm-xi0": (
         {"variant": "cq-ggadmm", **BIPARTITE, "quantizer_bits": 3}, "learning.censor_xi0", [0.0, 0.05, 0.3],

@@ -536,6 +536,15 @@ class TestCli:
         assert "dlt.get_block_bits" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_instance_number_beyond_the_float_range_names_its_field(self, tmp_path, capsys):
+        # raised OverflowError out of parse_scenario, with a traceback
+        instance = tmp_path / "huge.yaml"
+        instance.write_text(BAD_INSTANCES["huge-link.yaml"])
+        p = write(tmp_path, f"kind: placement\noutput: {tmp_path}/out/r.csv\nplacement: {{instance: {instance}}}\n")
+        assert main(["place", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err == "error: placement.instance: T_l must be a finite number\n"
+        assert not (tmp_path / "out").exists()
+
     def test_count_beyond_the_float_range_names_the_range(self, tmp_path, capsys):
         # echoed all 401 digits after "must be an integer >= 1"
         p = write(tmp_path, f"kind: radio-dlt\noutput: {tmp_path}/out/r.csv\nradio:\n  K: 1{'0' * 400}\n")
@@ -547,16 +556,17 @@ class TestCli:
         kind: learning
         seed: 1
         output: %s/out/r.csv
-        learning: {variant: cq-ggadmm, workers: 8, dim: 4, samples: 15, topology: bipartite,
-                   mean_degree: 3.0, iters: 2000, quantizer_bits: 1, censor_xi0: 0.05, rho: 2.0}
+        learning: {variant: ggadmm, workers: 8, dim: 4, samples: 15, topology: bipartite,
+                   mean_degree: 3.0, iters: 50, noise: 1.0e+160}
     """
 
     def test_non_finite_report_exits_two_before_writing(self, tmp_path, capsys):
-        # a diverging 1-bit run: exited 0 and wrote 1021 rows holding inf or nan
+        # a run whose objective overflows: a diverging run exited 0 and wrote
+        # rows holding inf or nan
         p = write(tmp_path, self.DIVERGING % tmp_path)
         with np.errstate(all="ignore"):
             assert main(["learn", "--scenario", str(p)]) == 2
-        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 980, objective is inf, not a finite number"
+        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 1, objective is nan, not a finite number"
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 
@@ -568,7 +578,7 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "edgekit.cli", "learn", "--scenario", str(p)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 980, objective is inf, not a finite number"
+        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 1, objective is nan, not a finite number"
         assert proc.stderr == f"error: {error}\n"
         # the run itself, called directly, warns as numpy does by default
         with pytest.warns(RuntimeWarning):
@@ -627,6 +637,16 @@ REJECTED = {
         kind: learning
         learning: {variant: gadmm, workers: 4, quantizer_bits: 3}
     """, "learning.quantizer_bits"),
+    # diverged: exited 0 with an objective of 6.6e136, or 2 on an inf cell
+    "cq-ggadmm-one-bit": ("learn", """
+        kind: learning
+        learning: {variant: cq-ggadmm, workers: 4, dim: 2, iters: 5, quantizer_bits: 1}
+    """, "learning.quantizer_bits"),
+    "sweep-cq-ggadmm-one-bit": ("learn", """
+        kind: learning
+        learning: {variant: cq-ggadmm, workers: 4, dim: 2, iters: 5}
+        sweep: {param: learning.quantizer_bits, values: [2, 1]}
+    """, "sweep.values[1]: learning.quantizer_bits"),
     "gadmm-censor": ("learn", """
         kind: learning
         learning: {variant: gadmm, workers: 4, censor_xi0: 0.2}
@@ -702,6 +722,9 @@ REJECTED = {
                            "placement.instance"),
     "bool-instance": ("place", "kind: placement\nplacement: {instance: $TMP/bool-fields.yaml}\n",
                       "placement.instance"),
+    # raised OverflowError out of parse_scenario
+    "huge-instance": ("place", "kind: placement\nplacement: {instance: $TMP/huge-link.yaml}\n",
+                      "placement.instance"),
     "ledger-off-blocks": ("integrated", """
         kind: integrated
         learning: {workers: 4, dim: 2, iters: 5}
@@ -776,6 +799,7 @@ BAD_INSTANCES = {
     "no-link-energy.yaml": _INSTANCE.replace("    T_l: 0.2\n", "", 1),
     "bool-link.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: true", 1),
     "bool-fields.yaml": _INSTANCE.replace("T_l: 0.2", "T_l: true", 1).replace("R_t: 4", "R_t: true", 1),
+    "huge-link.yaml": _INSTANCE.replace("T_l: 0.2", f"T_l: 1{'0' * 400}", 1),
 }
 
 
@@ -925,12 +949,17 @@ class TestOnePath:
         rows = run_scenario(parse_scenario(self.scenario(tmp_path, text)))[0].read_text().splitlines()
         assert len(rows) == 3 and rows[1] == rows[2]
 
-    @pytest.mark.parametrize("param, values, runs", [
-        ("learning.rho", [0.5, 1.0, 2.0], [3]),
-        ("learning.iters", [5, 9], [2]),
-        ("learning.workers", [4, 6], [1, 1]),
-    ], ids=["rho", "iters", "workers"])
-    def test_learning_sweep_stacks_the_fields_problems_do_not_read(self, tmp_path, monkeypatch, param, values, runs):
+    @pytest.mark.parametrize("kind, param, values, runs", [
+        ("learning", "learning.rho", [0.5, 1.0, 2.0], [3]),
+        ("learning", "learning.iters", [5, 9], [2]),
+        ("learning", "learning.workers", [4, 6], [1, 1]),
+        ("integrated", "learning.rho", [0.5, 1.0, 2.0], [3]),
+        ("integrated", "integrated.ledger_period", [1, 2, 5], [3]),
+        ("integrated", "learning.workers", [4, 6], [1, 1]),
+    ], ids=["rho", "iters", "workers", "integrated-rho", "integrated-ledger_period", "integrated-workers"])
+    def test_learning_sweep_stacks_the_fields_problems_do_not_read(self, tmp_path, monkeypatch, kind, param, values,
+                                                                   runs):
+        # an integrated sweep ran one training per point, whatever it swept
         calls = []
         run_points = pipeline.L.run_points
 
@@ -939,10 +968,33 @@ class TestOnePath:
             return run_points(variant, problems, topology, points, **kwargs)
 
         monkeypatch.setattr(pipeline.L, "run_points", counting)
-        text = (f"kind: learning\nlearning: {{workers: 4, dim: 2, iters: 5}}\n"
+        text = (f"kind: {kind}\nlearning: {{workers: 4, dim: 2, iters: 5}}\n"
                 f"sweep: {{param: {param}, values: {values}}}\n")
-        assert len(run_scenario(parse_scenario(self.scenario(tmp_path, text)))) == len(values)
+        reports = 2 if kind == "integrated" else 1
+        assert len(run_scenario(parse_scenario(self.scenario(tmp_path, text)))) == reports * len(values)
         assert calls == runs
+
+    @pytest.mark.parametrize("param, values", [
+        ("learning.rho", [0.5, 2.0]),
+        ("learning.workers", [4, 6]),
+        ("integrated.ledger_period", [1, 3]),
+        ("placement.nodes", [6, 9]),
+        ("dlt.M", [3, 5]),
+    ])
+    def test_integrated_sweep_point_equals_its_unswept_run(self, tmp_path, param, values):
+        block, field = param.split(".")
+        base = {"kind": "integrated", "seed": 2, "learning": {"workers": 4, "dim": 2, "iters": 12},
+                "placement": {"nodes": 8}, "dlt": {"M": 3}, "integrated": {"ledger_period": 2}}
+        swept = tmp_path / "swept.yaml"
+        swept.write_text(yaml.safe_dump({**base, "output": str(tmp_path / "swept" / "r.csv"),
+                                         "sweep": {"param": param, "values": values}}))
+        paths = run_scenario(parse_scenario(swept))
+        for i, value in enumerate(values):
+            alone = tmp_path / f"alone{i}.yaml"
+            alone.write_text(yaml.safe_dump({**base, block: {**base.get(block, {}), field: value},
+                                             "output": str(tmp_path / f"alone{i}" / "r.csv")}))
+            expected = run_scenario(parse_scenario(alone))
+            assert [p.read_bytes() for p in paths[2 * i:2 * i + 2]] == [p.read_bytes() for p in expected]
 
     def test_points_share_unswept_blocks(self, tmp_path):
         s = parse_scenario(self.scenario(tmp_path, """
