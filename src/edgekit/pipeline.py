@@ -124,11 +124,15 @@ def run_learning_block(cfgs: list[dict], seed: int) -> list[L.TrainingTrace]:
 
 def _learning_traces(scenario: Scenario) -> list[L.TrainingTrace]:
     """Each point's training trace, for the learning and the integrated
-    kind.  The points run as one stacked run unless the sweep sets a
-    learning field outside STACKED_FIELDS, which gives each point its own
-    problems or topology, and so its own run."""
+    kind.  Points that share their learning block (no sweep, or an
+    integrated sweep outside `learning`) share one trace.  Otherwise the
+    points run as one stacked run unless the sweep sets a learning field
+    outside STACKED_FIELDS, which gives each point its own problems or
+    topology, and so its own run."""
     sweep, points = scenario.sweep, scenario.points
-    apart = sweep is not None and sweep.block == "learning" and sweep.field not in STACKED_FIELDS
+    if sweep is None or sweep.block != "learning":
+        return [run_learning_block([points[0].learning], points[0].seed)[0]] * len(points)
+    apart = sweep.field not in STACKED_FIELDS
     groups = [[point] for point in points] if apart else [points]
     return [trace for group in groups
             for trace in run_learning_block([point.learning for point in group], group[0].seed)]

@@ -9,6 +9,7 @@ from .config import (
     nprach_period_fields,
 )
 from .model import (
+    expected_attempts,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -24,6 +25,7 @@ __all__ = [
     "RadioConfig",
     "UnstableConfig",
     "nprach_period_fields",
+    "expected_attempts",
     "full_breakdown",
     "latency_ra",
     "latency_rar",

@@ -6,7 +6,10 @@ The end-to-end latency splits into the device-to-base-station half
 uplink and downlink) and the ledger half (the mining race plus the block
 message exchange).  The reservation success probability comes from a drift
 approximation: backlog means are treated as constants and iterated to a
-fixed point.  The data-queue latencies are `config.latency_tx` and
+fixed point.  A device makes reservation attempts until one succeeds, or
+gives up after N_rmax of them; every reservation term prices the mean number
+of attempts, `expected_attempts`, a closed form whose cost does not grow
+with N_rmax.  The data-queue latencies are `config.latency_tx` and
 `config.latency_rx`, the kernels RadioConfig checks its own stability with;
 here they also price the ledger's block messages.
 
@@ -34,30 +37,46 @@ from .config import (
 _MAX_STEPS = 100_000  # of the reservation fixed point
 
 
+def expected_attempts(P_rr: float, N_rmax: int) -> float:
+    """Mean number of reservation attempts of a device that succeeds with
+    probability P_rr per attempt and gives up after N_rmax:
+
+        E[A] = sum_{l=0}^{N_rmax-1} (1 - P_rr)^l = (1 - (1 - P_rr)^N_rmax) / P_rr,
+
+    taken as -expm1(N_rmax * log1p(-P_rr)) / P_rr, which loses no digits to
+    1 - P_rr when P_rr is tiny.  P_rr = 0 gives N_rmax (every device gives
+    up) and P_rr = 1 gives 1, where log1p(-1) would raise.
+    """
+    if not 0.0 <= P_rr <= 1.0:
+        raise ValueError("P_rr must be in [0, 1]")
+    if P_rr == 0.0:
+        return float(N_rmax)
+    if P_rr == 1.0:
+        return 1.0
+    return -math.expm1(N_rmax * math.log1p(-P_rr)) / P_rr
+
+
 def reservation_probability(config: RadioConfig) -> tuple[float, float]:
     """Steady-state (P_rr, lambda_tot) of the drift approximation.
 
-    P_rr(x) = p_d * exp(-x/K); the retransmission backlog adds
-    lambda_a * (1-P_rr)^(l-1) contenders at attempt l = 1..N_rmax, so the
-    total contention rate is the fixed point of
+    P_rr(x) = p_d * exp(-x/K); each of the lambda_a new devices per period
+    contends once per attempt it makes, so the total contention rate is the
+    fixed point of
 
-        x = lambda_a * sum_{l=1}^{N_rmax} (1 - P_rr(x))^(l-1),
+        x = lambda_a * expected_attempts(P_rr(x), N_rmax),
 
     iterated from x = lambda_a until one step moves it by at most 1e-9.
-    Raises NonConvergence after 100 000 steps.
+    Where the map has three fixed points (K = 48, N_rmax = 10, p_d = 1 at
+    lambda_a in about 17.0-17.9) the iteration, rising from lambda_a,
+    reports the smallest.  Raises NonConvergence after 100 000 steps.
     """
     lam_a = float(config.lambda_a)
-    p_d, K = config.p_d, config.K
+    p_d, K, N_rmax = config.p_d, config.K, config.N_rmax
     if lam_a == 0.0:
         return p_d, 0.0
-    attempts = range(config.N_rmax)
     x = lam_a
     for _ in range(_MAX_STEPS):
-        q = 1.0 - p_d * math.exp(-x / K)
-        total = 0
-        for l in attempts:  # in order, as core.sequential_sum adds (not builtin sum)
-            total += q**l
-        lam_tot = lam_a * total
+        lam_tot = lam_a * expected_attempts(p_d * math.exp(-x / K), N_rmax)
         if abs(lam_tot - x) <= 1e-9:
             return p_d * math.exp(-lam_tot / K), lam_tot
         x = lam_tot
@@ -74,26 +93,10 @@ def latency_rar(config: RadioConfig) -> float:
     return 0.5 * config.d + 0.5 * config.Q * config.f * config.u + config.u
 
 
-def _attempt_weights(P_rr: float, N_rmax: int) -> list[float]:
-    """(1-P_rr)^(l-1) * P_rr, the chance that attempt l = 1..N_rmax is the
-    first to succeed: the weights of both reservation sums."""
-    if not 0.0 < P_rr <= 1.0:
-        raise ValueError("P_rr must be in (0, 1]")
-    miss = 1.0 - P_rr
-    return [miss**l * P_rr for l in range(N_rmax)]
-
-
-def _rr_latency(weights: list[float], per_attempt: float) -> float:
-    total = 0
-    for l, weight in enumerate(weights, 1):
-        total += weight * l * per_attempt
-    return total
-
-
 def latency_rr(config: RadioConfig, P_rr: float) -> float:
-    """Expected resource-reservation latency over up to N_rmax attempts."""
-    weights = _attempt_weights(P_rr, config.N_rmax)
-    return _rr_latency(weights, latency_ra(config) + latency_rar(config))
+    """Expected resource-reservation latency: each expected attempt sends the
+    random-access message and waits for its response."""
+    return expected_attempts(P_rr, config.N_rmax) * (latency_ra(config) + latency_rar(config))
 
 
 def pow_latency(dlt: DltConfig) -> float:
@@ -127,24 +130,22 @@ def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | Non
 
     The queue latencies are priced by both halves: the latency half directly,
     the energy half as idle time around the service time.  Both reservation
-    sums weigh attempt l by the chance that it is the first to succeed.
+    terms price `expected_attempts` attempts at the per-attempt latency and
+    energy.
     """
     p_rr, _ = reservation_probability(radio)
-    weights = _attempt_weights(p_rr, radio.N_rmax)
+    attempts = expected_attempts(p_rr, radio.N_rmax)
     l_ra, l_rar = latency_ra(radio), latency_rar(radio)
-    l_rr = _rr_latency(weights, l_ra + l_rar)
+    l_rr = attempts * (l_ra + l_rar)
     l_tx, l_rx = latency_tx(radio, radio.l1, radio.l2), latency_rx(radio, radio.m1, radio.m2)
 
-    # The reservation-energy sum intentionally omits the attempt-multiplicity
-    # factor carried by the latency sum: both formulas are reproduced exactly
-    # as stated by the source model.
+    # A device pays every attempt it makes, in energy as in latency: one that
+    # gives up has spent all N_rmax of them.
     P_l, P_I, tau = power.P_l, power.P_I, radio.tau
     P_send = power.P_c + power.P_e * power.P_t
     e_sync = P_l * radio.L_sync
     e_attempt = ((l_ra - tau) * P_I + tau * P_send) + P_l * l_rar
-    e_rr = 0
-    for weight in weights:
-        e_rr += weight * e_attempt
+    e_rr = attempts * e_attempt
     service_up = radio.l1 / (radio.R_u * radio.w)
     e_tx = (l_tx - service_up) * P_I + P_send * service_up
     service_down = radio.m1 / (radio.R_d * radio.y)

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +32,23 @@ def _draws(draw):
     return itertools.chain.from_iterable(map(draw, itertools.repeat(DRAW_BLOCK)))
 
 
-def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: int = 0) -> float:
-    """Empirical reservation success probability from a slotted simulation.
+class ReservationSample(NamedTuple):
+    success_probability: float  # successes per attempt
+    mean_attempts: float  # per device that finished: succeeded, or gave up after N_rmax
+    give_up_share: float  # of the devices that finished
+
+
+def simulate_reservation(config: RadioConfig, periods: int = 100_000, seed: int = 0) -> ReservationSample:
+    """Empirical reservation success probability and attempts per device
+    from a slotted simulation.
 
     Each period, Poisson(lambda_a) fresh devices plus due retransmitters each
     pick one of K preambles uniformly; a device succeeds iff its preamble is
     unshared and an independent delivery coin (p_d) lands.  Failures retry
     after a uniform backoff of 1..BACKOFF_WINDOW periods, up to N_rmax
-    attempts.  The first 10% of periods are discarded as warm-up.
+    attempts; a device that fails its N_rmax-th attempt gives up.  The first
+    10% of periods are discarded as warm-up: only attempts made, and devices
+    that finish, after it are counted.
 
     Every period's arrivals come from one Poisson call; preambles, coins and
     backoffs come in blocks of DRAW_BLOCK.  Retries wait in a ring of
@@ -53,7 +63,7 @@ def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: i
     coins = _draws(lambda n: rng.random(n).tolist())
     backoffs = _draws(lambda n: rng.integers(1, BACKOFF_WINDOW + 1, size=n).tolist())
     ring: list[list[int]] = [[] for _ in range(BACKOFF_WINDOW + 1)]  # attempt numbers due per slot
-    successes = attempts = 0
+    successes = attempts = finished = attempts_of_finished = give_ups = 0
     for period, fresh in enumerate(rng.poisson(config.lambda_a, size=periods).tolist()):
         slot = period % len(ring)
         due, ring[slot] = ring[slot], []
@@ -64,18 +74,32 @@ def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: i
         counts: dict[int, int] = {}
         for pick in picks:
             counts[pick] = counts.get(pick, 0) + 1
-        won = 0
+        won = done = done_attempts = gave_up = 0
         for attempt, pick in zip(itertools.chain(itertools.repeat(1, fresh), due), picks):
             if counts[pick] == 1 and next(coins) < p_d:
                 won += 1
             elif attempt < n_rmax:
                 ring[(period + next(backoffs)) % len(ring)].append(attempt + 1)
+                continue
+            else:
+                gave_up += 1
+            done += 1
+            done_attempts += attempt
         if period >= warmup:
             attempts += n
             successes += won
-    if attempts == 0:
-        return float(p_d)
-    return successes / attempts
+            finished += done
+            attempts_of_finished += done_attempts
+            give_ups += gave_up
+    if finished == 0:
+        return ReservationSample(float(p_d) if attempts == 0 else successes / attempts, math.nan, math.nan)
+    return ReservationSample(successes / attempts, attempts_of_finished / finished, give_ups / finished)
+
+
+def monte_carlo_reservation(config: RadioConfig, periods: int = 100_000, seed: int = 0) -> float:
+    """The simulated reservation success probability of `simulate_reservation`
+    (p_d when no device contends after the warm-up)."""
+    return simulate_reservation(config, periods, seed).success_probability
 
 
 def fixed_point(f, x0: float, tol: float = 1e-9, max_iter: int = 100_000) -> float:
@@ -90,35 +114,92 @@ def fixed_point(f, x0: float, tol: float = 1e-9, max_iter: int = 100_000) -> flo
     raise NonConvergence(max_iter, x)
 
 
+def attempts_tail_sum(P_rr: float, N_rmax: int) -> float:
+    """sum_{l=0}^{N_rmax-1} (1-P_rr)^l added in order from int 0: the mean
+    attempts per device as the drift map adds them, one backlog term per
+    attempt."""
+    miss = 1.0 - P_rr
+    return sequential_sum(miss**l for l in range(N_rmax))
+
+
+def attempts_by_outcome(P_rr: float, N_rmax: int) -> float:
+    """Mean attempts per device from how its attempts end, added in order:
+    l attempts with probability (1-P_rr)^(l-1) P_rr when attempt l is the
+    first to succeed, l = 1..N_rmax, then N_rmax attempts with probability
+    (1-P_rr)^N_rmax when every one fails and the device gives up."""
+    miss = 1.0 - P_rr
+    successes = sequential_sum(l * miss ** (l - 1) * P_rr for l in range(1, N_rmax + 1))
+    return successes + N_rmax * miss**N_rmax
+
+
 def reservation_probability_generic(config: RadioConfig) -> tuple[float, float]:
     """(P_rr, lambda_tot) by the generic `fixed_point` over a closure that
-    adds each step's attempt terms from a list with `sequential_sum`: the
-    reference for edgekit's own reservation loop."""
+    adds each step's attempt terms with `attempts_tail_sum`: the reference
+    for edgekit's own reservation loop."""
     lam_a = config.lambda_a
     p_d, K = config.p_d, config.K
     if lam_a == 0.0:
         return p_d, 0.0
-    attempts = range(config.N_rmax)
 
     def total(x: float) -> float:
-        q = 1.0 - p_d * math.exp(-x / K)
-        return lam_a * sequential_sum([q**l for l in attempts])
+        return lam_a * attempts_tail_sum(p_d * math.exp(-x / K), config.N_rmax)
 
     lam_tot = fixed_point(total, lam_a)
     return p_d * math.exp(-lam_tot / K), lam_tot
 
 
+def drift_map_roots(config: RadioConfig, intervals: int = 2_000) -> list[float]:
+    """Every fixed point of the drift map x -> lambda_a * E[A](p_d exp(-x/K)),
+    E[A] by `attempts_tail_sum`, in increasing order, for lambda_a > 0.
+
+    The map sends [lambda_a, lambda_a N_rmax] into itself, since 1 <= E[A]
+    <= N_rmax, so every fixed point lies there.  A bracketing scan evaluates
+    map(x) - x at `intervals` + 1 equally spaced points of that range and
+    bisects each sign change (a zero at a scan point is a root) until the
+    bracket stops shrinking.  Two roots closer than one scan step are missed:
+    for K = 48, N_rmax = 10 and p_d = 1 the map has three roots for lambda_a
+    in about 16.93-17.88, none closer than 8 there at lambda_a <= 17.85, and
+    one elsewhere.  A Monte-Carlo check of the drift approximation belongs
+    outside that window, where the simulated backlog can sit near either
+    stable root.
+    """
+    lam_a, p_d, K, N_rmax = float(config.lambda_a), config.p_d, config.K, config.N_rmax
+
+    def excess(x: float) -> float:
+        return lam_a * attempts_tail_sum(p_d * math.exp(-x / K), N_rmax) - x
+
+    lo, hi = lam_a, lam_a * N_rmax
+    xs = [lo + (hi - lo) * i / intervals for i in range(intervals + 1)]
+    values = [excess(x) for x in xs]
+    roots = [x for x, v in zip(xs, values) if v == 0.0]
+    for (a, fa), (b, fb) in zip(zip(xs, values), zip(xs[1:], values[1:])):
+        if fa * fb >= 0.0:
+            continue
+        while True:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            fm = excess(mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm > 0.0) == (fa > 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return sorted(roots)
+
+
 def reservation_sums(radio: RadioConfig, power: PowerProfile, P_rr: float) -> tuple[float, float]:
-    """The reservation latency and energy as two generator sums over the
-    attempts l = 1..N_rmax, each recomputing its weight (1-P_rr)^(l-1) P_rr:
-    the reference for edgekit's shared attempt weights."""
+    """The reservation latency and energy at `attempts_by_outcome` attempts
+    of L_ra + L_rar each, and of the energy of one random-access message
+    plus its response each: the reference for edgekit's closed form."""
     l_ra, l_rar = latency_ra(radio), latency_rar(radio)
     e_ra = (l_ra - radio.tau) * power.P_I + radio.tau * (power.P_c + power.P_e * power.P_t)
     e_rar = power.P_l * l_rar
-    attempts = range(1, radio.N_rmax + 1)
-    latency = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * l * (l_ra + l_rar) for l in attempts)
-    energy = sequential_sum((1.0 - P_rr) ** (l - 1) * P_rr * (e_ra + e_rar) for l in attempts)
-    return latency, energy
+    attempts = attempts_by_outcome(P_rr, radio.N_rmax)
+    return attempts * (l_ra + l_rar), attempts * (e_ra + e_rar)
 
 
 def swept_fields(param: str, value, radio: RadioConfig) -> dict:

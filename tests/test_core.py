@@ -72,6 +72,22 @@ def test_no_builtin_sum_in_src():
     assert calls == []
 
 
+def test_no_loop_over_attempts_in_radio():
+    # a reservation term is O(1) in N_rmax (radio.model.expected_attempts):
+    # a range over it, iterated in place or bound to a name first, costs
+    # N_rmax steps per point, and N_rmax may be 10**8
+    def reads_n_rmax(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "N_rmax" or isinstance(n, ast.Name) and n.id == "N_rmax"
+                   for n in ast.walk(node))
+
+    ranges = [
+        where for where, node in _src_nodes(SRC / "radio")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+        and any(map(reads_n_rmax, node.args))
+    ]
+    assert ranges == []
+
+
 def test_variant_names_only_in_the_variant_table():
     # every variant decision reads learning.runner.TRAITS: a variant name
     # spelled anywhere else in src/ would be a decision made a second time

@@ -54,14 +54,14 @@ SENSING_RATES = ("radio.lambda_s", [round(0.01 * 1000.0 ** (i / 299), 6) for i i
 # prices non-default ledger payloads; the third sweeps one field, which its
 # points derive from the checked base without the fields radio.t moves.
 DENSE_SWEEPS = {
-    "golden": ({}, {}, PERIODS, "2cd46ba1daf02147785905316c36e11b36659413cdf08e1d6967720534c805e6"),
+    "golden": ({}, {}, PERIODS, "24342eed555045692b82996dbab175054f22574892002aa09e406d566300e5b5"),
     "light-load-payloads": (
         {"lambda_u": 0.7, "lambda_d": 1.2, "lambda_s": 2.5, "lambda_b": 3.5},
         {"new_block_bits": 512.0, "get_block_bits": 2048.0, "trans_block_bits": 6000.0},
         PERIODS,
-        "2874efe99c624fffc395d7278bdcbfd3b37c1b1e6fb4d68b9535a9b7427cdc92",
+        "a772133cc006932cd3c9b5c672425e366d753e3cba95deda4dbe2d924862bb4b",
     ),
-    "sensing-rate": ({}, {}, SENSING_RATES, "dcc979d75bef760a4bdcceeda62e73bac230fcc4fa89a367e50883160b979bc4"),
+    "sensing-rate": ({}, {}, SENSING_RATES, "71d8c4eb76c0c77ecb8c9da52ad1848e4c5ad41d7089895898764ab2ed775b8e"),
 }
 
 

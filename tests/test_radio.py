@@ -13,6 +13,7 @@ from edgekit.radio import (
     PowerProfile,
     RadioConfig,
     UnstableConfig,
+    expected_attempts,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -25,14 +26,29 @@ from edgekit.radio import (
 from edgekit.radio.model import _block_exchange_latency, _block_message_latency
 
 from oracles import (
+    attempts_by_outcome,
+    attempts_tail_sum,
+    drift_map_roots,
     monte_carlo_reservation,
     pow_latency_oracle,
     reservation_probability_generic,
     reservation_sums,
+    simulate_reservation,
 )
 
 # arrivals per period as a scenario file gives them: a YAML integer or float
 _rates = st.one_of(st.integers(0, 40), st.floats(0.0, 40.0))
+
+# How far the closed forms may sit from the ordered loops in tests/oracles.py.
+# A sum of N_rmax terms rounds once per term, so at N_rmax = 10**6 the loop's
+# own error can reach N_rmax * 2**-53, about 1e-10 relative; the closed form
+# was within 2.3e-11 of it on the grid below.
+TOL_ATTEMPTS = 1e-9
+# The fixed point stops at the first step of at most 1e-9, and two maps a few
+# ulps apart drift apart most where the map's slope is near 1: 2.1e-11
+# relative at worst, at K = 48, N_rmax = 10, p_d = 1 and lambda_a = 17.886,
+# next to the tangency that closes the bistable window.
+TOL_FIXED_POINT = 1e-9
 
 
 class TestCollision:
@@ -99,6 +115,26 @@ class TestReservation:
         mc = monte_carlo_reservation(cfg, periods=20_000, seed=9)
         assert abs(p - mc) <= 0.02
 
+    def test_underflowing_probability_prices_every_attempt(self):
+        # P_rr = p_d * exp(-lambda_tot/K) underflows to 0: every device gives
+        # up, so each contends N_rmax times
+        cfg = RadioConfig(lambda_u=1.0e300)
+        p, lam = reservation_probability(cfg)
+        assert p == 0.0 and lam == cfg.lambda_a * cfg.N_rmax
+        assert latency_rr(cfg, p) == cfg.N_rmax * (latency_ra(cfg) + latency_rar(cfg))
+
+    @pytest.mark.parametrize("lam_a", [17.0, 17.1, 17.2, 17.3, 17.4, 17.5, 17.6, 17.7, 17.8, 17.9])
+    def test_bistable_map_reports_smallest_root(self, lam_a):
+        # the drift map has three fixed points for lambda_a in about
+        # 16.93-17.88 (Carleial and Hellman, IEEE Trans. Commun. 1975); the
+        # iteration rises from lambda_a to the smallest, the light-load one
+        cfg = RadioConfig(K=48, N_rmax=10, p_d=1.0, lambda_u=lam_a / 2, lambda_d=lam_a / 2)
+        roots = drift_map_roots(cfg)
+        assert len(roots) == (3 if lam_a < 17.9 else 1)
+        _, lam_tot = reservation_probability(cfg)
+        # a step of at most 1e-9 at a root where the map's slope is below 1
+        assert lam_tot == pytest.approx(roots[0], rel=1e-8)
+
 
 class TestReservationLoop:
     @settings(max_examples=300)
@@ -113,10 +149,12 @@ class TestReservationLoop:
     @example(K=48, N_rmax=10, lambda_u=3, lambda_d=5, p_d=1)
     @example(K=48, N_rmax=10, lambda_u=8.9, lambda_d=8.9, p_d=1.0)  # between two stable roots
     @example(K=1, N_rmax=12, lambda_u=40.0, lambda_d=40.0, p_d=1e-300)
-    def test_equals_generic_iteration(self, K, N_rmax, lambda_u, lambda_d, p_d):
+    def test_matches_generic_iteration(self, K, N_rmax, lambda_u, lambda_d, p_d):
         cfg = RadioConfig(K=K, N_rmax=N_rmax, lambda_u=lambda_u, lambda_d=lambda_d, p_d=p_d)
-        # repr tells every float apart bit for bit, and an int from a float
-        assert repr(reservation_probability(cfg)) == repr(reservation_probability_generic(cfg))
+        got, want = reservation_probability(cfg), reservation_probability_generic(cfg)
+        # the closed form and the ordered sum differ in the last bits, and the
+        # stop rule may then take one step more or less
+        assert got == pytest.approx(want, rel=TOL_FIXED_POINT, abs=1e-300)
 
     def test_non_convergence(self):
         # lambda_tot overflows to inf, and inf - inf is nan: no step meets the stop rule.
@@ -141,9 +179,46 @@ class TestMonteCarloOracle:
         mc = monte_carlo_reservation(cfg, periods=20_000, seed=2)
         assert mc < 0.1  # only lone-contender periods can succeed
 
+    # criterion 7's grid, then three loads at which 27 %, 40 % and 95 % of
+    # the devices give up; none lies in a window where the drift map has
+    # three fixed points
+    @pytest.mark.parametrize("K, N_rmax, lam_a, p_d", [
+        *((48, 10, lam_a, p_d) for p_d in (0.9, 1.0) for lam_a in (1.0, 5.0, 10.0)),
+        (4, 3, 2.0, 1.0),
+        (8, 5, 4.0, 1.0),
+        (48, 10, 25.6, 1.0),
+    ])
+    def test_attempts_per_device_match_expected_attempts(self, K, N_rmax, lam_a, p_d):
+        cfg = RadioConfig(K=K, N_rmax=N_rmax, p_d=p_d, lambda_u=lam_a / 2, lambda_d=lam_a / 2)
+        assert len(drift_map_roots(cfg)) == 1
+        p, _ = reservation_probability(cfg)
+        sample = simulate_reservation(cfg, periods=100_000 if K == 48 and lam_a <= 10.0 else 20_000, seed=11)
+        # within 0.36 % on criterion 7's grid and 0.62 % at the loads
+        assert sample.mean_attempts == pytest.approx(expected_attempts(p, N_rmax), rel=0.01)
+        assert sample.give_up_share == pytest.approx((1.0 - p) ** N_rmax, abs=0.01)
+
     def test_rejects_too_few_periods(self):
         with pytest.raises(ValueError):
             monte_carlo_reservation(RadioConfig(), periods=10)
+
+
+class TestExpectedAttempts:
+    @pytest.mark.parametrize("N_rmax", [1, 2, 10, 10**6])
+    def test_closed_form_matches_ordered_loops(self, N_rmax):
+        for P_rr in (0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0):
+            closed = expected_attempts(P_rr, N_rmax)
+            assert closed == pytest.approx(attempts_by_outcome(P_rr, N_rmax), rel=TOL_ATTEMPTS)
+            assert closed == pytest.approx(attempts_tail_sum(P_rr, N_rmax), rel=TOL_ATTEMPTS)
+
+    def test_limits(self):
+        assert expected_attempts(0.0, 7) == 7.0  # every device gives up
+        assert expected_attempts(1.0, 7) == 1.0  # log1p(-1) would raise
+        assert expected_attempts(1e-300, 10**8) == 10**8  # 1 - q^N would cancel to 0
+
+    def test_probability_outside_zero_one_raises(self):
+        for P_rr in (-1e-300, 1.0 + 2**-52, math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape("P_rr must be in [0, 1]")):
+                expected_attempts(P_rr, 10)
 
 
 class TestLatencyTerms:
@@ -152,20 +227,27 @@ class TestLatencyTerms:
         assert latency_rr(cfg, 1.0) == pytest.approx(latency_ra(cfg) + latency_rar(cfg))
 
     def test_rr_single_attempt(self):
+        # one attempt, whether it succeeds or the device gives up after it
         cfg = RadioConfig(N_rmax=1)
         per = latency_ra(cfg) + latency_rar(cfg)
-        assert latency_rr(cfg, 0.3) == pytest.approx(0.3 * per)
+        for P_rr in (0.0, 1e-300, 1e-12, 0.3, 1.0):
+            assert latency_rr(cfg, P_rr) == pytest.approx(per, rel=1e-15)
 
     def test_rr_two_term_hand_sum(self):
         # force L_ra + L_rar = 1 s: 0.5t + tau = 0.5, 0.5d + 0.5Qfu + u = 0.5
         cfg = RadioConfig(N_rmax=2, t=0.9872, tau=0.0064, d=0.975, Q=1.0, f=0.5, u=0.01)
         per = latency_ra(cfg) + latency_rar(cfg)
         assert per == pytest.approx(1.0)
-        assert latency_rr(cfg, 0.5) == pytest.approx(0.5 * 1 + 0.25 * 2)
+        # one attempt, and a second for the half that fail the first: 1 + 0.5
+        assert latency_rr(cfg, 0.5) == pytest.approx(1.5)
 
-    def test_rr_requires_positive_probability(self):
-        with pytest.raises(ValueError):
-            latency_rr(RadioConfig(), 0.0)
+    def test_rr_zero_probability_prices_every_attempt(self):
+        cfg = RadioConfig()
+        per = latency_ra(cfg) + latency_rar(cfg)
+        assert latency_rr(cfg, 0.0) == cfg.N_rmax * per
+        for P_rr in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=re.escape("P_rr must be in [0, 1]")):
+                latency_rr(cfg, P_rr)
 
     def test_tx_empty_queue_is_pure_transmission(self):
         cfg = RadioConfig(lambda_s=0.0, lambda_b=0.0)
@@ -281,8 +363,8 @@ class TestSharedTerms:
         b = full_breakdown(radio, power, dlt)
         p_rr, _ = reservation_probability(radio)
         latency, energy = reservation_sums(radio, power, p_rr)
-        assert b.latency["rr_up"] == latency_rr(radio, p_rr) == latency
-        assert b.energy["rr_up"] == energy
+        assert b.latency["rr_up"] == latency_rr(radio, p_rr) == pytest.approx(latency, rel=TOL_ATTEMPTS)
+        assert b.energy["rr_up"] == pytest.approx(energy, rel=TOL_ATTEMPTS)
         up_new, up_trans, down_get = (
             _block_message_latency(radio, dlt, name) for name in ("new_block_bits", "trans_block_bits", "get_block_bits")
         )

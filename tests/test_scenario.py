@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from edgekit import core, pipeline
 from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
-from edgekit.radio import DltConfig, PowerProfile, RadioConfig, nprach_period_fields
+from edgekit.radio import DltConfig, PowerProfile, RadioConfig, latency_ra, latency_rar, nprach_period_fields
 from edgekit.pipeline import run_learning_block, run_scenario
 from edgekit.scenario import BLOCKS, KIND_READS, ParseError, Point, ValidationError, _check_ledger, parse_scenario
 
@@ -492,16 +493,34 @@ class TestCli:
         assert main(["place", "--scenario", str(p)]) == 2
         assert "Infeasible" in capsys.readouterr().err
 
-    def test_reservation_underflow_exits_two(self, tmp_path, capsys):
-        # a valid config whose arrival rate drives P_rr to 0.0: a runtime failure
+    def test_reservation_underflow_prices_every_attempt(self, tmp_path, capsys):
+        # an arrival rate that drives P_rr to 0.0 exited 2 with "P_rr must be
+        # in (0, 1]": every device gives up, and pays for N_rmax attempts
         p = write(tmp_path, f"""
             kind: radio-dlt
             output: {tmp_path}/out/radio.csv
             radio:
               lambda_u: 1.0e+300
         """)
-        assert main(["radio", "--scenario", str(p)]) == 2
-        assert "P_rr must be in (0, 1]" in capsys.readouterr().err
+        assert main(["radio", "--scenario", str(p)]) == 0
+        header, row = (tmp_path / "out" / "radio.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert all(map(math.isfinite, cells.values()))
+        radio = RadioConfig(lambda_u=1.0e300)
+        assert cells["latency_rr_up"] == radio.N_rmax * (latency_ra(radio) + latency_rar(radio))
+
+    def test_many_attempts_exit_zero(self, tmp_path):
+        # N_rmax terms per fixed-point step: 10**8 of them ran for hours
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/radio.csv
+            radio: {{N_rmax: 100000000}}
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "edgekit.cli", "radio", "--scenario", str(p)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "out" / "radio.csv").exists()
 
     def test_overflowing_contention_rate_exits_one_before_writing(self, tmp_path, capsys):
         # ran the reservation fixed point to its 100 000-step limit and exited 2
@@ -954,12 +973,13 @@ class TestOnePath:
         ("learning", "learning.iters", [5, 9], [2]),
         ("learning", "learning.workers", [4, 6], [1, 1]),
         ("integrated", "learning.rho", [0.5, 1.0, 2.0], [3]),
-        ("integrated", "integrated.ledger_period", [1, 2, 5], [3]),
+        ("integrated", "integrated.ledger_period", [1, 2, 5], [1]),
         ("integrated", "learning.workers", [4, 6], [1, 1]),
     ], ids=["rho", "iters", "workers", "integrated-rho", "integrated-ledger_period", "integrated-workers"])
     def test_learning_sweep_stacks_the_fields_problems_do_not_read(self, tmp_path, monkeypatch, kind, param, values,
                                                                    runs):
-        # an integrated sweep ran one training per point, whatever it swept
+        # an integrated sweep ran one training per point, whatever it swept,
+        # then one stacked training of identical points outside `learning`
         calls = []
         run_points = pipeline.L.run_points
 
