@@ -9,7 +9,6 @@ from .config import (
     nprach_period_fields,
 )
 from .model import (
-    expected_attempts,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -25,7 +24,6 @@ __all__ = [
     "RadioConfig",
     "UnstableConfig",
     "nprach_period_fields",
-    "expected_attempts",
     "full_breakdown",
     "latency_ra",
     "latency_rar",

@@ -67,7 +67,7 @@ def reservation_probability(config: RadioConfig) -> tuple[float, float]:
 
     iterated from x = lambda_a until one step moves it by at most 1e-9.
     Where the map has three fixed points (K = 48, N_rmax = 10, p_d = 1 at
-    lambda_a in about 17.0-17.9) the iteration, rising from lambda_a,
+    lambda_a in about 16.93-17.88) the iteration, rising from lambda_a,
     reports the smallest.  Raises NonConvergence after 100 000 steps.
     """
     lam_a = float(config.lambda_a)

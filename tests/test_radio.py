@@ -13,7 +13,6 @@ from edgekit.radio import (
     PowerProfile,
     RadioConfig,
     UnstableConfig,
-    expected_attempts,
     full_breakdown,
     latency_ra,
     latency_rar,
@@ -23,7 +22,7 @@ from edgekit.radio import (
     pow_latency,
     reservation_probability,
 )
-from edgekit.radio.model import _block_exchange_latency, _block_message_latency
+from edgekit.radio.model import _block_exchange_latency, _block_message_latency, expected_attempts
 
 from oracles import (
     attempts_by_outcome,
@@ -114,14 +113,6 @@ class TestReservation:
         p, _ = reservation_probability(cfg)
         mc = monte_carlo_reservation(cfg, periods=20_000, seed=9)
         assert abs(p - mc) <= 0.02
-
-    def test_underflowing_probability_prices_every_attempt(self):
-        # P_rr = p_d * exp(-lambda_tot/K) underflows to 0: every device gives
-        # up, so each contends N_rmax times
-        cfg = RadioConfig(lambda_u=1.0e300)
-        p, lam = reservation_probability(cfg)
-        assert p == 0.0 and lam == cfg.lambda_a * cfg.N_rmax
-        assert latency_rr(cfg, p) == cfg.N_rmax * (latency_ra(cfg) + latency_rar(cfg))
 
     @pytest.mark.parametrize("lam_a", [17.0, 17.1, 17.2, 17.3, 17.4, 17.5, 17.6, 17.7, 17.8, 17.9])
     def test_bistable_map_reports_smallest_root(self, lam_a):
