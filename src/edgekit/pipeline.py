@@ -222,7 +222,7 @@ def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
             id=cid,
             resources=int(rng.integers(1, 4)),
             output=float(rng.uniform(0.5, 1.5)),
-            compute=float(rng.choice([1, 2])),
+            compute=float(rng.integers(1, 3)),
         )
 
     comps = [draw(source)] + [draw(comp_of_worker[w]) for w in range(1, n + 1)]

@@ -62,7 +62,7 @@ def _draw_component(cid: int, rng) -> AppComponent:
         id=cid,
         resources=int(rng.integers(1, 9)),
         output=float(rng.uniform(0.5, 1.5)),
-        compute=float(rng.choice([1, 2])),
+        compute=float(rng.integers(1, 3)),
     )
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,9 +83,6 @@ class AppGraph:
 
         return any(state.get(c.id, 0) == 0 and visit(c.id) for c in self.components)
 
-    def component(self, cid: int) -> AppComponent:
-        return next(c for c in self.components if c.id == cid)
-
 
 @dataclass(frozen=True)
 class NetNode:
@@ -101,6 +99,15 @@ class NetNode:
             raise ValueError("node parameters must be > 0")
         if self.kind not in ("wired", "wireless"):
             raise ValueError(f"unknown node kind {self.kind!r}")
+
+
+class _NodeTable(NamedTuple):
+    """A network's nodes in id order, the order the solvers try them in."""
+
+    nodes: list[NetNode]
+    speed: list[float]
+    compute_energy: list[float]
+    D: list[list[float]]  # path_energy, rows and columns in id order
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,13 @@ class NetGraph:
             rows.append(dist)
         return np.array(rows, dtype=np.float64).reshape(m, m)
 
-    def D(self, n1: int, n2: int) -> float:
-        return float(self.path_energy[self._index[n1], self._index[n2]])
+    @cached_property
+    def _by_id(self) -> _NodeTable:
+        """The node-side solver tables, built once per network."""
+        rows = sorted(range(len(self.nodes)), key=lambda r: self.nodes[r].id)
+        nodes = [self.nodes[r] for r in rows]
+        D = self.path_energy[np.ix_(rows, rows)].tolist()
+        return _NodeTable(nodes, [n.speed for n in nodes], [n.compute_energy for n in nodes], D)
 
     def node(self, nid: int) -> NetNode:
         return self.nodes[self._index[nid]]
@@ -168,10 +180,40 @@ class NetGraph:
     def connected(self) -> bool:
         return bool(np.all(np.isfinite(self.path_energy)))
 
+    @cached_property
+    def _link_energy(self) -> dict[int, float]:
+        """Each node's mean incident link energy, from one pass over `links`.
+
+        A node's incident energies are listed in link order (a self-loop
+        once) and averaged as np.mean averages them: numpy's pairwise sum
+        differs from a sequential one from 8 terms on.
+        """
+        incident: dict[int, list[float]] = {n.id: [] for n in self.nodes}
+        for a, b, tl in self.links:
+            incident[a].append(tl)
+            if b != a:
+                incident[b].append(tl)
+        return {nid: _mean(inc) for nid, inc in incident.items()}
+
     def mean_link_energy(self, nid: int) -> float:
-        """Average transfer energy of the node's incident links (0 if none)."""
-        inc = [tl for a, b, tl in self.links if nid in (a, b)]
-        return float(np.mean(inc)) if inc else 0.0
+        """Average transfer energy of the node's incident links: 0 for a node
+        without links, KeyError for an id that is not a node.  The table of
+        every node's mean is built once per network, on first use."""
+        return self._link_energy[nid]
+
+
+def _mean(values: list) -> float:
+    """float(np.mean(values)), 0.0 for no values.  For a float64 array that
+    is np.mean's own two steps, np.add.reduce and a division by the count,
+    taken here without its argument handling, which costs several times the
+    arithmetic on a short list; any other array (integers, or an object
+    array for an integer beyond int64) goes through np.mean itself."""
+    if not values:
+        return 0.0
+    array = np.asarray(values)
+    if array.dtype != np.float64:
+        return float(np.mean(array))
+    return float(np.add.reduce(array)) / len(values)
 
 
 @dataclass(frozen=True)
@@ -202,9 +244,11 @@ def evaluate_assignment(app: AppGraph, net: NetGraph, mapping: dict[int, int], s
     for c in app.components:
         node = net.node(mapping[c.id])
         e_d += node.compute_energy * (c.compute / node.speed)
+    index, D = net._index, net.path_energy
+    output = {c.id: c.output for c in app.components}
     e_n = 0.0
     for t1, t2 in app.edges:
-        e_n += app.component(t1).output * net.D(mapping[t1], mapping[t2])
+        e_n += output[t1] * float(D[index[mapping[t1]], index[mapping[t2]]])
     violations = []
     load: dict[int, float] = {}
     for c in app.components:

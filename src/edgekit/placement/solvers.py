@@ -1,7 +1,11 @@
 """Exact and heuristic placement solvers.
 
 Both `solve_optimal` and `solve_heuristic` run one depth-first
-branch-and-bound over positional cost tables built once per solve.
+branch-and-bound over positional cost tables.  The node-side tables (nodes
+in id order, their speeds and compute energies, the path-energy matrix in
+that order, the mean link energies) are built once per network and kept on
+the NetGraph, so a placement row's heuristic and exact solves share them;
+the component order and the unit-cost table are built once per solve.
 Components are assigned in decreasing resource-demand order; nodes are
 tried in id order, so ties break toward the smallest node id.  Placing
 component i on node k costs a unit term unit[i][k] plus, for each edge to an
@@ -21,8 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-
-import numpy as np
 
 from ..core import sequential_sum
 from .model import AppGraph, Assignment, Infeasible, NetGraph, TimeBudgetExceeded, evaluate_assignment
@@ -100,10 +102,14 @@ class _BranchAndBound:
             return
         need = self.comps[i].resources
         bound = self.tail_bound[i + 1]
+        unit, pred, D = self.unit[i], self.pred[i], self.D
         for k in range(len(free)):
             if free[k] < need:
                 continue
-            c = cost + self._step(i, k, chosen)
+            step = unit[k]  # _step from locals, its terms in the same order
+            for j, output in pred:
+                step += output * D[chosen[j]][k]
+            c = cost + step
             if c + bound >= self.best_cost:
                 continue
             free[k] -= need
@@ -115,13 +121,12 @@ class _BranchAndBound:
 
 def _device_table(app: AppGraph, net: NetGraph):
     """Components by decreasing demand (id tie-break, keeping the search
-    deterministic), nodes by id, each node's row in `net.nodes`, and the
-    device energy C*S/P of every component on every node."""
+    deterministic), the network's node table (nodes by id, `NetGraph._by_id`)
+    and the device energy C*S/P of every component on every node."""
     comps = sorted(app.components, key=lambda c: (-c.resources, c.id))
-    rows = sorted(range(len(net.nodes)), key=lambda r: net.nodes[r].id)
-    nodes = [net.nodes[r] for r in rows]
-    device = [[n.compute_energy * (c.compute / n.speed) for n in nodes] for c in comps]
-    return comps, nodes, rows, device
+    table = net._by_id
+    device = [[e * (c.compute / p) for e, p in zip(table.compute_energy, table.speed)] for c in comps]
+    return comps, table, device
 
 
 def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None) -> Assignment:
@@ -134,7 +139,7 @@ def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None
     """
     _feasibility_precheck(app, net)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    comps, nodes, rows, device = _device_table(app, net)
+    comps, table, device = _device_table(app, net)
     # each edge is priced when its later-assigned endpoint is placed
     position = {c.id: i for i, c in enumerate(comps)}
     output = {c.id: c.output for c in comps}
@@ -142,8 +147,7 @@ def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None
     for t1, t2 in app.edges:
         i1, i2 = position[t1], position[t2]
         pred[max(i1, i2)].append((min(i1, i2), output[t1]))
-    D = net.path_energy[np.ix_(rows, rows)].tolist()
-    bnb = _BranchAndBound(comps, nodes, device, pred, D, deadline)
+    bnb = _BranchAndBound(comps, table.nodes, device, pred, table.D, deadline)
     mapping = bnb.solve()
     if not bnb.timed_out:
         return evaluate_assignment(app, net, mapping, status="optimal")
@@ -154,8 +158,8 @@ def solve_optimal(app: AppGraph, net: NetGraph, time_budget: float | None = None
 def solve_heuristic(app: AppGraph, net: NetGraph) -> Assignment:
     """Linear heuristic: per-node mean link energy replaces the pairwise term."""
     _feasibility_precheck(app, net)
-    comps, nodes, _, device = _device_table(app, net)
-    t_hat = [net.mean_link_energy(n.id) for n in nodes]
+    comps, table, device = _device_table(app, net)
+    t_hat = [net.mean_link_energy(n.id) for n in table.nodes]
     unit = [[d + c.output * t for d, t in zip(row, t_hat)] for c, row in zip(comps, device)]
-    bnb = _BranchAndBound(comps, nodes, unit, [[] for _ in comps], None, None)
+    bnb = _BranchAndBound(comps, table.nodes, unit, [[] for _ in comps], None, None)
     return evaluate_assignment(app, net, bnb.solve(), status="heuristic")

@@ -12,7 +12,6 @@ from .model import (
     full_breakdown,
     latency_ra,
     latency_rar,
-    latency_rr,
     pow_latency,
     reservation_probability,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "full_breakdown",
     "latency_ra",
     "latency_rar",
-    "latency_rr",
     "latency_rx",
     "latency_tx",
     "pow_latency",

@@ -93,12 +93,6 @@ def latency_rar(config: RadioConfig) -> float:
     return 0.5 * config.d + 0.5 * config.Q * config.f * config.u + config.u
 
 
-def latency_rr(config: RadioConfig, P_rr: float) -> float:
-    """Expected resource-reservation latency: each expected attempt sends the
-    random-access message and waits for its response."""
-    return expected_attempts(P_rr, config.N_rmax) * (latency_ra(config) + latency_rar(config))
-
-
 def pow_latency(dlt: DltConfig) -> float:
     """Mean time for the fastest of M miners: 1 / (lambda_c * M)."""
     return 1.0 / (dlt.lambda_c * dlt.M)

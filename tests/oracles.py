@@ -281,6 +281,13 @@ def brute_force_optimal(app: AppGraph, net: NetGraph) -> Assignment:
     return replace(best, status="optimal")
 
 
+def mean_link_energy_scan(net: NetGraph, nid: int) -> float:
+    """A node's mean incident link energy by a scan of every link: the
+    per-call form that NetGraph's per-network table replaced."""
+    inc = [tl for a, b, tl in net.links if nid in (a, b)]
+    return float(np.mean(inc)) if inc else 0.0
+
+
 def quantize_rows(
     delta: np.ndarray, config: QuantizerConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgekit
-from edgekit.core import load_yaml, make_rng
+from edgekit.core import load_yaml, make_rng, sequential_sum
 from edgekit.placement import (
     AppComponent,
     AppGraph,
@@ -30,11 +30,14 @@ from edgekit.placement import (
     solve_optimal,
 )
 from edgekit.placement import solvers
+from edgekit import pipeline
 from edgekit.cli import main
+from edgekit.scenario import parse_scenario
 
-from oracles import brute_force_optimal
+from oracles import brute_force_optimal, mean_link_energy_scan
 
 GOLDEN_INSTANCE = Path(__file__).resolve().parent.parent / "scenarios" / "placement_instance.yaml"
+GOLDEN_INTEGRATED = GOLDEN_INSTANCE.with_name("integrated.yaml")
 
 
 def two_node_net(link_energy=0.2):
@@ -98,6 +101,32 @@ class TestGenerators:
             generate_application("wide", 2, seed=0)
         with pytest.raises(InvalidShape):
             generate_application("round", 5, seed=0)
+
+
+def app_record(app) -> bytes:
+    """Every component's exact fields, the edges and the shape."""
+    comps = [(c.id, c.resources, c.output.hex(), c.compute.hex()) for c in app.components]
+    return f"{comps}|{list(app.edges)}|{app.shape}\n".encode()
+
+
+class TestDrawPin:
+    """The application draws, bit for bit: a change to a draw's values or to
+    the generator state it leaves behind shows here."""
+
+    def test_generated_applications_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(300):
+            for shape in ("long", "wide"):
+                digest.update(app_record(generate_application(shape, 3 + seed % 10, seed=seed)))
+        assert digest.hexdigest() == "c37b6a85f2206aeaded2be96b0984eb6c6590c51f11657f6014f3e8f6d8da10f"
+
+    def test_learning_app_graphs_pinned(self):
+        point = parse_scenario(GOLDEN_INTEGRATED).points[0]
+        topology = pipeline._topology(point.learning, point.seed)
+        digest = hashlib.sha256()
+        for seed in range(50):
+            digest.update(app_record(pipeline._learning_app_graph(topology, seed)))
+        assert digest.hexdigest() == "48406823f7eccd041bb7b27390bad4c9d891e4e94405952bb7054b0399f02e97"
 
 
 class TestEvaluate:
@@ -192,8 +221,9 @@ def linked_nets(draw):
 class TestPathEnergy:
     def test_zero_energy_link_joins_its_nodes_at_no_cost(self):
         net = NetGraph(nodes=unit_nodes(3), links=((0, 1, 0.0), (1, 2, 0.5)))
-        assert net.D(0, 1) == net.D(1, 0) == 0.0
-        assert net.D(0, 2) == 0.5
+        D = net.path_energy  # node ids are the rows
+        assert D[0, 1] == D[1, 0] == 0.0
+        assert D[0, 2] == 0.5
         assert net.connected
 
     def test_zero_energy_link_lowers_the_placed_energy(self, tmp_path, capsys):
@@ -208,9 +238,10 @@ class TestPathEnergy:
 
     def test_parallel_links_count_at_their_cheapest_and_self_loops_not_at_all(self):
         net = NetGraph(nodes=unit_nodes(4), links=((0, 1, 0.8), (1, 0, 0.3), (0, 1, 0.5), (2, 2, 0.1)))
-        assert net.D(0, 1) == 0.3
-        assert net.D(2, 2) == 0.0
-        assert math.isinf(net.D(0, 2)) and math.isinf(net.D(3, 2))
+        D = net.path_energy  # node ids are the rows
+        assert D[0, 1] == 0.3
+        assert D[2, 2] == 0.0
+        assert math.isinf(D[0, 2]) and math.isinf(D[3, 2])
         assert not net.connected
         assert net.path_energy.dtype == np.float64 and net.path_energy.shape == (4, 4)
 
@@ -330,10 +361,40 @@ class TestSolvers:
             NetNode(id=1, speed=1.0, resources=5, compute_energy=1.0),
             NetNode(id=2, speed=1.0, resources=5, compute_energy=1.0),
             NetNode(id=3, speed=1.0, resources=5, compute_energy=1.0),
+            NetNode(id=4, speed=1.0, resources=5, compute_energy=1.0),
         )
         net = NetGraph(nodes=nodes, links=((1, 2, 0.2), (1, 3, 0.8)))
         assert net.mean_link_energy(1) == pytest.approx(0.5)
         assert net.mean_link_energy(2) == pytest.approx(0.2)
+        assert net.mean_link_energy(4) == 0.0  # a node without links
+        # an id that is not a node is an error, as for NetGraph.node
+        for nid in (0, 5):
+            with pytest.raises(KeyError):
+                net.mean_link_energy(nid)
+            with pytest.raises(KeyError):
+                net.node(nid)
+
+    def test_mean_link_energy_is_numpy_mean_at_degree_nine(self):
+        # nine links where np.mean's pairwise sum and a sequential one differ
+        energies = [1.1, 0.7, 0.7, 0.2, 0.2, 0.1, 0.1, 0.1, 0.2]
+        nodes = tuple(NetNode(id=i, speed=1.0, resources=5, compute_energy=1.0) for i in range(1, 11))
+        net = NetGraph(nodes=nodes, links=tuple((1, i + 2, tl) for i, tl in enumerate(energies)))
+        assert net.mean_link_energy(1) == float(np.mean(energies)) != sequential_sum(energies) / 9
+
+    @settings(max_examples=200)
+    @given(data=st.data(), m=st.integers(1, 12))
+    def test_link_energy_table_equals_scan(self, data, m):
+        # parallel links, self-loops, nodes without links and degrees of 8
+        # and more, where np.mean's pairwise sum leaves the sequential one;
+        # integer energies, some beyond int64
+        ids = data.draw(st.lists(st.integers(-5, 40), min_size=m, max_size=m, unique=True))
+        energy = st.one_of(st.floats(0.0, 10.0), st.integers(0, 10), st.integers(0, 10**20),
+                           st.sampled_from([0.1, 0.2, 0.3, 0.8]))
+        links = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids), energy), max_size=60))
+        nodes = tuple(NetNode(id=i, speed=1.0, resources=1, compute_energy=1.0) for i in ids)
+        net = NetGraph(nodes=nodes, links=tuple(links))
+        for nid in ids:
+            assert net.mean_link_energy(nid).hex() == mean_link_energy_scan(net, nid).hex()
 
     def test_single_node_network_heuristic_equals_optimal(self):
         comps = (
@@ -417,14 +478,14 @@ class TestSolverPin:
 def quadratic_energy_via_linearization(app, net, mapping):
     """E_n computed through the explicit product variables Y."""
     node_ids = [n.id for n in net.nodes]
+    output = {c.id: c.output for c in app.components}
     X = {(t, n): int(mapping[t] == n) for t in mapping for n in node_ids}
     e_n = 0.0
     for t1, t2 in app.edges:
-        o = app.component(t1).output
-        for n1 in node_ids:
-            for n2 in node_ids:
+        for r1, n1 in enumerate(node_ids):
+            for r2, n2 in enumerate(node_ids):
                 y = X[(t1, n1)] * X[(t2, n2)]
-                e_n += o * net.D(n1, n2) * y
+                e_n += output[t1] * net.path_energy[r1, r2] * y
     return e_n
 
 

@@ -16,7 +16,6 @@ from edgekit.radio import (
     full_breakdown,
     latency_ra,
     latency_rar,
-    latency_rr,
     latency_rx,
     latency_tx,
     pow_latency,
@@ -212,17 +211,29 @@ class TestExpectedAttempts:
                 expected_attempts(P_rr, 10)
 
 
+def rr_up(cfg, P_rr):
+    """full_breakdown's rr_up latency for `cfg` at reservation probability
+    P_rr: without arrivals the fixed point's P_rr is p_d, and 1e6 uplink
+    arrivals per period make p_d * exp(-x/K) underflow to 0."""
+    if P_rr == 0.0:
+        cfg = replace(cfg, lambda_u=1e6, lambda_d=0.0)
+    else:
+        cfg = replace(cfg, lambda_u=0.0, lambda_d=0.0, p_d=P_rr)
+    assert reservation_probability(cfg)[0] == P_rr
+    return full_breakdown(cfg, PowerProfile()).latency["rr_up"]
+
+
 class TestLatencyTerms:
     def test_rr_first_attempt_success(self):
         cfg = RadioConfig()
-        assert latency_rr(cfg, 1.0) == pytest.approx(latency_ra(cfg) + latency_rar(cfg))
+        assert rr_up(cfg, 1.0) == pytest.approx(latency_ra(cfg) + latency_rar(cfg))
 
     def test_rr_single_attempt(self):
         # one attempt, whether it succeeds or the device gives up after it
         cfg = RadioConfig(N_rmax=1)
         per = latency_ra(cfg) + latency_rar(cfg)
         for P_rr in (0.0, 1e-300, 1e-12, 0.3, 1.0):
-            assert latency_rr(cfg, P_rr) == pytest.approx(per, rel=1e-15)
+            assert rr_up(cfg, P_rr) == pytest.approx(per, rel=1e-15)
 
     def test_rr_two_term_hand_sum(self):
         # force L_ra + L_rar = 1 s: 0.5t + tau = 0.5, 0.5d + 0.5Qfu + u = 0.5
@@ -230,15 +241,16 @@ class TestLatencyTerms:
         per = latency_ra(cfg) + latency_rar(cfg)
         assert per == pytest.approx(1.0)
         # one attempt, and a second for the half that fail the first: 1 + 0.5
-        assert latency_rr(cfg, 0.5) == pytest.approx(1.5)
+        assert rr_up(cfg, 0.5) == pytest.approx(1.5)
 
     def test_rr_zero_probability_prices_every_attempt(self):
         cfg = RadioConfig()
         per = latency_ra(cfg) + latency_rar(cfg)
-        assert latency_rr(cfg, 0.0) == cfg.N_rmax * per
-        for P_rr in (-0.1, 1.5, math.nan):
-            with pytest.raises(ValueError, match=re.escape("P_rr must be in [0, 1]")):
-                latency_rr(cfg, P_rr)
+        assert rr_up(cfg, 0.0) == cfg.N_rmax * per
+        # no config reaches the breakdown with a P_rr outside [0, 1]
+        for p_d in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="p_d"):
+                RadioConfig(p_d=p_d)
 
     def test_tx_empty_queue_is_pure_transmission(self):
         cfg = RadioConfig(lambda_s=0.0, lambda_b=0.0)
@@ -354,7 +366,8 @@ class TestSharedTerms:
         b = full_breakdown(radio, power, dlt)
         p_rr, _ = reservation_probability(radio)
         latency, energy = reservation_sums(radio, power, p_rr)
-        assert b.latency["rr_up"] == latency_rr(radio, p_rr) == pytest.approx(latency, rel=TOL_ATTEMPTS)
+        separate = expected_attempts(p_rr, radio.N_rmax) * (latency_ra(radio) + latency_rar(radio))
+        assert b.latency["rr_up"] == separate == pytest.approx(latency, rel=TOL_ATTEMPTS)
         assert b.energy["rr_up"] == pytest.approx(energy, rel=TOL_ATTEMPTS)
         up_new, up_trans, down_get = (
             _block_message_latency(radio, dlt, name) for name in ("new_block_bits", "trans_block_bits", "get_block_bits")
