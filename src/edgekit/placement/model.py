@@ -185,35 +185,21 @@ class NetGraph:
         """Each node's mean incident link energy, from one pass over `links`.
 
         A node's incident energies are listed in link order (a self-loop
-        once) and averaged as np.mean averages them: numpy's pairwise sum
-        differs from a sequential one from 8 terms on.
+        once) and averaged by np.mean, whose pairwise sum differs from a
+        sequential one from 8 terms on.
         """
         incident: dict[int, list[float]] = {n.id: [] for n in self.nodes}
         for a, b, tl in self.links:
             incident[a].append(tl)
             if b != a:
                 incident[b].append(tl)
-        return {nid: _mean(inc) for nid, inc in incident.items()}
+        return {nid: float(np.mean(inc)) if inc else 0.0 for nid, inc in incident.items()}
 
     def mean_link_energy(self, nid: int) -> float:
         """Average transfer energy of the node's incident links: 0 for a node
         without links, KeyError for an id that is not a node.  The table of
         every node's mean is built once per network, on first use."""
         return self._link_energy[nid]
-
-
-def _mean(values: list) -> float:
-    """float(np.mean(values)), 0.0 for no values.  For a float64 array that
-    is np.mean's own two steps, np.add.reduce and a division by the count,
-    taken here without its argument handling, which costs several times the
-    arithmetic on a short list; any other array (integers, or an object
-    array for an integer beyond int64) goes through np.mean itself."""
-    if not values:
-        return 0.0
-    array = np.asarray(values)
-    if array.dtype != np.float64:
-        return float(np.mean(array))
-    return float(np.add.reduce(array)) / len(values)
 
 
 @dataclass(frozen=True)

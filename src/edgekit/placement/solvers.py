@@ -57,11 +57,19 @@ class _BranchAndBound:
         for i in range(len(comps) - 1, -1, -1):
             self.tail_bound[i] = self.tail_bound[i + 1] + min(unit[i])
 
-    def _step(self, i: int, k: int, chosen: list[int]) -> float:
-        cost = self.unit[i][k]
-        for j, output in self.pred[i]:
-            cost += output * self.D[chosen[j]][k]
-        return cost
+    def _steps(self, i: int, chosen: list[int], free: list[float]) -> list[tuple[float, int]]:
+        """(step cost, node) for every node with room for component i: its
+        unit term plus, in predecessor order, each edge to a placed one."""
+        need = self.comps[i].resources
+        unit, pred, D = self.unit[i], self.pred[i], self.D
+        steps = []
+        for k in range(len(free)):
+            if free[k] >= need:
+                step = unit[k]
+                for j, output in pred:
+                    step += output * D[chosen[j]][k]
+                steps.append((step, k))
+        return steps
 
     def _greedy_incumbent(self) -> None:
         """Cheapest-feasible-node greedy, used only to seed the pruning bound."""
@@ -69,7 +77,7 @@ class _BranchAndBound:
         chosen: list[int] = []
         cost = 0.0
         for i, comp in enumerate(self.comps):
-            options = [(self._step(i, k, chosen), k) for k in range(len(free)) if free[k] >= comp.resources]
+            options = self._steps(i, chosen, free)
             if not options:
                 return
             step, k = min(options)
@@ -102,13 +110,7 @@ class _BranchAndBound:
             return
         need = self.comps[i].resources
         bound = self.tail_bound[i + 1]
-        unit, pred, D = self.unit[i], self.pred[i], self.D
-        for k in range(len(free)):
-            if free[k] < need:
-                continue
-            step = unit[k]  # _step from locals, its terms in the same order
-            for j, output in pred:
-                step += output * D[chosen[j]][k]
+        for step, k in self._steps(i, chosen, free):
             c = cost + step
             if c + bound >= self.best_cost:
                 continue
