@@ -2,7 +2,7 @@ from .problems import LocalProblem, centralized_solution
 from .topology import Topology, build_topology, rechain
 from .compression import QuantizerConfig, CensorSchedule
 from .energy import CommEnergyModel, message_energy
-from .runner import TRAITS, Setting, TrainingTrace, run, run_points, dual_update
+from .runner import TRAITS, Setting, TrainingTrace, run, run_points
 
 __all__ = [
     "LocalProblem",
@@ -19,5 +19,4 @@ __all__ = [
     "run",
     "run_points",
     "Setting",
-    "dual_update",
 ]

@@ -43,19 +43,19 @@ class CensorSchedule:
 @dataclass(frozen=True)
 class QuantizeBuffers:
     """Scratch arrays for `quantize_step` on P points' k rows each, P*k rows
-    point by point, made once per phase, and each row's top level 2^b - 1
-    at the shapes it meets."""
+    point by point, made once per phase, and each row's top level 2^b - 1.
+    Each is (P*k, d) but `radius`: once `spread` holds the radii, every step
+    combines arrays of one shape, and no ufunc broadcasts a column."""
 
-    delta: np.ndarray  # (P*k, d) new - last, then scaled onto [0, 2^b - 1]
-    frac: np.ndarray  # (P*k, d) |delta|, then the fractional part of the scaled delta
-    level: np.ndarray  # (P*k, d) its integral part, then the levels, then their values
-    uniform: np.ndarray  # (P*k, d) the rounding draws
-    up: np.ndarray  # (P*k, d) bool, coordinates rounded up
+    delta: np.ndarray  # new - last, then scaled onto [0, 2^b - 1]
+    frac: np.ndarray  # |delta|, then the fractional part of the scaled delta, then the round-ups
+    level: np.ndarray  # its integral part, then the levels, then their values
+    uniform: np.ndarray  # the rounding draws
     radius: np.ndarray  # (P*k, 1) l-inf norm of each row of delta
-    step: np.ndarray  # (P*k, 1) level spacing of each row
-    sent: np.ndarray  # (P*k, d) the transmitted models
-    top: np.ndarray  # (P*k, d) 2^b - 1 of each row's point
-    top_rows: np.ndarray  # (P*k, 1) the same per row
+    spread: np.ndarray  # each row's radius on every coordinate
+    step: np.ndarray  # the level spacing of each row, on every coordinate
+    sent: np.ndarray  # the transmitted models
+    top: np.ndarray  # 2^b - 1 of each row's point
     blocks: tuple[np.ndarray, ...]  # per point, (k, d) view of its rows of uniform
 
     @classmethod
@@ -64,9 +64,9 @@ class QuantizeBuffers:
         quantizing with bits[p] bits per coordinate."""
         rows = len(bits) * k
         top = np.repeat([2.0**b - 1 for b in bits], k * d).reshape(rows, d)
-        delta, frac, level, uniform = np.empty((4, rows, d))
-        return cls(delta, frac, level, uniform, np.empty((rows, d), dtype=bool), *np.empty((2, rows, 1)),
-                   np.empty((rows, d)), top, top[:, :1].copy(), tuple(uniform.reshape(len(bits), k, d)))
+        delta, frac, level, uniform, spread, step, sent = np.empty((7, rows, d))
+        return cls(delta, frac, level, uniform, np.empty((rows, 1)), spread, step, sent, top,
+                   tuple(uniform.reshape(len(bits), k, d)))
 
 
 def quantize_step(
@@ -88,15 +88,16 @@ def quantize_step(
     consumes each point's stream exactly as k sequential one-row calls do.
     Every step writes into `buf`, which may not overlap `new` or `last`.
     """
-    delta, frac, level, uniform, radius, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.radius, buf.step
-    np.subtract(new, last, out=delta)
-    np.maximum.reduce(np.abs(delta, out=frac), axis=1, keepdims=True, out=radius)  # d >= 1
-    np.divide(np.multiply(radius, 2.0, out=step), buf.top_rows, out=step)
-    zero = None if np.count_nonzero(step) == len(step) else step[:, 0] == 0.0  # R = 0, or 2R / top underflows
+    delta, frac, level, uniform, spread, step = buf.delta, buf.frac, buf.level, buf.uniform, buf.spread, buf.step
+    np.subtract(new, last, delta)
+    np.maximum.reduce(np.abs(delta, frac), 1, None, buf.radius, True)  # d >= 1
+    np.copyto(spread, buf.radius)
+    np.divide(np.multiply(spread, 2.0, step), buf.top, step)  # (R*2)/top: R/(top/2) differs once 2R overflows
+    zero = None if np.count_nonzero(step) == step.size else step[:, 0] == 0.0  # R = 0, or 2R / top underflows
     if zero is not None:
         step[zero] = 1.0  # keeps 0 / step finite; the rows' values are set to 0 below
-    np.divide(np.add(delta, radius, out=delta), step, out=delta)  # in [0, top]: delta + R >= 0 exactly
-    np.subtract(delta, np.floor(delta, out=level), out=frac)  # exact
+    np.divide(np.add(delta, spread, delta), step, delta)  # in [0, top]: delta + R >= 0 exactly
+    np.subtract(delta, np.floor(delta, level), frac)  # exact
     for p, (rng, block) in enumerate(zip(rngs, buf.blocks)):
         if zero is None:
             rng.random(out=block)
@@ -105,12 +106,13 @@ def quantize_step(
             drawn = block[:np.count_nonzero(live)]
             rng.random(out=drawn)
             block[live] = drawn.copy()  # the live rows overlap the drawn ones
-    np.less(uniform, frac, out=buf.up)
-    np.minimum(np.add(level, buf.up, out=level), buf.top, out=level)  # a scaled top may land an ulp above it
-    np.subtract(np.multiply(level, step, out=level), radius, out=level)
+    # up iff u < frac: frac - u is in (-1, 1), so its ceiling is 1.0 there and +-0.0 elsewhere
+    np.add(level, np.ceil(np.subtract(frac, uniform, frac), frac), level)
+    np.minimum(level, buf.top, out=level)  # a scaled top may land an ulp above it (a positional out is deprecated)
+    np.subtract(np.multiply(level, step, level), spread, level)
     if zero is not None:
         level[zero] = 0.0
-    return np.add(last, level, out=buf.sent)
+    return np.add(last, level, buf.sent)
 
 
 def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

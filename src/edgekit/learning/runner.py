@@ -96,39 +96,48 @@ and allocates no array after the first, except for a quantized update with
 an all-zero row.  Only two steps loop over the points: the quantizer draws
 with one rng.random per point, from the point's own child_rng(seed, 1)
 stream, and the censoring test compares the rows of each point after the
-first with its own threshold.  Per phase: one gather of the term stack, one
-ordered sum of it into rhs and one stacked solve written straight into the
-group's rows of the history block (the phase keeps a view of its rows in
-each of the 16).  Without censoring the phase then writes rho times its new
-models into its pull rows, and that is all: four numpy calls.  The
-receivers so read every new model, also one equal in value to the last
-message the trace counted: where a coordinate only flipped the sign of a
-zero, they read -0.0 where they read +0.0, or the reverse.  Such an addend
-or operand changes the sign of a result that is exactly zero and nothing
-else: x + 0.0 and x + -0.0 are both x when x is not zero, and a product with
-a zero is a zero.  No reported number keeps the sign of a zero (the error is
-an absolute value and the residual a root of a sum of squares), and a send
-is decided by value, where -0.0 == 0.0.  A censoring phase instead runs one buffered kernel each
-for quantizing (cq-ggadmm), censoring and transmitting.  Quantizing writes
-last + Q(new - last) into the phase's buffers; censoring is a subtract, a
-row ddot, a square root and a comparison.  A phase that sends every row
-copies them into theta_hat with a plain slice write; a partial send is a
-masked copy, and one that sends nothing writes nothing.  The group's pull
-rows are then rewritten whole: a row that did not send already held rho
-times its theta_hat.  Per iteration: one gather of the edge ends, an
-in-place dual step and its negation.  d-gadmm re-initializes the
+first with its own threshold.  Each phase's arrays are bound once per
+(re)chain, into a tuple the loop unpacks (`_Phase`), and each ufunc call of
+the loops takes its out buffer positionally.  Per phase: one gather of the term
+stack, then one Python call, `block_solve`: its ordered sum into rhs, by
+the path the phase fixed when it was built, and one stacked solve written
+straight into the group's rows of the history block (the phase keeps a view
+of its rows in each of the 16).  Without censoring the phase then writes
+rho times its new models into its pull rows, and that is all: four numpy
+calls and no other Python frame.  The receivers so read every new model,
+also one equal in value to the last message the trace counted: where a
+coordinate only flipped the sign of a zero, they read -0.0 where they read
++0.0, or the reverse.  Such an addend or operand changes the sign of a
+result that is exactly zero and nothing else: x + 0.0 and x + -0.0 are both
+x when x is not zero, and a product with a zero is a zero.  No reported
+number keeps the sign of a zero (the error is an absolute value and the
+residual a root of a sum of squares), and a send is decided by value, where
+-0.0 == 0.0.  A censoring phase then calls `quantize_step` (cq-ggadmm) and
+`censor_mask`, and transmits inline.  Quantizing writes last + Q(new -
+last) into the phase's buffers, with no ufunc that broadcasts a column over
+the rows but the one that spreads the radii; censoring is a subtract, a row
+ddot, a square root and a comparison.  A phase that sends every row copies
+them into theta_hat with a plain slice write; a partial send is a masked
+copy, and one that sends nothing writes nothing.  The group's pull rows are
+then rewritten whole: a row that did not send already held rho times its
+theta_hat.  Per iteration: one gather of the edge ends, the dual step
+lambda += rho (left - right) in three in-place calls and its negation, all
+inline, and the history row advanced inline.  d-gadmm re-initializes the
 duals on re-chaining as prefix sums of the local gradients along the new
 chain order.  ps-admm writes each iteration's centres into the last P rows
 of the history block and reuses one (P, N, d) work array for its rhs, its
-centre step and its dual step; a point's centre is a reduce over its N rows.
+centre step and its dual step lambda += rho (theta - z); a point's centre
+is a reduce over its N rows.  An uncensored iteration makes no Python call
+but `block_solve`, once per phase, and `_Traces.flush`, once per block.
 
-The trace.  Neither loop reads it: each calls `_Traces.advance()` after an
-iteration, and `_Traces.flush()` evaluates the block's objective and stop
-test in worker order when it fills, when the run ends and before a d-gadmm
-re-chain changes the edges.  `use(rows, ends, groups)` sets the layout:
-each point's worker rows, each edge's two end rows, and the sizes k of the
-band groups (P*k sends rows, point by point): the head and tail phases, or
-ps-admm's N workers, each with an edge to its point's centre.  Without
+The trace.  Neither loop reads it: each counts its iterations in the
+history block, and `_Traces.flush(n)` evaluates the first n rows'
+objective and stop test in worker order when the block fills, when the run
+ends and before a d-gadmm re-chain changes the edges.  `use(rows, ends,
+groups)` sets the layout: each point's worker rows, each edge's two end
+rows, and the sizes k of the band groups (P*k sends rows, point by point):
+the head and tail phases, or ps-admm's N workers, each with an edge to its
+point's centre.  Without
 censoring, `flush` first reads `sends` off the block: a row is sent iff a
 coordinate differs (!=) from the same row one iteration earlier, the block's
 first row from theta_hat, which then takes the block's last row.  A d-gadmm
@@ -193,6 +202,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,17 +284,13 @@ def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     return np.linalg.inv(2.0 * H + (rho * degree)[:, None, None] * np.eye(H.shape[-1]))
 
 
-def slot_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums of a (2D+1, ...) stack along its first axis, added strictly
-    one row after the other (bit-identity rule 2), in `out`.  When a row has
-    one element the stack itself is scanned in place and its last row
-    returned."""
-    if out.size > 1:
-        return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
-    return np.add.accumulate(terms, axis=0, out=terms)[-1]  # one kept element: reduce would go pairwise
+def rhs_buffer(k: int, d: int) -> np.ndarray | None:
+    """The buffer `block_solve` sums k rows of d coordinates into: (k, d, 1),
+    or None for one kept element (k*d = 1), which it sums in place."""
+    return np.empty((k, d, 1)) if k * d > 1 else None
 
 
-def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     """Closed-form block update of k workers at once, written into `out`.
 
     Row n minimizes f_n(theta) + sum_j s_j lambda_j . theta
@@ -293,21 +299,18 @@ def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray, out: np.nda
     minimizer is inv_n @ (2 g_n - sum_j s_j lambda_j + rho sum_j theta_j) with
     inv_n (k, d, d) from `inverses`.  `terms` (2D+1, k, d, 1) holds that
     rhs's addends in order along its first axis: 2 g_n, then -s_j lambda_j
-    and rho theta_j for each slot j, signed zeros in padded slots.  `rhs`
-    receives their sums (see `slot_sum`); it and `out` are (k, d, 1) column
-    stacks, which np.matmul multiplies as one gemv per row.
+    and rho theta_j for each slot j, signed zeros in padded slots.  They are
+    added strictly one slot after the other (bit-identity rule 2): into the
+    (k, d, 1) `rhs` by np.add.reduce from -0.0, or, where `rhs_buffer` gives
+    None, by a scan of the stack in place, whose last row is then the rhs.
+    It and `out` are column stacks, which np.matmul multiplies as one gemv
+    per row.
     """
-    return np.matmul(inv, slot_sum(terms, rhs), out=out)
-
-
-def dual_update(lam: np.ndarray, theta_left: np.ndarray, theta_right: np.ndarray, rho,
-                step: np.ndarray) -> np.ndarray:
-    """lambda += rho (theta_left - theta_right) in place, elementwise on any
-    stack of edges (rho a float, or an array of each element's rho); the
-    step is computed in `step`, which may be theta_left."""
-    np.subtract(theta_left, theta_right, out=step)
-    np.multiply(step, rho, out=step)
-    return np.add(lam, step, out=lam)
+    if rhs is None:  # one kept element: reduce would sum pairwise
+        rhs = np.add.accumulate(terms, 0, None, terms)[-1]
+    else:
+        np.add.reduce(terms, 0, None, rhs, False, -0.0)
+    return np.matmul(inv, rhs, out)
 
 
 def _check_variant(variant, topology, points, n_problems):
@@ -403,7 +406,6 @@ class _Traces:
         self.payloads = [point.payload_bits(stack.dim) for point in points]
         self.models = np.zeros((TRACE_BLOCK, model_rows, stack.dim))
         self.sends = np.ones((TRACE_BLOCK, len(points) * stack.n), dtype=bool)
-        self.slot = 0  # this iteration's row of the history blocks
 
     def use(self, rows: np.ndarray, ends: np.ndarray, groups: Sequence[int]) -> None:
         """Read the blocks in this layout from the next `flush` on."""
@@ -416,21 +418,16 @@ class _Traces:
                                    for point, payload in zip(self.points, self.payloads)]))
             start += k
 
-    def advance(self) -> bool:
-        """End an iteration; True once every point has ended."""
-        self.slot += 1
-        return self.slot == TRACE_BLOCK and self.flush()
-
-    def flush(self) -> bool:
-        """Append the iterations of the history blocks so far to each point's
-        trace and empty them; True once every point has ended.
+    def flush(self, n: int) -> bool:
+        """Append the iterations in the first n rows of the history blocks to
+        each point's trace; True once every point has ended.  The loop then
+        writes from row 0 again.
 
         The error is evaluated over the whole block and kept for the rows the
         point reports (bit-identity rule 1).  A point ends at its first
         iteration whose objective error is below `stop_error`, or at its
         last; each list of its trace is extended up to there.
         """
-        n, self.slot = self.slot, 0
         if n and any(self.left):
             if self.before is not None:
                 self._read_sends(n)
@@ -502,41 +499,49 @@ def _run_ps(stack, points, stop_error):
     z = np.zeros((P, 1, d))  # the last centre of each point, a row against its workers
     # per history row: the workers' models, as column stacks for np.matmul, and the centres
     blocks = [(m[:P * N].reshape(P, N, d), m[:P * N, :, None], m[P * N:].reshape(P, 1, d)) for m in traces.models]
-    work_col, rho_row = work.reshape(P * N, d, 1), rho[:, :1]
+    work_col, rho_row, slot = work.reshape(P * N, d, 1), rho[:, :1], 0
     for _ in range(max(point.iters for point in points)):
-        theta, col, centre = blocks[traces.slot]
-        np.add(np.subtract(two_g, lam, out=work), np.multiply(z, rho_row, out=rho_z), out=work)
-        np.matmul(inv, work_col, out=col)
-        np.add(theta, np.divide(lam, rho, out=work), out=work)
-        z = np.divide(np.add.reduce(work, axis=1, keepdims=True, out=centre), N, out=centre)  # what np.mean computes
-        dual_update(lam, theta, z, rho, work)
-        if traces.advance():
-            break
-    traces.flush()
+        theta, col, centre = blocks[slot]
+        np.add(np.subtract(two_g, lam, work), np.multiply(z, rho_row, rho_z), work)
+        np.matmul(inv, work_col, col)
+        np.add(theta, np.divide(lam, rho, work), work)
+        z = np.divide(np.add.reduce(work, 1, None, centre, True), N, centre)  # what np.mean computes
+        np.add(lam, np.multiply(np.subtract(theta, z, work), rho, work), lam)  # lambda += rho (theta - z)
+        slot += 1
+        if slot == TRACE_BLOCK:
+            slot = 0
+            if traces.flush(TRACE_BLOCK):
+                break
+    traces.flush(slot)
     return traces.traces
 
 
-@dataclass(frozen=True)
-class _Phase:
-    """One head or tail group's arrays between re-chainings, for the group's
-    k workers at each of the P points: P*k rows, point by point (the
-    buffers are rewritten each phase, the rest stay fixed)."""
+class _Censoring(NamedTuple):
+    """A censoring phase's arrays, in the order the loop unpacks them."""
 
-    inv: np.ndarray  # (P*k, d, d)
-    idx: np.ndarray  # (2D+1, P*k) src rows of block_solve's addends
-    terms: np.ndarray  # (2D+1, P*k, d, 1) the gathered addends
-    gather: np.ndarray  # (2D+1, P*k, d) view of terms that src.take fills
-    rhs: np.ndarray  # (P*k, d, 1) their sums
-    new: tuple[np.ndarray, ...]  # per history row, (P*k, d) views of the group's models
-    cols: tuple[np.ndarray, ...]  # the same as (P*k, d, 1) column stacks, which the solve writes
-    pull: np.ndarray  # (P*k, d) view of its rows of rho times the transmitted models in src
-    rho: np.ndarray  # (P*k, d) each row's rho
-    # what only a censoring phase reads or writes
     send: tuple[np.ndarray, ...]  # per history row, (P*k,) views of the rows that transmit
     last: np.ndarray  # (P*k, d) view of the group's theta_hat rows
     quantize: QuantizeBuffers | None  # the quantizer step's buffers, when the points quantize
     diff: np.ndarray  # (P*k, d) the update a censoring test measures
     norm: np.ndarray  # (P*k,) its length
+
+
+class _Phase(NamedTuple):
+    """One head or tail group's arrays between re-chainings, for the group's
+    k workers at each of the P points: P*k rows, point by point (the
+    buffers are rewritten each phase, the rest stay fixed).  The loop
+    unpacks it in this order."""
+
+    idx: np.ndarray  # (2D+1, P*k) src rows of block_solve's addends
+    gather: np.ndarray  # (2D+1, P*k, d) view of terms that src.take fills
+    inv: np.ndarray  # (P*k, d, d)
+    terms: np.ndarray  # (2D+1, P*k, d, 1) the gathered addends
+    rhs: np.ndarray | None  # (P*k, d, 1) their sums, or None when they are summed in place (`rhs_buffer`)
+    cols: tuple[np.ndarray, ...]  # per history row, (P*k, d, 1) views of the group's models, which the solve writes
+    new: tuple[np.ndarray, ...]  # the same as (P*k, d) rows
+    pull: np.ndarray  # (P*k, d) view of its rows of rho times the transmitted models in src
+    rho: np.ndarray  # (P*k, d) each row's rho
+    censoring: _Censoring | None  # what only a censoring phase reads or writes
 
 
 def _src_rows(N, E):
@@ -569,7 +574,7 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
     degree = tuple(len(s) // 2 for s in slots[0])
     if degree not in inv_cache:
         inv_cache[degree] = np.stack([inverses(stack.gram[0], np.array(degree), point.rho) for point in points])
-    quantized = points[0].quantizer is not None
+    quantized, censored = points[0].quantizer is not None, points[0].censor is not None
     phases, start = [], 0
     for members in groups:
         k, D = len(members), max(degree[n] for n in members)
@@ -577,21 +582,24 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
                   for p in range(P) for n in members]
         rows, terms = slice(P * start, P * (start + k)), np.empty((2 * D + 1, P * k, d, 1))
         new = tuple(traces.models[:, rows])
-        phases.append(_Phase(
-            inv=inv_cache[degree][:, members].reshape(P * k, d, d),
-            idx=np.array(padded, dtype=np.intp).T.copy(),
-            terms=terms,
-            gather=terms[..., 0],
-            rhs=np.empty((P * k, d, 1)),
-            new=new,
-            cols=tuple(m[..., None] for m in new),
-            pull=pull[rows],
-            rho=rho[:, :k].reshape(P * k, d),
+        censoring = _Censoring(
             send=tuple(traces.sends[:, rows]),
             last=theta_hat[rows],
             quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
             diff=np.empty((P * k, d)),
             norm=np.empty(P * k),
+        ) if censored else None
+        phases.append(_Phase(
+            idx=np.array(padded, dtype=np.intp).T.copy(),
+            gather=terms[..., 0],
+            inv=inv_cache[degree][:, members].reshape(P * k, d, d),
+            terms=terms,
+            rhs=rhs_buffer(P * k, d),
+            cols=tuple(m[..., None] for m in new),
+            new=new,
+            pull=pull[rows],
+            rho=rho[:, :k].reshape(P * k, d),
+            censoring=censoring,
         ))
         start += k
     ends = [[row[p][end[side]] for p in range(P) for end in edges] for side in (0, 1)]
@@ -625,7 +633,7 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
     src[minus_zero] = -0.0
     lam, neg_lam, pull = src[plus:plus + P * E], src[neg:plus], src[pulls:pulls + P * N]
     np.negative(lam, out=neg_lam)
-    quantized, censored = points[0].quantizer is not None, points[0].censor is not None
+    censored = points[0].censor is not None
     # without censoring, the models before the trace block, which `traces` sets
     theta_hat = np.zeros((P * N, d)) if censored else np.full((P * N, d), np.nan)
     end_hat = np.empty((2, P * E, d))  # the transmitted models at each edge's left and right end
@@ -637,11 +645,13 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
     inv_cache: dict[tuple[int, ...], np.ndarray] = {}
     traces = _Traces(stack, points, stop_error, P * N, None if censored else theta_hat)
     phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
+    models, slot = traces.models, 0
 
     for k in range(max(point.iters for point in points)):
         if rechains and k > 0 and k % topology.tau_coh == 0:
-            theta = traces.models[traces.slot - 1]  # the last iteration's (row 15 when a flush just emptied the block)
-            if traces.flush():  # the gaps so far are across the old chain's edges
+            theta = models[slot - 1]  # the last iteration's (row 15 when a flush just emptied the block)
+            n, slot = slot, 0
+            if traces.flush(n):  # the gaps so far are across the old chain's edges
                 break
             topology = rechain(topology, k, seed)
             old_row = row
@@ -650,37 +660,41 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
             perm[row.ravel()] = old_row.ravel()  # new row r holds old row perm[r]
             theta_hat[:], pull[:] = theta_hat[perm], pull[perm]
             lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
-            np.negative(lam, out=neg_lam)
+            np.negative(lam, neg_lam)
 
-        slot = traces.slot
         if censored:
             thresholds = [censor.threshold(k) for censor in censors]
-        for ph in phases:
+        for idx, gather, inv, terms, rhs, cols, new_rows, pull_rows, rho_rows, censoring in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
-            src.take(ph.idx, axis=0, out=ph.gather, mode="clip")
-            block_solve(ph.inv, ph.terms, ph.rhs, ph.cols[slot])
-            new = ph.new[slot]
-            if not censored:  # every row sends the model it computed
-                np.multiply(new, ph.rho, out=ph.pull)
+            src.take(idx, 0, gather, "clip")
+            block_solve(inv, terms, rhs, cols[slot])
+            new = new_rows[slot]
+            if censoring is None:  # every row sends the model it computed
+                np.multiply(new, rho_rows, pull_rows)
                 continue
-            last, send = ph.last, ph.send[slot]
-            if quantized:
-                new = quantize_step(new, last, q_rngs, ph.quantize)
-            censor_mask(new, last, thresholds, ph.diff, ph.norm, send)
-            sent = int(np.count_nonzero(send))
+            send_rows, last, quantize, diff, norm = censoring
+            send = send_rows[slot]
+            if quantize is not None:
+                new = quantize_step(new, last, q_rngs, quantize)
+            censor_mask(new, last, thresholds, diff, norm, send)
+            sent = np.count_nonzero(send)
             if sent:
                 if sent == len(send):
                     last[...] = new
                 else:
                     np.copyto(last, new, where=send[:, None])
                 # a row that did not send already holds rho times its theta_hat
-                np.multiply(last, ph.rho, out=ph.pull)
+                np.multiply(last, rho_rows, pull_rows)
 
-        (theta_hat if censored else traces.models[slot]).take(ends, axis=0, out=end_hat, mode="clip")
-        dual_update(lam, left_hat, right_hat, rho_edges, left_hat)
-        np.negative(lam, out=neg_lam)
-        if traces.advance():
-            break
-    traces.flush()
+        (theta_hat if censored else models[slot]).take(ends, 0, end_hat, "clip")
+        # lambda += rho (left - right), the step formed in the left ends' buffer
+        np.add(lam, np.multiply(np.subtract(left_hat, right_hat, left_hat), rho_edges, left_hat), lam)
+        np.negative(lam, neg_lam)
+        slot += 1
+        if slot == TRACE_BLOCK:
+            slot = 0
+            if traces.flush(TRACE_BLOCK):
+                break
+    traces.flush(slot)
     return traces.traces

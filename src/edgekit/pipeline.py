@@ -110,32 +110,39 @@ STACKED_FIELDS = frozenset({
 })
 
 
-def run_learning_block(cfgs: list[dict], seed: int) -> list[L.TrainingTrace]:
+def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None = None) -> list[L.TrainingTrace]:
     """Train at each of the learning blocks `cfgs`, which differ only in
     STACKED_FIELDS, as one stacked run on the first block's synthetic
-    problems and topology (a parameter server needs none); return each
-    block's trace."""
+    problems and on `topology`, by default its `_topology` (which a
+    parameter server does not read); return each block's trace."""
     cfg = cfgs[0]
-    topology = None if L.TRAITS[cfg["variant"]].server else _topology(cfg, seed)
+    if topology is None:
+        topology = _topology(cfg, seed)
     return L.run_points(
         cfg["variant"], make_problems(cfg, seed), topology, [learning_setting(c) for c in cfgs], seed=seed,
     )
 
 
-def _learning_traces(scenario: Scenario) -> list[L.TrainingTrace]:
-    """Each point's training trace, for the learning and the integrated
-    kind.  Points that share their learning block (no sweep, or an
-    integrated sweep outside `learning`) share one trace.  Otherwise the
-    points run as one stacked run unless the sweep sets a learning field
-    outside STACKED_FIELDS, which gives each point its own problems or
-    topology, and so its own run."""
+def _learning_runs(scenario: Scenario) -> list[tuple[L.TrainingTrace, L.Topology]]:
+    """Each point's training trace and the topology it trained on (that a
+    parameter server ignores), for the learning and the integrated kind.  Points
+    that share their learning block (no sweep, or an integrated sweep
+    outside `learning`) share one run.  Otherwise the points run as one
+    stacked run unless the sweep sets a learning field outside
+    STACKED_FIELDS, which gives each point its own problems or topology,
+    and so its own run."""
     sweep, points = scenario.sweep, scenario.points
-    if sweep is None or sweep.block != "learning":
-        return [run_learning_block([points[0].learning], points[0].seed)[0]] * len(points)
-    apart = sweep.field not in STACKED_FIELDS
-    groups = [[point] for point in points] if apart else [points]
-    return [trace for group in groups
-            for trace in run_learning_block([point.learning for point in group], group[0].seed)]
+    shared = sweep is None or sweep.block != "learning"
+    if shared:
+        groups = [points[:1]]
+    else:
+        groups = [[point] for point in points] if sweep.field not in STACKED_FIELDS else [points]
+    runs = []
+    for group in groups:
+        topology = _topology(group[0].learning, group[0].seed)
+        runs += [(trace, topology)
+                 for trace in run_learning_block([point.learning for point in group], group[0].seed, topology)]
+    return runs * len(points) if shared else runs
 
 
 def _learning_rows(trace: L.TrainingTrace) -> list[list]:
@@ -236,19 +243,20 @@ def _learning_app_graph(topology: L.Topology, seed: int) -> P.AppGraph:
     return P.AppGraph(components=tuple(comps), edges=tuple(edges), shape="custom")
 
 
-def _integrated_reports(point: Point, trace: L.TrainingTrace) -> list[tuple[str, list[str], list[list]]]:
+def _integrated_reports(point: Point, trace: L.TrainingTrace,
+                        topology: L.Topology) -> list[tuple[str, list[str], list[list]]]:
     """Place the learning sub-tasks, report the point's training `trace`,
     and price one ledger record every `ledger_period` iterations (none
     without a dlt block).
 
     The application graph mirrors the learning roles: one data-processing
     source component, one training component per tail worker, and one
-    aggregation component per head worker, wired along the worker topology
-    the training runs on.  The placement prices that graph alone: training
-    does not read where its workers are placed.  Every record is the point's
-    one `full_breakdown`.
+    aggregation component per head worker, wired along the worker
+    `topology` the training ran on.  The placement prices that graph alone:
+    training does not read where its workers are placed.  Every record is
+    the point's one `full_breakdown`.
     """
-    app = _learning_app_graph(_topology(point.learning, point.seed), point.seed)
+    app = _learning_app_graph(topology, point.seed)
     net = P.generate_network(point.placement["nodes"], seed=point.seed)
     placement_energy = P.solve_heuristic(app, net).total_energy
 
@@ -273,10 +281,10 @@ def _integrated_reports(point: Point, trace: L.TrainingTrace) -> list[tuple[str,
 # gives each point's row, the others give (file-name suffix, header, rows)
 # for each of each point's reports.
 _RUN_POINTS = {
-    "learning": lambda s: [[("", LEARNING_HEADER, _learning_rows(trace))] for trace in _learning_traces(s)],
+    "learning": lambda s: [[("", LEARNING_HEADER, _learning_rows(trace))] for trace, _ in _learning_runs(s)],
     "placement": lambda s: [[("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))] for p in s.points],
     "radio-dlt": lambda s: [run_radio_block(p) for p in s.points],
-    "integrated": lambda s: list(map(_integrated_reports, s.points, _learning_traces(s))),
+    "integrated": lambda s: [_integrated_reports(point, *run) for point, run in zip(s.points, _learning_runs(s))],
 }
 
 

@@ -12,6 +12,8 @@ end.  Component resources are uniform integers 1..8, outputs uniform
 """
 from __future__ import annotations
 
+import itertools
+
 from ..core import make_rng
 from .model import AppComponent, AppGraph, NetGraph, NetNode
 
@@ -44,13 +46,11 @@ def generate_network(M: int, seed: int = 0) -> NetGraph:
                 )
             )
         links = []
-        for i in range(M):
-            for j in range(i + 1, M):
-                a, b = nodes[i], nodes[j]
-                p = _LINK_PROB.get((a.kind, b.kind), _MIXED_LINK_PROB)
-                if rng.random() < p:
-                    tl = WIRED_LINK_ENERGY if a.kind == b.kind == "wired" else WIRELESS_LINK_ENERGY
-                    links.append((a.id, b.id, tl))
+        # one draw per node pair, in pair order: the values and the next state of one scalar draw each
+        for (a, b), u in zip(itertools.combinations(nodes, 2), rng.random(M * (M - 1) // 2).tolist()):
+            if u < _LINK_PROB.get((a.kind, b.kind), _MIXED_LINK_PROB):
+                tl = WIRED_LINK_ENERGY if a.kind == b.kind == "wired" else WIRELESS_LINK_ENERGY
+                links.append((a.id, b.id, tl))
         net = NetGraph(nodes=tuple(nodes), links=tuple(links))
         if net.connected:
             return net

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from edgekit.core import NonConvergence, make_rng, sequential_sum
+from edgekit.core import NonConvergence, child_rng, make_rng, sequential_sum
 from edgekit.learning import QuantizerConfig
 from edgekit.placement import AppGraph, Assignment, Infeasible, NetGraph, evaluate_assignment
 from edgekit.radio import PowerProfile, RadioConfig, latency_ra, latency_rar
@@ -321,6 +321,69 @@ def dequantize_rows(levels: np.ndarray, radius: np.ndarray, bits: int) -> np.nda
     """Inverse of `quantize_rows`: the level values of each (k, d) row."""
     step = 2.0 * radius / (2**bits - 1)
     return levels * step[:, None] - radius[:, None]
+
+
+def gadmm_models(problems, topology, rho: float, iters: int, censor=None, quantizer=None, seed: int = 0):
+    """Each iteration's models (iters, N, d), by worker, of one GADMM run on
+    a fixed topology, one worker and one edge at a time: the reference for
+    edgekit's batched loop.
+
+    Each group (heads, then tails) solves with the last transmitted models
+    theta_hat of its neighbours: worker n takes
+    (2 H_n + rho deg_n I)^-1 (2 g_n + sum_j (-s_j lambda_j + rho theta_hat_j))
+    over its edges j in edge order, s_j = +1 on the edge's left end.  Then it
+    transmits: the model itself, or with a censor schedule last + Q(model -
+    last) (Q the quantizer's `quantize_rows` over the group's rows on the
+    stream child_rng(seed, 1), or no Q) when that moves more than the
+    iteration's threshold.  Each dual then steps by
+    rho (theta_hat_left - theta_hat_right).
+    """
+    grams = [p.gram() for p in problems]
+    N, d = len(problems), len(grams[0][1])
+    edges = [(u - 1, v - 1) for u, v in topology.edges]
+    incident = [[(j, v if n == u else u, 1.0 if n == u else -1.0) for j, (u, v) in enumerate(edges) if n in (u, v)]
+                for n in range(N)]
+    inv = [np.linalg.inv(2.0 * H + rho * len(incident[n]) * np.eye(d)) for n, (H, _) in enumerate(grams)]
+    lam, hat, theta, rng = np.zeros((len(edges), d)), np.zeros((N, d)), np.zeros((N, d)), child_rng(seed, 1)
+    out = []
+    for k in range(iters):
+        for group in (topology.heads, topology.tails):
+            members = sorted(w - 1 for w in group)
+            for n in members:
+                rhs = 2.0 * grams[n][1]
+                for j, other, sign in incident[n]:
+                    rhs = rhs + -sign * lam[j] + rho * hat[other]
+                theta[n] = inv[n] @ rhs
+            sent = theta[members]
+            if quantizer is not None:
+                levels, radius = quantize_rows(sent - hat[members], quantizer, rng)
+                sent = hat[members] + dequantize_rows(levels, radius, quantizer.bits)
+            for n, model in zip(members, sent):
+                if censor is None or np.linalg.norm(model - hat[n]) > censor.threshold(k):
+                    hat[n] = model
+        for j, (u, v) in enumerate(edges):
+            lam[j] = lam[j] + rho * (hat[u] - hat[v])
+        out.append(theta.copy())
+    return np.array(out)
+
+
+def consensus_admm_models(problems, rho: float, iters: int):
+    """Each iteration's models (iters, N, d), by worker, of consensus ADMM
+    with a parameter server, one worker at a time: the reference for
+    edgekit's ps-admm loop.  Worker n takes
+    (2 H_n + rho I)^-1 (2 g_n - lambda_n + rho z), the centre z is the mean
+    of theta_n + lambda_n / rho, and each dual steps by rho (theta_n - z).
+    """
+    grams = [p.gram() for p in problems]
+    N, d = len(problems), len(grams[0][1])
+    inv = [np.linalg.inv(2.0 * H + rho * np.eye(d)) for H, _ in grams]
+    lam, z, out = np.zeros((N, d)), np.zeros(d), []
+    for _ in range(iters):
+        theta = np.array([inv[n] @ (2.0 * g - lam[n] + rho * z) for n, (_, g) in enumerate(grams)])
+        z = np.add.reduce(theta + lam / rho, axis=0) / N
+        lam = lam + rho * (theta - z)
+        out.append(theta)
+    return np.array(out)
 
 
 def direct_objective_error(problems, theta: np.ndarray, optimum: np.ndarray) -> float:

@@ -14,7 +14,6 @@ from edgekit.learning import (
     QuantizerConfig,
     build_topology,
     centralized_solution,
-    dual_update,
     message_energy,
     rechain,
     run,
@@ -24,12 +23,12 @@ from edgekit.learning import (
 )
 from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
 from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
-from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, slot_sum
+from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, rhs_buffer
 from edgekit.learning.topology import InvalidN, Topology
 from edgekit.pipeline import LEARNING_HEADER
 
 from conftest import scalar_problems, synthetic_problems
-from oracles import dequantize_rows, direct_objective_error, quantize_rows
+from oracles import consensus_admm_models, dequantize_rows, direct_objective_error, gadmm_models, quantize_rows
 
 
 class TestCentralizedSolution:
@@ -138,9 +137,9 @@ def slot_loop_rhs(g, duals, signs, models, rho):
 
 
 def solve(inv, terms):
-    """block_solve of a (2D+1, k, d) stack into fresh (k, d, 1) buffers."""
+    """block_solve of a (2D+1, k, d) stack into fresh buffers."""
     k, d = terms.shape[1:]
-    return block_solve(inv, terms[..., None], np.empty((k, d, 1)), np.empty((k, d, 1)))[..., 0]
+    return block_solve(inv, terms[..., None], rhs_buffer(k, d), np.empty((k, d, 1)))[..., 0]
 
 
 def solve_one(problem, models, duals, signs, rho, dim):
@@ -195,8 +194,10 @@ class TestBatchedKernels:
         inv = np.broadcast_to(np.eye(d), (k, d, d))
         terms = slot_terms(g, duals, signs, models, rho)
         rhs = slot_loop_rhs(g, duals, signs, models, rho)
-        # with k*d = 1 slot_sum scans the stack in place, so each call gets a copy
-        assert slot_sum(terms.copy(), np.empty((k, d))).tobytes() == rhs.tobytes()
+        # the sum itself: in the rhs buffer, or with k*d = 1 in the last row of the stack, scanned in place
+        stack, summed = terms[..., None].copy(), rhs_buffer(k, d)
+        block_solve(inv, stack, summed, np.empty((k, d, 1)))
+        assert (stack[-1] if summed is None else summed)[..., 0].tobytes() == rhs.tobytes()
         assert solve(inv, terms.copy()).tobytes() == (inv @ rhs[:, :, None])[:, :, 0].tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -271,29 +272,54 @@ class TestPrimalDualUpdates:
             with pytest.raises(ValueError):
                 run(variant, problems, build_topology(2, kind="chain"), rho=0.0, iters=1)
 
-    def test_dual_fixed_when_constraint_met(self):
-        lam = np.array([1.0, 2.0])
-        t = np.array([3.0, 4.0])
-        assert dual_update(lam.copy(), t, t, 5.0, np.empty(2)) == pytest.approx(lam)
 
-    def test_dual_direct_formula(self):
-        lam = np.zeros(2)
-        dual_update(lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, np.empty(2))
-        assert lam == pytest.approx([1.0, -1.0])
+def loop_models(monkeypatch, variant, problems, topology, **kwargs):
+    """One `run`'s trace and each iteration's models (iters, N, d), by
+    worker, read off the history blocks as the trace reads them."""
+    blocks, flush = [], runner._Traces.flush
 
-    def test_two_updates_equal_one_with_double_rho(self, rng):
-        lam = rng.standard_normal(3)
-        tl, tr = rng.standard_normal(3), rng.standard_normal(3)
-        twice, once, step = lam.copy(), lam.copy(), np.empty(3)
-        dual_update(dual_update(twice, tl, tr, 0.7, step), tl, tr, 0.7, step)
-        dual_update(once, tl, tr, 1.4, step)
-        assert twice == pytest.approx(once)
+    def recording(traces, n):
+        blocks.append(traces.models[:n][:, traces.rows])
+        return flush(traces, n)
 
-    def test_in_place_step_equals_the_expression(self, rng):
-        # the runner's step buffer is the gathered left ends themselves
-        lam, ends = rng.standard_normal((5, 3)), rng.standard_normal((2, 5, 3))
-        expect = lam + 0.7 * (ends[0] - ends[1])
-        assert dual_update(lam, ends[0], ends[1], 0.7, ends[0]).tobytes() == expect.tobytes()
+    monkeypatch.setattr(runner._Traces, "flush", recording)
+    trace = run(variant, problems, topology, **kwargs)
+    return trace, np.concatenate(blocks)
+
+
+class TestDualSteps:
+    """The loops step their duals inline: every model of every iteration
+    equals, byte for byte, that of a run one worker and one edge at a time
+    (tests/oracles.py), so each dual step is lambda + rho (left - right)
+    (the centre's: lambda + rho (theta - z)) on the transmitted models."""
+
+    @pytest.mark.parametrize("case", ["chain2:gadmm", "chain4:gadmm", "bipartite6:ggadmm", "bipartite6:c-ggadmm",
+                                      "bipartite6:cq-ggadmm"])
+    def test_decentralized_loop_equals_the_reference(self, case, monkeypatch):
+        shape, variant = case.split(":")
+        n, kind = int(shape[-1]), shape[:-1]
+        if kind == "chain":  # scalar workers; two of them make one-row phases, whose sums are scanned in place
+            problems, d = scalar_problems(list(np.linspace(-2.0, 3.0, n))), 1
+        else:
+            problems, d = synthetic_problems(n, 3, 8, seed=4), 3
+        topology = build_topology(n, kind=kind, seed=5)
+        kwargs = {"rho": 0.7, "iters": 40, "seed": 6}
+        if variant.startswith("c"):
+            kwargs["censor"] = CensorSchedule(xi0=0.05, alpha=0.95)
+        if variant == "cq-ggadmm":
+            kwargs["quantizer"] = QuantizerConfig(bits=3)
+        trace, models = loop_models(monkeypatch, variant, problems, topology, **kwargs)
+        if "censor" in kwargs:  # the run censors some messages and sends others
+            assert 0 < trace.censored_cum[-1] < 40 * n
+        expect = gadmm_models(problems, topology, kwargs["rho"], kwargs["iters"], kwargs.get("censor"),
+                              kwargs.get("quantizer"), kwargs["seed"])
+        assert models.shape == (40, n, d)
+        assert models.tobytes() == expect.tobytes()
+
+    def test_server_loop_equals_the_reference(self, monkeypatch):
+        problems = synthetic_problems(5, 3, 8, seed=7)
+        _, models = loop_models(monkeypatch, "ps-admm", problems, None, rho=0.7, iters=40)
+        assert models.tobytes() == consensus_admm_models(problems, 0.7, 40).tobytes()
 
 
 def quantized(new, last, bits, rng):
@@ -423,6 +449,34 @@ class TestQuantizeStep:
         levels, radius = quantize_rows(new - last, QuantizerConfig(bits=bits), reference_rng)
         assert out.tobytes() == (last + dequantize_rows(levels, radius, bits)).tobytes()
         assert kernel_rng.random() == reference_rng.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        d=st.integers(1, 14),
+        bits=st.tuples(st.integers(1, 32), st.integers(1, 32)),
+        zero_point=st.integers(0, 1),
+        zero_row=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=5, d=5, bits=(2, 8), zero_point=0, zero_row=2, seed=0)
+    @example(k=5, d=5, bits=(2, 8), zero_point=1, zero_row=0, seed=1)
+    @example(k=9, d=14, bits=(8, 2), zero_point=1, zero_row=8, seed=2)
+    @example(k=1, d=3, bits=(2, 8), zero_point=0, zero_row=0, seed=3)  # one point sends nothing
+    def test_two_points_equal_their_own_references(self, k, d, bits, zero_point, zero_row, seed):
+        # two points at their own bits and on their own streams, one of them with an all-zero row
+        draw = make_rng(seed)
+        last = draw.standard_normal((2 * k, d))
+        new = last + draw.standard_normal((2 * k, d))
+        new[zero_point * k + zero_row % k] = last[zero_point * k + zero_row % k]
+        kernel_rngs = [make_rng(seed + 1), make_rng(seed + 2)]
+        reference_rngs = [make_rng(seed + 1), make_rng(seed + 2)]
+        out = quantize_step(new, last, kernel_rngs, QuantizeBuffers.empty(list(bits), k, d))
+        for p, (b, rng) in enumerate(zip(bits, reference_rngs)):
+            rows = slice(p * k, (p + 1) * k)
+            levels, radius = quantize_rows(new[rows] - last[rows], QuantizerConfig(bits=b), rng)
+            assert out[rows].tobytes() == (last[rows] + dequantize_rows(levels, radius, b)).tobytes()
+            assert kernel_rngs[p].random() == rng.random()
 
 
 class TestCensoring:

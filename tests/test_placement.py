@@ -109,6 +109,13 @@ def app_record(app) -> bytes:
     return f"{comps}|{list(app.edges)}|{app.shape}\n".encode()
 
 
+def net_record(net) -> bytes:
+    """Every node's exact fields and every link with its energy."""
+    nodes = [(n.id, n.speed.hex(), n.resources, n.compute_energy.hex(), n.kind) for n in net.nodes]
+    links = [(a, b, tl.hex()) for a, b, tl in net.links]
+    return f"{nodes}|{links}\n".encode()
+
+
 class TestDrawPin:
     """The application draws, bit for bit: a change to a draw's values or to
     the generator state it leaves behind shows here."""
@@ -119,6 +126,16 @@ class TestDrawPin:
             for shape in ("long", "wide"):
                 digest.update(app_record(generate_application(shape, 3 + seed % 10, seed=seed)))
         assert digest.hexdigest() == "c37b6a85f2206aeaded2be96b0984eb6c6590c51f11657f6014f3e8f6d8da10f"
+
+    def test_generated_networks_pinned(self):
+        # two nodes are one mixed pair, linked with probability 0.4: most seeds
+        # redraw, so each attempt's draws must leave the stream where the next
+        # attempt expects it
+        digest = hashlib.sha256()
+        for seed in range(300):
+            for M in (2, 3, 5, 8, 12):
+                digest.update(net_record(generate_network(M, seed=seed)))
+        assert digest.hexdigest() == "3b5124683ce8952898c25d191368f02ef5fd2d3690ad3ec4d922c21055760b3c"
 
     def test_learning_app_graphs_pinned(self):
         point = parse_scenario(GOLDEN_INTEGRATED).points[0]
