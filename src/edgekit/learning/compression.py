@@ -132,13 +132,16 @@ def censor_mask(
     """Per row of P*k (P*k, d) rows, k per point: transmit iff
     ||current - last_sent||_2 strictly exceeds thresholds[p], its point's
     threshold, in the (P*k,) bool `out`; `diff` (P*k, d) and `norm` (P*k,)
-    take the steps.  Every row is compared with the first point's
-    threshold, then each other point's rows again with its own."""
+    take the steps.  The norm is `row_norms`' arithmetic, inline: a censoring
+    phase makes this call once per iteration.  Every row is compared with
+    the first point's threshold, then each other point's rows again with its
+    own."""
     if min(thresholds) < 0:
         raise ValueError("threshold must be >= 0")
-    np.subtract(current, last_sent, out=diff)
-    np.greater(row_norms(diff, out=norm), thresholds[0], out=out)
+    np.subtract(current, last_sent, diff)
+    np.sqrt(np.vecdot(diff, diff, norm), norm)
+    np.greater(norm, thresholds[0], out)
     k = len(norm) // len(thresholds)  # rows per point
     for p in range(1, len(thresholds)):
-        np.greater(norm[p * k:(p + 1) * k], thresholds[p], out=out[p * k:(p + 1) * k])
+        np.greater(norm[p * k:(p + 1) * k], thresholds[p], out[p * k:(p + 1) * k])
     return out

@@ -10,7 +10,7 @@ more energy at fixed bandwidth, slot length, and noise density.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class CommEnergyModel:
         """Bandwidth split equally among `competitors` simultaneous senders."""
         if competitors < 1:
             raise ValueError("competitors must be >= 1")
-        return replace(self, bandwidth_hz=self.bandwidth_hz / competitors)
+        return CommEnergyModel(self.bandwidth_hz / competitors, self.slot_s, self.noise_density)
 
 
 def message_energy(payload_bits: float, model: CommEnergyModel, gain: float) -> float:

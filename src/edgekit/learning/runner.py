@@ -37,8 +37,9 @@ phase-major: the heads' rows first, then the tails', each group point by
 point and in ascending worker order within a point, so a phase reads and
 writes one row slice of P*k rows.  A re-chain changes the roles and
 permutes the rows; `row` maps a point's worker to its current row.  Every
-array is allocated once per run (the per-group ones once per re-chain) and
-the loop writes into it (with M = P*N rows and F = P*E edges):
+array is allocated once per run (the per-group ones, and each group's views
+of its rows in the 16 history rows, once per re-chain) and the loop writes
+into it (with M = P*N rows and F = P*E edges):
 
   models      (16, M, d) history block: row i holds iteration i's models,
                          phase-major; the solve writes each phase's rows
@@ -81,7 +82,9 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          rho theta_hat_j of each incident edge j in edge
                          order, padded to D slots with the -0.0 and +0.0 rows
                          (the signed zeros a zero dual times -1 and a zero
-                         model times rho give)
+                         model times rho give); built once per re-chain,
+                         with the group's views of its rows in each history
+                         row, and for censoring its (P*k, 1) send masks
   terms       (2D+1, P*k, d, 1)
                          per group, the gathered addends, and rhs
                          (P*k, d, 1) their sums: column stacks, the
@@ -91,44 +94,46 @@ the loop writes into it (with M = P*N rows and F = P*E edges):
                          (theta_hat, or without censoring the iteration's
                          history row) into one (2, F, d) buffer
 
-An iteration is then a fixed number of numpy calls whatever N and D are,
-and allocates no array after the first, except for a quantized update with
-an all-zero row.  Only two steps loop over the points: the quantizer draws
-with one rng.random per point, from the point's own child_rng(seed, 1)
-stream, and the censoring test compares the rows of each point after the
-first with its own threshold.  Each phase's arrays are bound once per
-(re)chain, into a tuple the loop unpacks (`_Phase`), and each ufunc call of
-the loops takes its out buffer positionally.  Per phase: one gather of the term
-stack, then one Python call, `block_solve`: its ordered sum into rhs, by
-the path the phase fixed when it was built, and one stacked solve written
-straight into the group's rows of the history block (the phase keeps a view
-of its rows in each of the 16).  Without censoring the phase then writes
-rho times its new models into its pull rows, and that is all: four numpy
-calls and no other Python frame.  The receivers so read every new model,
-also one equal in value to the last message the trace counted: where a
-coordinate only flipped the sign of a zero, they read -0.0 where they read
+An iteration is then a fixed number of numpy calls whatever N and D are, and
+allocates no array after the first, except for a quantized update with an
+all-zero row.  Only two steps loop over the points: the quantizer draws with
+one rng.random per point, from the point's own child_rng(seed, 1) stream,
+and the censoring test compares the rows of each point after the first with
+its own threshold.  Each phase's arrays are bound once per (re)chain, into a
+tuple the loop unpacks (`_Phase`), and each ufunc call of the loops takes
+its out buffer positionally.  Per phase: one gather of the term stack, then
+one Python call, `block_solve`: its ordered sum into rhs, by the path the
+phase fixed when it was built, and one stacked solve, `stacked_solve`,
+written straight into the group's rows of the history block (the phase keeps
+a view of its rows in each of the 16).  Without censoring the phase then
+writes rho times its new models into its pull rows, and that is all: four
+numpy calls and no other Python frame.  The receivers so read every new
+model, also one equal in value to the last message the trace counted: where
+a coordinate only flipped the sign of a zero, they read -0.0 where they read
 +0.0, or the reverse.  Such an addend or operand changes the sign of a
 result that is exactly zero and nothing else: x + 0.0 and x + -0.0 are both
 x when x is not zero, and a product with a zero is a zero.  No reported
 number keeps the sign of a zero (the error is an absolute value and the
 residual a root of a sum of squares), and a send is decided by value, where
 -0.0 == 0.0.  A censoring phase then calls `quantize_step` (cq-ggadmm) and
-`censor_mask`, and transmits inline.  Quantizing writes last + Q(new -
-last) into the phase's buffers, with no ufunc that broadcasts a column over
-the rows but the one that spreads the radii; censoring is a subtract, a row
-ddot, a square root and a comparison.  A phase that sends every row copies
-them into theta_hat with a plain slice write; a partial send is a masked
-copy, and one that sends nothing writes nothing.  The group's pull rows are
-then rewritten whole: a row that did not send already held rho times its
-theta_hat.  Per iteration: one gather of the edge ends, the dual step
-lambda += rho (left - right) in three in-place calls and its negation, all
-inline, and the history row advanced inline.  d-gadmm re-initializes the
-duals on re-chaining as prefix sums of the local gradients along the new
-chain order.  ps-admm writes each iteration's centres into the last P rows
-of the history block and reuses one (P, N, d) work array for its rhs, its
-centre step and its dual step lambda += rho (theta - z); a point's centre
-is a reduce over its N rows.  An uncensored iteration makes no Python call
-but `block_solve`, once per phase, and `_Traces.flush`, once per block.
+`censor_mask`, one Python frame each, and transmits inline.  Quantizing
+writes last + Q(new - last) into the phase's buffers, with no ufunc that
+broadcasts a column over the rows but the one that spreads the radii;
+censoring is a subtract, a row ddot, a square root and a comparison.  A
+phase that sends every row copies them into theta_hat with a plain slice
+write; a partial send is a copy masked by the history row's (P*k, 1) view of
+its sends, made with the phase, and one that sends nothing writes nothing.
+The group's pull rows are then rewritten whole: a row that did not send
+already held rho times its theta_hat.  Per iteration: one gather of the edge
+ends, the dual step lambda += rho (left - right) in three in-place calls and
+its negation, all inline, and the history row advanced inline.  d-gadmm
+re-initializes the duals on re-chaining as prefix sums of the local
+gradients along the new chain order.  ps-admm writes each iteration's
+centres into the last P rows of the history block and reuses one (P, N, d)
+work array for its rhs, which it solves by the same `stacked_solve`, its
+centre step and its dual step lambda += rho (theta - z); a point's centre is
+a reduce over its N rows.  An uncensored iteration makes no Python call but
+`block_solve`, once per phase, and `_Traces.flush`, once per block.
 
 The trace.  Neither loop reads it: each counts its iterations in the
 history block, and `_Traces.flush(n)` evaluates the first n rows'
@@ -144,9 +149,11 @@ first row from theta_hat, which then takes the block's last row.  A d-gadmm
 re-chain flushes before it permutes the rows, and theta_hat with them, so
 the next block's first row is compared with the same worker's model.  One
 np.add.reduceat over `sends` counts each group's messages, and each is
-priced on its own.  The flush where a point ends takes its consensus
-residual from its last reported row i alone: the gaps models[i, left end] -
-models[i, right end] of its edges (ps-admm's are worker minus centre).
+priced on its own, at the Joules per message of its band size, which `use`
+computes once per run and size.  The flush where a point ends takes its
+consensus residual from its last reported row i alone: the gaps
+models[i, left end] - models[i, right end] of its edges (ps-admm's are
+worker minus centre).
 
 Stopping.  With `stop_error` a point's trace ends at the first iteration
 whose objective error is below it, exactly as when the test ran every
@@ -169,13 +176,13 @@ trace evaluation gathers each point's block into the layout of a one-point
 run before its gemms.  Three rules keep it so:
 
   1. Products are stacked: np.matmul for the solve `inv @ rhs` on column
-     stacks, one gemv per row, and for the error form's e_n H_n, one gemm
-     per worker over all 16 rows of the block however many of them the
-     trace keeps (a one-row gemm can round differently from the same row
-     inside a block); np.vecdot for the error form's row products and the
-     norms, one ddot per row.  einsum and norm(axis=...) sum in another
-     order.  Writing a result into a buffer with out= runs the same loop as
-     allocating it.
+     stacks (`stacked_solve`), one gemv per row, and for the error form's
+     e_n H_n, one gemm  per worker over all 16 rows of the block however
+     many of them the  trace keeps (a one-row gemm can round differently
+     from the same row  inside a block); np.vecdot for the error form's row
+     products and the  norms, one ddot per row.  einsum and norm(axis=...)
+     sum in another  order.  Writing a result into a buffer with out= runs
+     the same loop as  allocating it.
   2. A worker's rhs is one np.add.reduce over the slow axis of the term
      stack, which numpy runs as one elementwise add per slot (pairwise
      summation is only used along the fast axis), so it sums
@@ -277,6 +284,11 @@ class Setting:
         return FULL_PRECISION_BITS * d if self.quantizer is None else self.quantizer.payload_bits(d)
 
 
+# The stacked solve out = inv @ rhs of (k, d, d) inverses and (k, d, 1) column stacks, one gemv
+# per row (bit-identity rule 1): the one solve kernel of both loops, `block_solve`'s and ps-admm's.
+stacked_solve = np.matmul
+
+
 def inverses(H: np.ndarray, degree: np.ndarray, rho: float) -> np.ndarray:
     """(2 H_n + rho deg_n I)^-1 for a (k, d, d) stack of Gram matrices."""
     if rho <= 0:
@@ -310,7 +322,7 @@ def block_solve(inv: np.ndarray, terms: np.ndarray, rhs: np.ndarray | None, out:
         rhs = np.add.accumulate(terms, 0, None, terms)[-1]
     else:
         np.add.reduce(terms, 0, None, rhs, False, -0.0)
-    return np.matmul(inv, rhs, out)
+    return stacked_solve(inv, rhs, out)
 
 
 def _check_variant(variant, topology, points, n_problems):
@@ -404,6 +416,7 @@ class _Traces:
         self.totals = [(0.0, 0.0, 0)] * len(points)
         self.left = [point.iters for point in points]
         self.payloads = [point.payload_bits(stack.dim) for point in points]
+        self.prices: dict[int, list[float]] = {}  # per band size k, each point's Joules per message
         self.models = np.zeros((TRACE_BLOCK, model_rows, stack.dim))
         self.sends = np.ones((TRACE_BLOCK, len(points) * stack.n), dtype=bool)
 
@@ -412,10 +425,11 @@ class _Traces:
         P = len(self.points)
         self.rows, self.ends, self.firsts, self.bands, start = rows, ends.reshape(2, P, -1), [], [], 0
         for k in groups:
-            self.firsts += [P * start + p * k for p in range(P)]
-            # Joules per message at each point with the band split k ways
-            self.bands.append((k, [message_energy(payload, point.energy_model.share(k), 1.0)
-                                   for point, payload in zip(self.points, self.payloads)]))
+            self.firsts += range(P * start, P * (start + k), k)
+            if k not in self.prices:  # Joules per message at each point with the band split k ways
+                self.prices[k] = [message_energy(payload, point.energy_model.share(k), 1.0)
+                                  for point, payload in zip(self.points, self.payloads)]
+            self.bands.append((k, self.prices[k]))
             start += k
 
     def flush(self, n: int) -> bool:
@@ -503,7 +517,7 @@ def _run_ps(stack, points, stop_error):
     for _ in range(max(point.iters for point in points)):
         theta, col, centre = blocks[slot]
         np.add(np.subtract(two_g, lam, work), np.multiply(z, rho_row, rho_z), work)
-        np.matmul(inv, work_col, col)
+        stacked_solve(inv, work_col, col)
         np.add(theta, np.divide(lam, rho, work), work)
         z = np.divide(np.add.reduce(work, 1, None, centre, True), N, centre)  # what np.mean computes
         np.add(lam, np.multiply(np.subtract(theta, z, work), rho, work), lam)  # lambda += rho (theta - z)
@@ -520,6 +534,7 @@ class _Censoring(NamedTuple):
     """A censoring phase's arrays, in the order the loop unpacks them."""
 
     send: tuple[np.ndarray, ...]  # per history row, (P*k,) views of the rows that transmit
+    mask: tuple[np.ndarray, ...]  # the same as (P*k, 1) columns, a partial send's copy mask
     last: np.ndarray  # (P*k, d) view of the group's theta_hat rows
     quantize: QuantizeBuffers | None  # the quantizer step's buffers, when the points quantize
     diff: np.ndarray  # (P*k, d) the update a censoring test measures
@@ -561,14 +576,14 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
     groups = [sorted(w - 1 for w in group) for group in (topology.heads, topology.tails)]
     row, start = [[0] * N for _ in range(P)], 0
     for members in groups:  # a group's rows: its workers at point 0, then at point 1, ...
-        for p in range(P):
-            for j, n in enumerate(members):
-                row[p][n] = P * start + p * len(members) + j
+        for p, point_row in enumerate(row):
+            for j, n in enumerate(members, P * start + p * len(members)):
+                point_row[n] = j
         start += len(members)
     neg, plus, minus_zero, pulls, plus_zero = _src_rows(P * N, P * E)
     slots = [[[] for _ in range(N)] for _ in range(P)]  # per point and worker: (dual, pull) src rows per edge
     for p, (point_slots, point_row) in enumerate(zip(slots, row)):
-        for i, (u, v) in enumerate(edges, start=p * E):
+        for i, (u, v) in enumerate(edges, p * E):
             point_slots[u] += (neg + i, pulls + point_row[v])
             point_slots[v] += (plus + i, pulls + point_row[u])
     degree = tuple(len(s) // 2 for s in slots[0])
@@ -581,9 +596,9 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
         padded = [[p * N + n, *slots[p][n]] + [minus_zero, plus_zero] * (D - degree[n])
                   for p in range(P) for n in members]
         rows, terms = slice(P * start, P * (start + k)), np.empty((2 * D + 1, P * k, d, 1))
-        new = tuple(traces.models[:, rows])
         censoring = _Censoring(
             send=tuple(traces.sends[:, rows]),
+            mask=tuple(traces.sends[:, rows, None]),
             last=theta_hat[rows],
             quantize=QuantizeBuffers.empty([point.quantizer.bits for point in points], k, d) if quantized else None,
             diff=np.empty((P * k, d)),
@@ -595,8 +610,8 @@ def _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho):
             inv=inv_cache[degree][:, members].reshape(P * k, d, d),
             terms=terms,
             rhs=rhs_buffer(P * k, d),
-            cols=tuple(m[..., None] for m in new),
-            new=new,
+            cols=tuple(traces.models[:, rows, :, None]),
+            new=tuple(traces.models[:, rows]),
             pull=pull[rows],
             rho=rho[:, :k].reshape(P * k, d),
             censoring=censoring,
@@ -673,7 +688,7 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
             if censoring is None:  # every row sends the model it computed
                 np.multiply(new, rho_rows, pull_rows)
                 continue
-            send_rows, last, quantize, diff, norm = censoring
+            send_rows, masks, last, quantize, diff, norm = censoring
             send = send_rows[slot]
             if quantize is not None:
                 new = quantize_step(new, last, q_rngs, quantize)
@@ -683,7 +698,7 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
                 if sent == len(send):
                     last[...] = new
                 else:
-                    np.copyto(last, new, where=send[:, None])
+                    np.copyto(last, new, where=masks[slot])
                 # a row that did not send already holds rho times its theta_hat
                 np.multiply(last, rho_rows, pull_rows)
 

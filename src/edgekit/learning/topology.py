@@ -9,7 +9,7 @@ head, tail, head, ... along the chain.  A bipartite topology stores explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,10 @@ class Topology:
     order: tuple[int, ...] | None = None  # chain permutation, chain kind only
     tau_coh: float = math.inf  # iterations between re-chaining; inf = static
     positions: np.ndarray | None = None  # (N, 2) unit-square worker positions
+    # per worker, every worker id from the nearest by `positions` to the farthest, ties to
+    # the lower id: derived by the first `rechain` of a positions array and passed on to the
+    # chains it makes; not an init field, so dataclasses.replace does not carry it over
+    nearest: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tails(self) -> frozenset[int]:
@@ -71,10 +75,10 @@ def _connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def _chain_from_order(order: list[int], n: int, tau_coh: float, positions) -> Topology:
+def _chain_from_order(order: list[int], n: int, tau_coh: float, positions, nearest=None) -> Topology:
     edges = tuple((order[i], order[i + 1]) for i in range(n - 1))
     heads = frozenset(order[i] for i in range(0, n, 2))
-    return Topology(
+    chain = Topology(
         kind="chain",
         n=n,
         edges=edges,
@@ -83,6 +87,8 @@ def _chain_from_order(order: list[int], n: int, tau_coh: float, positions) -> To
         tau_coh=tau_coh,
         positions=positions,
     )
+    object.__setattr__(chain, "nearest", nearest)
+    return chain
 
 
 def build_topology(
@@ -111,10 +117,9 @@ def build_topology(
         tails = sorted(set(range(1, N + 1)) - heads)
         hs = sorted(heads)
         p = min(1.0, mean_degree * N / (2.0 * len(hs) * len(tails)))
-        for _ in range(1000):
-            edges = tuple(
-                (h, t) for h in hs for t in tails if rng.random() < p
-            )
+        pairs = [(h, t) for h in hs for t in tails]
+        for _ in range(1000):  # one draw per head-tail pair, in pair order
+            edges = tuple(pair for pair, u in zip(pairs, rng.random(len(pairs)).tolist()) if u < p)
             if _connected(N, edges):
                 return Topology(
                     kind="bipartite",
@@ -134,7 +139,9 @@ def rechain(topology: Topology, iteration: int, seed: int) -> Topology:
     are drawn uniformly from the middle workers; the chain order is then built
     by the nearest-available-neighbor greedy walk over the unit-square
     positions, alternating roles and forcing worker N into the last slot.
-    Deterministic in (seed, iteration).
+    Deterministic in (seed, iteration).  The walk reads each worker's others
+    by distance (`Topology.nearest`), which the first re-chain of a
+    positions array sorts and the re-chained topology carries on.
     """
     if topology.kind != "chain":
         raise ValueError("rechain applies to chain topologies only")
@@ -151,17 +158,25 @@ def rechain(topology: Topology, iteration: int, seed: int) -> Topology:
     picks = rng.choice(middle, size=N // 2 - 1, replace=False)
     heads = {1, *(int(x) for x in picks)}
     tails = set(range(1, N + 1)) - heads
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1]).tolist()  # dist[a - 1][b - 1]
+    nearest = topology.nearest or _by_distance(pos)
 
     order = [1]
     pools = (heads - {1}, tails - {N})  # even slots take heads, odd ones tails
     for slot in range(1, N - 1):
         pool = pools[slot % 2]
-        row = dist[order[-1] - 1]
-        nxt = min(pool, key=lambda w: (row[w - 1], w))
+        for nxt in nearest[order[-1] - 1]:
+            if nxt in pool:
+                break
         order.append(nxt)
         pool.discard(nxt)
     order.append(N)  # the last slot, a tail
     assert len(order) == N and set(order) == set(range(1, N + 1))
-    return _chain_from_order(order, N, topology.tau_coh, pos)
+    return _chain_from_order(order, N, topology.tau_coh, pos, nearest)
+
+
+def _by_distance(pos: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Per worker, every worker id by Euclidean distance from it, ties to
+    the lower id (a stable sort of each row of the distance table)."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    by_distance = np.argsort(np.hypot(diff[..., 0], diff[..., 1]), axis=1, kind="stable") + 1
+    return tuple(map(tuple, by_distance.tolist()))

@@ -338,7 +338,7 @@ def gadmm_models(problems, topology, rho: float, iters: int, censor=None, quanti
     iteration's threshold.  Each dual then steps by
     rho (theta_hat_left - theta_hat_right).
     """
-    grams = [p.gram() for p in problems]
+    grams = worker_grams(problems)
     N, d = len(problems), len(grams[0][1])
     edges = [(u - 1, v - 1) for u, v in topology.edges]
     incident = [[(j, v if n == u else u, 1.0 if n == u else -1.0) for j, (u, v) in enumerate(edges) if n in (u, v)]
@@ -374,7 +374,7 @@ def consensus_admm_models(problems, rho: float, iters: int):
     (2 H_n + rho I)^-1 (2 g_n - lambda_n + rho z), the centre z is the mean
     of theta_n + lambda_n / rho, and each dual steps by rho (theta_n - z).
     """
-    grams = [p.gram() for p in problems]
+    grams = worker_grams(problems)
     N, d = len(problems), len(grams[0][1])
     inv = [np.linalg.inv(2.0 * H + rho * np.eye(d)) for H, _ in grams]
     lam, z, out = np.zeros((N, d)), np.zeros(d), []
@@ -395,3 +395,56 @@ def direct_objective_error(problems, theta: np.ndarray, optimum: np.ndarray) -> 
         return sum(float(np.sum((p.A @ t - p.b) ** 2) + p.reg * np.sum(t**2)) for p, t in zip(problems, models))
 
     return objective(theta) - objective([optimum] * len(problems))
+
+
+def worker_grams(problems) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each worker's Gram pair (H_n, g_n) = (A_n^T A_n + reg_n I, A_n^T b_n),
+    so that grad f_n = 2 H_n theta - 2 g_n."""
+    return [(p.A.T @ p.A + p.reg * np.eye(p.A.shape[1]), p.A.T @ p.b) for p in problems]
+
+
+class ErrorForm(NamedTuple):
+    grams: list[tuple[np.ndarray, np.ndarray]]  # per worker (H_n, g_n)
+    optimum: np.ndarray  # theta*, (d,)
+    f_star: float  # sum_n f_n(theta*)
+    slopes: list[np.ndarray]  # per worker c_n = 2 (H_n theta* - g_n)
+
+
+def error_form_reference(problems) -> ErrorForm:
+    """The set-up of edgekit's `ProblemStack`, one worker at a time: each
+    Gram pair H_n = A_n^T A_n + reg_n I, g_n = A_n^T b_n; theta* solving
+    (sum_n H_n) theta = sum_n g_n, both sums in worker order from zero; f* the
+    objective at theta*, one gemv and two ddots per worker summed in worker
+    order; and each worker's slope c_n = 2 (H_n theta* - g_n)."""
+    d = problems[0].A.shape[1]
+    grams = worker_grams(problems)
+    H, g = np.zeros((d, d)), np.zeros(d)
+    for Hn, gn in grams:
+        H = H + Hn
+        g = g + gn
+    optimum = np.linalg.solve(H, g)
+    values = []
+    for p in problems:
+        r = p.A @ optimum - p.b
+        values.append(float(r @ r + p.reg * (optimum @ optimum)))
+    slopes = [2.0 * (Hn @ optimum - gn) for Hn, gn in grams]
+    return ErrorForm(grams, optimum, sequential_sum(values), slopes)
+
+
+def block_errors_reference(form: ErrorForm, block: np.ndarray, rows: np.ndarray) -> list[list[float]]:
+    """The signed objective error of each model stack of a (B, points*N, d)
+    history block, per point, whose worker n of point p is row rows[p*N + n]:
+    with e_n = theta_n - theta*, worker n's term e_n^T H_n e_n + c_n . e_n is
+    one gemm of its (B, d) rows by H_n and one ddot per row, and the terms
+    are added in worker order."""
+    N = len(form.grams)
+    out = []
+    for p in range(len(rows) // N):
+        total = None
+        for n, ((Hn, _), c) in enumerate(zip(form.grams, form.slopes)):
+            e = block[:, rows[p * N + n]] - form.optimum
+            He = e @ Hn + c
+            terms = [float(np.dot(row, h)) for row, h in zip(e, He)]
+            total = terms if total is None else [a + b for a, b in zip(total, terms)]
+        out.append(total)
+    return out

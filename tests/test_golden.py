@@ -7,17 +7,22 @@ each kind reads is `scenario.KIND_READS`.
 """
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import edgekit
 from edgekit.cli import _KIND_OF_COMMAND, main
 from edgekit.pipeline import run_scenario
 from edgekit.scenario import KIND_READS, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(edgekit.__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["learning", "placement", "radio", "integrated"])
@@ -30,6 +35,34 @@ def test_golden_scenario_reproduces_committed_csv(name, tmp_path):
     for path in written:
         expected = ROOT / golden.parent / path.name
         assert path.read_bytes() == expected.read_bytes(), f"{path.name} differs from {expected}"
+
+
+# Writes the golden learning and integrated scenarios' reports into argv[1].
+GOLDEN_LEARNING_RUN = """
+import dataclasses, sys
+from pathlib import Path
+from edgekit.pipeline import run_scenario
+from edgekit.scenario import parse_scenario
+for name in ("learning", "integrated"):
+    scenario = parse_scenario(Path(sys.argv[2]) / "scenarios" / f"{name}.yaml")
+    run_scenario(dataclasses.replace(scenario, output=str(Path(sys.argv[1]) / Path(scenario.output).name)))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the learning goldens hold only under the BLAS kernel that recorded them")
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_learning_goldens_hold_under_other_blas_kernels(kernel, tmp_path):
+    """The committed learning and integrated reports, byte for byte, with
+    OpenBLAS forced onto another x86 kernel (set on the child process only)."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", GOLDEN_LEARNING_RUN, str(tmp_path), str(ROOT)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    if proc.returncode != 0:
+        raise RuntimeError(proc.stderr)
+    for name in ("learning.csv", "integrated.csv", "integrated_summary.csv"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), f"{name} differs under {kernel}"
 
 
 def _dense_sweep_scenario(tmp_path, radio_update: dict, dlt_update: dict, param: str, values: list) -> Path:

@@ -24,11 +24,15 @@ from edgekit.learning import (
 from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
 from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, rhs_buffer
+from edgekit.learning import topology as topology_module
 from edgekit.learning.topology import InvalidN, Topology
 from edgekit.pipeline import LEARNING_HEADER
 
 from conftest import scalar_problems, synthetic_problems
-from oracles import consensus_admm_models, dequantize_rows, direct_objective_error, gadmm_models, quantize_rows
+from oracles import (
+    block_errors_reference, consensus_admm_models, dequantize_rows, direct_objective_error, error_form_reference,
+    gadmm_models, quantize_rows, worker_grams,
+)
 
 
 class TestCentralizedSolution:
@@ -36,7 +40,7 @@ class TestCentralizedSolution:
         problems = scalar_problems([1, 2, 3, 4])
         theta = centralized_solution(problems)
         assert theta == pytest.approx([2.5])
-        assert ProblemStack(problems).objective(np.tile(theta, (4, 1))) == pytest.approx(5.0)
+        assert ProblemStack(problems).f_star == pytest.approx(5.0)  # the objective at theta*
 
     def test_single_worker_matches_local_least_squares(self, rng):
         A = rng.standard_normal((10, 3))
@@ -109,6 +113,44 @@ class TestTopology:
         topo = build_topology(6, kind="chain", seed=0)
         assert rechain(topo, 10, seed=0) is topo
 
+    def test_rechain_walks_replaced_positions(self):
+        # a re-chained topology carries its nearest-worker table; one with new
+        # positions must not, so its re-chains walk the new positions
+        chained = rechain(build_topology(8, kind="chain", seed=3, tau_coh=5), 5, seed=1)
+        moved = dataclasses.replace(chained, positions=make_rng(0).random((8, 2)))
+        fresh = dataclasses.replace(build_topology(8, kind="chain", seed=3, tau_coh=5), positions=moved.positions)
+        assert moved.nearest is None
+        assert rechain(moved, 10, seed=1).order == rechain(fresh, 10, seed=1).order
+
+    def test_bipartite_draws_pinned(self, monkeypatch):
+        # the edges and roles, bit for bit: a change to a draw's values or to the
+        # generator state an attempt leaves behind shows here.  At mean degree 1.5
+        # most draws are disconnected and redrawn.
+        attempts = []
+        connected = topology_module._connected
+        monkeypatch.setattr(topology_module, "_connected", lambda n, edges: attempts.append(n) or connected(n, edges))
+        digest, builds = hashlib.sha256(), 0
+        for N in (2, 3, 5, 8, 18):
+            for mean_degree in (1.5, 3.0, 5.0):
+                for seed in range(40):
+                    t = build_topology(N, kind="bipartite", seed=seed, mean_degree=mean_degree)
+                    digest.update(repr((t.edges, sorted(t.heads))).encode())
+                    builds += 1
+        assert len(attempts) > 2 * builds  # redraws after disconnected draws are covered
+        assert digest.hexdigest() == "0fa826fcb663d129569fa9488fdec56482df1e342089818e33936585d30bbb4c"
+
+    def test_rechain_pinned(self):
+        # orders and heads, bit for bit, over seeds, re-chain iterations and sizes
+        digest = hashlib.sha256()
+        for N in (4, 8, 16, 30):
+            for seed in range(12):
+                topo = build_topology(N, kind="chain", seed=seed, tau_coh=20)
+                for k in range(20, 220, 20):
+                    new = rechain(topo, k, seed)
+                    digest.update(repr((new.order, sorted(new.heads))).encode())
+                    topo = new
+        assert digest.hexdigest() == "24ab843ec7a58948ac18455a9b8a99f07ec6ef64a9b86840324b84dc66938f07"
+
     def test_rechain_produces_fresh_chains(self):
         topo = build_topology(8, kind="chain", seed=1, tau_coh=10)
         orders = {rechain(topo, k, seed=1).order for k in range(10, 210, 10)}
@@ -145,7 +187,7 @@ def solve(inv, terms):
 def solve_one(problem, models, duals, signs, rho, dim):
     """One worker's block update against its neighbors' models and its edge
     duals and signs; without a problem f = 0 and only the proximity terms pull."""
-    H, g = problem.gram() if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
+    H, g = worker_grams([problem])[0] if problem is not None else (np.zeros((dim, dim)), np.zeros(dim))
     inv = inverses(H[None], np.array([len(models)]), rho)
     signs = np.array(signs, dtype=float)[None, :, None]
     return solve(inv, slot_terms(g[None], np.array([duals], float), signs, np.array([models], float), rho))[0]
@@ -228,6 +270,38 @@ class TestBatchedKernels:
         for err, theta in zip(errors, models):
             direct = direct_objective_error(problems, theta, optimum)
             assert abs(err - direct) <= 1e-12 * max(1.0, stack.f_star)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(2, 10), d=st.integers(1, 12), P=st.integers(1, 3),
+        samples=st.lists(st.sampled_from([1, 2, 5, 9, 20]), min_size=10, max_size=10),
+        regs=st.lists(st.sampled_from([0.0, 1e-3, 0.3, 1.0]), min_size=10, max_size=10),
+        scale=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(N=4, d=1, P=2, samples=[1] * 10, regs=[0.0, 1e-3, 0.0, 1.0] + [0.0] * 6, scale=1.0, seed=0)
+    @example(N=5, d=14, P=3, samples=[20] * 10, regs=[1e-3] * 10, scale=1.0, seed=1)
+    @example(N=6, d=3, P=2, samples=[5, 9, 5, 1, 9, 2] + [1] * 4, regs=[0.3, 0.0] * 5, scale=1e-3, seed=2)
+    def test_set_up_and_block_errors_equal_the_per_worker_reference(self, N, d, P, samples, regs, scale, seed):
+        """The Gram pairs, theta*, f*, the slopes and every error of a
+        history block, byte for byte, over mixed sample counts and per-worker
+        regularization, at every point of a stacked run."""
+        rng = make_rng(seed)
+        # d + 1 samples on worker 0 keep the aggregate system full rank at reg = 0
+        counts = [max(samples[0], d + 1)] + samples[1:N]
+        problems = [LocalProblem(A=rng.standard_normal((s, d)), b=rng.standard_normal(s), reg=r)
+                    for s, r in zip(counts, regs)]
+        form = error_form_reference(problems)
+        stack = ProblemStack(problems, P)
+        H, g = stack.gram
+        assert H.tobytes() == np.stack([Hn for Hn, _ in form.grams]).tobytes()
+        assert g.tobytes() == np.stack([gn for _, gn in form.grams]).tobytes()
+        assert stack.optimum.tobytes() == form.optimum.tobytes()
+        assert np.float64(stack.f_star).tobytes() == np.float64(form.f_star).tobytes()
+        assert stack.slope.tobytes() == np.stack(form.slopes).tobytes()
+        rows = rng.permutation(P * N)  # worker n of point p at row rows[p*N + n]
+        block = form.optimum + scale * rng.standard_normal((TRACE_BLOCK, P * N, d))
+        expected = block_errors_reference(form, block, rows)
+        assert np.array(stack.errors(block, rows)).tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 19), d=st.integers(1, 39), scale=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
