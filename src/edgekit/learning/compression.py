@@ -125,19 +125,27 @@ def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x, out=out), out=out)
 
 
+def censor_thresholds(censors: list[CensorSchedule], k: int, n: int) -> list[list[float]]:
+    """Each point's threshold at iterations k, ..., k + n - 1, one list per
+    iteration in the points' order: the schedules evaluated once per block of
+    iterations.  Raises ValueError if one is < 0."""
+    rows = [[censor.threshold(j) for censor in censors] for j in range(k, k + n)]
+    if any(min(row) < 0 for row in rows):
+        raise ValueError("threshold must be >= 0")
+    return rows
+
+
 def censor_mask(
     current: np.ndarray, last_sent: np.ndarray, thresholds: list[float], diff: np.ndarray, norm: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Per row of P*k (P*k, d) rows, k per point: transmit iff
     ||current - last_sent||_2 strictly exceeds thresholds[p], its point's
-    threshold, in the (P*k,) bool `out`; `diff` (P*k, d) and `norm` (P*k,)
-    take the steps.  The norm is `row_norms`' arithmetic, inline: a censoring
-    phase makes this call once per iteration.  Every row is compared with
-    the first point's threshold, then each other point's rows again with its
-    own."""
-    if min(thresholds) < 0:
-        raise ValueError("threshold must be >= 0")
+    threshold (>= 0, from `censor_thresholds`), in the (P*k,) bool `out`;
+    `diff` (P*k, d) and `norm` (P*k,) take the steps.  The norm is
+    `row_norms`' arithmetic, inline: a censoring phase makes this call once
+    per iteration.  Every row is compared with the first point's threshold,
+    then each other point's rows again with its own."""
     np.subtract(current, last_sent, diff)
     np.sqrt(np.vecdot(diff, diff, norm), norm)
     np.greater(norm, thresholds[0], out)

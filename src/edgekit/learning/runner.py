@@ -99,9 +99,10 @@ allocates no array after the first, except for a quantized update with an
 all-zero row.  Only two steps loop over the points: the quantizer draws with
 one rng.random per point, from the point's own child_rng(seed, 1) stream,
 and the censoring test compares the rows of each point after the first with
-its own threshold.  Each phase's arrays are bound once per (re)chain, into a
-tuple the loop unpacks (`_Phase`), and each ufunc call of the loops takes
-its out buffer positionally.  Per phase: one gather of the term stack, then
+its own threshold; the schedules are evaluated once per history block
+(`censor_thresholds`).  Each phase's arrays are bound once per (re)chain,
+into a tuple the loop unpacks (`_Phase`), and each ufunc call of the loops
+takes its out buffer positionally.  Per phase: one gather of the term stack, then
 one Python call, `block_solve`: its ordered sum into rhs, by the path the
 phase fixed when it was built, and one stacked solve, `stacked_solve`,
 written straight into the group's rows of the history block (the phase keeps
@@ -214,7 +215,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core import child_rng
-from .compression import CensorSchedule, QuantizeBuffers, QuantizerConfig, censor_mask, quantize_step, row_norms
+from .compression import (
+    CensorSchedule, QuantizeBuffers, QuantizerConfig, censor_mask, censor_thresholds, quantize_step, row_norms,
+)
 from .energy import CommEnergyModel, message_energy
 from .problems import TRACE_BLOCK, LocalProblem, ProblemStack
 from .topology import Topology, rechain
@@ -662,7 +665,8 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
     phases, row, ends = _phases(topology, stack, points, inv_cache, traces, theta_hat, pull, rho)
     models, slot = traces.models, 0
 
-    for k in range(max(point.iters for point in points)):
+    iters = max(point.iters for point in points)
+    for k in range(iters):
         if rechains and k > 0 and k % topology.tau_coh == 0:
             theta = models[slot - 1]  # the last iteration's (row 15 when a flush just emptied the block)
             n, slot = slot, 0
@@ -677,8 +681,8 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
             lam[:] = _chain_duals(topology.order, stack, theta[perm], row)
             np.negative(lam, neg_lam)
 
-        if censored:
-            thresholds = [censor.threshold(k) for censor in censors]
+        if censored and slot == 0:  # each point's threshold at each iteration of the block
+            block_thresholds = censor_thresholds(censors, k, min(TRACE_BLOCK, iters - k))
         for idx, gather, inv, terms, rhs, cols, new_rows, pull_rows, rho_rows, censoring in phases:
             # the whole group solves first, then transmits (a parallel phase);
             # every index is in range, and mode="clip" gathers without a buffer
@@ -692,7 +696,7 @@ def _run_decentralized(rechains, stack, topology, points, seed, stop_error=None)
             send = send_rows[slot]
             if quantize is not None:
                 new = quantize_step(new, last, q_rngs, quantize)
-            censor_mask(new, last, thresholds, diff, norm, send)
+            censor_mask(new, last, block_thresholds[slot], diff, norm, send)
             sent = np.count_nonzero(send)
             if sent:
                 if sent == len(send):

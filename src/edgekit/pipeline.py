@@ -47,13 +47,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+_PLAIN = frozenset({float, int})  # cells written by repr alone: repr(int) is str(int)
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     """The header and rows as comma-separated lines ending in CRLF, the
     bytes csv.writer writes: no header or cell holds a comma, a quote or a
-    line break, so none is quoted."""
+    line break, so none is quoted.  A row of plain floats and ints is
+    written by repr; any other row cell by cell."""
     lines = [",".join(header)]
-    lines += [",".join([repr(x) if type(x) is float else _fmt(x) for x in row]) for row in rows]
-    return "\r\n".join(lines) + "\r\n"
+    lines += [",".join(map(repr, row)) if _PLAIN.issuperset(map(type, row))
+              else ",".join([repr(x) if type(x) is float else _fmt(x) for x in row]) for row in rows]
+    lines.append("")  # the last line's CRLF, joined in without a second copy of the text
+    return "\r\n".join(lines)
 
 
 def _write(path: Path, text: str) -> Path:
@@ -210,10 +216,11 @@ RADIO_COLUMNS = (
 _ABSENT = (0.0,) * len(RADIO_TERMS)  # the cell of a term a breakdown does not have
 
 
-def run_radio_block(point: Point) -> list:
-    """The point's radio-dlt row after its parameter column (RADIO_COLUMNS)."""
+def run_radio_block(point: Point, param) -> list:
+    """The point's radio-dlt row: `param` in its parameter column, then
+    RADIO_COLUMNS."""
     b = R.full_breakdown(point.radio, point.power, point.dlt)
-    return [b.total_latency, b.total_energy,
+    return [param, b.total_latency, b.total_energy,
             *map(b.latency.get, RADIO_TERMS, _ABSENT), *map(b.energy.get, RADIO_TERMS, _ABSENT)]
 
 
@@ -283,7 +290,7 @@ def _integrated_reports(point: Point, trace: L.TrainingTrace,
 _RUN_POINTS = {
     "learning": lambda s: [[("", LEARNING_HEADER, _learning_rows(trace))] for trace, _ in _learning_runs(s)],
     "placement": lambda s: [[("", PLACEMENT_HEADER, run_placement_block(p.placement, p.seed))] for p in s.points],
-    "radio-dlt": lambda s: [run_radio_block(p) for p in s.points],
+    "radio-dlt": lambda s: [run_radio_block(p, p.value if s.sweep else 0) for p in s.points],
     "integrated": lambda s: [_integrated_reports(point, *run) for point, run in zip(s.points, _learning_runs(s))],
 }
 
@@ -297,9 +304,7 @@ def run_scenario(scenario: Scenario) -> list[Path]:
     with np.errstate(over="ignore", invalid="ignore"):
         results = _RUN_POINTS[scenario.kind](scenario)
     if scenario.kind == "radio-dlt":
-        header = [sweep.param if sweep else "param", *RADIO_COLUMNS]
-        rows = [[point.value if sweep else 0, *row] for point, row in zip(scenario.points, results)]
-        reports = [(Path(scenario.output), header, rows)]
+        reports = [(Path(scenario.output), [sweep.param if sweep else "param", *RADIO_COLUMNS], results)]
     else:
         reports = []
         for point, point_reports in zip(scenario.points, results):

@@ -13,10 +13,13 @@ the reservation fixed point's largest contention rate lambda_a * N_rmax.  Each
 queue formula and its stability test exist once, in `latency_tx` and
 `latency_rx`.  A RadioConfig prices its own packets (l1, l2) and (m1, m2)
 with them after its range checks, so the rule that rejects a config is the
-rule that prices its ledger payloads.
+rule that prices its ledger payloads.  A RadioConfig keeps the prices its
+checks computed, its own packets' and each ledger payload's, and a run
+reads them (`packet_latencies`, `payload_latency`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -52,6 +55,12 @@ def _check_fields(config, names) -> None:
     for name in names:
         if name in config._UNIT and values[name] > 1.0:
             raise ValueError(f"{name} must be in (0, 1]")
+
+
+@functools.cache
+def _field_order(cls) -> dict:
+    """Each field name of record class `cls` and its place."""
+    return {f.name: i for i, f in enumerate(fields(cls))}
 
 
 class _Record:
@@ -91,12 +100,15 @@ class _Record:
 
     def derive(self, replaced: dict):
         """This record with the fields `replaced` set, checked as a record
-        built whole would be: self must have passed the one-field rules."""
+        built whole would be: self must have passed the one-field rules.
+        It copies self's fields, and nothing kept beside them."""
         record = object.__new__(type(self))
         values = vars(record)
         values.update(vars(self))
         values.update(replaced)
-        record._check([name for name in values if name in replaced])  # in field order, as built whole
+        if len(replaced) > 1:  # in field order, as built whole
+            replaced = sorted(replaced, key=_field_order(type(self)).__getitem__)
+        record._check(replaced)
         return record
 
     def sweep_point(self, name: str, value):
@@ -106,6 +118,11 @@ class _Record:
 
 @dataclass(frozen=True)
 class RadioConfig(_Record):
+    # the queue prices its checks computed (`packet_latencies`,
+    # `payload_latency`), kept beside the fields: vars(), equality, a copy and
+    # `derive` see the fields alone
+    __slots__ = ("_prices",)
+
     K: int = 48  # preambles per random-access opportunity
     tau: float = 0.0064  # NPRACH unit length (s)
     t: float = 0.32  # mean NPRACH inter-period (s)
@@ -136,6 +153,42 @@ class RadioConfig(_Record):
         """Access request arrivals per NPRACH period."""
         return self.lambda_u + self.lambda_d
 
+    def __getstate__(self):
+        """The fields alone: a copy or an unpickled record prices its queues
+        again, on first use."""
+        return vars(self)
+
+    def _price_packets(self) -> tuple[float, float, dict]:
+        """Price the config's own packets, with no ledger payload priced yet."""
+        prices = latency_tx(self, self.l1, self.l2), latency_rx(self, self.m1, self.m2), {}
+        object.__setattr__(self, "_prices", prices)
+        return prices
+
+    def packet_latencies(self) -> tuple[float, float]:
+        """(latency_tx, latency_rx) of the config's own packets (l1, l2) and
+        (m1, m2), as the joint rules priced them; priced here for a record
+        they have not run on (a copy, or the base of a sweep)."""
+        try:
+            prices = self._prices
+        except AttributeError:
+            prices = self._price_packets()
+        return prices[0], prices[1]
+
+    def payload_latency(self, kernel, bits: float) -> float:
+        """kernel(self, bits, bits**2), the latency of a ledger payload of
+        `bits` bits through `latency_tx` or `latency_rx`, priced once per
+        record: the parse-time ledger check prices it, and the run reads
+        that price.  A payload whose kernel raises keeps no price."""
+        try:
+            payloads = self._prices[2]
+        except AttributeError:
+            payloads = self._price_packets()[2]
+        key = (kernel, bits)
+        latency = payloads.get(key)
+        if latency is None:
+            latency = payloads[key] = kernel(self, bits, bits**2)
+        return latency
+
     # the model divides by periods, by first packet moments and by s1, and a
     # reservation must be able to succeed (p_d > 0); p_d is a probability and
     # f, w, y are fractions of the radio resources
@@ -156,9 +209,8 @@ class RadioConfig(_Record):
         if not is_number((float(self.lambda_u) + self.lambda_d) * self.N_rmax):  # the fixed point's largest rate
             name = "lambda_u" if self.lambda_u >= self.lambda_d else "lambda_d"
             raise ValueError(f"{name} makes the largest contention rate (lambda_u + lambda_d) * N_rmax overflow")
-        try:  # both queues must keep up with the config's own packets
-            latency_tx(self, self.l1, self.l2)
-            latency_rx(self, self.m1, self.m2)
+        try:  # both queues must keep up with the config's own packets; the prices are this record's own
+            self._price_packets()
         except ArithmeticError as exc:  # e.g. R_u**2 beyond the float range
             raise ValueError("queue latency out of float range") from exc
 
@@ -283,7 +335,15 @@ class LatencyEnergyBreakdown:
     _TERM_SET = frozenset(TERMS)
 
     def __post_init__(self):
-        for part, vals in (("latency", self.latency), ("energy", self.energy)):
+        """Every term is named in TERMS and none is < 0 (a NaN is not).
+        A breakdown that passes is checked in one pass over its values, by
+        their min from 0.0, which only a value < 0 moves; one that fails is
+        scanned term by term for the first bad one."""
+        latency, energy = self.latency, self.energy
+        if self._TERM_SET.issuperset(latency) and self._TERM_SET.issuperset(energy) \
+                and min((0.0, *latency.values(), *energy.values())) >= 0:
+            return
+        for part, vals in (("latency", latency), ("energy", energy)):
             for k, v in vals.items():
                 if k not in self._TERM_SET:
                     raise ValueError(f"unknown {part} term {k!r}")

@@ -11,7 +11,9 @@ gives up after N_rmax of them; every reservation term prices the mean number
 of attempts, `expected_attempts`, a closed form whose cost does not grow
 with N_rmax.  The data-queue latencies are `config.latency_tx` and
 `config.latency_rx`, the kernels RadioConfig checks its own stability with;
-here they also price the ledger's block messages.
+here they also price the ledger's block messages.  A RadioConfig keeps
+each price its checks computed (`RadioConfig.packet_latencies` and
+`payload_latency`), so a packet they priced is not priced again.
 
 Every term is scalar `math` on Python floats, never numpy.  numpy's SIMD
 exp and power round differently from libm on some CPUs: on an AVX-512 host
@@ -108,30 +110,32 @@ def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> fl
     """Latency of the block message whose payload is `dlt.<name>`.
 
     DltConfig has checked the size (> 0); the kernel raises UnstableConfig
-    for a payload its queue cannot carry.
+    for a payload its queue cannot carry.  The price is kept on `config`
+    (`RadioConfig.payload_latency`).
     """
-    bits = getattr(dlt, name)
-    return _BLOCK_MESSAGES[name](config, bits, bits**2)
+    return config.payload_latency(_BLOCK_MESSAGES[name], getattr(dlt, name))
 
 
 def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
     """Latency of the post-mining block messages, added in _BLOCK_MESSAGES' order."""
-    return sequential_sum(_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES)
+    return sequential_sum([_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES])
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:
     """Latency and energy terms together, each shared term computed once.
 
     The queue latencies are priced by both halves: the latency half directly,
-    the energy half as idle time around the service time.  Both reservation
-    terms price `expected_attempts` attempts at the per-attempt latency and
-    energy.
+    the energy half as idle time around the service time.  They are the
+    record's own prices (`RadioConfig.packet_latencies` and
+    `payload_latency`), which its checks and the parse-time ledger check
+    computed.  Both reservation terms price `expected_attempts` attempts at
+    the per-attempt latency and energy.
     """
     p_rr, _ = reservation_probability(radio)
     attempts = expected_attempts(p_rr, radio.N_rmax)
     l_ra, l_rar = latency_ra(radio), latency_rar(radio)
     l_rr = attempts * (l_ra + l_rar)
-    l_tx, l_rx = latency_tx(radio, radio.l1, radio.l2), latency_rx(radio, radio.m1, radio.m2)
+    l_tx, l_rx = radio.packet_latencies()
 
     # A device pays every attempt it makes, in energy as in latency: one that
     # gives up has spent all N_rmax of them.

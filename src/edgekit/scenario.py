@@ -22,11 +22,11 @@ which runs the one-field rules on those fields alone; RadioConfig's
 `radio.t` point also sets the fields `nprach_period_fields(radio, t)`
 derives from t.  A point prices a ledger exactly when it has a dlt block,
 `dlt: {}` (the defaults) included, and must carry its payloads through its
-radio queues; an integrated scenario none of whose points prices one may not
-set radio, power or dlt.  A placement instance file is loaded, and so
-checked, at parse time, and its point runs the loaded instance.  Two sweep
-values may not name the same report file (`point_path`).  Golden examples
-live in scenarios/.  Errors name the field by its dotted path (e.g.
+radio queues, whose prices its radio record keeps for the run; an integrated
+scenario none of whose points prices one may not set radio, power or dlt.  A
+placement instance file is loaded, and so checked, at parse time, and its
+point runs the loaded instance.  Two sweep values may not name the same
+report file (`point_path`).  Golden examples live in scenarios/.  Errors name the field by its dotted path (e.g.
 "radio.K"), after the value's index for a sweep point
 ("sweep.values[1]: radio.t").
 """
@@ -131,7 +131,7 @@ class SweepSpec:
 class Point:
     """One concrete run: each block its kind reads as the run uses it, None
     for the others (dlt also None without a ledger).  Every point shares the
-    objects of the unswept blocks."""
+    objects of the unswept blocks.  The block fields are BLOCKS, in order."""
 
     seed: int
     learning: dict | None
@@ -371,7 +371,8 @@ def _check_ledger_off(raw: dict, sweep: SweepSpec | None, points: tuple[Point, .
 
 def _check_ledger(point: Point, errors: list[str]) -> None:
     """Ledger payloads the point's radio queues cannot carry, found by the
-    kernels its run prices them with."""
+    kernels its run prices them with.  The prices stay on the radio record,
+    and the run reads them (`RadioConfig.payload_latency`)."""
     if point.dlt is None:
         return
     for name in _BLOCK_MESSAGES:
@@ -418,6 +419,7 @@ def _expand(seed: int, given: dict, base: dict, blocks: dict, sweep: SweepSpec |
         _check_ledger(point, errors)
         return (point,)
     name, field = sweep.block, sweep.field
+    blocks_at, at = [base[block] for block in BLOCKS], BLOCKS.index(name)  # a Point's blocks, in BLOCKS order
     points = []
     for i, value in enumerate(sweep.values):
         found: list[str] = []
@@ -429,9 +431,11 @@ def _expand(seed: int, given: dict, base: dict, blocks: dict, sweep: SweepSpec |
             except ValueError as exc:
                 found.append(f"{sweep.param}: {exc}")
         if not found:
-            points.append(Point(seed=seed, value=value, **{**base, name: swept}))
+            blocks_at[at] = swept
+            points.append(Point(seed, *blocks_at, value))
             _check_ledger(points[-1], found)
-        errors.extend(f"sweep.values[{i}]: {e}" for e in found)
+        if found:
+            errors.extend(f"sweep.values[{i}]: {e}" for e in found)
     return tuple(points)
 
 

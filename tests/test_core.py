@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from edgekit.core import child_rng, is_int, is_number, make_rng, sequential_sum
 from edgekit.learning.runner import VARIANTS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgekit"
+TRACING = SRC.parent.parent / "benchmarks" / "tracing.py"
 
 
 @pytest.mark.parametrize("value, integer, number", [
@@ -129,3 +131,19 @@ def test_no_numpy_in_radio():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
     ]
     assert imports == []
+
+
+def _traced_targets() -> list[tuple[str, str, str]]:
+    """benchmarks/tracing.py's TARGETS, (span, module, attribute) each, read
+    from its source without importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS in benchmarks/tracing.py")
+
+
+@pytest.mark.parametrize("span, module, attribute", _traced_targets())
+def test_traced_function_exists(span, module, attribute):
+    # the benchmark's tracer rebinds each target, and a target renamed or
+    # inlined away would make its per-layer numbers read 0 without an error
+    assert callable(getattr(importlib.import_module(module), attribute, None)), f"{span}: no {module}.{attribute}"

@@ -21,7 +21,7 @@ from edgekit.learning import (
     runner,
     Setting,
 )
-from edgekit.learning.compression import QuantizeBuffers, censor_mask, quantize_step, row_norms
+from edgekit.learning.compression import QuantizeBuffers, censor_mask, censor_thresholds, quantize_step, row_norms
 from edgekit.learning.problems import TRACE_BLOCK, ProblemStack
 from edgekit.learning.runner import VARIANTS, ConfigMismatch, block_solve, inverses, rhs_buffer
 from edgekit.learning import topology as topology_module
@@ -570,8 +570,22 @@ class TestCensoring:
         assert censor_rows(cur, np.zeros((3, 2)), 1.0).tolist() == [True, True, False]
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            censor_rows(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
+        # the thresholds are checked where a run makes them, once per history
+        # block; a schedule forced below zero past its own check stops the run
+        negative = CensorSchedule()
+        object.__setattr__(negative, "xi0", -0.1)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            censor_thresholds([CensorSchedule(), negative], 0, TRACE_BLOCK)
+        problems = synthetic_problems(6, 3, 10, seed=4)
+        topo = build_topology(6, kind="bipartite", seed=4)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            run("c-ggadmm", problems, topo, censor=negative, iters=50, seed=4)
+
+    @pytest.mark.parametrize("k, n", [(0, TRACE_BLOCK), (32, TRACE_BLOCK), (48, 5), (7, 1)])
+    def test_block_thresholds_are_the_schedules(self, k, n):
+        schedules = [CensorSchedule(), CensorSchedule(xi0=0.3, alpha=0.9), CensorSchedule(xi0=0.0, alpha=1.0)]
+        rows = censor_thresholds(schedules, k, n)
+        assert rows == [[s.threshold(j) for s in schedules] for j in range(k, k + n)]
 
     @given(
         xi0=st.floats(0, 10, allow_nan=False),

@@ -338,6 +338,29 @@ class TestBreakdowns:
         with pytest.raises(ValueError):
             LatencyEnergyBreakdown(energy={"pow": -1.0})
 
+    @pytest.mark.parametrize("latency, energy, message", [
+        ({"warp": 1.0}, {}, "unknown latency term 'warp'"),
+        ({}, {"pow": -1.0}, "energy term pow must be >= 0, got -1.0"),
+        # the first bad term in the latency part, then the energy part, each in
+        # its order, a term's name before its value
+        ({"pow": -2.0, "warp": 1.0}, {"mine": 1.0}, "latency term pow must be >= 0, got -2.0"),
+        ({"tx_up": 1.0, "warp": -1.0}, {"pow": -1.0}, "unknown latency term 'warp'"),
+        ({"tx_up": float("nan")}, {"pow": 1.0, "sync_up": -0.5, "mine": 1.0},
+         "energy term sync_up must be >= 0, got -0.5"),
+        ({"rx_down": -5e-324}, {}, "latency term rx_down must be >= 0, got -5e-324"),
+    ])
+    def test_breakdown_check_messages(self, latency, energy, message):
+        with pytest.raises(ValueError) as exc:
+            LatencyEnergyBreakdown(latency=latency, energy=energy)
+        assert str(exc.value) == message
+
+    def test_breakdown_accepts_nan_and_signed_zero_terms(self):
+        # only a term < 0 is refused: a NaN, and -0.0, pass here and are left to
+        # the report's finiteness check
+        b = LatencyEnergyBreakdown(latency={"tx_up": float("nan"), "rx_down": -0.0}, energy={"pow": float("nan")})
+        assert math.isnan(b.total_latency) and math.isnan(b.total_energy)
+        assert LatencyEnergyBreakdown().total_latency == 0
+
 
 class TestSharedTerms:
     @settings(max_examples=200)

@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -18,7 +20,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from edgekit import core, pipeline
 from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
-from edgekit.radio import DltConfig, PowerProfile, RadioConfig, latency_ra, latency_rar, nprach_period_fields
+from edgekit.radio import (
+    DltConfig, LatencyEnergyBreakdown, PowerProfile, RadioConfig, latency_ra, latency_rar, latency_rx, latency_tx,
+    nprach_period_fields,
+)
+from edgekit.radio.model import full_breakdown
 from edgekit.pipeline import run_learning_block, run_scenario
 from edgekit.scenario import BLOCKS, KIND_READS, ParseError, Point, ValidationError, _check_ledger, parse_scenario
 
@@ -343,6 +349,17 @@ class TestCsvWriter:
         header=["a", "b", "c", "d"],
         rows=[[-0.0, 5e-324, 1e308, 2**53 + 1], [True, np.int64(-7), np.float64(0.1), 2**64]],
     )
+    # rows of plain floats and ints, each beside rows that mix in a bool, numpy
+    # scalars, 2**64 and -0.0: the rows written by repr alone and the others
+    @example(
+        header=["param", "L_total", "E_total", "n"],
+        rows=[[0.04, 1.5, -0.0, 7], [0.08, False, np.float64(-0.0), 2**64], [np.int64(3), 2**64, -0.0, 0.1]],
+    )
+    @example(
+        header=["iter", "objective", "bits_cum", "flag", "x", "y"],
+        rows=[[1, 0.5, 2**64, True, np.int64(-7), np.float64(1e-300)], [2, -0.0, 3, 0, 1, 2.5],
+              [np.float64(0.1), 1.0, 2.0, np.int64(2**63 - 1), False, -2**64]],
+    )
     def test_same_bytes_as_csv_module(self, header, rows):
         with tempfile.TemporaryDirectory() as tmp:
             ours = pipeline._write(Path(tmp) / "ours.csv", pipeline._csv_text(header, rows)).read_bytes()
@@ -586,6 +603,27 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert main(["learn", "--scenario", str(p)]) == 2
         error = f"FloatingPointError: {tmp_path}/out/r.csv: row 1, objective is nan, not a finite number"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_breakdown_term_exits_two_before_writing(self, tmp_path, capsys, monkeypatch):
+        # a breakdown takes a NaN term (only a term < 0 is refused there); the
+        # report's finiteness check refuses the row that holds it
+        priced = pipeline.R.full_breakdown
+
+        def with_nan(radio, power, dlt=None):
+            b = priced(radio, power, dlt)
+            return LatencyEnergyBreakdown(latency=b.latency, energy={**b.energy, "pow": math.nan})
+
+        monkeypatch.setattr(pipeline.R, "full_breakdown", with_nan)
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/out/r.csv
+            dlt: {{}}
+            sweep: {{param: radio.t, values: [0.08, 0.32]}}
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 2
+        error = f"FloatingPointError: {tmp_path}/out/r.csv: row 1, E_total is nan, not a finite number"
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 
@@ -1232,3 +1270,120 @@ class TestDerivedPoints:
         assert [type(config) for config in derived] == [cls] * len(values)
         assert [vars(config) for config in derived] == [vars(config) for config in expected]
         assert derived == expected
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """Count the calls of the two queue kernels while the block runs.  A
+    kernel is reached through module names and through the ledger's message
+    table, so each call is counted by the kernel's code object, whatever name
+    reached it."""
+    codes = {latency_tx.__code__: "latency_tx", latency_rx.__code__: "latency_rx"}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+class TestPricedOnce:
+    """Each radio point prices its own packets (one latency_tx, one
+    latency_rx) and its three ledger payloads (two uplink, one downlink)
+    once: the checks price them at parse time, and the run reads those
+    prices.  Priced at parse time and again at run time, a point made ten
+    kernel calls."""
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_radio_sweep_point_makes_five_kernel_calls(self, tmp_path, capsys, n):
+        doc = yaml.safe_load((GOLDEN / "radio.yaml").read_text())
+        doc["output"] = str(tmp_path / "radio.csv")
+        doc["sweep"]["values"] = [round(0.04 * 64.0 ** (i / max(n - 1, 1)), 6) for i in range(n)]
+        p = tmp_path / "radio.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        with kernel_calls() as calls:
+            assert main(["radio", "--scenario", str(p)]) == 0
+        assert calls == {"latency_tx": 3 * n, "latency_rx": 2 * n}
+        assert len((tmp_path / "radio.csv").read_text().splitlines()) == n + 1
+
+    def test_integrated_point_with_a_ledger_makes_five_kernel_calls(self, tmp_path, capsys):
+        doc = yaml.safe_load((GOLDEN / "integrated.yaml").read_text())
+        doc["output"] = str(tmp_path / "integrated.csv")
+        p = tmp_path / "integrated.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        with kernel_calls() as calls:
+            assert main(["integrated", "--scenario", str(p)]) == 0
+        assert calls == {"latency_tx": 3, "latency_rx": 2}
+
+    def test_points_of_a_power_sweep_share_their_radio_prices(self, tmp_path, capsys):
+        # the unswept radio record is every point's, and so are its prices
+        p = write(tmp_path, f"""
+            kind: radio-dlt
+            output: {tmp_path}/radio.csv
+            dlt: {{}}
+            sweep: {{param: power.P_t, values: [0.1, 0.2, 0.3, 0.4]}}
+        """)
+        with kernel_calls() as calls:
+            assert main(["radio", "--scenario", str(p)]) == 0
+        assert calls == {"latency_tx": 3, "latency_rx": 2}
+
+
+_SWEPT_VALUES = {"t": st.floats(0.0, 3.0), "G": st.floats(0.1, 40.0), "lambda_s": st.floats(0.0, 20.0)}
+
+
+def _field_values(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+class TestDerivedPrices:
+    """A point derived from a base record prices its own queues: the base's
+    prices stay with the base."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.fixed_dictionaries({}, optional=_RADIO_VALUES),
+        dlt=st.fixed_dictionaries({}, optional=_DLT_VALUES),
+        swept=st.sampled_from(sorted(_SWEPT_VALUES)).flatmap(
+            lambda name: st.tuples(st.just(name), st.lists(_SWEPT_VALUES[name], min_size=1, max_size=4))),
+    )
+    @example(base={}, dlt={}, swept=("t", [0.04, 0.32, 2.56]))
+    @example(base={"lambda_s": 5.0, "lambda_b": 5.0}, dlt={}, swept=("lambda_s", [0.0, 9.0]))
+    @example(base={}, dlt={"trans_block_bits": 256.0}, swept=("G", [1.0, 30.0]))
+    def test_point_breakdown_is_its_whole_records(self, base, dlt, swept):
+        name, values = swept
+        try:
+            radio, ledger = RadioConfig(**base), DltConfig(**dlt)
+            full_breakdown(radio, PowerProfile(), ledger)  # the base priced before any point is derived
+        except ValueError:
+            assume(False)
+        for value in values:
+            try:
+                point = radio.sweep_point(name, value)
+                breakdown = full_breakdown(point, PowerProfile(), ledger)
+            except ValueError:
+                continue
+            whole = RadioConfig(**vars(point))
+            assert vars(point) == _field_values(point) == vars(whole)
+            assert repr(breakdown) == repr(full_breakdown(whole, PowerProfile(), ledger))
+        assert vars(radio) == _field_values(radio)
+
+    def test_parsed_points_price_as_built_whole(self, tmp_path):
+        doc = yaml.safe_load((GOLDEN / "radio.yaml").read_text())
+        doc["output"] = str(tmp_path / "radio.csv")
+        p = tmp_path / "radio.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        scenario = parse_scenario(p)
+        for point in scenario.points:
+            whole = RadioConfig(**vars(point.radio))
+            assert repr(full_breakdown(point.radio, point.power, point.dlt)) == \
+                repr(full_breakdown(whole, point.power, point.dlt))
+
+    def test_point_blocks_are_blocks_in_order(self):
+        # _expand builds a Point positionally from its blocks in BLOCKS order
+        assert [f.name for f in dataclasses.fields(Point)] == ["seed", *BLOCKS, "value"]
