@@ -23,10 +23,20 @@ Numbers are written with repr(), the shortest decimal that round-trips, so
 reruns with the same seed produce byte-identical files.  Wall-clock columns
 in the placement report emit 0.0 unless `placement.measure_time` is set,
 keeping the default output a pure function of (scenario, seed).
+
+A report is rewritten in place, as UTF-8 (`_write`): opened without
+truncating, written from its first byte, and cut to length only if the old
+file was longer.  An identical rerun keeps the file's inode and mode and
+makes no truncate call; a symlinked output updates its target.  This gives
+up ext4's flush on replace-via-truncate, and with it crash consistency: a
+power loss before writeback can leave old bytes in a rerun's report.
+Neither this nor the truncating write is atomic.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import time
 from pathlib import Path
 
@@ -62,9 +72,41 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\r\n".join(lines)
 
 
+# open(path, "w") without O_TRUNC: the report is rewritten in place
+_REWRITE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write(path: Path, text: str) -> Path:
+    """Write report `text` to `path` in place, as UTF-8 whatever the
+    locale, creating its directories: the bytes go from offset 0 of the
+    file as it is (a new one has mode 0o666 under the umask), and the file
+    is cut to their length only if it was longer.  A rerun's same-size
+    report truncates nothing; a non-regular output such as /dev/null is
+    never truncated.
+
+    Not crash-safe: ext4 flushes a file truncated to zero and rewritten at
+    its close, and this write does not truncate, so the new bytes wait for
+    normal writeback (about 30 s).  A power loss before then can leave old
+    bytes under the new length, or a whole old report of the same size.  A
+    write that raises cuts the file to the bytes it wrote, so no old tail
+    survives an error; a process killed mid-write can leave one.  Neither
+    this nor a truncating write replaces the file atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, newline="")
+    data = text.encode()
+    fd = os.open(path, _REWRITE, 0o666)
+    done = 0
+    try:
+        while done < len(data):
+            done += os.write(fd, data[done:])
+    except BaseException:
+        with contextlib.suppress(OSError):  # e.g. /dev/null: the write's own error is the one to raise
+            os.ftruncate(fd, done)
+        raise
+    else:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return path
 
 

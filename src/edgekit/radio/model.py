@@ -106,19 +106,13 @@ def pow_latency(dlt: DltConfig) -> float:
 _BLOCK_MESSAGES = {"new_block_bits": latency_tx, "trans_block_bits": latency_tx, "get_block_bits": latency_rx}
 
 
-def _block_message_latency(config: RadioConfig, dlt: DltConfig, name: str) -> float:
-    """Latency of the block message whose payload is `dlt.<name>`.
-
-    DltConfig has checked the size (> 0); the kernel raises UnstableConfig
-    for a payload its queue cannot carry.  The price is kept on `config`
-    (`RadioConfig.payload_latency`).
-    """
-    return config.payload_latency(_BLOCK_MESSAGES[name], getattr(dlt, name))
-
-
 def _block_exchange_latency(config: RadioConfig, dlt: DltConfig) -> float:
-    """Latency of the post-mining block messages, added in _BLOCK_MESSAGES' order."""
-    return sequential_sum([_block_message_latency(config, dlt, name) for name in _BLOCK_MESSAGES])
+    """Latency of the post-mining block messages, added in _BLOCK_MESSAGES'
+    order.  DltConfig has checked each size (> 0); the kernel raises
+    UnstableConfig for a payload its queue cannot carry.  Each price is
+    kept on `config` (`RadioConfig.payload_latency`)."""
+    return sequential_sum([config.payload_latency(kernel, getattr(dlt, name))
+                           for name, kernel in _BLOCK_MESSAGES.items()])
 
 
 def full_breakdown(radio: RadioConfig, power: PowerProfile, dlt: DltConfig | None = None) -> LatencyEnergyBreakdown:

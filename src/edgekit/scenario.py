@@ -36,6 +36,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -43,7 +44,7 @@ from .core import is_int, is_number, load_yaml
 from .learning import TRAITS, CensorSchedule, CommEnergyModel, QuantizerConfig, Setting, message_energy
 from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig
-from .radio.model import _BLOCK_MESSAGES, _block_message_latency
+from .radio.model import _BLOCK_MESSAGES
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
 BLOCKS = ("learning", "placement", "radio", "power", "dlt", "integrated")
@@ -127,11 +128,11 @@ class SweepSpec:
         return self.param.split(".", 1)[1]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """One concrete run: each block its kind reads as the run uses it, None
     for the others (dlt also None without a ledger).  Every point shares the
-    objects of the unswept blocks.  The block fields are BLOCKS, in order."""
+    objects of the unswept blocks.  The block fields are BLOCKS, in order, so
+    `_expand` builds a sweep point positionally."""
 
     seed: int
     learning: dict | None
@@ -375,9 +376,9 @@ def _check_ledger(point: Point, errors: list[str]) -> None:
     and the run reads them (`RadioConfig.payload_latency`)."""
     if point.dlt is None:
         return
-    for name in _BLOCK_MESSAGES:
+    for name, kernel in _BLOCK_MESSAGES.items():
         try:
-            _block_message_latency(point.radio, point.dlt, name)
+            point.radio.payload_latency(kernel, getattr(point.dlt, name))
         except UnstableConfig as exc:
             errors.append(f"dlt.{name}: {exc}")
         except ArithmeticError:  # e.g. bits**2 beyond the float range

@@ -21,7 +21,7 @@ from edgekit.radio import (
     pow_latency,
     reservation_probability,
 )
-from edgekit.radio.model import _block_exchange_latency, _block_message_latency, expected_attempts
+from edgekit.radio.model import _BLOCK_MESSAGES, _block_exchange_latency, expected_attempts
 
 from oracles import (
     attempts_by_outcome,
@@ -392,8 +392,11 @@ class TestSharedTerms:
         separate = expected_attempts(p_rr, radio.N_rmax) * (latency_ra(radio) + latency_rar(radio))
         assert b.latency["rr_up"] == separate == pytest.approx(latency, rel=TOL_ATTEMPTS)
         assert b.energy["rr_up"] == pytest.approx(energy, rel=TOL_ATTEMPTS)
+        assert list(_BLOCK_MESSAGES.items()) == [
+            ("new_block_bits", latency_tx), ("trans_block_bits", latency_tx), ("get_block_bits", latency_rx),
+        ]
         up_new, up_trans, down_get = (
-            _block_message_latency(radio, dlt, name) for name in ("new_block_bits", "trans_block_bits", "get_block_bits")
+            radio.payload_latency(kernel, getattr(dlt, name)) for name, kernel in _BLOCK_MESSAGES.items()
         )
         assert b.latency["block_exchange"] == up_new + up_trans + down_get
 

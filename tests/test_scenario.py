@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -365,6 +366,82 @@ class TestCsvWriter:
             ours = pipeline._write(Path(tmp) / "ours.csv", pipeline._csv_text(header, rows)).read_bytes()
             theirs = write_csv_module(Path(tmp) / "theirs.csv", header, rows).read_bytes()
         assert ours == theirs
+
+
+class TestWriteInPlace:
+    """pipeline._write rewrites a report in place: no truncation on open,
+    a cut to length only over a longer file."""
+
+    # a shorter report over a longer file, and a longer one over a shorter file
+    @pytest.mark.parametrize("old", [b"x" * 1000 + b"\r\n", b"old"])
+    def test_report_over_an_old_file_leaves_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "r.csv"
+        path.write_bytes(old)
+        pipeline._write(path, pipeline._csv_text(["a", "b"], [[1, 0.5]]))
+        assert path.read_bytes() == b"a,b\r\n1,0.5\r\n"
+
+    def test_failed_write_leaves_only_the_bytes_it_wrote(self, tmp_path, monkeypatch):
+        # a longer old report, and a disk that fills after the first four bytes
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"x" * 1000 + b"\r\n")
+        real_write, calls = os.write, []
+
+        def write_then_fail(fd, data):
+            calls.append(data)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:4])
+
+        monkeypatch.setattr(os, "write", write_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline._write(path, pipeline._csv_text(["a", "b"], [[1, 0.5]]))
+        monkeypatch.undo()
+        assert path.read_bytes() == b"a,b\r"
+
+    def test_report_is_utf8(self, tmp_path):
+        path = pipeline._write(tmp_path / "r.csv", pipeline._csv_text(["µ", "é"], [[1, 0.5]]))
+        assert path.read_bytes() == "µ,é\r\n1,0.5\r\n".encode("utf-8")
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_identical_rewrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "r.csv"
+        text = pipeline._csv_text(["a", "b"], [[1, 0.5], [2, 0.25]])
+        pipeline._write(path, text)
+        path.chmod(0o600)
+        before = path.stat()
+        pipeline._write(path, text)
+        after = path.stat()
+        assert (after.st_ino, after.st_mode & 0o777, after.st_size) == (before.st_ino, 0o600, before.st_size)
+        assert path.read_bytes() == text.encode()
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX umask")
+    def test_new_report_has_mode_0o666_under_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            path = pipeline._write(tmp_path / "new" / "r.csv", "a\r\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+    def test_symlinked_output_updates_its_target(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"a longer old report\r\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        pipeline._write(link, "a\r\n1\r\n")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == b"a\r\n1\r\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX /dev/null")
+    def test_radio_scenario_to_dev_null_exits_zero(self, tmp_path, capsys):
+        # /dev/null cannot be truncated (EINVAL): a report is cut only over a longer regular file
+        p = write(tmp_path, """
+            kind: radio-dlt
+            output: /dev/null
+        """)
+        assert main(["radio", "--scenario", str(p)]) == 0
+        assert capsys.readouterr().out.strip() == "/dev/null"
 
 
 class TestIntegrated:
@@ -1386,4 +1463,4 @@ class TestDerivedPrices:
 
     def test_point_blocks_are_blocks_in_order(self):
         # _expand builds a Point positionally from its blocks in BLOCKS order
-        assert [f.name for f in dataclasses.fields(Point)] == ["seed", *BLOCKS, "value"]
+        assert Point._fields == ("seed", *BLOCKS, "value")
