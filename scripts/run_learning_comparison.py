@@ -12,6 +12,7 @@ import numpy as np
 
 from edgekit.learning import CensorSchedule, QuantizerConfig, build_topology, run
 from edgekit.pipeline import make_problems
+from edgekit.scenario import LearningConfig
 
 
 def main():
@@ -28,7 +29,7 @@ def main():
     variants = ["ps-admm", "ggadmm", "c-ggadmm", "cq-ggadmm"]
     joules = {v: [] for v in variants}
     for seed in range(args.seeds):
-        cfg = {"workers": args.workers, "dim": args.dim, "samples": args.samples, "noise": 0.1, "reg": 1e-3}
+        cfg = LearningConfig(workers=args.workers, dim=args.dim, samples=args.samples, noise=0.1, reg=1e-3)
         problems = make_problems(cfg, seed)
         topo = build_topology(args.workers, kind="bipartite", seed=seed, mean_degree=5.0)
         for v in variants:

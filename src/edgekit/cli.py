@@ -7,7 +7,8 @@ One subcommand per experiment pillar:
     edgekit radio      --scenario s.yaml [--seed N]
     edgekit integrated --scenario s.yaml [--seed N]
 
-Exit codes: 0 success, 1 scenario validation error, 2 runtime error.
+Exit codes: 0 success (and -h), 1 a command-line or scenario validation
+error, 2 runtime error.
 """
 from __future__ import annotations
 
@@ -30,9 +31,18 @@ _KIND_OF_COMMAND = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so each subcommand's, whose usage errors exit 1, not 2:
+    2 is a runtime failure here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgekit",
         description="Deterministic experiments: decentralized learning, energy-optimal placement, and NB-IoT/ledger latency models.",
     )

@@ -50,7 +50,7 @@ class QuantizeBuffers:
     delta: np.ndarray  # new - last, then scaled onto [0, 2^b - 1]
     frac: np.ndarray  # |delta|, then the fractional part of the scaled delta, then the round-ups
     level: np.ndarray  # its integral part, then the levels, then their values
-    uniform: np.ndarray  # the rounding draws
+    uniform: np.ndarray  # the rounding draws, zeros where none was drawn yet
     radius: np.ndarray  # (P*k, 1) l-inf norm of each row of delta
     spread: np.ndarray  # each row's radius on every coordinate
     step: np.ndarray  # the level spacing of each row, on every coordinate
@@ -64,7 +64,8 @@ class QuantizeBuffers:
         quantizing with bits[p] bits per coordinate."""
         rows = len(bits) * k
         top = np.repeat([2.0**b - 1 for b in bits], k * d).reshape(rows, d)
-        delta, frac, level, uniform, spread, step, sent = np.empty((7, rows, d))
+        delta, frac, level, spread, step, sent = np.empty((6, rows, d))
+        uniform = np.zeros((rows, d))  # a point's rows after its last live one are never drawn, yet read
         return cls(delta, frac, level, uniform, np.empty((rows, 1)), spread, step, sent, top,
                    tuple(uniform.reshape(len(bits), k, d)))
 

@@ -46,7 +46,7 @@ from . import learning as L
 from . import placement as P
 from . import radio as R
 from .core import make_rng, sequential_sum
-from .scenario import Point, Scenario, learning_setting, point_path
+from .scenario import LearningConfig, PlacementConfig, Point, Scenario, learning_setting, point_path
 
 
 def _fmt(x) -> str:
@@ -125,7 +125,7 @@ def _check_finite(path: Path, text: str) -> None:
                 raise FloatingPointError(f"{path}: row {i}, {column} is {cell}, not a finite number")
 
 
-def make_problems(cfg: dict, seed: int) -> list:
+def make_problems(cfg: LearningConfig, seed: int) -> list:
     """Synthetic local least-squares problems, one per worker.
 
     Each worker observes `samples` rows of a standard-normal design with its
@@ -134,21 +134,21 @@ def make_problems(cfg: dict, seed: int) -> list:
     """
     rng = make_rng(seed)
     problems = []
-    for _ in range(cfg["workers"]):
-        A = rng.standard_normal((cfg["samples"], cfg["dim"]))
-        x = rng.standard_normal(cfg["dim"])
-        b = A @ x + cfg["noise"] * rng.standard_normal(cfg["samples"])
-        problems.append(L.LocalProblem(A=A, b=b, reg=cfg["reg"]))
+    for _ in range(cfg.workers):
+        A = rng.standard_normal((cfg.samples, cfg.dim))
+        x = rng.standard_normal(cfg.dim)
+        b = A @ x + cfg.noise * rng.standard_normal(cfg.samples)
+        problems.append(L.LocalProblem(A=A, b=b, reg=cfg.reg))
     return problems
 
 
-def _topology(cfg: dict, seed: int) -> L.Topology:
+def _topology(cfg: LearningConfig, seed: int) -> L.Topology:
     """The workers' topology: the block's kind for a variant that runs on a
     graph, else a chain, re-chained every tau_coh iterations if it re-chains."""
-    traits = L.TRAITS[cfg["variant"]]
-    kind = cfg["topology"] if traits.graph else "chain"
-    tau = cfg["tau_coh"] if traits.rechains else math.inf
-    return L.build_topology(cfg["workers"], kind=kind, seed=seed, tau_coh=tau, mean_degree=cfg["mean_degree"])
+    traits = L.TRAITS[cfg.variant]
+    kind = cfg.topology if traits.graph else "chain"
+    tau = cfg.tau_coh if traits.rechains else math.inf
+    return L.build_topology(cfg.workers, kind=kind, seed=seed, tau_coh=tau, mean_degree=cfg.mean_degree)
 
 
 # Learning fields that neither the problems nor the topology read: the points
@@ -158,7 +158,8 @@ STACKED_FIELDS = frozenset({
 })
 
 
-def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None = None) -> list[L.TrainingTrace]:
+def run_learning_block(cfgs: list[LearningConfig], seed: int,
+                       topology: L.Topology | None = None) -> list[L.TrainingTrace]:
     """Train at each of the learning blocks `cfgs`, which differ only in
     STACKED_FIELDS, as one stacked run on the first block's synthetic
     problems and on `topology`, by default its `_topology` (which a
@@ -167,7 +168,7 @@ def run_learning_block(cfgs: list[dict], seed: int, topology: L.Topology | None 
     if topology is None:
         topology = _topology(cfg, seed)
     return L.run_points(
-        cfg["variant"], make_problems(cfg, seed), topology, [learning_setting(c) for c in cfgs], seed=seed,
+        cfg.variant, make_problems(cfg, seed), topology, [learning_setting(c) for c in cfgs], seed=seed,
     )
 
 
@@ -214,35 +215,35 @@ def _timed(fn, *args, **kwargs):
     return result, (time.perf_counter() - t0) * 1e3
 
 
-def run_placement_block(cfg: dict, seed: int) -> list[list]:
+def run_placement_block(cfg: PlacementConfig, seed: int) -> list[list]:
     """One row per instance seed (one row for an instance file): optimal vs
     heuristic energy and wall time."""
     rows = []
-    for i in range(1 if cfg["instance"] else cfg["runs"]):
-        if cfg["instance"]:
-            app, net = cfg["instance"]
+    for i in range(1 if cfg.instance else cfg.runs):
+        if cfg.instance:
+            app, net = cfg.instance
             row_seed = seed
             heur, t_heur = _timed(P.solve_heuristic, app, net)
         else:
             row_seed = seed + i
-            net = P.generate_network(cfg["nodes"], seed=row_seed)
+            net = P.generate_network(cfg.nodes, seed=row_seed)
             app, heur, t_heur = _feasible_application(cfg, net, row_seed)
-        opt, t_opt = _timed(P.solve_optimal, app, net, time_budget=cfg["time_budget"])
-        if not cfg["measure_time"]:
+        opt, t_opt = _timed(P.solve_optimal, app, net, time_budget=cfg.time_budget)
+        if not cfg.measure_time:
             t_opt = t_heur = 0.0
         ratio = opt.total_energy / heur.total_energy if heur.total_energy > 0 else 1.0
         rows.append([row_seed, opt.total_energy, heur.total_energy, ratio, t_opt, t_heur])
     return rows
 
 
-def _feasible_application(cfg: dict, net: P.NetGraph, seed: int) -> tuple[P.AppGraph, P.Assignment, float]:
+def _feasible_application(cfg: PlacementConfig, net: P.NetGraph, seed: int) -> tuple[P.AppGraph, P.Assignment, float]:
     """Draw an application that admits at least one feasible assignment.
 
     Returns it with the heuristic assignment that proved it feasible and
     that solve's wall time (ms).
     """
     for attempt in range(100):
-        app = P.generate_application(cfg["shape"], cfg["components"], seed=seed + 1000 * (attempt + 1))
+        app = P.generate_application(cfg.shape, cfg.components, seed=seed + 1000 * (attempt + 1))
         try:
             heur, t_heur = _timed(P.solve_heuristic, app, net)
         except P.Infeasible:
@@ -306,10 +307,10 @@ def _integrated_reports(point: Point, trace: L.TrainingTrace,
     the point's one `full_breakdown`.
     """
     app = _learning_app_graph(topology, point.seed)
-    net = P.generate_network(point.placement["nodes"], seed=point.seed)
+    net = P.generate_network(point.placement.nodes, seed=point.seed)
     placement_energy = P.solve_heuristic(app, net).total_energy
 
-    period = point.integrated["ledger_period"]
+    period = point.integrated.ledger_period
     record, records = (0.0, 0.0), 0
     if point.dlt is not None:
         b = R.full_breakdown(point.radio, point.power, point.dlt)

@@ -19,144 +19,57 @@ reads them (`packet_latencies`, `payload_latency`).
 """
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from ..core import is_int, is_number, sequential_sum
+from ..core import COUNT, NONNEGATIVE, POSITIVE, UNIT, FieldErrors, Record, checked, is_number, sequential_sum, shown
 
 
-class UnstableConfig(ValueError):
-    pass
+class UnstableConfig(FieldErrors):
+    """A queue that cannot carry its load: an error of the whole record."""
+
+    def __init__(self, message: str):
+        super().__init__([(None, message)])
 
 
-def _shown(value) -> str:
-    """repr(value), or an integer beyond the float range by its length."""
-    if is_int(value, -math.inf, math.inf) and not is_number(value):
-        return f"a {len(str(abs(value)))}-digit integer"
-    return repr(value)
-
-
-def _check_fields(config, names) -> None:
-    """The one-field rules on the fields `names` of `config`: each an
-    integer >= 1 when a count, else a finite number, > 0 when positive and
-    >= 0 otherwise; then each unit field <= 1."""
-    values, counts, positive = vars(config), config._COUNTS, config._POSITIVE
-    for name in names:
-        value = values[name]
-        if name in counts:
-            if not is_int(value, 1):
-                within = " in the float range" if is_int(value, 1, math.inf) else ""
-                raise ValueError(f"{name} must be an integer >= 1{within}, got {_shown(value)}")
-        elif not is_number(value):
-            raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
-        elif value <= 0 and (value < 0 or name in positive):
-            raise ValueError(f"{name} must be {'> 0' if name in positive else '>= 0'}")
-    for name in names:
-        if name in config._UNIT and values[name] > 1.0:
-            raise ValueError(f"{name} must be in (0, 1]")
-
-
-@functools.cache
-def _field_order(cls) -> dict:
-    """Each field name of record class `cls` and its place."""
-    return {f.name: i for i, f in enumerate(fields(cls))}
-
-
-class _Record:
-    """A frozen config record with one check routine: the one-field rules
-    on the named fields, then the rules that read several (`_check_joint`).
-
-    A record built whole checks every field.  The base of a sweep, which no
-    point runs, is checked by the one-field rules only (`swept_base`); a
-    point it makes (`sweep_point`, through `derive`) checks the fields it
-    replaces, then every rule that reads several fields.  The base has
-    passed the one-field rules on every other field, so a point fails
-    exactly where the same record built whole fails, with the same error.
-    """
-
-    _COUNTS: frozenset = frozenset()  # integers >= 1
-    _POSITIVE: frozenset = frozenset()  # > 0; every other number >= 0
-    _UNIT: frozenset = frozenset()  # also <= 1
-
-    def __post_init__(self):
-        self._check(vars(self))
-
-    def _check(self, names, joint: bool = True) -> None:
-        _check_fields(self, names)
-        if joint:
-            self._check_joint()
-
-    def _check_joint(self) -> None:
-        pass
-
-    @classmethod
-    def swept_base(cls, **given):
-        """The record with the fields `given`, checked by the one-field rules only."""
-        record = object.__new__(cls)
-        vars(record).update({f.name: f.default for f in fields(cls)}, **given)
-        record._check(vars(record), joint=False)
-        return record
-
-    def derive(self, replaced: dict):
-        """This record with the fields `replaced` set, checked as a record
-        built whole would be: self must have passed the one-field rules.
-        It copies self's fields, and nothing kept beside them."""
-        record = object.__new__(type(self))
-        values = vars(record)
-        values.update(vars(self))
-        values.update(replaced)
-        if len(replaced) > 1:  # in field order, as built whole
-            replaced = sorted(replaced, key=_field_order(type(self)).__getitem__)
-        record._check(replaced)
-        return record
-
-    def sweep_point(self, name: str, value):
-        """The point at one value of a sweep over field `name` of this base."""
-        return self.derive({name: value})
-
-
-@dataclass(frozen=True)
-class RadioConfig(_Record):
+# The model divides by periods, by first packet moments and by s1, and a
+# reservation must be able to succeed (p_d > 0); p_d is a probability and f,
+# w, y are fractions of the radio resources.
+@dataclass(frozen=True, init=False)
+class RadioConfig(Record):
     # the queue prices its checks computed (`packet_latencies`,
     # `payload_latency`), kept beside the fields: vars(), equality, a copy and
     # `derive` see the fields alone
     __slots__ = ("_prices",)
 
-    K: int = 48  # preambles per random-access opportunity
-    tau: float = 0.0064  # NPRACH unit length (s)
-    t: float = 0.32  # mean NPRACH inter-period (s)
-    d: float = 0.32  # mean NPDCCH inter-period (s)
-    N_rmax: int = 10  # max reservation attempts
-    lambda_u: float = 1.0  # uplink access arrivals per NPRACH period
-    lambda_d: float = 1.0  # downlink access arrivals per NPRACH period
-    lambda_s: float = 0.5  # sensing-traffic share of the uplink rate
-    lambda_b: float = 0.5  # ledger-traffic share of the uplink rate
-    p_d: float = 1.0  # link delivery probability
-    Q: float = 1.0  # mean queued scheduling requests
-    f: float = 0.5  # resource fraction granted to data
-    u: float = 0.01  # NPDCCH service unit (s)
-    w: float = 0.5  # uplink data resource share
-    y: float = 0.5  # downlink data resource share
-    G: float = 1.0  # uplink batch scaling
-    R_u: float = 64000.0  # mean uplink rate (bit/s)
-    R_d: float = 64000.0  # mean downlink rate (bit/s)
-    l1: float = 512.0  # uplink packet length, first moment (bits)
-    l2: float = 512.0**2  # uplink packet length, second moment
-    m1: float = 512.0  # downlink packet length, first moment (bits)
-    m2: float = 512.0**2  # downlink packet length, second moment
-    f1: float = 1.0  # uplink batch-size first moment
-    L_sync: float = 0.33  # synchronization latency (s)
+    K: int = checked(48, COUNT)  # preambles per random-access opportunity
+    tau: float = checked(0.0064, NONNEGATIVE)  # NPRACH unit length (s)
+    t: float = checked(0.32, POSITIVE)  # mean NPRACH inter-period (s)
+    d: float = checked(0.32, POSITIVE)  # mean NPDCCH inter-period (s)
+    N_rmax: int = checked(10, COUNT)  # max reservation attempts
+    lambda_u: float = checked(1.0, NONNEGATIVE)  # uplink access arrivals per NPRACH period
+    lambda_d: float = checked(1.0, NONNEGATIVE)  # downlink access arrivals per NPRACH period
+    lambda_s: float = checked(0.5, NONNEGATIVE)  # sensing-traffic share of the uplink rate
+    lambda_b: float = checked(0.5, NONNEGATIVE)  # ledger-traffic share of the uplink rate
+    p_d: float = checked(1.0, UNIT)  # link delivery probability
+    Q: float = checked(1.0, NONNEGATIVE)  # mean queued scheduling requests
+    f: float = checked(0.5, UNIT)  # resource fraction granted to data
+    u: float = checked(0.01, NONNEGATIVE)  # NPDCCH service unit (s)
+    w: float = checked(0.5, UNIT)  # uplink data resource share
+    y: float = checked(0.5, UNIT)  # downlink data resource share
+    G: float = checked(1.0, POSITIVE)  # uplink batch scaling
+    R_u: float = checked(64000.0, POSITIVE)  # mean uplink rate (bit/s)
+    R_d: float = checked(64000.0, POSITIVE)  # mean downlink rate (bit/s)
+    l1: float = checked(512.0, POSITIVE)  # uplink packet length, first moment (bits)
+    l2: float = checked(512.0**2, NONNEGATIVE)  # uplink packet length, second moment
+    m1: float = checked(512.0, POSITIVE)  # downlink packet length, first moment (bits)
+    m2: float = checked(512.0**2, NONNEGATIVE)  # downlink packet length, second moment
+    f1: float = checked(1.0, POSITIVE)  # uplink batch-size first moment
+    L_sync: float = checked(0.33, NONNEGATIVE)  # synchronization latency (s)
 
     @property
     def lambda_a(self) -> float:
         """Access request arrivals per NPRACH period."""
         return self.lambda_u + self.lambda_d
-
-    def __getstate__(self):
-        """The fields alone: a copy or an unpickled record prices its queues
-        again, on first use."""
-        return vars(self)
 
     def _price_packets(self) -> tuple[float, float, dict]:
         """Price the config's own packets, with no ledger payload priced yet."""
@@ -189,30 +102,24 @@ class RadioConfig(_Record):
             latency = payloads[key] = kernel(self, bits, bits**2)
         return latency
 
-    # the model divides by periods, by first packet moments and by s1, and a
-    # reservation must be able to succeed (p_d > 0); p_d is a probability and
-    # f, w, y are fractions of the radio resources
-    _COUNTS = frozenset({"K", "N_rmax"})
-    _POSITIVE = frozenset({"t", "d", "l1", "m1", "f", "f1", "w", "y", "G", "R_u", "R_d", "p_d"})
-    _UNIT = frozenset({"p_d", "f", "w", "y"})
-
     def sweep_point(self, name: str, value):
         """As for any record, but a value of t also moves the fields derived
         from it (`nprach_period_fields`)."""
         if name != "t":
             return super().sweep_point(name, value)
         if not is_number(value):
-            raise ValueError(f"t must be a finite number, got {_shown(value)}")
+            raise FieldErrors([("t", f"must be a finite number, got {shown(value)}")])
         return self.derive(nprach_period_fields(self, float(value)))
 
-    def _check_joint(self) -> None:
+    def _joint(self) -> list:
         if not is_number((float(self.lambda_u) + self.lambda_d) * self.N_rmax):  # the fixed point's largest rate
             name = "lambda_u" if self.lambda_u >= self.lambda_d else "lambda_d"
-            raise ValueError(f"{name} makes the largest contention rate (lambda_u + lambda_d) * N_rmax overflow")
+            return [(name, "makes the largest contention rate (lambda_u + lambda_d) * N_rmax overflow")]
         try:  # both queues must keep up with the config's own packets; the prices are this record's own
             self._price_packets()
-        except ArithmeticError as exc:  # e.g. R_u**2 beyond the float range
-            raise ValueError("queue latency out of float range") from exc
+        except ArithmeticError:  # e.g. R_u**2 beyond the float range
+            return [(None, "queue latency out of float range")]
+        return []
 
 
 def latency_tx(config: RadioConfig, l1: float, l2: float) -> float:
@@ -280,32 +187,27 @@ def nprach_period_fields(radio: RadioConfig, t: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PowerProfile(_Record):
-    P_e: float = 0.5  # amplifier efficiency
-    P_I: float = 0.01  # idle (W)
-    P_c: float = 0.1  # circuit/compute (W)
-    P_l: float = 0.1  # listening (W)
-    P_t: float = 0.2  # transmit (W)
-    E_s_up: float = 0.0  # uplink sleep-state energy per session (J)
-    E_s_down: float = 0.0  # downlink sleep-state energy per session (J)
-
-    _POSITIVE = _UNIT = frozenset({"P_e"})
+@dataclass(frozen=True, init=False)
+class PowerProfile(Record):
+    P_e: float = checked(0.5, UNIT)  # amplifier efficiency
+    P_I: float = checked(0.01, NONNEGATIVE)  # idle (W)
+    P_c: float = checked(0.1, NONNEGATIVE)  # circuit/compute (W)
+    P_l: float = checked(0.1, NONNEGATIVE)  # listening (W)
+    P_t: float = checked(0.2, NONNEGATIVE)  # transmit (W)
+    E_s_up: float = checked(0.0, NONNEGATIVE)  # uplink sleep-state energy per session (J)
+    E_s_down: float = checked(0.0, NONNEGATIVE)  # downlink sleep-state energy per session (J)
 
 
-@dataclass(frozen=True)
-class DltConfig(_Record):
-    M: int = 5  # miners
-    lambda_0: float = 10.0  # scaling from compute power to hash rate
-    P_c: float = 0.2  # miner compute power (W)
-    new_block_bits: float = 256.0  # hash announcement payload
-    get_block_bits: float = 4096.0  # block request/response payload
-    trans_block_bits: float = 4096.0  # block body payload
-
-    # lambda_c = lambda_0 * P_c is a hash rate; the payloads are priced as
-    # packet lengths of the radio queues
-    _COUNTS = frozenset({"M"})
-    _POSITIVE = frozenset({"lambda_0", "P_c", "new_block_bits", "get_block_bits", "trans_block_bits"})
+# lambda_c = lambda_0 * P_c is a hash rate; the payloads are priced as packet
+# lengths of the radio queues
+@dataclass(frozen=True, init=False)
+class DltConfig(Record):
+    M: int = checked(5, COUNT)  # miners
+    lambda_0: float = checked(10.0, POSITIVE)  # scaling from compute power to hash rate
+    P_c: float = checked(0.2, POSITIVE)  # miner compute power (W)
+    new_block_bits: float = checked(256.0, POSITIVE)  # hash announcement payload
+    get_block_bits: float = checked(4096.0, POSITIVE)  # block request/response payload
+    trans_block_bits: float = checked(4096.0, POSITIVE)  # block body payload
 
     @property
     def lambda_c(self) -> float:

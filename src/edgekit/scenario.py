@@ -11,77 +11,45 @@ that kind needs.  Top-level keys:
     learning / placement / radio / power / dlt / integrated   config blocks,
               only those the kind reads (KIND_READS)
 
-Parsing builds and validates only the blocks the kind reads (a point's other
-blocks are None), and expands a sweep into one validated Point per value
-(one point without a sweep).  The base of the swept block runs nowhere, so
-it is checked by the one-field rules only; the rules that read several
-fields (the variant rules, say) run at each point, against its own value of
-the swept field.  The base record of a radio, power or dlt sweep makes its
-points (`sweep_point`): itself with the swept fields replaced (`derive`),
-which runs the one-field rules on those fields alone; RadioConfig's
-`radio.t` point also sets the fields `nprach_period_fields(radio, t)`
-derives from t.  A point prices a ledger exactly when it has a dlt block,
-`dlt: {}` (the defaults) included, and must carry its payloads through its
-radio queues, whose prices its radio record keeps for the run; an integrated
-scenario none of whose points prices one may not set radio, power or dlt.  A
-placement instance file is loaded, and so checked, at parse time, and its
-point runs the loaded instance.  Two sweep values may not name the same
-report file (`point_path`).  Golden examples live in scenarios/.  Errors name the field by its dotted path (e.g.
-"radio.K"), after the value's index for a sweep point
-("sweep.values[1]: radio.t").
+Every block is one checked record (`core.Record`, BLOCKS): each field
+declares its default and its one-field rule, and a short method per record
+holds the rules that read several fields.  Parsing builds only the blocks
+the kind reads (a point's other blocks are None) from the fields the
+scenario sets, and reports every bad field as `<block>.<field>: <rule>`
+(`<block>: <rule>` for a rule of the whole block).  A sweep expands into one
+checked Point per value: the swept block's base is checked by the one-field
+rules only, and makes each point (`sweep_point`), which checks its own
+value and then the rules that read several fields.  A point's errors follow
+the value's index ("sweep.values[1]: radio.t: ..."), a rule of the whole
+block put on the swept field.
+
+A point prices a ledger exactly when it has a dlt block, `dlt: {}` (the
+defaults) included, and must carry its payloads through its radio queues,
+whose prices its radio record keeps for the run; an integrated scenario
+none of whose points prices one may not set radio, power or dlt.  A
+placement record loads its instance file, and holds the load.  Two sweep
+values may not name the same report file (`point_path`).  Golden examples
+live in scenarios/.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import yaml
 
-from .core import is_int, is_number, load_yaml
+from .core import (
+    BOOL, COUNT, NONNEGATIVE, PATH, POSITIVE, UNIT, FieldErrors, Record, checked, choice, count, is_int, load_yaml,
+    optional,
+)
 from .learning import TRAITS, CensorSchedule, CommEnergyModel, QuantizerConfig, Setting, message_energy
 from .placement import load_instance
 from .radio import DltConfig, PowerProfile, RadioConfig, UnstableConfig
 from .radio.model import _BLOCK_MESSAGES
 
 KINDS = ("learning", "placement", "radio-dlt", "integrated")
-BLOCKS = ("learning", "placement", "radio", "power", "dlt", "integrated")
-
-LEARNING_DEFAULTS: dict = {
-    "variant": "gadmm",
-    "workers": 10,
-    "dim": 5,
-    "samples": 20,
-    "noise": 0.1,
-    "reg": 1e-3,
-    "topology": "chain",
-    "mean_degree": 3.0,
-    "tau_coh": None,  # iterations between re-chaining (d-gadmm only)
-    "rho": 1.0,
-    "iters": 500,
-    "quantizer_bits": 2,
-    "censor_xi0": 0.1,
-    "censor_alpha": 0.99,
-    "bandwidth_hz": 1e6,
-    "slot_s": 1e-3,
-    "noise_density": 1e-10,
-}
-
-PLACEMENT_DEFAULTS: dict = {
-    "nodes": 8,
-    "components": 5,
-    "shape": "long",  # long | wide
-    "runs": 10,
-    "time_budget": None,
-    "measure_time": False,  # wall-clock columns emit 0.0 unless enabled
-    "instance": None,  # optional path to a serialized instance; a parsed block holds its (app, net)
-}
-
-INTEGRATED_DEFAULTS: dict = {
-    "ledger_period": 1,  # iterations between ledger records
-}
 
 # What each kind reads, and so may set and sweep: whole blocks, or single
 # fields.  Any other block or field a scenario sets is rejected.
@@ -92,18 +60,6 @@ KIND_READS = {
     "integrated": ("learning", "placement.nodes", "radio", "power", "dlt", "integrated"),
 }
 
-# Learning fields that only the variants with a trait (learning.TRAITS) read;
-# a scenario setting one for another variant is rejected, not ignored.
-VARIANT_FIELDS = {
-    "topology": "graph",
-    "mean_degree": "graph",
-    "tau_coh": "rechains",
-    "quantizer_bits": "quantizes",
-    "censor_xi0": "censors",
-    "censor_alpha": "censors",
-}
-
-
 class ParseError(ValueError):
     pass
 
@@ -112,6 +68,117 @@ class ValidationError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
+
+
+# A learning field with a `trait` is read only by the variants with that trait
+# (learning.TRAITS); a scenario setting it for another variant is rejected,
+# not ignored.
+@dataclass(frozen=True, init=False)
+class LearningConfig(Record):
+    variant: str = checked("gadmm", choice(TRAITS))
+    workers: int = checked(10, count(2))
+    dim: int = checked(5, COUNT)
+    samples: int = checked(20, COUNT)
+    noise: float = checked(0.1, NONNEGATIVE)
+    reg: float = checked(1e-3, NONNEGATIVE)
+    topology: str = checked("chain", choice(("chain", "bipartite")), trait="graph")
+    mean_degree: float = checked(3.0, POSITIVE, trait="graph")
+    tau_coh: int | None = checked(None, optional(COUNT), trait="rechains")  # iterations between re-chaining
+    rho: float = checked(1.0, POSITIVE)
+    iters: int = checked(500, COUNT)
+    quantizer_bits: int = checked(2, count(1, 32), trait="quantizes")
+    censor_xi0: float = checked(0.1, NONNEGATIVE, trait="censors")
+    censor_alpha: float = checked(0.99, UNIT, trait="censors")
+    bandwidth_hz: float = checked(1e6, POSITIVE)
+    slot_s: float = checked(1e-3, POSITIVE)
+    noise_density: float = checked(1e-10, POSITIVE)
+
+    def _joint(self) -> list:
+        """The variant rules and the rank rule; then, if they pass, a message
+        whose energy overflows."""
+        variant, traits, errors = self.variant, TRAITS[self.variant], []
+        # Gaussian designs: the stacked system has full column rank almost surely
+        # exactly when it has at least `dim` rows
+        if self.reg == 0 and self.workers * self.samples < self.dim:
+            errors.append(("reg", "must be > 0 when workers * samples < dim (rank-deficient system)"))
+        if traits.rechains and self.workers % 2:
+            errors.append(("workers", f"{variant} re-chains an even number of workers"))
+        if traits.rechains and self.tau_coh is None:
+            errors.append(("tau_coh", f"{variant} needs a re-chaining interval"))
+        errors += [(f.name, f"not used by variant {variant}") for f in fields(self)
+                   if "trait" in f.metadata and f.name in self._given and not getattr(traits, f.metadata["trait"])]
+        if "mean_degree" in self._given and traits.graph and self.topology != "bipartite":
+            errors.append(("mean_degree", "only a bipartite topology uses it"))
+        # one bit has the levels -R and +R only, none near zero: every coordinate
+        # but the largest is sent about R off, and the error grows each message
+        if traits.quantizes and self.quantizer_bits == 1 and self.dim >= 2:
+            errors.append(("quantizer_bits", f"1 bit diverges at dim >= 2 (dim {self.dim}); use 2 or more"))
+        if errors:
+            return errors
+        # a message costs more the more senders split the band, so the run's
+        # dearest message is one of its largest group: all workers of a server,
+        # the ceil(workers / 2) heads or tails of either topology otherwise
+        senders = self.workers if traits.server else math.ceil(self.workers / 2)
+        setting = learning_setting(self)
+        payload = setting.payload_bits(self.dim)
+        try:  # the run's channel gains are all 1
+            joules = message_energy(payload, setting.energy_model.share(senders), 1.0)
+        except OverflowError:
+            joules = math.inf
+        return [] if math.isfinite(joules) else [
+            ("bandwidth_hz", f"too narrow for {payload}-bit messages from {senders} senders at once "
+                             "(the energy overflows)")]
+
+
+def learning_setting(block: LearningConfig) -> Setting:
+    """What a valid learning block sets for its own point of a stacked run
+    (`learning.run_points`)."""
+    traits = TRAITS[block.variant]
+    return Setting(
+        rho=block.rho,
+        quantizer=QuantizerConfig(bits=block.quantizer_bits) if traits.quantizes else None,
+        censor=CensorSchedule(xi0=block.censor_xi0, alpha=block.censor_alpha) if traits.censors else None,
+        energy_model=CommEnergyModel(block.bandwidth_hz, block.slot_s, block.noise_density),
+        iters=block.iters,
+    )
+
+
+@dataclass(frozen=True, init=False)
+class PlacementConfig(Record):
+    nodes: int = checked(8, count(2))
+    components: int = checked(5, count(2))  # a wide application needs 3
+    shape: str = checked("long", choice(("long", "wide")))
+    runs: int = checked(10, COUNT)
+    time_budget: float | None = checked(None, optional(POSITIVE))
+    measure_time: bool = checked(False, BOOL)  # wall-clock columns emit 0.0 unless enabled
+    # a serialized instance's path; a checked record holds the loaded (app, net)
+    instance: object = checked(None, optional(PATH))
+
+    def _joint(self) -> list:
+        errors = []
+        if self.shape == "wide" and self.components < 3:
+            errors.append(("components", "too few for a wide application"))
+        if isinstance(self.instance, str):
+            try:  # the run uses the instance loaded here
+                vars(self)["instance"] = load_instance(self.instance)
+            except KeyError as exc:
+                errors.append(("instance", f"missing field {exc}"))
+            except (OSError, yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:
+                errors.append(("instance", str(exc)))
+        if self.instance is not None:  # the file fixes the application and the network, and is one run
+            errors += [(name, "not read next to placement.instance")
+                       for name in ("nodes", "components", "shape", "runs") if name in self._given]
+        return errors
+
+
+@dataclass(frozen=True, init=False)
+class IntegratedConfig(Record):
+    ledger_period: int = checked(1, COUNT)  # iterations between ledger records
+
+
+# Each block's record, in the order of a Point's blocks.
+BLOCKS = {"learning": LearningConfig, "placement": PlacementConfig, "radio": RadioConfig, "power": PowerProfile,
+          "dlt": DltConfig, "integrated": IntegratedConfig}
 
 
 @dataclass(frozen=True)
@@ -131,16 +198,16 @@ class SweepSpec:
 class Point(NamedTuple):
     """One concrete run: each block its kind reads as the run uses it, None
     for the others (dlt also None without a ledger).  Every point shares the
-    objects of the unswept blocks.  The block fields are BLOCKS, in order, so
+    records of the unswept blocks.  The block fields are BLOCKS, in order, so
     `_expand` builds a sweep point positionally."""
 
     seed: int
-    learning: dict | None
-    placement: dict | None
+    learning: LearningConfig | None
+    placement: PlacementConfig | None
     radio: RadioConfig | None
     power: PowerProfile | None
     dlt: DltConfig | None
-    integrated: dict | None
+    integrated: IntegratedConfig | None
     value: object = None  # the swept field's value at this point
 
 
@@ -155,169 +222,26 @@ class Scenario:
     points: tuple[Point, ...]
 
 
-def _validate_learning(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
-    """The learning rules; the base of a swept block is checked by the
-    one-field rules only, and the rules that read several fields run at the
-    points, each of which has its own value of the swept field."""
-    before = len(errors)
-    variant = block["variant"]
-    if variant not in TRAITS:
-        errors.append(f"learning.variant: must be one of {', '.join(TRAITS)}")
-    if not is_int(block["workers"], 2):
-        errors.append("learning.workers: must be an integer >= 2")
-    if block["topology"] not in ("chain", "bipartite"):
-        errors.append("learning.topology: must be chain or bipartite")
-    for key in ("dim", "samples", "iters"):
-        if not is_int(block[key], 1):
-            errors.append(f"learning.{key}: must be a positive integer")
-    for key in ("rho", "mean_degree", "bandwidth_hz", "slot_s", "noise_density"):
-        if not (is_number(block[key]) and block[key] > 0):
-            errors.append(f"learning.{key}: must be > 0")
-    for key in ("noise", "reg", "censor_xi0"):
-        if not (is_number(block[key]) and block[key] >= 0):
-            errors.append(f"learning.{key}: must be >= 0")
-    if not (is_int(block["quantizer_bits"], 1) and block["quantizer_bits"] <= 32):
-        errors.append("learning.quantizer_bits: must be an integer in 1..32")
-    if block["tau_coh"] is not None and not is_int(block["tau_coh"], 1):
-        errors.append("learning.tau_coh: must be a positive integer")
-    if not (is_number(block["censor_alpha"]) and 0 < block["censor_alpha"] <= 1):
-        errors.append("learning.censor_alpha: must be in (0, 1]")
-    if swept or variant not in TRAITS:  # the rules below read several fields, some the variant's
-        return
-    traits = TRAITS[variant]
-    # Gaussian designs: the stacked system has full column rank almost surely
-    # exactly when it has at least `dim` rows
-    workers, samples, dim = (block[k] for k in ("workers", "samples", "dim"))
-    if is_number(block["reg"]) and block["reg"] == 0 and all(is_int(v, 1) for v in (workers, samples, dim)) \
-            and workers * samples < dim:
-        errors.append("learning.reg: must be > 0 when workers * samples < dim (rank-deficient system)")
-    if traits.rechains and is_int(workers, 2) and workers % 2:
-        errors.append(f"learning.workers: {variant} re-chains an even number of workers")
-    if traits.rechains and block["tau_coh"] is None:
-        errors.append(f"learning.tau_coh: {variant} needs a re-chaining interval")
-    for key in given:
-        if key in VARIANT_FIELDS and not getattr(traits, VARIANT_FIELDS[key]):
-            errors.append(f"learning.{key}: not used by variant {variant}")
-    if "mean_degree" in given and traits.graph and block["topology"] != "bipartite":
-        errors.append("learning.mean_degree: only a bipartite topology uses it")
-    # one bit has the levels -R and +R only, none near zero: every coordinate
-    # but the largest is sent about R off, and the error grows each message
-    if traits.quantizes and block["quantizer_bits"] == 1 and is_int(dim, 2):
-        errors.append(f"learning.quantizer_bits: 1 bit diverges at dim >= 2 (dim {dim}); use 2 or more")
-    if len(errors) == before:
-        _check_message_energy(block, traits, errors)
-
-
-def learning_setting(block: dict) -> Setting:
-    """What a valid learning block sets for its own point of a stacked run
-    (`learning.run_points`)."""
-    traits = TRAITS[block["variant"]]
-    return Setting(
-        rho=block["rho"],
-        quantizer=QuantizerConfig(bits=block["quantizer_bits"]) if traits.quantizes else None,
-        censor=CensorSchedule(xi0=block["censor_xi0"], alpha=block["censor_alpha"]) if traits.censors else None,
-        energy_model=CommEnergyModel(block["bandwidth_hz"], block["slot_s"], block["noise_density"]),
-        iters=block["iters"],
-    )
-
-
-def _check_message_energy(block: dict, traits, errors: list[str]) -> None:
-    """A valid block whose messages cost more energy than a float holds.
-
-    A message costs more the more senders split the band, so the run's
-    dearest message is one of its largest group: all workers of a server,
-    the ceil(workers / 2) heads or tails of either topology otherwise.
-    """
-    senders = block["workers"] if traits.server else math.ceil(block["workers"] / 2)
-    setting = learning_setting(block)
-    payload = setting.payload_bits(block["dim"])
-    try:  # the run's channel gains are all 1
-        joules = message_energy(payload, setting.energy_model.share(senders), 1.0)
-    except OverflowError:
-        joules = math.inf
-    if not math.isfinite(joules):
-        errors.append(f"learning.bandwidth_hz: too narrow for {payload}-bit messages from {senders} senders "
-                      "at once (the energy overflows)")
-
-
-def _validate_placement(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
-    """The placement rules; the base of a swept block needs only 2
-    components, and the points check the minimum of their shape."""
-    if block["shape"] not in ("long", "wide"):
-        errors.append("placement.shape: must be long or wide")
-    elif not is_int(block["components"], 2 if swept or block["shape"] == "long" else 3):
-        errors.append(f"placement.components: too few for a {block['shape']} application")
-    if not is_int(block["nodes"], 2):
-        errors.append("placement.nodes: must be an integer >= 2")
-    if not is_int(block["runs"], 1):
-        errors.append("placement.runs: must be a positive integer")
-    if block["time_budget"] is not None and not (is_number(block["time_budget"]) and block["time_budget"] > 0):
-        errors.append("placement.time_budget: must be > 0")
-    if not isinstance(block["measure_time"], bool):
-        errors.append("placement.measure_time: must be true or false")
-    if block["instance"] is not None:
-        if not (isinstance(block["instance"], str) and Path(block["instance"]).is_file()):
-            errors.append("placement.instance: must name an existing instance file")
-        else:
-            try:  # the run uses the instance loaded here
-                block["instance"] = load_instance(block["instance"])
-            except KeyError as exc:
-                errors.append(f"placement.instance: missing field {exc}")
-            except (OSError, yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:
-                errors.append(f"placement.instance: {exc}")
-        # the instance file fixes the application and the network, and is one run
-        errors.extend(f"placement.{key}: not read next to placement.instance"
-                      for key in ("nodes", "components", "shape", "runs") if key in given)
-
-
-def _validate_integrated(block: dict, given: dict, errors: list[str], swept: bool = False) -> None:
-    if not is_int(block["ledger_period"], 1):
-        errors.append("integrated.ledger_period: must be a positive integer")
-
-
-# blocks kept as checked dicts: their defaults and validator
-_DICT_BLOCKS = {
-    "learning": (LEARNING_DEFAULTS, _validate_learning),
-    "placement": (PLACEMENT_DEFAULTS, _validate_placement),
-    "integrated": (INTEGRATED_DEFAULTS, _validate_integrated),
-}
-_CONFIG_CLASSES = {"radio": RadioConfig, "power": PowerProfile, "dlt": DltConfig}
-_FIELDS = {name: set(defaults) for name, (defaults, _) in _DICT_BLOCKS.items()} | {
-    name: {f.name for f in dataclasses.fields(cls)} for name, cls in _CONFIG_CLASSES.items()
-}
-
-
 def _given(name: str, block, errors: list[str]) -> dict:
     """The known fields a scenario block sets; unknown names are errors."""
     if not isinstance(block, dict):
         errors.append(f"{name}: must be a mapping")
         return {}
-    for key in block:
-        if key not in _FIELDS[name]:
-            errors.append(f"{name}.{key}: unknown field")
-    return {key: value for key, value in block.items() if key in _FIELDS[name]}
+    known = BLOCKS[name].rules()
+    errors.extend(f"{name}.{key}: unknown field" for key in block if key not in known)
+    return {key: value for key, value in block.items() if key in known}
 
 
-def _build(name: str, given: dict, errors: list[str], swept: bool = False):
-    """Block `name` as a run uses it, from the fields the scenario sets.
-
-    A config class's error is put on the field its message starts with.
-    `swept` marks the base of a block a sweep sets a field of: no point runs
-    it, so it is checked by the one-field rules only, and the rules that
-    read several fields run at the points.
-    """
-    if name in _DICT_BLOCKS:
-        defaults, validate = _DICT_BLOCKS[name]
-        block = {**defaults, **given}
-        validate(block, given, errors, swept)
-        return block
-    cls = _CONFIG_CLASSES[name]
+def _build(name: str, given: dict, errors: list[str], swept: bool = False) -> Record | None:
+    """Block `name`'s record, from the fields the scenario sets; each error
+    goes on its own field.  `swept` marks the base of a block a sweep sets a
+    field of: no point runs it, so it is checked by the one-field rules
+    only, and the rules that read several fields run at the points."""
+    cls = BLOCKS[name]
     try:
         return cls.swept_base(**given) if swept else cls(**given)
-    except ValueError as exc:
-        msg = str(exc)
-        culprit = next((k for k in given if msg.startswith(f"{k} ")), None)
-        errors.append(f"{name}.{culprit}: {msg}" if culprit else f"{name}: {msg}")
+    except FieldErrors as exc:
+        errors.extend(f"{name}.{field}: {rule}" if field else f"{name}: {rule}" for field, rule in exc.errors)
         return None
 
 
@@ -333,7 +257,7 @@ def _parse_sweep(sw, kind: str, errors: list[str]) -> SweepSpec | None:
         block, fname = param.split(".", 1)
         if block not in BLOCKS:
             errors.append(f"sweep.param: unknown block {block!r}")
-        elif fname not in _FIELDS[block]:
+        elif fname not in BLOCKS[block].rules():
             errors.append(f"sweep.param: no field {fname!r} in block {block!r}")
         elif block not in KIND_READS[kind] and param not in KIND_READS[kind]:
             errors.append(f"sweep.param: kind {kind} does not read {param}")
@@ -410,29 +334,24 @@ def _check_paths(output: str, sweep: SweepSpec, errors: list[str]) -> None:
             errors.append(f"sweep.values[{i}]: writes the same file as sweep.values[{j}]")
 
 
-def _expand(seed: int, given: dict, base: dict, blocks: dict, sweep: SweepSpec | None,
-            errors: list[str]) -> tuple[Point, ...]:
-    """One point per sweep value, each validated; the base alone without a
-    sweep.  A radio, power or dlt point is made by the swept block's base
-    record in `blocks`, a dict block's is built afresh."""
+def _expand(seed: int, base: dict, blocks: dict, sweep: SweepSpec | None, errors: list[str]) -> tuple[Point, ...]:
+    """One point per sweep value, each checked; the base alone without a
+    sweep.  A point's swept block is made by its base record in `blocks`,
+    and an error of the whole block is put on the swept field."""
     if sweep is None:
-        point = Point(seed=seed, **base)
+        point = Point(seed, *base.values())
         _check_ledger(point, errors)
         return (point,)
     name, field = sweep.block, sweep.field
-    blocks_at, at = [base[block] for block in BLOCKS], BLOCKS.index(name)  # a Point's blocks, in BLOCKS order
+    blocks_at, at = list(base.values()), list(BLOCKS).index(name)  # a Point's blocks, in BLOCKS order
     points = []
     for i, value in enumerate(sweep.values):
         found: list[str] = []
-        if name in _DICT_BLOCKS:
-            swept = _build(name, {**given[name], field: value}, found)
+        try:
+            blocks_at[at] = blocks[name].sweep_point(field, value)
+        except FieldErrors as exc:
+            found = [f"{name}.{own or field}: {rule}" for own, rule in exc.errors]
         else:
-            try:
-                swept = blocks[name].sweep_point(field, value)
-            except ValueError as exc:
-                found.append(f"{sweep.param}: {exc}")
-        if not found:
-            blocks_at[at] = swept
             points.append(Point(seed, *blocks_at, value))
             _check_ledger(points[-1], found)
         if found:
@@ -486,7 +405,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     # without a dlt block no ledger round (a dlt sweep derives its points from
     # the defaults); an empty block is one at DltConfig's defaults
     base = {**dict.fromkeys(BLOCKS), **blocks, "dlt": blocks["dlt"] if "dlt" in raw else None}
-    points = _expand(seed, given, base, blocks, sweep, errors)
+    points = _expand(seed, base, blocks, sweep, errors)
     if kind == "integrated":
         _check_ledger_off(raw, sweep, points, errors)
     if errors:

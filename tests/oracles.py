@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from edgekit.core import NonConvergence, child_rng, make_rng, sequential_sum
+from edgekit.core import FieldErrors, NonConvergence, child_rng, make_rng, sequential_sum
 from edgekit.learning import QuantizerConfig
 from edgekit.placement import AppGraph, Assignment, Infeasible, NetGraph, evaluate_assignment
 from edgekit.radio import PowerProfile, RadioConfig, latency_ra, latency_rar
@@ -217,10 +217,10 @@ def swept_fields(param: str, value, radio: RadioConfig) -> dict:
         finite = type(value) is float and math.isfinite(value)
     if not finite:
         shown = f"a {len(str(abs(value)))}-digit integer" if type(value) is int else repr(value)
-        raise ValueError(f"t must be a finite number, got {shown}")
+        raise FieldErrors([("t", f"must be a finite number, got {shown}")])
     t = float(value)
     if t <= radio.tau:
-        raise ValueError("NPRACH period must exceed the NPRACH unit length")
+        raise FieldErrors([("t", "NPRACH period must exceed the NPRACH unit length")])
     arrivals = radio.lambda_u + radio.lambda_d
     per_second = arrivals / radio.t
     split = radio.lambda_u / arrivals if arrivals > 0 else 0.5

@@ -96,14 +96,12 @@ def test_variant_names_only_in_the_variant_table():
     nodes = list(_src_nodes())
     allowed = set()
     for _, node in nodes:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {getattr(target, "id", None) for target in targets}
-            pairs = list(zip(node.value.keys, node.value.values))
-            if "TRAITS" in names:
-                allowed |= {id(key) for key, _ in pairs}
-            if "LEARNING_DEFAULTS" in names:  # the default variant
-                allowed |= {id(value) for key, value in pairs if getattr(key, "value", None) == "variant"}
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) \
+                and "TRAITS" in {getattr(target, "id", None) for target in node.targets}:
+            allowed |= {id(key) for key in node.value.keys}
+        if isinstance(node, ast.ClassDef) and node.name == "LearningConfig":  # the default variant
+            allowed |= {id(stmt.value.args[0]) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "variant"}
     assert len(allowed) == len(VARIANTS) + 1
     spelled = [
         where for where, node in nodes

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,23 @@ class TestQuantizeStep:
             levels, radius = quantize_rows(new[rows] - last[rows], QuantizerConfig(bits=b), rng)
             assert out[rows].tobytes() == (last[rows] + dequantize_rows(levels, radius, b)).tobytes()
             assert kernel_rngs[p].random() == rng.random()
+
+    def test_rows_after_the_last_live_one_read_no_stale_memory(self):
+        # the buffers' memory freed just before holds signalling NaNs: a row
+        # no draw reaches read them, and frac - uniform raised
+        # "invalid value encountered in subtract" (an error under pytest)
+        k, d, bits = 5, 5, [2, 8]
+        poison = np.full((7, len(bits) * k, d), 0x7FF4000000000000, dtype=np.uint64)  # a signalling NaN each
+        del poison
+        buf = QuantizeBuffers.empty(bits, k, d)
+        draw = make_rng(0)
+        last = draw.standard_normal((2 * k, d))
+        new = last + draw.standard_normal((2 * k, d))
+        new[[k - 1, 2 * k - 1]] = last[[k - 1, 2 * k - 1]]  # each point's last row all zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = quantize_step(new, last, [make_rng(1), make_rng(2)], buf)
+        assert out[[k - 1, 2 * k - 1]].tobytes() == last[[k - 1, 2 * k - 1]].tobytes()
 
 
 class TestCensoring:

@@ -69,7 +69,7 @@ class TestReservation:
         assert p == pytest.approx(cfg.p_d * math.exp(-3.0 / cfg.K))
 
     def test_delivery_probability_in_zero_one(self):
-        for p_d, message in ((0.0, "p_d must be > 0"), (-0.5, "p_d must be > 0"), (1.5, "p_d must be in (0, 1]")):
+        for p_d, message in ((0.0, "p_d: must be > 0"), (-0.5, "p_d: must be > 0"), (1.5, "p_d: must be in (0, 1]")):
             with pytest.raises(ValueError, match=re.escape(message)):
                 RadioConfig(p_d=p_d)
         assert reservation_probability(RadioConfig(p_d=1e-300))[0] > 0.0
@@ -80,7 +80,7 @@ class TestReservation:
         for fields, name in (({"lambda_u": 1e308, "lambda_d": 0.0}, "lambda_u"),
                              ({"lambda_u": 10**308, "lambda_d": 0}, "lambda_u"),
                              ({"lambda_u": 0.0, "lambda_d": 1e308}, "lambda_d")):
-            with pytest.raises(ValueError, match=f"^{name} makes the largest contention rate"):
+            with pytest.raises(ValueError, match=f"^{name}: makes the largest contention rate"):
                 RadioConfig(N_rmax=2, **fields)
         cfg = RadioConfig(lambda_u=1e307, lambda_d=0.0, N_rmax=10)  # the largest rate 1e308 is finite
         assert math.isfinite(reservation_probability(cfg)[1])

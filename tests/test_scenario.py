@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from edgekit import core, pipeline
+from edgekit.core import FieldErrors
 from edgekit.cli import build_parser, main
 from edgekit.placement import load_instance
 from edgekit.radio import (
@@ -50,8 +51,8 @@ class TestParsing:
         assert s.kind == "learning"
         assert s.seed == 0
         learning = s.points[0].learning
-        assert learning["variant"] == "gadmm"
-        assert learning["workers"] == 10
+        assert learning.variant == "gadmm"
+        assert learning.workers == 10
 
     def test_negative_preamble_count_names_field(self, tmp_path):
         p = write(tmp_path, """
@@ -168,7 +169,7 @@ class TestParsing:
         """)
         with pytest.raises(ValidationError) as exc:
             parse_scenario(p)
-        assert exc.value.errors == ["dlt.get_block_bits: get_block_bits must be > 0"]
+        assert exc.value.errors == ["dlt.get_block_bits: must be > 0"]
 
     @pytest.mark.parametrize("value", ["'4096'", "[1, 2]", ".nan"])
     def test_non_numeric_payload_size_names_field(self, tmp_path, value):
@@ -180,7 +181,7 @@ class TestParsing:
         with pytest.raises(ValidationError) as exc:
             parse_scenario(p)
         assert len(exc.value.errors) == 1
-        assert exc.value.errors[0].startswith("dlt.trans_block_bits: trans_block_bits must be")
+        assert exc.value.errors[0].startswith("dlt.trans_block_bits: must be")
 
 
 class TestYamlLoader:
@@ -325,7 +326,7 @@ class TestRunScenario:
         """)
         expected = run_scenario(parse_scenario(p))[0].read_bytes()
         scenario = parse_scenario(p)
-        assert scenario.points[0].placement["instance"][1].links[0] == (1, 2, 0.2)
+        assert scenario.points[0].placement.instance[1].links[0] == (1, 2, 0.2)
         inst.unlink()  # the run reads no file
         assert run_scenario(scenario)[0].read_bytes() == expected
 
@@ -624,7 +625,7 @@ class TestCli:
             radio: {{lambda_u: 1.0e+308, lambda_d: 0.0, N_rmax: 2}}
         """)
         assert main(["radio", "--scenario", str(p)]) == 1
-        assert "radio.lambda_u: lambda_u makes the largest contention rate" in capsys.readouterr().err
+        assert "radio.lambda_u: makes the largest contention rate" in capsys.readouterr().err
         swept = write(tmp_path, f"""
             kind: radio-dlt
             output: {tmp_path}/out/radio.csv
@@ -632,7 +633,7 @@ class TestCli:
             sweep: {{param: radio.t, values: [0.32, 32.0]}}
         """)
         assert main(["radio", "--scenario", str(swept)]) == 1
-        assert "sweep.values[1]: radio.t: lambda_u makes" in capsys.readouterr().err
+        assert "sweep.values[1]: radio.lambda_u: makes the largest" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_payload_size_exits_one_before_writing(self, tmp_path, capsys):
@@ -662,7 +663,7 @@ class TestCli:
         # echoed all 401 digits after "must be an integer >= 1"
         p = write(tmp_path, f"kind: radio-dlt\noutput: {tmp_path}/out/r.csv\nradio:\n  K: 1{'0' * 400}\n")
         assert main(["radio", "--scenario", str(p)]) == 1
-        error = "radio.K: K must be an integer >= 1 in the float range, got a 401-digit integer"
+        error = "radio.K: must be an integer >= 1 in the float range, got a 401-digit integer"
         assert capsys.readouterr().err == f"error: {error}\n"
 
     DIVERGING = """
@@ -720,6 +721,33 @@ class TestCli:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["radio", "--scenario", "s.yaml", "--seed", "abc"],
+        ["radio"],
+        ["nope", "--scenario", "s.yaml"],
+        [],
+    ], ids=["seed-not-an-integer", "missing-scenario", "unknown-subcommand", "no-subcommand"])
+    def test_command_line_error_exits_one(self, capsys, argv):
+        # exited 2, the code of a runtime failure, while --seed -1 exited 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: edgekit")
+
+    def test_command_line_error_exit_code_of_the_process(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "edgekit.cli", "radio", "--scenario", str(tmp_path / "s.yaml"),
+                               "--seed", "abc"], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("edgekit radio: error: argument --seed: invalid int value: 'abc'\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["radio", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: edgekit")
 
     def test_seed_override_flag(self, tmp_path):
         p = write(tmp_path, f"""
@@ -1140,7 +1168,7 @@ class TestOnePath:
         first, second = s.points
         assert second.radio is first.radio and second.power is first.power and second.dlt is first.dlt
         assert second.placement is first.placement and second.integrated is first.integrated
-        assert [point.learning["rho"] for point in s.points] == [0.5, 1.0]
+        assert [point.learning.rho for point in s.points] == [0.5, 1.0]
 
 
 # A small valid scenario of each kind, and sweeps it may run.
@@ -1200,6 +1228,136 @@ def scenarios(draw):
     return command, doc, bad
 
 
+# A block of each record with three bad fields, and the lines it prints: one
+# per field, in field order (the unknown fields first), as
+# <block>.<field>: <rule>.
+THREE_BAD_FIELDS = {
+    "learning": ("learn", "learning", {"rho": 0, "workers": 1, "topology": "ring"}, [
+        "learning.workers: must be an integer >= 2, got 1",
+        "learning.topology: must be one of chain, bipartite, got 'ring'",
+        "learning.rho: must be > 0",
+    ]),
+    "placement": ("place", "placement", {"runs": 0, "shape": "round", "nodes": 1}, [
+        "placement.nodes: must be an integer >= 2, got 1",
+        "placement.shape: must be one of long, wide, got 'round'",
+        "placement.runs: must be an integer >= 1, got 0",
+    ]),
+    "radio": ("radio", "radio-dlt", {"K": 0, "t": -1.0, "N_rmax": 0}, [
+        "radio.K: must be an integer >= 1, got 0",
+        "radio.t: must be > 0",
+        "radio.N_rmax: must be an integer >= 1, got 0",
+    ]),
+    "power": ("radio", "radio-dlt", {"P_t": "x", "P_e": 0, "P_I": -1}, [
+        "power.P_e: must be > 0",
+        "power.P_I: must be >= 0",
+        "power.P_t: must be a finite number, got 'x'",
+    ]),
+    "dlt": ("radio", "radio-dlt", {"M": 0, "lambda_0": -1, "new_block_bits": 0}, [
+        "dlt.M: must be an integer >= 1, got 0",
+        "dlt.lambda_0: must be > 0",
+        "dlt.new_block_bits: must be > 0",
+    ]),
+    # one field of its own, next to two names it does not have
+    "integrated": ("integrated", "integrated", {"ledger_period": 0, "period": 2, "records": 5}, [
+        "integrated.period: unknown field",
+        "integrated.records: unknown field",
+        "integrated.ledger_period: must be an integer >= 1, got 0",
+    ]),
+}
+# Values of any field of any block: some break its rule, some pass it.
+_ANY_VALUES = [0, 1, 2, 4, -1.0, 0.5, 2.5, 64.0, True, "x", None, float("nan"), "gadmm", "d-gadmm", "cq-ggadmm",
+               "bipartite", "wide", str(GOLDEN / "placement_instance.yaml")]
+
+# Blocks that break the rules that read several fields, and one-field rules.
+AGREEING = [
+    ("learning", {"variant": "d-gadmm", "workers": 5}),
+    ("learning", {"variant": "gadmm", "quantizer_bits": 3, "topology": "bipartite", "censor_xi0": 0.2}),
+    ("learning", {"variant": "ggadmm", "mean_degree": 4.0}),
+    ("learning", {"reg": 0, "workers": 2, "samples": 2, "dim": 5}),
+    ("learning", {"variant": "cq-ggadmm", "quantizer_bits": 1}),
+    ("learning", {"bandwidth_hz": 1.5, "dim": 2}),
+    ("learning", {"workers": 1, "rho": 0, "variant": "d-gadmm"}),
+    ("placement", {"shape": "wide", "components": 2}),
+    ("placement", {"instance": str(GOLDEN / "placement_instance.yaml"), "runs": 5, "shape": "wide"}),
+    ("placement", {"instance": "no/such/instance.yaml", "nodes": 1, "time_budget": 0}),
+    ("radio", {"G": 200.0}),
+    ("radio", {"R_u": 1.0e+200}),
+    ("radio", {"lambda_u": 1.0e+308, "lambda_d": 0.0, "N_rmax": 2}),
+    ("radio", {"K": 0, "t": -1.0, "p_d": 1.5}),
+    ("power", {"P_e": 2.0, "P_t": float("nan"), "P_I": -1}),
+    ("dlt", {"M": 2.5, "P_c": float("inf")}),
+    ("integrated", {"ledger_period": True}),
+]
+
+
+class TestEveryBadField:
+    def run(self, tmp_path, command, doc) -> list[str]:
+        """The error lines of `edgekit <command>` on scenario `doc`, after
+        checking that it exits 1 and writes nothing."""
+        p = tmp_path / "s.yaml"
+        p.write_text(yaml.safe_dump({**doc, "output": str(tmp_path / "out" / "r.csv")}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--scenario", str(p)]) == 1
+        assert not (tmp_path / "out").exists()
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith("error: ") for line in lines)
+        return [line.removeprefix("error: ") for line in lines]
+
+    @pytest.mark.parametrize("block", sorted(THREE_BAD_FIELDS))
+    def test_three_bad_fields_print_three_lines(self, tmp_path, block):
+        # radio, power and dlt printed the first bad field alone
+        command, kind, fields, lines = THREE_BAD_FIELDS[block]
+        assert self.run(tmp_path, command, {"kind": kind, block: fields}) == lines
+
+    def test_bad_fields_of_two_blocks(self, tmp_path):
+        # printed radio.K and power.P_I alone
+        doc = {"kind": "radio-dlt", "radio": {"K": 0, "t": -1.0, "N_rmax": 0}, "power": {"P_I": -1}}
+        assert self.run(tmp_path, "radio", doc) == THREE_BAD_FIELDS["radio"][3] + ["power.P_I: must be >= 0"]
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    def test_defaults_pass_every_rule(self, block):
+        # a record built whole checks only the fields it is given
+        cls = BLOCKS[block]
+        cls.swept_base(**{f.name: f.default for f in dataclasses.fields(cls)})
+        cls()
+
+    @staticmethod
+    def assert_built_as_parsed(block, values):
+        """A record built in Python from `values` fails with the lines the
+        parser prints for block `block` set to them, or both pass."""
+        cls = BLOCKS[block]
+        try:
+            cls(**values)
+            built = []
+        except FieldErrors as exc:
+            built = [f"{block}.{field}: {rule}" if field else f"{block}: {rule}" for field, rule in exc.errors]
+            # the message lists each error as the parser does, without the block
+            assert str(exc) == "; ".join(line.removeprefix(f"{block}.").removeprefix(f"{block}: ") for line in built)
+        command, kind = THREE_BAD_FIELDS[block][:2]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.yaml"
+            path.write_text(yaml.safe_dump({"kind": kind, "output": f"{tmp}/r.csv", block: values}))
+            try:
+                parse_scenario(path)
+                parsed = []
+            except ValidationError as exc:
+                parsed = exc.errors
+        assert parsed == built
+
+    @pytest.mark.parametrize("block, values", AGREEING)
+    def test_record_built_in_python_fails_as_parsed(self, block, values):
+        self.assert_built_as_parsed(block, values)
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_record_built_in_python_fails_as_parsed(self, block, data):
+        values = data.draw(st.dictionaries(st.sampled_from(list(BLOCKS[block].rules())), st.sampled_from(_ANY_VALUES),
+                                           max_size=4))
+        self.assert_built_as_parsed(block, values)
+
+
 class TestStaticMistakes:
     @settings(max_examples=80)
     @given(case=scenarios())
@@ -1219,41 +1377,44 @@ class TestStaticMistakes:
 # Bad values of a radio-dlt sweep over a radio, power or dlt field, and the
 # full stderr of each, recorded while every point was built whole; only
 # t-beyond-float-range was not, as that stderr then echoed all 401 digits.
+# Each error names its own field, or the swept one for a rule of the whole
+# record; t-huge-rate's point derives two infinite rates, and both are named.
 BAD_SWEPT_VALUES = {
     "t-below-unit": ({}, "radio.t", [0.32, 0.001],
                      "sweep.values[1]: radio.t: NPRACH period must exceed the NPRACH unit length"),
-    "t-not-a-number": ({}, "radio.t", ["x", 0.32], "sweep.values[0]: radio.t: t must be a finite number, got 'x'"),
-    "t-bool": ({}, "radio.t", [True], "sweep.values[0]: radio.t: t must be a finite number, got True"),
+    "t-not-a-number": ({}, "radio.t", ["x", 0.32], "sweep.values[0]: radio.t: must be a finite number, got 'x'"),
+    "t-bool": ({}, "radio.t", [True], "sweep.values[0]: radio.t: must be a finite number, got True"),
     "t-beyond-float-range": ({}, "radio.t", [10**400],
-                             "sweep.values[0]: radio.t: t must be a finite number, got a 401-digit integer"),
-    "t-huge-rate": ({}, "radio.t", [1.0e+308], "sweep.values[0]: radio.t: lambda_u must be a finite number, got inf"),
+                             "sweep.values[0]: radio.t: must be a finite number, got a 401-digit integer"),
+    "t-huge-rate": ({}, "radio.t", [1.0e+308], "sweep.values[0]: radio.lambda_u: must be a finite number, got inf\n"
+                                              "sweep.values[0]: radio.lambda_d: must be a finite number, got inf"),
     "t-downlink-unstable": ({}, "radio.t", [0.32, 1000.0],
                             "sweep.values[1]: radio.t: downlink reception queue is unstable"),
     "K-zero": ({}, "radio.K", [0, 2.5, True],
-               "sweep.values[0]: radio.K: K must be an integer >= 1, got 0\n"
-               "sweep.values[1]: radio.K: K must be an integer >= 1, got 2.5\n"
-               "sweep.values[2]: radio.K: K must be an integer >= 1, got True"),
+               "sweep.values[0]: radio.K: must be an integer >= 1, got 0\n"
+               "sweep.values[1]: radio.K: must be an integer >= 1, got 2.5\n"
+               "sweep.values[2]: radio.K: must be an integer >= 1, got True"),
     "p_d-range": ({}, "radio.p_d", [1.5, 0.0],
-                  "sweep.values[0]: radio.p_d: p_d must be in (0, 1]\nsweep.values[1]: radio.p_d: p_d must be > 0"),
+                  "sweep.values[0]: radio.p_d: must be in (0, 1]\nsweep.values[1]: radio.p_d: must be > 0"),
     "w-range": ({}, "radio.w", [1.0, 1.5, -0.5],
-                "sweep.values[1]: radio.w: w must be in (0, 1]\nsweep.values[2]: radio.w: w must be > 0"),
-    "f-nan": ({}, "radio.f", [float("nan")], "sweep.values[0]: radio.f: f must be a finite number, got nan"),
+                "sweep.values[1]: radio.w: must be in (0, 1]\nsweep.values[2]: radio.w: must be > 0"),
+    "f-nan": ({}, "radio.f", [float("nan")], "sweep.values[0]: radio.f: must be a finite number, got nan"),
     "lambda_u-overflow": ({}, "radio.lambda_u", [1.0e+308],
-                          "sweep.values[0]: radio.lambda_u: lambda_u makes the largest contention rate "
+                          "sweep.values[0]: radio.lambda_u: makes the largest contention rate "
                           "(lambda_u + lambda_d) * N_rmax overflow"),
     "lambda_d-overflow": ({"lambda_u": 0.0}, "radio.lambda_d", [1.0e+308],
-                          "sweep.values[0]: radio.lambda_d: lambda_d makes the largest contention rate "
+                          "sweep.values[0]: radio.lambda_d: makes the largest contention rate "
                           "(lambda_u + lambda_d) * N_rmax overflow"),
     "l1-uplink": ({}, "radio.l1", [512.0, 1.0e+9], "sweep.values[1]: radio.l1: uplink transmission queue is unstable"),
     "G-uplink": ({}, "radio.G", [200.0], "sweep.values[0]: radio.G: uplink transmission queue is unstable"),
     "m1-downlink": ({}, "radio.m1", [1.0e+9], "sweep.values[0]: radio.m1: downlink reception queue is unstable"),
     "R_u-float-range": ({}, "radio.R_u", [1.0e+200], "sweep.values[0]: radio.R_u: queue latency out of float range"),
     "P_e-range": ({}, "power.P_e", [2.0, 0.0],
-                  "sweep.values[0]: power.P_e: P_e must be in (0, 1]\nsweep.values[1]: power.P_e: P_e must be > 0"),
-    "P_t-negative": ({}, "power.P_t", [-1.0], "sweep.values[0]: power.P_t: P_t must be >= 0"),
+                  "sweep.values[0]: power.P_e: must be in (0, 1]\nsweep.values[1]: power.P_e: must be > 0"),
+    "P_t-negative": ({}, "power.P_t", [-1.0], "sweep.values[0]: power.P_t: must be >= 0"),
     "M-zero": ({}, "dlt.M", [0, 3, "x"],
-               "sweep.values[0]: dlt.M: M must be an integer >= 1, got 0\n"
-               "sweep.values[2]: dlt.M: M must be an integer >= 1, got 'x'"),
+               "sweep.values[0]: dlt.M: must be an integer >= 1, got 0\n"
+               "sweep.values[2]: dlt.M: must be an integer >= 1, got 'x'"),
     "trans-block-unstable": ({}, "dlt.trans_block_bits", [1.0e+9],
                              "sweep.values[0]: dlt.trans_block_bits: uplink transmission queue is unstable"),
     "get-block-float-range": ({}, "dlt.get_block_bits", [1.0e+200],
@@ -1330,12 +1491,12 @@ class TestDerivedPoints:
                 try:
                     fields = swept_fields(doc["sweep"]["param"], value, RadioConfig(**doc.get("radio", {})))
                     expected.append(cls(**{**doc[block], **fields}))
-                except ValueError as exc:
-                    errors.append(f"sweep.values[{i}]: {block}.{field}: {exc}")
+                except FieldErrors as exc:  # each on its own field, a rule of the whole record on the swept one
+                    errors += [f"sweep.values[{i}]: {block}.{own or field}: {rule}" for own, rule in exc.errors]
                     continue
                 if block == "dlt":  # payloads the default radio's queues cannot carry
                     found = []
-                    _check_ledger(Point(0, {}, {}, RadioConfig(), PowerProfile(), expected[-1], {}), found)
+                    _check_ledger(Point(0, None, None, RadioConfig(), PowerProfile(), expected[-1], None), found)
                     errors += [f"sweep.values[{i}]: {e}" for e in found]
             try:
                 points = parse_scenario(path).points
